@@ -21,7 +21,10 @@ from typing import Iterator, Optional
 
 from .errors import MalformedInput, ZeroPolynomial
 
-_TABLE_LIMIT = 256  # cache full mul/inv tables for fields up to this size
+# Extension fields up to this size keep full mul/inv tables, filled from
+# discrete logarithms (see FiniteField._build_tables); larger ones
+# multiply polynomials on every call.
+_TABLE_LIMIT = 256
 
 
 def _is_prime_int(n: int) -> bool:
@@ -39,7 +42,13 @@ class FiniteField:
     """GF(p^e), elements encoded as ints in [0, size).
 
     For an extension field the int is the base-`base.size` digit vector of
-    the coordinates in the power basis of ``modulus``'s root.
+    the coordinates in the power basis of ``modulus``'s root.  Over F_2
+    every such encoding is a bit vector, so addition is XOR.
+
+    An extension field of at most ``_TABLE_LIMIT`` elements builds its
+    multiplication and inverse tables on first use: it walks the powers
+    of its smallest primitive element once with raw polynomial products
+    and fills both tables from the discrete logarithms.
     """
 
     def __init__(self, p: int, base: Optional["FiniteField"] = None,
@@ -107,6 +116,8 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.base is None:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         bb = self.base.size
         x, y, out, mult = a, b, 0, 1
         while x or y:
@@ -119,6 +130,8 @@ class FiniteField:
     def neg(self, a: int) -> int:
         if self.base is None:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         bb = self.base.size
         x, out, mult = a, 0, 1
         while x:
@@ -145,22 +158,36 @@ class FiniteField:
         return self.from_base_poly(fa * fb)
 
     def _build_tables(self) -> None:
-        n = self.size
-        table = [0] * (n * n)
-        for a in range(n):
-            for b in range(a, n):
-                v = self._mul_raw(a, b)
-                table[a * n + b] = v
-                table[b * n + a] = v
+        """Fill the mul/inv tables from discrete logarithms.
+
+        The walk over the powers of the primitive element g costs q - 1 raw
+        products (the last one checks that g^(q-1) = 1); every table entry
+        is then index arithmetic: g^i * g^j = g^(i+j mod q-1).
+        """
+        q = self.size
+        n = q - 1
+        mul = self._mul_raw
+        g = self._primitive_element(mul)
+        exp = [1] * n
+        log = [0] * q
+        x = 1
+        for k in range(1, n):
+            x = mul(x, g)
+            if x == 1:
+                raise AssertionError(
+                    f"{self!r}: element {g} has order {k}, not {n}")
+            exp[k] = x
+            log[x] = k
+        if mul(x, g) != 1:
+            raise AssertionError(f"{self!r}: element {g}^{n} is not 1")
+        exp2 = exp + exp
+        logs = log[1:]
+        table = [0] * (q * q)
+        for a in range(1, q):
+            la = log[a]
+            table[a * q + 1:(a + 1) * q] = [exp2[la + lb] for lb in logs]
         self._mul_table = table
-        inv = [0] * n
-        for a in range(1, n):
-            if inv[a]:
-                continue
-            ai = self._inv_raw(a)
-            inv[a] = ai
-            inv[ai] = a
-        self._inv_table = inv
+        self._inv_table = [0] + [exp[(n - la) % n] for la in logs]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -174,7 +201,7 @@ class FiniteField:
         return self._inv_raw(a)
 
     def _inv_raw(self, a: int) -> int:
-        return self.pow(a, self.size - 2)
+        return _pow_by(self._mul_raw, a, self.size - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -186,13 +213,7 @@ class FiniteField:
             return 1 if n == 0 else 0
         if n >= self.size:
             n %= self.size - 1
-        result = 1
-        while n > 0:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return _pow_by(self.mul, a, n)
 
     def from_int(self, c: int) -> int:
         """Grammar coefficient: reduced mod p for prime fields, mod size
@@ -205,12 +226,19 @@ class FiniteField:
         return range(self.size)
 
     def multiplicative_generator(self) -> int:
+        return self._primitive_element(self.mul)
+
+    def _primitive_element(self, mul) -> int:
+        """The smallest g >= 2 that generates the multiplicative group (1
+        in a field of two elements), with products taken by ``mul``."""
         n = self.size - 1
-        factors = {f for f, _ in _int_factor(n)}
+        if n == 1:
+            return 1
+        factors = [f for f, _ in _int_factor(n)]
         for g in range(2, self.size):
-            if all(self.pow(g, n // f) != 1 for f in factors):
+            if all(_pow_by(mul, g, n // f) != 1 for f in factors):
                 return g
-        raise AssertionError("no generator found")
+        raise AssertionError(f"{self!r}: no generator found")
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -228,6 +256,17 @@ def _field_of_order(p: int, e: int) -> FiniteField:
         if mod.is_irreducible():
             return FiniteField(p, base=prime_field, modulus=mod)
     raise AssertionError("no irreducible modulus found")
+
+
+def _pow_by(mul, a: int, n: int) -> int:
+    """a^n for n >= 0 by square-and-multiply with the product ``mul``."""
+    result = 1
+    while n > 0:
+        if n & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        n >>= 1
+    return result
 
 
 def _int_factor(n: int):
@@ -664,6 +703,23 @@ def _factor_squarefree(m: Poly, mult: int, acc: dict) -> None:
             xq = xq % m
 
 
+def _split_candidates(F: FiniteField, max_degree: int) -> Iterator[Poly]:
+    """Monic polynomials of degree 1..max_degree, in characteristic 2 with
+    the scaled c*t after the monic linears.
+
+    Over F, the linear factors t - r and t - s are separated by a
+    candidate a when Tr(a(r)) != Tr(a(s)), the trace taken to F_2.  For
+    t + c that needs Tr(r - s) = 1, which fails when r - s = 1 and
+    [F : F_2] is even (the roots of y^2 + y + c); for c*t it needs
+    Tr(c (r - s)) = 1, which holds for some c in F whenever r != s.
+    """
+    for degree in range(1, max_degree + 1):
+        yield from _monic_polys(F, degree)
+        if degree == 1 and F.p == 2:
+            for c in range(2, F.size):
+                yield Poly(F, (0, c))
+
+
 def _equal_degree_split(g: Poly, d: int) -> list:
     """Split a squarefree product of degree-d irreducibles.
 
@@ -674,23 +730,22 @@ def _equal_degree_split(g: Poly, d: int) -> list:
     if g.degree == d:
         return [g]
     q = F.size
-    for cand_deg in range(1, g.degree + 4):
-        for a in _monic_polys(F, cand_deg):
-            if F.p == 2:
-                # trace map over F_2
-                acc = a % g
-                term = a % g
-                for _ in range(d * F.e - 1):
-                    term = term.pow_mod(2, g)
-                    acc = acc + term
-                h = acc.gcd(g)
-            else:
-                b = a.pow_mod((q ** d - 1) // 2, g)
-                h = (b - Poly.one(F)).gcd(g)
-            if not h.is_one() and h.degree < g.degree:
-                return sorted(
-                    _equal_degree_split(h, d) + _equal_degree_split(g // h, d),
-                    key=_poly_sort_key)
+    for a in _split_candidates(F, g.degree + 3):
+        if F.p == 2:
+            # trace map over F_2
+            acc = a % g
+            term = a % g
+            for _ in range(d * F.e - 1):
+                term = term.pow_mod(2, g)
+                acc = acc + term
+            h = acc.gcd(g)
+        else:
+            b = a.pow_mod((q ** d - 1) // 2, g)
+            h = (b - Poly.one(F)).gcd(g)
+        if not h.is_one() and h.degree < g.degree:
+            return sorted(
+                _equal_degree_split(h, d) + _equal_degree_split(g // h, d),
+                key=_poly_sort_key)
     raise AssertionError("equal-degree split failed to find a splitter")
 
 

@@ -143,6 +143,18 @@ class TestSplitting:
                 want = tuple(sorted((pl.e, pl.f) for pl in sp.places))
                 assert splitting_pattern(e, prime) == want, (e.kind, str(prime))
 
+    def test_char2_split_prime_with_even_residue_degree(self):
+        # y^2 + y = t^3 splits at this degree-8 prime; the two roots over
+        # k(p) = F_256 differ by 1, whose absolute trace is 0, so no monic
+        # linear candidate separates them and the splitter needs c*t
+        from drinlat.extension import splitting_pattern
+        e = Extension.artin_schreier(F2, poly_from_str("t^3", F2))
+        prime = prime_from_str("t^8+t^4+t^3+t^2+1", F2)
+        sp = splitting(e, prime)
+        want = tuple(sorted((pl.e, pl.f) for pl in sp.places))
+        assert want == ((1, 1), (1, 1))
+        assert splitting_pattern(e, prime) == want
+
     def test_inseparable_always_ramified(self):
         e = Extension.generic(F2, [-poly_from_str("t", F2), Poly.zero(F2),
                                    Poly.one(F2)], genus=0)

@@ -4,9 +4,9 @@ import pytest
 
 from drinlat.errors import MalformedInput, ZeroPolynomial
 from drinlat.ffpoly import (
-    FiniteField, Poly, Prime, count_irreducibles, enumerate_primes,
-    field_from_str, poly_factor, poly_from_str, poly_to_str, prime_from_str,
-    primes_of_degree, random_poly, residue_field,
+    _TABLE_LIMIT, FiniteField, Poly, Prime, count_irreducibles,
+    enumerate_primes, field_from_str, poly_factor, poly_from_str, poly_to_str,
+    prime_from_str, primes_of_degree, random_poly, residue_field,
 )
 
 F2 = FiniteField.of_order(2)
@@ -53,7 +53,7 @@ class TestFiniteField:
                 assert field.mul(a, field.inv(a)) == 1
 
     def test_multiplicative_generator(self):
-        for field in (F4, F5, F9):
+        for field in (F2, F4, F5, F9):
             g = field.multiplicative_generator()
             seen = set()
             x = 1
@@ -61,6 +61,97 @@ class TestFiniteField:
                 seen.add(x)
                 x = field.mul(x, g)
             assert len(seen) == field.size - 1
+
+
+def _digit_add(field, a, b):
+    """Addition digit by digit over the tower of base fields."""
+    if field.base is None:
+        return (a + b) % field.p
+    bb = field.base.size
+    out, mult = 0, 1
+    while a or b:
+        a, da = divmod(a, bb)
+        b, db = divmod(b, bb)
+        out += _digit_add(field.base, da, db) * mult
+        mult *= bb
+    return out
+
+
+def _digit_neg(field, a):
+    if field.base is None:
+        return (-a) % field.p
+    bb = field.base.size
+    out, mult = 0, 1
+    while a:
+        a, da = divmod(a, bb)
+        out += _digit_neg(field.base, da) * mult
+        mult *= bb
+    return out
+
+
+# (base, prime) pairs whose residue fields build tables: sizes 2 and 3
+# (q - 1 = 1 and 2), towers over F_4 and F_9, and the 256-element field.
+TABLE_RESIDUE_PRIMES = [
+    ((2, 1), "t"), ((2, 1), "t+1"), ((2, 1), "t^2+t+1"), ((2, 1), "t^5+t^2+1"),
+    ((2, 1), "t^8+t^4+t^3+t^2+1"),
+    ((3, 1), "t"), ((3, 1), "t+2"), ((3, 1), "t^2+1"), ((3, 1), "t^5+2*t+1"),
+    ((2, 2), "t+1"), ((2, 2), "t^2+t+2"), ((2, 2), "t^3+t+1"),
+    ((5, 1), "t+3"), ((5, 1), "t^2+2"), ((5, 1), "t^3+t+1"),
+    ((3, 2), "t+1"), ((3, 2), "t^2+t+3"),
+]
+
+
+def _table_fields():
+    fields = [FiniteField.of_order(p, e) for p in (2, 3, 5, 7, 11, 13)
+              for e in range(2, 9) if p ** e <= 256]
+    for (p, e), text in TABLE_RESIDUE_PRIMES:
+        fields.append(residue_field(prime_from_str(text,
+                                                   FiniteField.of_order(p, e))))
+    return fields
+
+
+def _field_id(field):
+    prime = getattr(field, "prime", None)
+    return f"{field}" if prime is None else f"{field.base}[t]/({prime})"
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("field", _table_fields(), ids=_field_id)
+    def test_tables_match_raw_arithmetic(self, field):
+        q = field.size
+        assert q <= _TABLE_LIMIT
+        field.mul(0, 0)  # builds the tables
+        table, inv = field._mul_table, field._inv_table
+        assert len(table) == q * q and len(inv) == q
+        for a in range(q):
+            for b in range(a, q):
+                v = field._mul_raw(a, b)
+                assert table[a * q + b] == v and table[b * q + a] == v, (a, b)
+        for a in range(1, q):
+            assert inv[a] == field._inv_raw(a), a
+            assert field._mul_raw(a, inv[a]) == 1, a
+
+    def test_walk_refuses_a_reducible_modulus(self):
+        # t^2 + 1 = (t + 1)^2 over F_2: the "field" has zero divisors, so
+        # no element's powers return to 1 after exactly q - 1 steps
+        bogus = F2.extension(P("t^2+1", F2))
+        with pytest.raises(AssertionError):
+            bogus.mul(1, 1)
+
+    @pytest.mark.parametrize("field", [
+        F4, F8,
+        residue_field(prime_from_str("t^8+t^4+t^3+t^2+1", F2)),
+        residue_field(prime_from_str("t^3+t+1", F4)),
+        FiniteField.of_order(2, 10),
+    ], ids=_field_id)
+    def test_char2_add_matches_digit_loop(self, field):
+        rng = random.Random(field.size)
+        for _ in range(2000):
+            a = rng.randrange(field.size)
+            b = rng.randrange(field.size)
+            assert field.add(a, b) == _digit_add(field, a, b)
+            assert field.neg(a) == _digit_neg(field, a)
+            assert field.sub(a, b) == _digit_add(field, a, _digit_neg(field, b))
 
 
 class TestPolyArithmetic:
