@@ -79,7 +79,10 @@ DEFAULT_CONFIG = {
 
 
 def criterion_1(config: dict) -> Dict[str, object]:
-    """Hecke degree formula by finite-coset brute force."""
+    """Hecke degree formula q_p^(r-1) for diag(pi^-1, 1, ..., 1), read by
+    `hecke_degree` from the elementary divisors.  The grid keeps each
+    coset count within 2^16, the default orbit budget; the coset-counting
+    oracle `hecke_degree_enumerated` is compared with it in the tests."""
     budget = config["orbit_budget"]
     cases = []
     for q in (2, 3):

@@ -58,11 +58,6 @@ class LevelMap:
     def at(self, prime: Prime) -> LocalLevel:
         return self.assignments.get(prime, LocalLevel("maximal"))
 
-    @property
-    def amply_small(self) -> bool:
-        """Sufficient condition: some prime carries a congruence depth."""
-        return any(lvl.kind == "congruence" for lvl in self.assignments.values())
-
     def congruence_support(self) -> List[Tuple[Prime, int]]:
         out = [(p, lvl.depth) for p, lvl in self.assignments.items()
                if lvl.kind == "congruence"]

@@ -3,14 +3,17 @@ boundedness predicate.
 
 The degree of the correspondence attached to g at level depth k is the
 index [K : K cap g^-1 K g] for K the principal congruence subgroup mod
-p^k, computed by brute-force coset counting in the finite quotient
-K(p^k)/K(p^2k) ~ Mat_r(A/p^k).  The boundedness predicate reads the
-Newton polygon of the characteristic polynomial: at least two segments
-certifies an unbounded cyclic image in PGL_r(F_p); the adopted converse
-is that a single slope means bounded (a power scales to an integral
-matrix with unit determinant, and unipotent parts have finite order in
-characteristic p).  The power/SNF-spread cross-check in the test suite
-exercises that converse independently.
+p^k.  It is read off the elementary divisors e_1 <= ... <= e_r of g as
+q_p^(sum over a < b of (e_b - e_a)), valid when the spread e_r - e_1 is
+at most k; `hecke_degree_enumerated` is the coset-counting oracle in the
+finite quotient K(p^k)/K(p^2k) ~ Mat_r(A/p^k) that tests compare it
+against.  The boundedness predicate reads the Newton polygon of the
+characteristic polynomial: at least two segments certifies an unbounded
+cyclic image in PGL_r(F_p); the adopted converse is that a single slope
+means bounded (a power scales to an integral matrix with unit
+determinant, and unipotent parts have finite order in characteristic
+p).  The power/SNF-spread cross-check in the test suite exercises that
+converse independently.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (BudgetExceeded, PrecisionExhausted, QuotientInsufficient)
-from .ffpoly import Poly, Prime, residue_field
+from .ffpoly import Poly, Prime
 from ._chainring import ChainRing
 from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, LocalElement,
                          LocalMatrix)
@@ -191,95 +194,57 @@ def exhecke_element(cert, precision: int = DEFAULT_PRECISION) -> HeckeElement:
     s = cert.s_matrix
     d = standard_hecke_matrix(prime, r, precision)
     g = s @ d @ s.inverse()
-    elem = HeckeElement(prime, r, g, s, prime.residue_size ** (r - 1))
-    assert not projectively_bounded(g), "constructed element must be unbounded"
-    return elem
+    if projectively_bounded(g):
+        raise AssertionError("constructed element must be unbounded")
+    return HeckeElement(prime, r, g, s, prime.residue_size ** (r - 1))
 
 
 def hecke_degree(g: Union[LocalMatrix, HeckeElement], depth: int = 1,
                  budget: int = DEFAULT_BUDGET) -> int:
-    """[K : K cap g^-1 K g] at level K = K(p^depth), by coset counting.
+    """[K : K cap g^-1 K g] at level K = K(p^depth), in closed form.
 
-    Works in the finite quotient K(p^depth)/K(p^2*depth) ~ Mat_r(A/p^depth)
-    after verifying K(p^2*depth) is contained in both groups, which holds
-    exactly when the elementary-divisor spread of g is <= depth.
+    With elementary divisors e_1 <= ... <= e_r of g the degree is
+    q_p^(sum over a < b of (e_b - e_a)): writing g = U diag(pi^e) V with
+    U, V in GL_r(A_p), 1 + p^depth M lies in g^-1 K g iff N = V M V^-1
+    has v(N_ab) >= e_b - e_a, and conjugation by V permutes
+    Mat_r(A/p^depth).  The count lives in the finite quotient
+    K(p^depth)/K(p^2*depth) ~ Mat_r(A/p^depth), which captures the index
+    exactly when the spread e_r - e_1 is <= depth; a larger spread is
+    refused with QuotientInsufficient.  A quotient of more than `budget`
+    cosets, the number `hecke_degree_enumerated` walks, is refused with
+    BudgetExceeded, so the two answer the same inputs.
     """
     if isinstance(g, HeckeElement):
         g = g.matrix
-    prime = g.prime
-    r = g.r
+    exps = _divisors_within(g, depth)
+    qres = g.prime.residue_size
+    total = qres ** (depth * g.r * g.r)
+    if total > budget:
+        raise BudgetExceeded(f"{total} cosets exceed budget {budget}")
+    return qres ** sum(eb - ea for ea, eb in itertools.combinations(exps, 2))
+
+
+def _divisors_within(g: LocalMatrix, depth: int) -> Tuple[int, ...]:
+    """Sorted elementary divisors of g; QuotientInsufficient when their
+    spread exceeds depth."""
     exps = g.elementary_divisors()
     spread = exps[-1] - exps[0]
     if spread > depth:
         raise QuotientInsufficient(
             f"divisor spread {spread} > depth {depth}: the quotient mod "
             f"p^{2 * depth} does not capture the index")
-    qres = prime.residue_size
-    total = qres ** (depth * r * r)
-    if total > budget:
-        raise BudgetExceeded(f"{total} cosets exceed budget {budget}")
+    return exps
+
+
+def hecke_degree_enumerated(g: LocalMatrix, depth: int) -> int:
+    """Oracle for `hecke_degree`: count the members of K(p^depth) that
+    g conjugates into K(p^depth) by lifting each class of
+    Mat_r(A/p^depth), conjugating and testing mod p^depth.  It walks
+    q_p^(depth r^2) cosets with no budget."""
+    _divisors_within(g, depth)
+    prime = g.prime
+    r = g.r
     g_inv = g.inverse()
-    if depth == 1:
-        members = _count_members_depth1(g, g_inv)
-    else:
-        members = _count_members_generic(g, g_inv, depth)
-    assert total % members == 0
-    return total // members
-
-
-def _count_members_depth1(g: LocalMatrix, g_inv: LocalMatrix) -> int:
-    """Count M in Mat_r(k(p)) with g(1 + pM)g^-1 in K(p): the linear
-    condition sum M_ab g_ia (g^-1)_bj integral, tested on the pi^-1 digit."""
-    prime = g.prime
-    r = g.r
-    kp = residue_field(prime)
-    # per (i, j): list of (flat index a*r+b, residue of the pi^-1 digit)
-    constraints = []
-    for i in range(r):
-        for j in range(r):
-            terms = []
-            for a in range(r):
-                ga = g.rows[i][a]
-                if ga.kind == "z":
-                    continue
-                for b in range(r):
-                    gb = g_inv.rows[b][j]
-                    if gb.kind == "z":
-                        continue
-                    if ga.kind == "u" or gb.kind == "u":
-                        if ga.val + gb.val >= 0:
-                            continue  # certified integral, no constraint
-                        raise PrecisionExhausted("tensor digit uncertified")
-                    t = ga.mul(gb)
-                    if t.kind != "n" or t.val >= 0:
-                        continue
-                    assert t.val == -1, "spread <= 1 bounds the tensor at pi^-1"
-                    c = kp.reduce(t.digits[0])
-                    if c:
-                        terms.append((a * r + b, c))
-            if terms:
-                constraints.append(terms)
-    count = 0
-    for m in itertools.product(range(kp.size), repeat=r * r):
-        ok = True
-        for terms in constraints:
-            acc = 0
-            for idx, c in terms:
-                if m[idx]:
-                    acc = kp.add(acc, kp.mul(m[idx], c))
-            if acc:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def _count_members_generic(g: LocalMatrix, g_inv: LocalMatrix,
-                           depth: int) -> int:
-    """Slow general-depth path: lift each class, conjugate, test mod p^depth."""
-    prime = g.prime
-    r = g.r
     ring = ChainRing(prime, depth)
     elems = list(ring.elements())
     prec = max(DEFAULT_PRECISION, 3 * depth + 4)
@@ -303,7 +268,7 @@ def _count_members_generic(g: LocalMatrix, g_inv: LocalMatrix,
                 break
         if ok:
             count += 1
-    return count
+    return prime.residue_size ** (depth * r * r) // count
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,6 @@ class LocalElement:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero_at_precision(self) -> bool:
-        return self.kind != "n"
-
     @property
     def abs_prec(self) -> Optional[int]:
         """Element is known modulo pi^abs_prec (None = exact zero)."""
@@ -132,12 +129,6 @@ class LocalElement:
             raise Singular("exact zero has valuation +infinity")
         raise PrecisionExhausted(
             f"valuation uncertified beyond O(pi^{self.val})")
-
-    def val_lower_bound(self) -> Optional[int]:
-        """Certified lower bound; None means +infinity (exact zero)."""
-        if self.kind == "z":
-            return None
-        return self.val
 
     def is_integral(self) -> bool:
         """Certified val >= 0 (refuses rather than guessing)."""
@@ -413,20 +404,12 @@ class LocalMatrix:
     def entry(self, i: int, j: int) -> LocalElement:
         return self.rows[i][j]
 
-    def transpose(self) -> "LocalMatrix":
-        return LocalMatrix(self.prime, list(zip(*self.rows)))
-
     def scale(self, c: LocalElement) -> "LocalMatrix":
         return LocalMatrix(self.prime,
                            [[e.mul(c) for e in row] for row in self.rows])
 
     def is_integral(self) -> bool:
         return all(e.is_integral() for row in self.rows for e in row)
-
-    def min_val_lower_bound(self) -> Optional[int]:
-        bounds = [e.val_lower_bound() for row in self.rows for e in row]
-        finite = [b for b in bounds if b is not None]
-        return min(finite) if finite else None
 
     def elementary_divisors(self) -> Tuple[int, ...]:
         return smith_normal_form(self)[1]
@@ -798,9 +781,6 @@ class OrderStructure:
             total *= count_matrix_group(self.r_prime, q_res, k * e)[0]
         return total
 
-    def ring_size(self, k: int) -> int:
-        return self.prime.residue_size ** (k * self.m)
-
     def y_power_blocks(self, ring: ChainRing) -> List[List[List[Poly]]]:
         """rho(y)^j mod p^k for j = 0..m-1, as m x m chain-ring matrices."""
         m = self.m
@@ -1035,7 +1015,8 @@ def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
         if _det_residue(kp, mat) != 0:
             units += 1
     gl = order.gl_order(k)
-    assert units > 0 and gl % units == 0, "orbit-stabilizer must divide"
+    if not (units > 0 and gl % units == 0):
+        raise AssertionError("orbit-stabilizer must divide")
     return gl // units
 
 
@@ -1160,7 +1141,8 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
             h = LocalMatrix.from_polys(prime, h_polys)
             new_basis = h.inverse() @ lattice.basis
             out = Lattice(new_basis)
-            assert saturation_holds(order, out)
+            if not saturation_holds(order, out):
+                raise AssertionError("normalized lattice must be saturated")
             return out
     raise NotSaturated("no normalizing map found below budget")
 

@@ -6,7 +6,8 @@ import pytest
 from drinlat.errors import QuotientInsufficient
 from drinlat.ffpoly import FiniteField, Poly, poly_from_str, prime_from_str
 from drinlat.hecke import (HeckeElement, char_poly, companion_matrix,
-                           hecke_degree, newton_polygon, projectively_bounded,
+                           hecke_degree, hecke_degree_enumerated,
+                           newton_polygon, projectively_bounded,
                            standard_hecke_matrix, unboundedness_sample_check)
 from drinlat.localfield import LocalElement, LocalMatrix
 
@@ -14,6 +15,8 @@ F2 = FiniteField.of_order(2)
 F3 = FiniteField.of_order(3)
 T2 = prime_from_str("t", F2)
 T3 = prime_from_str("t", F3)
+T4 = prime_from_str("t", FiniteField.of_order(2, 2))
+P2_OMEGA = prime_from_str("t^2+t+1", F2)
 
 
 def pi_pow(prime, k, prec=12):
@@ -211,6 +214,40 @@ class TestHeckeDegree:
     def test_degree2_prime(self):
         p = prime_from_str("t^2+1", F3)
         assert hecke_degree(standard_hecke_matrix(p, 2)) == 9
+
+    # (prime, r, depth, precision, elementary divisors); every case walks
+    # at most 512 cosets in the oracle
+    DIFFERENTIAL_CASES = [
+        (T2, 2, 1, 12, (-1, 0)),
+        (T2, 2, 1, 30, (2, 2)),
+        (T2, 2, 2, 12, (0, 2)),
+        (T2, 2, 2, 30, (-1, 0)),
+        (T2, 3, 1, 12, (-1, -1, 0)),
+        (T3, 2, 1, 30, (1, 2)),
+        (T4, 2, 1, 12, (-2, -1)),
+        (P2_OMEGA, 2, 1, 30, (0, 1)),
+    ]
+
+    @pytest.mark.parametrize(
+        "prime, r, depth, prec, exps", DIFFERENTIAL_CASES,
+        ids=[f"q{p.field.size}-{p}-r{r}-d{d}-prec{n}"
+             for p, r, d, n, _ in DIFFERENTIAL_CASES])
+    def test_closed_form_matches_enumeration(self, prime, r, depth, prec,
+                                             exps):
+        rng = random.Random(f"{prime}/{r}/{depth}/{prec}")
+        diag = LocalMatrix.diagonal(
+            prime, [LocalElement.pi_power(prime, e, prec) for e in exps])
+        g = (_random_unit_matrix(prime, r, rng, prec) @ diag
+             @ _random_unit_matrix(prime, r, rng, prec))
+        assert g.elementary_divisors() == exps
+        assert hecke_degree(g, depth) == hecke_degree_enumerated(g, depth)
+        if exps[-1] - exps[0] <= 1:
+            assert hecke_degree(g, 1) == hecke_degree(g, 2, budget=2 ** 20)
+
+    def test_enumeration_refuses_insufficient_depth(self):
+        g = LocalMatrix.diagonal(T2, [pi_pow(T2, -2), pi_pow(T2, 0)])
+        with pytest.raises(QuotientInsufficient):
+            hecke_degree_enumerated(g, 1)
 
 
 class TestUnboundednessSamples:
