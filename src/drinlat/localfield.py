@@ -412,7 +412,7 @@ class LocalMatrix:
         return all(e.is_integral() for row in self.rows for e in row)
 
     def elementary_divisors(self) -> Tuple[int, ...]:
-        return smith_normal_form(self)[1]
+        return _snf_full(self, transforms=False)[1]
 
     def det_valuation(self) -> int:
         return sum(self.elementary_divisors())
@@ -440,21 +440,27 @@ def _elem_add_colmult(mat: List[List[LocalElement]], dst: int, src: int,
         row[dst] = row[dst].add(c.mul(row[src]))
 
 
-def _snf_full(M: LocalMatrix):
+def _snf_full(M: LocalMatrix, transforms: bool = True):
     """Smith normal form with all four transforms.
 
     Returns (U, exps, V, U_inv, V_inv) with M = U diag(pi^exps) V up to
     working precision, U and V integral with valuation-0 determinant.
     Pivot rule: minimum certified valuation, ties by row-major position.
+
+    With transforms=False only the exponents are computed and the four
+    matrices are returned as None.  The column eliminations are skipped
+    too: once column k is cleared below the pivot they only change row k,
+    which no later pivot search reads, so pivots and refusals are the
+    same as with transforms.
     """
     prime = M.prime
     r = M.r
     prec = DEFAULT_PRECISION
     A = [list(row) for row in M.rows]
-    L = [list(row) for row in LocalMatrix.identity(prime, r, prec).rows]
-    Li = [list(row) for row in LocalMatrix.identity(prime, r, prec).rows]
-    R = [list(row) for row in LocalMatrix.identity(prime, r, prec).rows]
-    Ri = [list(row) for row in LocalMatrix.identity(prime, r, prec).rows]
+    if transforms:
+        L, Li, R, Ri = ([list(row) for row in
+                         LocalMatrix.identity(prime, r, prec).rows]
+                        for _ in range(4))
     zero = LocalElement.zero(prime)
     exps: List[int] = []
 
@@ -489,12 +495,14 @@ def _snf_full(M: LocalMatrix):
         i0, j0 = best
         if i0 != k:
             swap_rows(A, i0, k)
-            swap_rows(Li, i0, k)
-            swap_cols(L, i0, k)
+            if transforms:
+                swap_rows(Li, i0, k)
+                swap_cols(L, i0, k)
         if j0 != k:
             swap_cols(A, j0, k)
-            swap_cols(Ri, j0, k)
-            swap_rows(R, j0, k)
+            if transforms:
+                swap_cols(Ri, j0, k)
+                swap_rows(R, j0, k)
         e = best_val
         pivot = A[k][k]
         unit = pivot.shift(-e)  # valuation-0 unit part
@@ -502,9 +510,10 @@ def _snf_full(M: LocalMatrix):
         # scale row k so the pivot is exactly pi^e
         A[k] = [x.mul(unit_inv) for x in A[k]]
         A[k][k] = LocalElement.pi_power(prime, e, prec)
-        Li[k] = [x.mul(unit_inv) for x in Li[k]]
-        for idx in range(r):
-            L[idx][k] = L[idx][k].mul(unit)
+        if transforms:
+            Li[k] = [x.mul(unit_inv) for x in Li[k]]
+            for idx in range(r):
+                L[idx][k] = L[idx][k].mul(unit)
         for i in range(k + 1, r):
             x = A[i][k]
             if x.kind == "z":
@@ -512,8 +521,12 @@ def _snf_full(M: LocalMatrix):
             c = x.shift(-e).neg()  # -x/pi^e, integral since val(x) >= e
             _elem_add_rowmult(A, i, k, c)
             A[i][k] = zero
-            _elem_add_rowmult(Li, i, k, c)
-            _elem_add_colmult(L, k, i, c.neg())
+            if transforms:
+                _elem_add_rowmult(Li, i, k, c)
+                _elem_add_colmult(L, k, i, c.neg())
+        exps.append(e)
+        if not transforms:
+            continue
         for j in range(k + 1, r):
             x = A[k][j]
             if x.kind == "z":
@@ -523,10 +536,11 @@ def _snf_full(M: LocalMatrix):
             A[k][j] = zero
             _elem_add_colmult(Ri, j, k, c)
             _elem_add_rowmult(R, k, j, c.neg())
-        exps.append(e)
 
     # global min-valuation pivoting makes the exponents ascending already
     assert all(exps[i] <= exps[i + 1] for i in range(r - 1))
+    if not transforms:
+        return None, tuple(exps), None, None, None
     return (LocalMatrix(prime, L), tuple(exps), LocalMatrix(prime, R),
             LocalMatrix(prime, Li), LocalMatrix(prime, Ri))
 
@@ -675,6 +689,7 @@ class OrderStructure:
             self.min_poly = _ypoly_product(prime.field, self.factor_polys)
         assert len(self.min_poly) == self.m + 1
         assert self.min_poly[-1].is_one()
+        self._y_powers = {}  # k -> y_power_blocks over A/p^k
 
     @staticmethod
     def from_min_poly(prime: Prime, r_prime: int, coeffs: Sequence[Poly],
@@ -781,13 +796,19 @@ class OrderStructure:
             total *= count_matrix_group(self.r_prime, q_res, k * e)[0]
         return total
 
-    def y_power_blocks(self, ring: ChainRing) -> List[List[List[Poly]]]:
-        """rho(y)^j mod p^k for j = 0..m-1, as m x m chain-ring matrices."""
-        m = self.m
-        comp = [[ring.reduce(c) for c in row] for row in self.companion()]
-        powers = [_chain_identity(ring, m)]
-        for _ in range(m - 1):
-            powers.append(_chain_matmul(ring, comp, powers[-1]))
+    def y_power_blocks(self, ring: ChainRing) -> Tuple[Tuple[Tuple[Poly, ...], ...], ...]:
+        """rho(y)^j mod p^k for j = 0..m-1, as m x m chain-ring matrices.
+
+        Computed once per depth k and kept; tuples, so callers cannot
+        change the kept copy."""
+        powers = self._y_powers.get(ring.k)
+        if powers is None:
+            comp = [[ring.reduce(c) for c in row] for row in self.companion()]
+            mats = [_chain_identity(ring, self.m)]
+            for _ in range(self.m - 1):
+                mats.append(_chain_matmul(ring, comp, mats[-1]))
+            powers = tuple(tuple(map(tuple, mat)) for mat in mats)
+            self._y_powers[ring.k] = powers
         return powers
 
 
@@ -889,7 +910,7 @@ def saturation_holds(order: OrderStructure, lattice) -> bool:
         for blk in blocks:
             v = _chain_matvec(ring, blk, col)
             vectors.append([kp.reduce(x) for x in v])
-    return _rank_residue(kp, vectors, r) == r
+    return len(_residue_echelon(kp, vectors, r)) == r
 
 
 def _chain_block_matrix(ring: ChainRing, order: OrderStructure, j: int):
@@ -905,7 +926,8 @@ def _chain_block_matrix(ring: ChainRing, order: OrderStructure, j: int):
     return out
 
 
-def _rank_residue(field: FiniteField, vectors, width: int) -> int:
+def _residue_echelon(field: FiniteField, vectors, width: int) -> List[List[int]]:
+    """Reduced row echelon basis of the k(p)-span of the vectors."""
     rows = [list(v) for v in vectors]
     rank = 0
     col = 0
@@ -924,7 +946,7 @@ def _rank_residue(field: FiniteField, vectors, width: int) -> int:
                            for a, b in zip(rows[i], rows[rank])]
         rank += 1
         col += 1
-    return rank
+    return rows[:rank]
 
 
 def _hom_module(order: OrderStructure, ring: ChainRing, src_cols, dst_rows):
@@ -954,11 +976,12 @@ def _hom_module(order: OrderStructure, ring: ChainRing, src_cols, dst_rows):
             full = [ring.zero] * (r * L)
             full[slot * r:(slot + 1) * r] = list(row)
             targets.append(tuple(full))
-    return solve_into_module(ring, images, targets, dim), dim
+    return solve_into_module(ring, images, targets, dim)
 
 
-def _x_residue_matrix(order: OrderStructure, ring: ChainRing, kp, x_coords):
-    """Reduction mod p of the block matrix of x, over k(p)."""
+def _x_residue_matrix(order: OrderStructure, kp, x_res):
+    """Block matrix over k(p) of the x in Mat_{r'}(R'/p) whose m*r'^2
+    coordinates are the k(p) elements x_res."""
     m, rp, r = order.m, order.r_prime, order.r
     ypow_res = order.y_power_blocks(ChainRing(order.prime, 1))
     mat = [[0] * r for _ in range(r)]
@@ -966,7 +989,7 @@ def _x_residue_matrix(order: OrderStructure, ring: ChainRing, kp, x_coords):
     for a in range(rp):
         for b in range(rp):
             for j in range(m):
-                c = kp.reduce(x_coords[idx])
+                c = x_res[idx]
                 idx += 1
                 if c == 0:
                     continue
@@ -980,12 +1003,36 @@ def _x_residue_matrix(order: OrderStructure, ring: ChainRing, kp, x_coords):
     return mat
 
 
-def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
-                     budget: int = DEFAULT_BUDGET) -> int:
-    """[GL_{r'}(R') : Stab(Lambda)] for a saturated lattice, computed by
-    orbit-stabilizer: the stabilizer is the unit group of the finite
-    multiplier ring H = {x : x.Lambda subset Lambda} mod p^k.
-    """
+def _residue_image(order: OrderStructure, kp, sol) -> List[List[int]]:
+    """Echelon basis over k(p) of the hom-module with Howell rows sol,
+    reduced mod p.  The Howell rows generate the module, so their
+    reductions span its image."""
+    dim = order.r_prime ** 2 * order.m
+    return _residue_echelon(kp, [[kp.reduce(c) for c in row] for row in sol], dim)
+
+
+def _span_dets(order: OrderStructure, kp, basis):
+    """det over k(p) of the block matrix of every element of the k(p)-span
+    of basis, one per element."""
+    r = order.r
+    mats = [_x_residue_matrix(order, kp, v) for v in basis]
+    for coeffs in itertools.product(list(kp.elements()), repeat=len(basis)):
+        mat = [[0] * r for _ in range(r)]
+        for c, b in zip(coeffs, mats):
+            if c == 0:
+                continue
+            for row, brow in zip(mat, b):
+                for j, v in enumerate(brow):
+                    if v:
+                        row[j] = kp.add(row[j], kp.mul(c, v))
+        yield _det_residue(kp, mat)
+
+
+def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
+                     budget: int):
+    """(A/p^k, Howell rows of H, |H|, elementary divisors) for the
+    multiplier ring H = {x : x.Lambda subset Lambda} mod p^k, after the
+    integrality, depth, saturation and budget checks."""
     prime = order.prime
     if isinstance(lattice, Lattice):
         divisors = lattice.elementary_divisors
@@ -1003,21 +1050,65 @@ def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
     ring = ChainRing(prime, k)
     cols = _lattice_columns_chain(lattice, ring)
     lat_rows = howell_form(ring, [tuple(c) for c in cols])
-    sol, dim = _hom_module(order, ring, cols, lat_rows)
+    sol = _hom_module(order, ring, cols, lat_rows)
     h_size = module_size(ring, sol)
     if h_size > budget:
         raise BudgetExceeded(
             f"stabilizer ring has {h_size} elements, budget {budget}")
-    kp = residue_field(prime)
-    units = 0
-    for x in enumerate_module(ring, sol, budget):
-        mat = _x_residue_matrix(order, ring, kp, x)
-        if _det_residue(kp, mat) != 0:
-            units += 1
+    return ring, sol, h_size, divisors
+
+
+def _orbit_index(order: OrderStructure, k: int, units: int) -> int:
+    """[GL_{r'}(R'/p^k) : stabilizer] from the number of units."""
     gl = order.gl_order(k)
     if not (units > 0 and gl % units == 0):
         raise AssertionError("orbit-stabilizer must divide")
     return gl // units
+
+
+def _stabilizer(lattice, order: OrderStructure, k: Optional[int],
+                budget: int) -> Tuple[int, Tuple[int, ...]]:
+    """(stabilizer index, elementary divisors of the lattice)."""
+    ring, sol, h_size, divisors = _multiplier_ring(lattice, order, k, budget)
+    kp = residue_field(order.prime)
+    basis = _residue_image(order, kp, sol)
+    h_bar = kp.size ** len(basis)
+    if h_size % h_bar != 0:
+        raise AssertionError("|H mod p| must divide |H|")
+    units = h_size // h_bar * sum(
+        1 for det in _span_dets(order, kp, basis) if det != 0)
+    return _orbit_index(order, ring.k, units), divisors
+
+
+def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
+                     budget: int = DEFAULT_BUDGET) -> int:
+    """[GL_{r'}(R') : Stab(Lambda)] for a saturated lattice, computed by
+    orbit-stabilizer: the stabilizer is the unit group of the finite
+    multiplier ring H = {x : x.Lambda subset Lambda} mod p^k.
+
+    x in H is a unit iff x mod p is invertible, so the units are counted
+    on the image H-bar of H mod p, a k(p)-space spanned by the Howell rows
+    of H reduced mod p: |H^x| = |H| / |H-bar| times the number of
+    invertible elements of H-bar.  Only H-bar is enumerated; the gate
+    |H| <= budget is kept.  stabilizer_index_enumerated is the oracle that
+    walks all of H.
+    """
+    return _stabilizer(lattice, order, k, budget)[0]
+
+
+def stabilizer_index_enumerated(lattice, order: OrderStructure,
+                                k: Optional[int] = None,
+                                budget: int = DEFAULT_BUDGET) -> int:
+    """Brute-force counterpart of stabilizer_index: tests every element
+    of the multiplier ring H for invertibility mod p."""
+    ring, sol, _, _ = _multiplier_ring(lattice, order, k, budget)
+    kp = residue_field(order.prime)
+    units = 0
+    for x in enumerate_module(ring, sol, budget):
+        mat = _x_residue_matrix(order, kp, [kp.reduce(c) for c in x])
+        if _det_residue(kp, mat) != 0:
+            units += 1
+    return _orbit_index(order, ring.k, units)
 
 
 def gitter_bound_check(lattice, order: OrderStructure, k: Optional[int] = None,
@@ -1027,19 +1118,18 @@ def gitter_bound_check(lattice, order: OrderStructure, k: Optional[int] = None,
     prime = order.prime
     q = prime.field.size
     r = order.r
-    stab = stabilizer_index(lattice, order, k, budget)
-    if isinstance(lattice, Lattice):
-        lat = lattice
-    else:
-        lat = Lattice.from_poly_basis(prime, lattice)
-    index = prime.residue_size ** sum(lat.elementary_divisors)
+    stab, divisors = _stabilizer(lattice, order, k, budget)
+    index = prime.residue_size ** sum(divisors)
     return stab ** r * q ** (r * r) >= (q - 1) ** (r * r) * index
 
 
 def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
                        budget: int = DEFAULT_BUDGET) -> bool:
     """Whether two integral lattices lie in one GL_{r'}(R'/p^k)-orbit,
-    decided by searching the hom-module for an invertible map."""
+    decided by searching the hom-module for an invertible map.
+
+    Invertibility depends on x mod p only, so the search runs over the
+    image of the hom-module mod p; the gate on its full size is kept."""
     ring = ChainRing(order.prime, k)
     ca = _lattice_columns_chain(cols_a, ring)
     cb = _lattice_columns_chain(cols_b, ring)
@@ -1049,13 +1139,14 @@ def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
         return False
     if rows_a == rows_b:
         return True
-    sol, _ = _hom_module(order, ring, ca, rows_b)
+    sol = _hom_module(order, ring, ca, rows_b)
+    size = module_size(ring, sol)
+    if size > budget:
+        raise BudgetExceeded(
+            f"module of size {size} exceeds enumeration budget {budget}")
     kp = residue_field(order.prime)
-    for x in enumerate_module(ring, sol, budget):
-        mat = _x_residue_matrix(order, ring, kp, x)
-        if _det_residue(kp, mat) != 0:
-            return True
-    return False
+    basis = _residue_image(order, kp, sol)
+    return any(det != 0 for det in _span_dets(order, kp, basis))
 
 
 def hnf_column_basis(prime: Prime, columns: Sequence[Sequence[LocalElement]],
@@ -1128,7 +1219,7 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
     m_rows = howell_form(ring, [tuple(c) for c in m_cols])
     std_cols = [tuple(ring.one if i == j else ring.zero for i in range(r))
                 for j in range(r)]
-    sol, _ = _hom_module(order, ring, std_cols, m_rows)
+    sol = _hom_module(order, ring, std_cols, m_rows)
     ypow = order.y_power_blocks(ring)
     target_size = module_size(ring, m_rows)
     for x in enumerate_module(ring, sol, budget):

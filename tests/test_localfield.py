@@ -4,14 +4,16 @@ import pytest
 
 from drinlat._chainring import (ChainRing, enumerate_module, howell_form,
                                 module_contains, module_size)
-from drinlat.errors import (NotContained, NotSaturated, PrecisionExhausted,
-                            Singular)
-from drinlat.ffpoly import FiniteField, Poly, poly_from_str, prime_from_str
+from drinlat.acceptance import _gitter_structures
+from drinlat.errors import (BudgetExceeded, NotContained, NotSaturated,
+                            PrecisionExhausted, Singular)
+from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
+                            residue_field)
 from drinlat.localfield import (
     Lattice, LocalElement, LocalMatrix, OrderStructure, count_matrix_group,
     count_matrix_group_exhaustive, gitter_bound_check, hermite_sublattices,
     lattice_index, module_orbit_equal, saturation_holds, smith_normal_form,
-    stabilizer_index,
+    stabilizer_index, stabilizer_index_enumerated,
 )
 
 F2 = FiniteField.of_order(2)
@@ -143,6 +145,8 @@ class TestSmithNormalForm:
         m = LocalMatrix(T2, [[pi_pow(T2, 0), z], [z, z]])
         with pytest.raises(Singular):
             smith_normal_form(m)
+        with pytest.raises(Singular):
+            m.elementary_divisors()
 
     def test_precision_exhaustion_refuses(self):
         x = elem(T2, "1+t", prec=3).inv()  # inexact at precision 3
@@ -151,6 +155,8 @@ class TestSmithNormalForm:
                              [pi_pow(T2, 4), LocalElement.zero(T2)]])
         with pytest.raises(PrecisionExhausted):
             smith_normal_form(m)
+        with pytest.raises(PrecisionExhausted):
+            m.elementary_divisors()
 
     def test_reconstruction_at_working_precision(self):
         rng = random.Random(9)
@@ -180,6 +186,44 @@ class TestSmithNormalForm:
                         assert all(d.is_zero() for d in e.digits[1:])
                     else:
                         assert e.kind != "n" or e.val >= 8
+
+
+class TestExponentsOnlySNF:
+    """elementary_divisors() skips the transforms; it must agree with the
+    full smith_normal_form, answers and refusals alike."""
+
+    @pytest.mark.parametrize("prime,r,seed,val_range,count", [
+        (T2, 3, 1, (0, 2), 30), (T2, 2, 2, (0, 3), 100),
+        (T3, 3, 9, (-2, 2), 25), (T3, 3, 3, (-1, 2), 30)])
+    def test_matches_full_snf_on_random_cases(self, prime, r, seed,
+                                              val_range, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            m = _random_invertible(prime, r, rng, val_range=val_range)
+            assert m.elementary_divisors() == smith_normal_form(m)[1]
+
+    def test_same_outcome_at_low_precision(self):
+        # entries mix exact polynomials, truncated inverses and O(pi^3)
+        # noise, so answers, Singular and PrecisionExhausted all occur
+        rng = random.Random(11)
+        z = LocalElement.zero(T2)
+        noise = elem(T2, "1+t", prec=3).inv()
+        noise = noise.sub(noise)
+        pool = [z, noise, elem(T2, "t", 3), elem(T2, "1+t", 3).inv(),
+                pi_pow(T2, 2, 3), pi_pow(T2, 0, 3), elem(T2, "1+t^2", 3)]
+        seen = set()
+        for _ in range(300):
+            m = LocalMatrix(T2, [[rng.choice(pool) for _ in range(3)]
+                                 for _ in range(3)])
+            outcomes = []
+            for f in (lambda: smith_normal_form(m)[1], m.elementary_divisors):
+                try:
+                    outcomes.append(f())
+                except (Singular, PrecisionExhausted) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+            seen.add(outcomes[0] if isinstance(outcomes[0], type) else tuple)
+        assert seen == {tuple, Singular, PrecisionExhausted}
 
 
 def _random_invertible(prime, r, rng, val_range=(0, 2), prec=12):
@@ -449,7 +493,117 @@ class TestStabilizerIndex:
                 assert gitter_bound_check(cols, S)
 
 
+def _saturated_sublattices(order, max_exp):
+    """(cols, elementary divisors) of the saturated Hermite sublattices."""
+    for _, cols in hermite_sublattices(order.prime, order.r, max_exp):
+        if saturation_holds(order, cols):
+            yield cols, Lattice.from_poly_basis(order.prime, cols).elementary_divisors
+
+
+class TestStabilizerAgainstEnumeration:
+    """Units counted on H mod p against the walk over all of H."""
+
+    @pytest.mark.parametrize("name,order", _gitter_structures(),
+                             ids=[name for name, _ in _gitter_structures()])
+    def test_all_saturated_sublattices_exponent_2(self, name, order):
+        q, r = order.prime.field.size, order.r
+        cases = 0
+        for cols, divisors in _saturated_sublattices(order, 2):
+            e_max = max(divisors)
+            index = order.prime.residue_size ** sum(divisors)
+            for k in sorted({max(1, e_max), e_max + 1}):
+                want = stabilizer_index_enumerated(cols, order, k)
+                assert stabilizer_index(cols, order, k) == want, (cols, k)
+                bound = want ** r * q ** (r * r) >= (q - 1) ** (r * r) * index
+                assert gitter_bound_check(cols, order, k) == bound, (cols, k)
+                cases += 1
+        assert cases
+
+    def test_same_budget_refusal(self):
+        S = OrderStructure.unramified(T2, 1, 2)
+        cols = [[Poly.one(F2), Poly.zero(F2)],
+                [Poly.zero(F2), poly_from_str("t", F2)]]
+        messages = []
+        for f in (stabilizer_index, stabilizer_index_enumerated,
+                  gitter_bound_check):
+            with pytest.raises(BudgetExceeded) as exc:
+                f(cols, S, 2, 4)
+            messages.append(str(exc.value))
+        assert messages == ["stabilizer ring has 8 elements, budget 4"] * 3
+
+    def test_y_power_blocks_kept_per_depth(self):
+        S = OrderStructure.unramified(T2, 1, 3)
+        ypow = S.y_power_blocks(ChainRing(T2, 2))
+        assert S.y_power_blocks(ChainRing(T2, 2)) is ypow
+        assert S.y_power_blocks(ChainRing(T2, 1)) is not ypow
+        assert isinstance(ypow, tuple)
+        assert all(isinstance(row, tuple) for mat in ypow for row in mat)
+
+
+def _orbit_equal_full_search(order, k, cols_a, cols_b):
+    """module_orbit_equal as it was before the mod-p search: walk all of
+    the hom-module and test each element for invertibility mod p."""
+    from drinlat.localfield import (_det_residue, _hom_module,
+                                    _lattice_columns_chain, _x_residue_matrix)
+    ring = ChainRing(order.prime, k)
+    ca = _lattice_columns_chain(cols_a, ring)
+    cb = _lattice_columns_chain(cols_b, ring)
+    rows_a = howell_form(ring, [tuple(c) for c in ca])
+    rows_b = howell_form(ring, [tuple(c) for c in cb])
+    if module_size(ring, rows_a) != module_size(ring, rows_b):
+        return False
+    if rows_a == rows_b:
+        return True
+    sol = _hom_module(order, ring, ca, rows_b)
+    kp = residue_field(order.prime)
+    for x in enumerate_module(ring, sol, 2 ** 16):
+        mat = _x_residue_matrix(order, kp, [kp.reduce(c) for c in x])
+        if _det_residue(kp, mat) != 0:
+            return True
+    return False
+
+
 class TestModuleOrbitEqual:
+    def test_mod_p_search_matches_full_search(self):
+        # every ordered pair of Hermite sublattices of equal index; pairs
+        # whose Howell forms differ reach the search.  The full search
+        # walks all of Hom, so the 3 x 3 matrix ring of "trivial r=3" and
+        # exponents above 1 at r = 3 are left out to keep it small.
+        searched = {True: 0, False: 0}
+        for name, order in _gitter_structures():
+            if name == "trivial r=3":
+                continue
+            lats = [(sum(exps), cols) for exps, cols in
+                    hermite_sublattices(order.prime, order.r,
+                                        2 if order.r == 2 else 1)]
+            for k in (1, 2):
+                ring = ChainRing(order.prime, k)
+                for ea, a in lats:
+                    for eb, b in lats:
+                        if ea != eb or a is b:
+                            continue
+                        want = _orbit_equal_full_search(order, k, a, b)
+                        assert module_orbit_equal(order, k, a, b) == want
+                        rows = [howell_form(ring, [tuple(ring.reduce(c)
+                                                         for c in col)
+                                                   for col in cols])
+                                for cols in (a, b)]
+                        if rows[0] != rows[1]:
+                            searched[want] += 1
+        assert searched[True] >= 20 and searched[False] >= 20, searched
+
+    def test_same_budget_refusal(self):
+        # a and b differ by swapping coordinates; at depth 2 the hom-module
+        # has 128 elements
+        S = OrderStructure.trivial(T2, 2)
+        t, one, zero = poly_from_str("t", F2), Poly.one(F2), Poly.zero(F2)
+        a, b = [[t, zero], [zero, one]], [[one, zero], [zero, t]]
+        assert module_orbit_equal(S, 2, a, b, budget=128)
+        with pytest.raises(BudgetExceeded,
+                           match="^module of size 128 exceeds enumeration "
+                                 "budget 127$"):
+            module_orbit_equal(S, 2, a, b, budget=127)
+
     def test_same_lattice(self):
         S = OrderStructure.unramified(T2, 1, 2)
         cols = [[Poly.one(F2), Poly.zero(F2)],
