@@ -7,13 +7,17 @@ p^k.  It is read off the elementary divisors e_1 <= ... <= e_r of g as
 q_p^(sum over a < b of (e_b - e_a)), valid when the spread e_r - e_1 is
 at most k; `hecke_degree_enumerated` is the coset-counting oracle in the
 finite quotient K(p^k)/K(p^2k) ~ Mat_r(A/p^k) that tests compare it
-against.  The boundedness predicate reads the Newton polygon of the
-characteristic polynomial: at least two segments certifies an unbounded
-cyclic image in PGL_r(F_p); the adopted converse is that a single slope
-means bounded (a power scales to an integral matrix with unit
-determinant, and unipotent parts have finite order in characteristic
-p).  The power/SNF-spread cross-check in the test suite exercises that
-converse independently.
+against.  The characteristic polynomial sums the principal minors of
+each size, all computed in one Laplace programme that shares
+sub-determinants between minors (633 products at r = 6);
+`char_poly_expanded`, the expansion of each minor over all
+permutations, is the oracle.  The boundedness predicate reads the
+Newton polygon of the characteristic polynomial: at least two segments
+certifies an unbounded cyclic image in PGL_r(F_p); the adopted converse
+is that a single slope means bounded (a power scales to an integral
+matrix with unit determinant, and unipotent parts have finite order in
+characteristic p).  The power/SNF-spread cross-check in the test suite
+exercises that converse independently.
 """
 
 from __future__ import annotations
@@ -35,7 +39,65 @@ from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, LocalElement,
 # Characteristic polynomial
 
 def char_poly(g: LocalMatrix) -> List[LocalElement]:
-    """Coefficients [a_0, ..., a_{r-1}, 1] of det(lambda*I - g)."""
+    """Coefficients [a_0, ..., a_{r-1}, 1] of det(lambda*I - g).
+
+    a_{r-i} = (-1)^i e_i, where e_i is the sum of the principal i x i
+    minors.  All of them come out of one Laplace programme that shares
+    sub-determinants: D(P, T) = det g[P][T] for a row set P, which is a
+    prefix of the principal index sets it serves, and a column set T of
+    the same size inside P and the indices after max P.  Level k+1 expands
+    along the new last row m:
+
+        D(P + m, T) = sum over c in T of +-D(P, T - c) * g[m][c],
+
+    and e_i = sum over |P| = i of D(P, P).  Every product is a
+    sub-determinant times the next row's entry, the left-to-right row
+    order of `char_poly_expanded`, so truncation acts on the same
+    products; exact zeros are skipped as `mul` and `add` would.  A dense
+    r = 6 matrix takes 633 products where the expansion takes 7,830.
+    """
+    prime = g.prime
+    r = g.r
+    rows = g.rows
+    e = [LocalElement.zero(prime) for _ in range(r + 1)]
+    # level[P] maps each column set T to D(P, T), exact zeros left out;
+    # the row sets P come in lexicographic order
+    level = {(i,): {(c,): rows[i][c] for c in range(i, r)
+                    if rows[i][c].kind != "z"} for i in range(r)}
+    for k in range(1, r + 1):
+        for P, minors in level.items():
+            if P in minors:
+                e[k] = e[k].add(minors[P])
+        level = {P + (m,): _next_minors(minors, P + tuple(range(m, r)),
+                                        rows[m], k)
+                 for P, minors in level.items()
+                 for m in range(P[-1] + 1, r)}
+    coeffs = [e[i] if i % 2 == 0 else e[i].neg() for i in range(r, 0, -1)]
+    return coeffs + [LocalElement.one(prime, g.working_precision())]
+
+
+def _next_minors(minors, pool, row, k: int):
+    """D(P + m, T) for every (k+1)-subset T of pool, expanded along row
+    m (at position k) from the k x k minors D(P, .)."""
+    out = {}
+    for T in itertools.combinations(pool, k + 1):
+        acc = None
+        for j, c in enumerate(T):
+            sub = minors.get(T[:j] + T[j + 1:])
+            if sub is None or row[c].kind == "z":
+                continue
+            term = sub.mul(row[c])
+            if (k + j) % 2:
+                term = term.neg()
+            acc = term if acc is None else acc.add(term)
+        if acc is not None and acc.kind != "z":
+            out[T] = acc
+    return out
+
+
+def char_poly_expanded(g: LocalMatrix) -> List[LocalElement]:
+    """Oracle for `char_poly`: every principal minor expanded over all
+    permutations, each product multiplied out in row order."""
     prime = g.prime
     r = g.r
     coeffs = [LocalElement.zero(prime) for _ in range(r)]
@@ -47,13 +109,8 @@ def char_poly(g: LocalMatrix) -> List[LocalElement]:
         # a_{r-i} = (-1)^i e_i
         coeffs[r - i] = e_i if sign > 0 else e_i.neg()
         sign = -sign
-    one = LocalElement.one(prime, _working_precision(g))
+    one = LocalElement.one(prime, g.working_precision())
     return coeffs + [one]
-
-
-def _working_precision(g: LocalMatrix) -> int:
-    precs = [len(e.digits) for row in g.rows for e in row if e.kind == "n"]
-    return min(precs) if precs else DEFAULT_PRECISION
 
 
 def _minor_det(g: LocalMatrix, subset: Sequence[int]) -> LocalElement:
@@ -113,8 +170,9 @@ def newton_polygon(coeffs: Sequence[LocalElement]) -> NewtonPolygon:
     [a_0, ..., a_r] (a_r the leading one).
 
     Exact-zero coefficients are skipped.  An uncertified coefficient is
-    tolerated only when its valuation bound already places it on or
-    above the certified hull; otherwise PrecisionExhausted.
+    tolerated only when it lies within the x-range of the certified hull
+    and its valuation bound already places it on or above the hull;
+    otherwise PrecisionExhausted.
     """
     certified: List[Tuple[int, int]] = []
     unknown: List[Tuple[int, int]] = []
@@ -143,7 +201,12 @@ def newton_polygon(coeffs: Sequence[LocalElement]) -> NewtonPolygon:
 
     np = NewtonPolygon(tuple(points), tuple(hull), tuple(segments))
     for i, bound in unknown:
-        if hull[0][0] <= i <= hull[-1][0] and bound < np.hull_height(Fraction(i)):
+        if not hull[0][0] <= i <= hull[-1][0]:
+            # a nonzero coefficient there is a new end vertex of the hull
+            raise PrecisionExhausted(
+                f"coefficient {i} known only to O(pi^{bound}), outside "
+                f"the certified hull")
+        if bound < np.hull_height(Fraction(i)):
             raise PrecisionExhausted(
                 f"coefficient {i} known only to O(pi^{bound}), below the hull")
     return np

@@ -417,10 +417,15 @@ class LocalMatrix:
     def det_valuation(self) -> int:
         return sum(self.elementary_divisors())
 
+    def working_precision(self) -> int:
+        """Fewest stored digits of a nonzero certified entry
+        (DEFAULT_PRECISION when there is none)."""
+        precs = [len(e.digits) for row in self.rows for e in row if e.kind == "n"]
+        return min(precs) if precs else DEFAULT_PRECISION
+
     def inverse(self) -> "LocalMatrix":
         u, exps, v, u_inv, v_inv = _snf_full(self)
-        precs = [len(e.digits) for row in self.rows for e in row if e.kind == "n"]
-        prec = min(precs) if precs else DEFAULT_PRECISION
+        prec = self.working_precision()
         d_inv = LocalMatrix.diagonal(
             self.prime, [LocalElement.pi_power(self.prime, -e, prec) for e in exps])
         return v_inv @ d_inv @ u_inv

@@ -173,6 +173,20 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"]["kind"] == "budget"
 
+    def test_uncertified_constant_term_is_2(self, capsys):
+        # det = t^20/(t+1)^2 is O(pi^12) at precision 12 and the trace is a
+        # unit, so boundedness cannot be decided
+        matrix = json.dumps([[{"num": "1", "den": "t+1"},
+                              {"num": "1", "den": "t+1"}],
+                             [{"num": "1", "den": "t+1"},
+                              {"num": "t^20+1", "den": "t+1"}]])
+        code, out, err = run_cli(["bounded", "--q", "3", "--prime", "t",
+                                  "--matrix", matrix], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "refusal"
+        assert error["type"] == "PrecisionExhausted"
+
     def test_inapplicable_degree_is_2(self, capsys):
         code, _, err = run_cli(["cebotarev", "--ext",
                                 '{"kind":"constant","n":2,"base":"5"}',

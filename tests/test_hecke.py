@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from drinlat.errors import QuotientInsufficient
+from drinlat import acceptance
+from drinlat.errors import PrecisionExhausted, QuotientInsufficient
 from drinlat.ffpoly import FiniteField, Poly, poly_from_str, prime_from_str
-from drinlat.hecke import (HeckeElement, char_poly, companion_matrix,
+from drinlat.hecke import (HeckeElement, _random_congruence_matrix,
+                           char_poly, char_poly_expanded, companion_matrix,
                            hecke_degree, hecke_degree_enumerated,
                            newton_polygon, projectively_bounded,
                            standard_hecke_matrix, unboundedness_sample_check)
@@ -61,6 +63,142 @@ class TestCharPoly:
             assert cp[0].sub(det).kind != "n"  # a_0 = det for r = 2
 
 
+def _same_elements(a, b):
+    return len(a) == len(b) and all(
+        x == y and x.exact == y.exact for x, y in zip(a, b))
+
+
+def _consistent(x, y):
+    """Two truncated results for the same true value never contradict
+    each other; None when they agree, else the reason."""
+    if x.kind == "n" and y.kind == "n":
+        if x.val != y.val:
+            return "certified valuations differ"
+        common = min(x.abs_prec, y.abs_prec) - x.val
+        if x.digits[:common] != y.digits[:common]:
+            return "digits differ below the shared precision"
+    if x.exact and y.exact and x.sub(y).kind != "z":
+        return "exact values differ"
+    for a, b in ((x, y), (y, x)):
+        if a.kind == "u" and b.kind == "n" and a.val > b.val:
+            return "bound above the certified valuation"
+        if a.kind == "z" and b.kind == "n":
+            return "exact zero against a certified value"
+    return None
+
+
+def _mixed_element(prime, rng):
+    """Exact zero, O(pi^k), an exact polynomial with a short or long
+    stored window, or an inexact element with random digits."""
+    kind = rng.randrange(10)
+    if kind < 2:
+        return LocalElement.zero(prime)
+    if kind < 3:
+        return LocalElement.unknown(prime, rng.randrange(-1, 4))
+    F = prime.field
+    val = rng.randrange(-1, 3)
+    if kind < 6:
+        f = Poly(F, [rng.randrange(1, F.size)] +
+                 [rng.randrange(F.size) for _ in range(rng.randrange(4))])
+        return LocalElement.from_poly(
+            prime, f, rng.choice((3, 5, 12))).shift(val)
+    digits = [Poly(F, [rng.randrange(F.size) for _ in range(prime.degree)])
+              for _ in range(rng.randrange(2, 13))]
+    if digits[0].is_zero():
+        digits[0] = Poly.one(F)
+    return LocalElement(prime, "n", val, tuple(digits))
+
+
+class TestCharPolyAgainstExpansion:
+    """The shared-minor programme against the permutation expansion
+    `char_poly_expanded`."""
+
+    def test_product_count(self, monkeypatch):
+        # dense r = 6 matrix of inexact units: 633 products, where the
+        # expansion takes 7,830
+        rng = random.Random(0)
+        g = LocalMatrix(T2, [[LocalElement(T2, "n", 0, tuple(
+            Poly(F2, [1 if k == 0 else rng.randrange(2)]) for k in range(6)))
+            for _ in range(6)] for _ in range(6)])
+        calls = []
+        orig = LocalElement.mul
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return orig(a, b)
+
+        monkeypatch.setattr(LocalElement, "mul", counting_mul)
+        char_poly(g)
+        fast = len(calls)
+        calls.clear()
+        char_poly_expanded(g)
+        assert (fast, len(calls)) == (633, 7830)
+
+    def test_sampled_hecke_matrices_equal(self):
+        # k2^-1 diag(pi^-1, 1, ..., 1) k1^-1, as in the sampled check
+        for prime, ranks, prec in ((T2, range(1, 7), 12), (T3, range(1, 5), 12),
+                                   (T2, range(2, 5), 30)):
+            rng = random.Random(f"{prime}/{prec}")
+            for r in ranks:
+                core = standard_hecke_matrix(prime, r, prec)
+                for _ in range(1 if r >= 5 else 3):
+                    k1 = _random_congruence_matrix(prime, r, rng, prec)
+                    k2 = _random_congruence_matrix(prime, r, rng, prec)
+                    g = k2.inverse() @ core @ k1.inverse()
+                    assert _same_elements(char_poly(g), char_poly_expanded(g))
+
+    def test_criterion5_matrices_equal(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            g = acceptance._random_invertible(T2, 2, rng, prec=30)
+            assert _same_elements(char_poly(g), char_poly_expanded(g))
+
+    def test_exact_matrices_same_values(self):
+        # criterion 5's entries at r = 3: all exact, so the values agree;
+        # after cancellation the programme may keep a longer stored window
+        rng = random.Random(5)
+        for _ in range(10):
+            g = acceptance._random_invertible(T2, 3, rng, prec=30)
+            for x, y in zip(char_poly(g), char_poly_expanded(g)):
+                assert x.exact and y.exact
+                assert x.sub(y).kind == "z"
+                assert len(x.digits) >= len(y.digits)
+
+    def test_companion_matrices_equal(self):
+        for prime in (T2, T3, T4):
+            rng = random.Random(str(prime.field.size))
+            F = prime.field
+            for r in range(1, 6):
+                coeffs = []
+                for _ in range(r):
+                    f = Poly(F, [rng.randrange(F.size) for _ in range(3)])
+                    f = f * prime.poly ** rng.randrange(3)
+                    coeffs.append(LocalElement.from_poly(prime, f, 12))
+                comp = companion_matrix(prime, coeffs)
+                u = _random_unit_matrix(prime, r, rng)
+                for g in (comp, u @ comp @ u.inverse()):
+                    assert _same_elements(char_poly(g), char_poly_expanded(g))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_mixed_precision_results_consistent(self, q):
+        F = FiniteField.of_order(*{2: (2, 1), 3: (3, 1), 4: (2, 2),
+                                   5: (5, 1)}[q])
+        kinds = set()
+        for prime_text in ("t", "t+1"):
+            prime = prime_from_str(prime_text, F)
+            rng = random.Random(f"{q}/{prime_text}")
+            for r in range(1, 6):
+                for _ in range(12 if r < 5 else 2):
+                    g = LocalMatrix(prime, [[_mixed_element(prime, rng)
+                                             for _ in range(r)]
+                                            for _ in range(r)])
+                    fast, slow = char_poly(g), char_poly_expanded(g)
+                    for i, (x, y) in enumerate(zip(fast, slow)):
+                        assert _consistent(x, y) is None, (i, x, y)
+                        kinds.add(x.kind)
+        assert kinds == {"n", "u", "z"}
+
+
 class TestNewtonPolygon:
     def test_linear_minus_pi(self):
         # lambda - pi: one segment, slope -1, root valuation 1
@@ -103,6 +241,35 @@ class TestNewtonPolygon:
             np1 = newton_polygon(char_poly(g))
             np2 = newton_polygon(char_poly(u @ g @ u.inverse()))
             assert np1.segments == np2.segments
+
+    def test_uncertified_coefficient_outside_hull_refused(self):
+        # O(pi^12) at x = 0, left of the certified hull (1, 0) -> (2, 0):
+        # any nonzero value there adds a vertex
+        coeffs = [LocalElement.unknown(T3, 12), LocalElement.one(T3),
+                  LocalElement.one(T3)]
+        with pytest.raises(PrecisionExhausted):
+            newton_polygon(coeffs)
+        with pytest.raises(PrecisionExhausted):
+            newton_polygon([LocalElement.one(T3), LocalElement.one(T3),
+                            LocalElement.unknown(T3, 5)])
+
+    def test_uncertified_coefficient_on_hull_tolerated(self):
+        np_ = newton_polygon([LocalElement.one(T3), LocalElement.unknown(T3, 3),
+                              LocalElement.one(T3)])
+        assert np_.segments == ((Fraction(0), 2),)
+
+    def test_cancelled_determinant_refused(self):
+        # det = t^20 / (t+1)^2 cancels to O(pi^12) at precision 12, the
+        # trace has valuation 0: two segments, not provably one
+        def ratio(num):
+            return LocalElement.from_ratio(T3, poly_from_str(num, F3),
+                                           poly_from_str("t+1", F3))
+        g = LocalMatrix(T3, [[ratio("1"), ratio("1")],
+                             [ratio("1"), ratio("t^20+1")]])
+        cp = char_poly(g)
+        assert cp[0].kind == "u" and cp[1].kind == "n"
+        with pytest.raises(PrecisionExhausted):
+            projectively_bounded(g)
 
 
 def _random_invertible(prime, r, rng, prec=12):
