@@ -1,116 +1,451 @@
-"""Finite chain-ring arithmetic for A/p^k and Howell normal forms.
+"""Truncated rings A/p^k on one packed-integer encoding, and Howell
+normal forms.
 
 A/p^k = F_q[t]/(p(t)^k) is a local principal ring with uniformizer the
-class of p.  Elements are kept as canonical Poly representatives of
-degree < deg(p)*k.  Submodules of (A/p^k)^n are handled through Howell
-normal forms, which are unique per submodule, so canonical row tuples
-double as dictionary keys.
+class of p.  An element is its canonical representative (degree <
+deg(p)*k) packed into one Python int: w = (q-1).bit_length() bits per
+coefficient, the constant term in the lowest bits.  The arithmetic kernel
+is chosen once per prime from the base field.  Over F_2 a polynomial is a
+bit vector: add is XOR, mul is shift-xor, reduction mod p^k is shift-xor
+division (a mask when p = t) and the valuation at t is the count of
+trailing zeros.  Over any other base field the kernel unpacks coefficient
+lists: an odd prime field multiplies them by Kronecker substitution (one
+big-int product), an extension field by schoolbook with the field's
+tables.  No Poly object is built.  `localfield` keeps the unit parts of its truncated
+elements in the same encoding.
+
+`ChainRing.reduce` maps a Poly of A into A/p^k and `ChainRing.lift`
+returns the canonical Poly.  Submodules of (A/p^k)^n are handled through
+Howell normal forms, which are unique per submodule, so canonical row
+tuples double as dictionary keys.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+import itertools
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceeded
-from .ffpoly import Poly, Prime, poly_ext_gcd
+from .ffpoly import Poly, Prime, residue_field
+
+# Extension base fields up to this size get kernel-local add/mul tables;
+# larger ones call the field's methods per coefficient.
+_KERNEL_TABLE_LIMIT = 64
+
+
+class _Kernel:
+    """Packed polynomials over F_q and their reduction at one prime p.
+
+    Every argument and result is a packed int.  `mod`, `divmod_p`, `shl`
+    and `shr` work at p^j; with p = t they are masks and shifts.  This
+    class is the generic kernel on coefficient lists; `_F2Kernel`
+    replaces the coefficient arithmetic by bit operations.
+    """
+
+    def __init__(self, prime: Prime):
+        F = prime.field
+        self.prime = prime
+        self.field = F
+        self.q = q = F.size
+        self.w = (q - 1).bit_length()
+        self.cmask = (1 << self.w) - 1
+        self.d = prime.degree
+        self.at_t = prime.poly.coeffs == (0, 1)
+        self.kp = residue_field(prime)
+        # k(p) encodes a residue by its coefficients in base q; that is the
+        # packed int itself when q = 2^w or the residue is a constant
+        self._direct_residue = q == 1 << self.w or self.d == 1
+        self._setup_coefficients(F)
+        self.p = self.from_poly(prime.poly)
+        self._pows = [1, self.p]
+        self._two = self.pack([F.add(1, 1)])  # 1 + 1, zero in characteristic 2
+
+    def _setup_coefficients(self, F) -> None:
+        q = self.q
+        self._char = F.p if F.base is None else None
+        self._mt = self._at = self._nt = None
+        if self._char is None and q <= _KERNEL_TABLE_LIMIT:
+            self._mt = [F.mul(x, y) for x in range(q) for y in range(q)]
+            self._at = [F.add(x, y) for x in range(q) for y in range(q)]
+            self._nt = [F.neg(x) for x in range(q)]
+
+    # -- codecs --------------------------------------------------------------
+
+    def unpack(self, a: int) -> List[int]:
+        w, m = self.w, self.cmask
+        return [(a >> s) & m for s in range(0, a.bit_length(), w)]
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        w = self.w
+        a = 0
+        for c in reversed(coeffs):
+            a = (a << w) | c
+        return a
+
+    def from_poly(self, f: Poly) -> int:
+        return self.pack(f.coeffs)
+
+    def to_poly(self, a: int) -> Poly:
+        return Poly(self.field, self.unpack(a))
+
+    # -- coefficient lists -----------------------------------------------------
+
+    def _ladd(self, A: List[int], B: List[int]) -> List[int]:
+        if len(A) < len(B):
+            A, B = B, A
+        out = list(A)
+        p = self._char
+        if p is not None:
+            for i, y in enumerate(B):
+                out[i] = (out[i] + y) % p
+        elif self._at is not None:
+            at, q = self._at, self.q
+            for i, y in enumerate(B):
+                out[i] = at[out[i] * q + y]
+        else:
+            add = self.field.add
+            for i, y in enumerate(B):
+                out[i] = add(out[i], y)
+        return out
+
+    def _lneg(self, A: List[int]) -> List[int]:
+        p = self._char
+        if p is not None:
+            return [(-x) % p for x in A]
+        if self._nt is not None:
+            nt = self._nt
+            return [nt[x] for x in A]
+        return [self.field.neg(x) for x in A]
+
+    def _lmul(self, A: List[int], B: List[int], n: int) -> List[int]:
+        """Product coefficients below degree n."""
+        n = min(n, len(A) + len(B) - 1)
+        if n <= 0 or not A or not B:
+            return []
+        p = self._char
+        if p is not None:
+            # Kronecker substitution: one big-int product, with slots wide
+            # enough that no coefficient of the integer product carries
+            W = (min(len(A), len(B), n) * (p - 1) ** 2).bit_length()
+            a = b = 0
+            for c in reversed(A[:n]):
+                a = (a << W) | c
+            for c in reversed(B[:n]):
+                b = (b << W) | c
+            prod, m = a * b, (1 << W) - 1
+            return [((prod >> s) & m) % p for s in range(0, W * n, W)]
+        out = [0] * n
+        if self._mt is not None:
+            mt, at, q = self._mt, self._at, self.q
+            for i, x in enumerate(A[:n]):
+                if x:
+                    row = mt[x * q:(x + 1) * q]
+                    for j, y in enumerate(B[:n - i], i):
+                        if y:
+                            out[j] = at[out[j] * q + row[y]]
+            return out
+        add, mul = self.field.add, self.field.mul
+        for i, x in enumerate(A[:n]):
+            if x:
+                for j, y in enumerate(B[:n - i], i):
+                    if y:
+                        out[j] = add(out[j], mul(x, y))
+        return out
+
+    def _divmod_poly(self, a: int, m: int) -> Tuple[int, int]:
+        """(a // m, a % m) for a monic packed m."""
+        M = self.unpack(m)
+        dm = len(M) - 1
+        A = self.unpack(a)
+        if len(A) <= dm:
+            return 0, a
+        negM = self._lneg(M[:dm])
+        Q = [0] * (len(A) - dm)
+        for i in reversed(range(len(Q))):
+            c = A[i + dm]
+            if not c:
+                continue
+            Q[i] = c
+            A[i:i + dm] = self._ladd(A[i:i + dm],
+                                     self._lmul([c], negM, dm))
+        return self.pack(Q), self.pack(A[:dm])
+
+    # -- ring operations ---------------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        return self.pack(self._ladd(self.unpack(a), self.unpack(b)))
+
+    def neg(self, a: int) -> int:
+        return self.pack(self._lneg(self.unpack(a)))
+
+    def sub(self, a: int, b: int) -> int:
+        return self.pack(self._ladd(self.unpack(a), self._lneg(self.unpack(b))))
+
+    def mul(self, a: int, b: int) -> int:
+        A, B = self.unpack(a), self.unpack(b)
+        return self.pack(self._lmul(A, B, len(A) + len(B)))
+
+    def mulmod(self, a: int, b: int, k: int) -> int:
+        """a * b mod p^k."""
+        if self.at_t:
+            return self.pack(self._lmul(self.unpack(a), self.unpack(b), k))
+        return self.mod(self.mul(a, b), k)
+
+    def pow_p(self, j: int) -> int:
+        """p^j, packed (kept per exponent)."""
+        pows = self._pows
+        if len(pows) <= j:
+            pows = list(pows)  # extended privately, then swapped in whole
+            while len(pows) <= j:
+                pows.append(self.mul(pows[-1], self.p))
+            self._pows = pows
+        return pows[j]
+
+    def mod(self, a: int, k: int) -> int:
+        """Canonical residue of a mod p^k."""
+        if self.at_t:
+            return a & ((1 << (self.w * k)) - 1)
+        return self._divmod_poly(a, self.pow_p(k))[1]
+
+    def divmod_p(self, a: int, j: int) -> Tuple[int, int]:
+        """(a // p^j, a mod p^j)."""
+        if self.at_t:
+            s = self.w * j
+            return a >> s, a & ((1 << s) - 1)
+        return self._divmod_poly(a, self.pow_p(j))
+
+    def shl(self, a: int, j: int) -> int:
+        """a * p^j."""
+        if self.at_t:
+            return a << (self.w * j)
+        return self.mul(a, self.pow_p(j)) if j else a
+
+    def shr(self, a: int, j: int) -> int:
+        """a // p^j (exact when p^j divides a)."""
+        if self.at_t:
+            return a >> (self.w * j)
+        return self._divmod_poly(a, self.pow_p(j))[0] if j else a
+
+    def val(self, a: int) -> int:
+        """p-adic valuation of a nonzero a."""
+        if self.at_t:
+            return ((a & -a).bit_length() - 1) // self.w
+        v = 0
+        while True:
+            quot, rem = self._divmod_poly(a, self.p)
+            if rem:
+                return v
+            a, v = quot, v + 1
+
+    def ndigits(self, a: int) -> int:
+        """Number of pi-adic digits of a (0 for a = 0): floor(deg/d) + 1."""
+        if not a:
+            return 0
+        return (a.bit_length() - 1) // self.w // self.d + 1
+
+    def is_unit(self, a: int) -> bool:
+        return self.mod(a, 1) != 0
+
+    def inv(self, a: int, k: int) -> int:
+        """Inverse of a unit mod p^k by Newton iteration from the residue
+        field inverse: x <- x (2 - a x) doubles the precision."""
+        r = self.residue(a)
+        if not r:
+            raise ZeroDivisionError("non-unit in chain ring")
+        x = self.from_residue(self.kp.inv(r))
+        c = 1
+        while c < k:
+            c = min(2 * c, k)
+            x = self.mulmod(x, self.sub(self._two, self.mulmod(a, x, c)), c)
+        return x
+
+    def residue(self, a: int) -> int:
+        """a mod p as an element of k(p)."""
+        r = self.mod(a, 1)
+        if self._direct_residue:
+            return r
+        out = 0
+        for c in reversed(self.unpack(r)):
+            out = out * self.q + c
+        return out
+
+    def from_residue(self, c: int) -> int:
+        """Canonical packed representative of c in k(p)."""
+        if self._direct_residue:
+            return c
+        coeffs = []
+        while c:
+            c, r = divmod(c, self.q)
+            coeffs.append(r)
+        return self.pack(coeffs)
+
+    def digits(self, a: int, n: int) -> List[int]:
+        """The first n pi-adic digits of a, each packed."""
+        if self.at_t:
+            w, m = self.w, self.cmask
+            return [(a >> (w * i)) & m for i in range(n)]
+        out = []
+        for _ in range(n):
+            a, r = self._divmod_poly(a, self.p)
+            out.append(r)
+        return out
+
+    def from_digits(self, digits: Sequence[int]) -> int:
+        """sum digits[i] * p^i."""
+        acc = 0
+        for x in reversed(digits):
+            acc = self.add(self.shl(acc, 1), x)
+        return acc
+
+    def elements(self, n: int) -> Iterator[int]:
+        """All packed polynomials of degree < n, constant term varying
+        fastest."""
+        if self.q == 1 << self.w:
+            yield from range(self.q ** n)
+            return
+        w = self.w
+        for combo in itertools.product(range(self.q), repeat=n):
+            a = 0
+            for c in combo:
+                a = (a << w) | c
+            yield a
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two F_2 bit vectors (shift-xor)."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+class _F2Kernel(_Kernel):
+    """The kernel over F_2: packed polynomials are bit vectors."""
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a: int) -> int:
+        return a
+
+    def mul(self, a: int, b: int) -> int:
+        return _clmul(a, b)
+
+    def mulmod(self, a: int, b: int, k: int) -> int:
+        if self.at_t:
+            m = (1 << k) - 1
+            return _clmul(a & m, b & m) & m
+        return self.mod(_clmul(a, b), k)
+
+    def _divmod_poly(self, a: int, m: int) -> Tuple[int, int]:
+        dm = m.bit_length() - 1
+        quot = 0
+        n = a.bit_length()
+        while n > dm:
+            s = n - 1 - dm
+            quot |= 1 << s
+            a ^= m << s
+            n = a.bit_length()
+        return quot, a
+
+
+_KERNELS: Dict[Prime, _Kernel] = {}
+
+
+def _kernel(prime: Prime) -> _Kernel:
+    """The packed kernel of a prime, built once."""
+    kr = _KERNELS.get(prime)
+    if kr is None:
+        cls = _F2Kernel if prime.field.size == 2 else _Kernel
+        kr = _KERNELS[prime] = cls(prime)
+    return kr
 
 
 class ChainRing:
-    """A/p^k with exact polynomial arithmetic."""
+    """A/p^k; elements are packed ints (canonical representatives)."""
 
     def __init__(self, prime: Prime, k: int):
         assert k >= 1
         self.prime = prime
         self.k = k
-        self.field = prime.field
-        self.pi = prime.poly
-        self.modulus = prime.poly ** k
-        self.size = prime.residue_size ** k
-        self.zero = Poly.zero(self.field)
-        self.one = Poly.one(self.field)
+        self.kernel = _kernel(prime)
+        self.zero = 0
+        self.one = 1
 
-    def reduce(self, f: Poly) -> Poly:
-        return f % self.modulus
+    def reduce(self, f: Poly) -> int:
+        """The ring map A -> A/p^k."""
+        kr = self.kernel
+        return kr.mod(kr.from_poly(f), self.k)
 
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a + b)
+    def lift(self, a: int) -> Poly:
+        """Canonical representative of a, as a Poly of degree < deg(p)*k."""
+        return self.kernel.to_poly(a)
 
-    def sub(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a - b)
+    def to_residue(self, a: int) -> int:
+        """The class of a in k(p) = A/p."""
+        return self.kernel.residue(a)
 
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(a * b)
+    def add(self, a: int, b: int) -> int:
+        return self.kernel.add(a, b)
 
-    def neg(self, a: Poly) -> Poly:
-        return self.reduce(-a)
+    def sub(self, a: int, b: int) -> int:
+        return self.kernel.sub(a, b)
 
-    def val(self, a: Poly) -> int:
+    def mul(self, a: int, b: int) -> int:
+        return self.kernel.mulmod(a, b, self.k)
+
+    def neg(self, a: int) -> int:
+        return self.kernel.neg(a)
+
+    def val(self, a: int) -> int:
         """p-adic valuation of the class, capped at k (val(0) = k)."""
-        if a.is_zero():
-            return self.k
-        v = 0
-        while v < self.k:
-            q, r = divmod(a, self.pi)
-            if not r.is_zero():
-                return v
-            a, v = q, v + 1
-        return self.k
+        return self.kernel.val(a) if a else self.k
 
-    def is_unit(self, a: Poly) -> bool:
-        return not (a % self.pi).is_zero()
+    def is_unit(self, a: int) -> bool:
+        return self.kernel.is_unit(a)
 
-    def inv(self, a: Poly) -> Poly:
-        g, s, _ = poly_ext_gcd(a, self.modulus)
-        if not g.is_one():
-            raise ZeroDivisionError("non-unit in chain ring")
-        return self.reduce(s)
+    def inv(self, a: int) -> int:
+        return self.kernel.inv(a, self.k)
 
-    def unit_part(self, a: Poly, v: int) -> Poly:
-        """u with a = u * pi^v, given val(a) == v < k."""
-        for _ in range(v):
-            a, r = divmod(a, self.pi)
-            assert r.is_zero()
-        return a
+    def unit_part(self, a: int, v: int) -> int:
+        """u with a = u * pi^v, given val(a) >= v."""
+        quot, rem = self.kernel.divmod_p(a, v)
+        if rem:
+            raise AssertionError("inexact chain-ring division")
+        return quot
 
-    def div_exact(self, a: Poly, b: Poly) -> Poly:
+    def div_exact(self, a: int, b: int) -> int:
         """a/b where val(a) >= val(b); exact in the chain ring."""
         vb = self.val(b)
         ub = self.unit_part(b, vb)
-        for _ in range(vb):
-            a, r = divmod(a, self.pi)
-            assert r.is_zero(), "inexact chain-ring division"
-        return self.mul(a, self.inv(ub))
+        return self.mul(self.unit_part(a, vb), self.inv(ub))
 
-    def pi_pow(self, v: int) -> Poly:
-        return self.reduce(self.pi ** v) if v < self.k else self.zero
+    def divmod_pi_pow(self, a: int, v: int) -> Tuple[int, int]:
+        """(a // pi^v, a mod pi^v) on canonical representatives."""
+        return self.kernel.divmod_p(a, v)
 
-    def elements(self) -> Iterator[Poly]:
-        """All canonical representatives (size = q_p^k of them)."""
-        d = self.prime.degree * self.k
-        F = self.field
-        counters = [0] * d
-        while True:
-            yield Poly(F, tuple(counters))
-            i = 0
-            while i < d:
-                counters[i] += 1
-                if counters[i] < F.size:
-                    break
-                counters[i] = 0
-                i += 1
-            else:
-                return
+    def pi_pow(self, v: int) -> int:
+        return self.kernel.pow_p(v) if v < self.k else 0
 
-    def residues_mod_pi_pow(self, a: int) -> Iterator[Poly]:
+    def elements(self) -> Iterator[int]:
+        """All elements (size = q_p^k of them), constant term fastest."""
+        return self.kernel.elements(self.prime.degree * self.k)
+
+    def residues_mod_pi_pow(self, a: int) -> Iterator[int]:
         """Canonical representatives of A/p^a inside the ring (a <= k)."""
-        sub = ChainRing(self.prime, a) if a >= 1 else None
-        if sub is None:
-            yield self.zero
-            return
-        yield from sub.elements()
+        if a < 1:
+            return iter((0,))
+        return self.kernel.elements(self.prime.degree * a)
 
 
-Vec = Tuple[Poly, ...]
+Vec = Tuple[int, ...]
 
 
 def vec_add(ring: ChainRing, u: Vec, v: Vec) -> Vec:
@@ -119,16 +454,18 @@ def vec_add(ring: ChainRing, u: Vec, v: Vec) -> Vec:
 def vec_sub(ring: ChainRing, u: Vec, v: Vec) -> Vec:
     return tuple(ring.sub(a, b) for a, b in zip(u, v))
 
-def vec_scale(ring: ChainRing, c: Poly, v: Vec) -> Vec:
-    return tuple(ring.mul(c, a) for a in v)
+def vec_scale(ring: ChainRing, c: int, v: Vec) -> Vec:
+    if c == 1:
+        return tuple(v)
+    return tuple(ring.mul(c, a) if a else 0 for a in v)
 
 def vec_is_zero(v: Vec) -> bool:
-    return all(a.is_zero() for a in v)
+    return not any(v)
 
 
 def _leading_index(v: Vec) -> int:
     for i, a in enumerate(v):
-        if not a.is_zero():
+        if a:
             return i
     return len(v)
 
@@ -158,7 +495,7 @@ def howell_form(ring: ChainRing, rows: Sequence[Vec]) -> Tuple[Vec, ...]:
         u_inv = ring.inv(ring.unit_part(pivot[col], a))
         pivot = vec_scale(ring, u_inv, pivot)
         for r in eligible:
-            if r[col].is_zero():
+            if not r[col]:
                 work.append(r)
                 continue
             c = ring.div_exact(r[col], pivot[col])
@@ -173,18 +510,16 @@ def howell_form(ring: ChainRing, rows: Sequence[Vec]) -> Tuple[Vec, ...]:
 
     # full reduction: left-to-right, reduce every other row at each pivot col
     for idx, (col, a, prow) in enumerate(pivots):
-        mod = ring.pi ** a
         for jdx, (jcol, ja, jrow) in enumerate(pivots):
             if jdx == idx:
                 continue
             c = jrow[col]
-            if c.is_zero():
+            if not c:
                 continue
-            rem = c % mod
-            q = (c - rem) // mod
-            if q.is_zero():
+            q = ring.divmod_pi_pow(c, a)[0]
+            if not q:
                 continue
-            jrow = vec_sub(ring, jrow, vec_scale(ring, ring.reduce(q), prow))
+            jrow = vec_sub(ring, jrow, vec_scale(ring, q, prow))
             pivots[jdx] = (jcol, ja, jrow)
 
     return tuple(row for _, _, row in sorted(pivots, key=lambda t: t[0]))
@@ -204,7 +539,7 @@ def module_contains(ring: ChainRing, howell_rows: Sequence[Vec], v: Vec) -> bool
     """Membership test by reduction against the Howell form."""
     for row in howell_rows:
         col = _leading_index(row)
-        if v[col].is_zero():
+        if not v[col]:
             continue
         a = ring.val(row[col])
         if ring.val(v[col]) < a:
@@ -223,7 +558,7 @@ def enumerate_module(ring: ChainRing, howell_rows: Sequence[Vec],
         raise BudgetExceeded(
             f"module of size {size} exceeds enumeration budget {budget}")
     n = len(howell_rows[0]) if howell_rows else 0
-    zero = tuple(ring.zero for _ in range(n))
+    zero = (0,) * n
     if not howell_rows:
         yield zero
         return
@@ -237,7 +572,7 @@ def enumerate_module(ring: ChainRing, howell_rows: Sequence[Vec],
             yield acc
             return
         for c in ring.residues_mod_pi_pow(ring.k - pivot_vals[i]):
-            if c.is_zero():
+            if not c:
                 yield from rec(i + 1, acc)
             else:
                 yield from rec(i + 1, vec_add(ring, acc,
@@ -254,14 +589,13 @@ def solve_into_module(ring: ChainRing, image_rows: Sequence[Vec],
     span of target_rows is the allowed submodule of the codomain.
     """
     n = len(image_rows[0]) if image_rows else len(target_rows[0])
-    zero = ring.zero
     stacked: List[Vec] = []
     for s, img in enumerate(image_rows):
-        tag = [zero] * dim
-        tag[s] = ring.one
+        tag = [0] * dim
+        tag[s] = 1
         stacked.append(tuple(img) + tuple(tag))
     for w in target_rows:
-        stacked.append(tuple(w) + tuple(zero for _ in range(dim)))
+        stacked.append(tuple(w) + (0,) * dim)
     reduced = howell_form(ring, stacked)
     solutions = [row[n:] for row in reduced if vec_is_zero(row[:n])]
     if not solutions:

@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Tuple
 
 from . import errors
-from .acceptance import run_all
+from .acceptance import DEFAULT_CONFIG, run_all
 from .bounds import cebotarev_check, induction_threshold, separable_N
 from .extension import Extension, class_number, splitting, zeta_numerator
 from .ffpoly import (field_from_str, poly_factor, poly_from_str,
@@ -31,14 +31,6 @@ from .localfield import LocalElement
 
 SCHEMA = 1
 
-CONFIG_DEFAULTS = {
-    "precision": 12,
-    "orbit_budget": 2 ** 16,
-    "scan_max_degree": 6,
-    "seed": 0,
-    "output": "json",
-}
-
 MALFORMED = (errors.MalformedInput, errors.ZeroPolynomial,
              errors.ReducibleDefiningPolynomial,
              errors.MultipleInfinitePlaces, errors.UnsupportedShape,
@@ -51,17 +43,17 @@ REFUSALS = (errors.UnsupportedRamifiedPrime, errors.NotMaximalAtPrime,
 
 
 def _load_config(args) -> dict:
-    cfg = dict(CONFIG_DEFAULTS)
+    cfg = dict(DEFAULT_CONFIG)
     path = os.environ.get("DRINLAT_CONFIG")
     if getattr(args, "config", None):
         path = args.config
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        for key in CONFIG_DEFAULTS:
+        for key in DEFAULT_CONFIG:
             if key in data:
                 cfg[key] = data[key]
-    for key in CONFIG_DEFAULTS:
+    for key in DEFAULT_CONFIG:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val

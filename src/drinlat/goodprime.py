@@ -571,14 +571,14 @@ def count_components_enumerated(base: FiniteField, level: LevelMap) -> int:
     for ring in rings:
         unit_lists.append([u for u in ring.elements() if ring.is_unit(u)])
     consts = [Poly.const(base, c) for c in range(1, base.size)]
+    scalars = [[ring.reduce(c) for ring in rings] for c in consts]
     seen = set()
     orbits = 0
     for combo in it.product(*unit_lists):
-        key = tuple(u.coeffs for u in combo)
-        if key in seen:
+        if combo in seen:
             continue
         orbits += 1
-        for c in consts:
-            scaled = tuple(ring.mul(u, c) for ring, u in zip(rings, combo))
-            seen.add(tuple(u.coeffs for u in scaled))
+        for cs in scalars:
+            seen.add(tuple(ring.mul(u, c)
+                           for ring, u, c in zip(rings, combo, cs)))
     return orbits

@@ -309,7 +309,7 @@ def hecke_degree_enumerated(g: LocalMatrix, depth: int) -> int:
     r = g.r
     g_inv = g.inverse()
     ring = ChainRing(prime, depth)
-    elems = list(ring.elements())
+    elems = [ring.lift(x) for x in ring.elements()]
     prec = max(DEFAULT_PRECISION, 3 * depth + 4)
     ident = LocalMatrix.identity(prime, r, prec)
     count = 0

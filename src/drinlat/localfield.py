@@ -1,11 +1,14 @@
 """Truncated arithmetic in the completion F_p, matrices, Smith normal
 form over the valuation ring, lattices, and stabilizer-index machinery.
 
-Elements carry pi-adic digits (residue-field representatives) to a fixed
-number of significant places; any operation that cannot certify a
-valuation at working precision raises PrecisionExhausted instead of
-guessing.  The default precision is 12 significant digits, overridable
-per constructor call.
+A nonzero element is pi^val times a unit of A_p known modulo pi^prec; the
+unit is kept as its canonical residue mod p^prec in the packed-integer
+encoding of `_chainring`, so additions and products are packed-polynomial
+operations and inverses are Newton iterations.  The pi-adic digits are
+read off the unit only for display (`digits`, `to_json`, `__repr__`).
+Any operation that cannot certify a valuation at working precision raises
+PrecisionExhausted instead of guessing.  The default precision is 12
+significant digits, overridable per constructor call.
 
 All quantities the callers consume (indices, group orders, exponents)
 are exact integers; truncation only ever produces a refusal, never a
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
-from ._chainring import (ChainRing, enumerate_module, howell_form,
+from ._chainring import (ChainRing, _kernel, enumerate_module, howell_form,
                          module_size, solve_into_module)
 from .errors import (BudgetExceeded, NotContained, NotSaturated,
                      PrecisionExhausted, Singular)
@@ -27,66 +30,61 @@ DEFAULT_PRECISION = 12
 DEFAULT_BUDGET = 2 ** 16
 
 
-def _digit_divmod(prime: Prime, f: Poly):
-    """Split an A-polynomial into (digit, carry) with f = digit + p*carry."""
-    q, r = divmod(f, prime.poly)
-    return r, q
-
-
 class LocalElement:
     """Element of F_p known to finite pi-adic precision.
 
-    kind 'n': nonzero, value = sum digits[i] * pi^(val+i), digits[0] != 0,
-              known modulo pi^(val + len(digits)).
+    kind 'n': nonzero, value = pi^val * unit, where unit (a packed int,
+              see `_chainring`) is the canonical residue mod p^prec of a
+              unit of A_p; the value is known modulo pi^(val + prec).
     kind 'z': exactly zero.
     kind 'u': O(pi^val): congruent to 0 mod pi^val, true valuation
               uncertified (apparent zero after cancellation).
 
-    ``exact`` marks elements whose stored digits are the complete
-    expansion (all later digits zero); sums and products of exact
-    elements stay exact, so cancellation to a true zero is recognized
-    instead of degrading to an uncertified O(pi^m).
+    ``exact`` marks elements whose value is exactly pi^val * unit, a
+    polynomial with at most prec digits (all later digits zero); ``prec``
+    is then the stored window, kept from construction.  Sums and products
+    of exact elements stay exact, so cancellation to a true zero is
+    recognized instead of degrading to an uncertified O(pi^m).
+
+    The constructor takes the digits of the stored window (residue-field
+    representatives, lowest first); ``digits`` reads them back.
     """
 
-    __slots__ = ("prime", "kind", "val", "digits", "exact")
+    __slots__ = ("prime", "kind", "val", "unit", "prec", "exact", "_kr")
 
     def __init__(self, prime: Prime, kind: str, val: int,
                  digits: Tuple[Poly, ...], exact: bool = False):
+        kr = _kernel(prime)
         self.prime = prime
+        self._kr = kr
         self.kind = kind
         self.val = val
-        self.digits = digits
+        self.prec = len(digits) if kind == "n" else 0
+        self.unit = kr.mod(kr.from_digits([kr.from_poly(d) for d in digits]),
+                           self.prec) if kind == "n" else 0
         self.exact = exact if kind == "n" else (kind == "z")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(prime: Prime) -> "LocalElement":
-        return LocalElement(prime, "z", 0, ())
+        return _zero(_kernel(prime))
 
     @staticmethod
     def unknown(prime: Prime, bound: int) -> "LocalElement":
-        return LocalElement(prime, "u", bound, ())
+        return _unknown(_kernel(prime), bound)
 
     @staticmethod
     def from_poly(prime: Prime, f: Poly, precision: int = DEFAULT_PRECISION) -> "LocalElement":
-        if f.is_zero():
-            return LocalElement.zero(prime)
-        val = 0
-        while True:
-            digit, carry = _digit_divmod(prime, f)
-            if not digit.is_zero():
-                break
-            f = carry
-            val += 1
-        digits = []
-        while not f.is_zero() and len(digits) < precision:
-            digit, f = _digit_divmod(prime, f)
-            digits.append(digit)
-        exact = f.is_zero()
-        while len(digits) < precision:
-            digits.append(Poly.zero(prime.field))
-        return LocalElement(prime, "n", val, tuple(digits), exact)
+        kr = _kernel(prime)
+        a = kr.from_poly(f)
+        if not a:
+            return _zero(kr)
+        val = kr.val(a)
+        unit = kr.shr(a, val)
+        if kr.ndigits(unit) <= precision:
+            return _make(kr, "n", val, unit, precision, True)
+        return _make(kr, "n", val, kr.mod(unit, precision), precision, False)
 
     @staticmethod
     def from_ratio(prime: Prime, num: Poly, den: Poly,
@@ -114,10 +112,18 @@ class LocalElement:
     # -- queries -----------------------------------------------------------
 
     @property
+    def digits(self) -> Tuple[Poly, ...]:
+        """The pi-adic digits of the stored window, lowest first."""
+        if self.kind != "n":
+            return ()
+        kr = self._kr
+        return tuple(kr.to_poly(d) for d in kr.digits(self.unit, self.prec))
+
+    @property
     def abs_prec(self) -> Optional[int]:
         """Element is known modulo pi^abs_prec (None = exact zero)."""
         if self.kind == "n":
-            return self.val + len(self.digits)
+            return self.val + self.prec
         if self.kind == "u":
             return self.val
         return None
@@ -151,110 +157,78 @@ class LocalElement:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _window(self, lo: int, hi: int) -> List[Poly]:
-        """Digits covering positions [lo, hi); caller guarantees lo >= val
-        is not required (leading positions fill with zero)."""
-        zero = Poly.zero(self.prime.field)
-        out = []
-        for pos in range(lo, hi):
-            i = pos - self.val
-            out.append(self.digits[i] if 0 <= i < len(self.digits) else zero)
-        return out
-
     def neg(self) -> "LocalElement":
         if self.kind != "n":
             return self
-        return LocalElement(self.prime, "n", self.val,
-                            tuple(-d for d in self.digits), self.exact)
+        return _make(self._kr, "n", self.val, self._kr.neg(self.unit),
+                     self.prec, self.exact)
 
     def add(self, other: "LocalElement") -> "LocalElement":
-        p = self.prime
         a, b = self, other
         if a.kind == "z":
             return b
         if b.kind == "z":
             return a
+        kr = a._kr
         if a.kind == "n" and b.kind == "n" and a.exact and b.exact:
+            # exact sum: the window runs to the longer stored window
             lo = min(a.val, b.val)
-            hi = max(a.abs_prec, b.abs_prec)
-            raw = [x + y for x, y in zip(a._window(lo, hi), b._window(lo, hi))]
-            return _normalize(p, lo, raw, hi, exact=True)
+            hi = max(a.val + a.prec, b.val + b.prec)
+            s = kr.add(kr.shl(a.unit, a.val - lo), kr.shl(b.unit, b.val - lo))
+            if not s:
+                return _zero(kr)
+            v = kr.val(s)
+            return _make(kr, "n", lo + v, kr.shr(s, v), hi - lo - v, True)
         hi = min(a.abs_prec, b.abs_prec)
-        if a.kind == "u" and b.kind == "u":
-            return LocalElement.unknown(p, hi)
         if a.kind == "u" or b.kind == "u":
-            n = a if a.kind == "n" else b
-            if n.val >= hi:
-                return LocalElement.unknown(p, hi)
-            return _normalize(p, n.val, n._window(n.val, hi), hi)
+            n = b if a.kind == "u" else a
+            if n.kind == "u" or n.val >= hi:
+                return _unknown(kr, hi)
+            return _make(kr, "n", n.val, kr.mod(n.unit, hi - n.val),
+                         hi - n.val, False)
         lo = min(a.val, b.val)
         if hi <= lo:
-            return LocalElement.unknown(p, hi)
-        raw = [x + y for x, y in zip(a._window(lo, hi), b._window(lo, hi))]
-        return _normalize(p, lo, raw, hi)
+            return _unknown(kr, hi)
+        width = hi - lo
+        s = kr.add(kr.mod(kr.shl(a.unit, a.val - lo), width),
+                   kr.mod(kr.shl(b.unit, b.val - lo), width))
+        if not s:
+            return _unknown(kr, hi)
+        v = kr.val(s)
+        return _make(kr, "n", lo + v, kr.shr(s, v), width - v, False)
 
     def sub(self, other: "LocalElement") -> "LocalElement":
         return self.add(other.neg())
 
     def mul(self, other: "LocalElement") -> "LocalElement":
-        p = self.prime
         a, b = self, other
+        kr = a._kr
         if a.kind == "z" or b.kind == "z":
-            return LocalElement.zero(p)
+            return _zero(kr)
         if a.kind == "u" or b.kind == "u":
-            return LocalElement.unknown(p, a.val + b.val)
-        val = a.val + b.val
+            return _unknown(kr, a.val + b.val)
         if a.exact and b.exact:
-            da = _trim_digits(a.digits)
-            db = _trim_digits(b.digits)
-            raw = [Poly.zero(p.field) for _ in range(len(da) + len(db) - 1)]
-            for i, x in enumerate(da):
-                if x.is_zero():
-                    continue
-                for j, y in enumerate(db):
-                    if not y.is_zero():
-                        raw[i + j] = raw[i + j] + x * y
-            width = max(len(a.digits), len(b.digits), len(raw))
-            out = _normalize(p, val, raw, val + width, exact=True)
-            assert out.kind == "n" and out.val == val
-            return out
-        prec = min(len(a.digits), len(b.digits))
-        raw = [Poly.zero(p.field) for _ in range(prec)]
-        for i, x in enumerate(a.digits[:prec]):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b.digits[:prec - i]):
-                if not y.is_zero():
-                    raw[i + j] = raw[i + j] + x * y
-        out = _normalize(p, val, raw, val + prec)
-        assert out.kind == "n" and out.val == val, "leading digits cannot cancel"
-        return out
-
+            # the window is the longest of both windows and the product
+            unit = kr.mul(a.unit, b.unit)
+            prec = max(a.prec, b.prec, kr.ndigits(unit))
+            exact = True
+        else:
+            # the shorter stored window, even when that operand is exact
+            prec = min(a.prec, b.prec)
+            unit = kr.mulmod(a.unit, b.unit, prec)
+            exact = False
+        if not kr.is_unit(unit):
+            raise AssertionError("leading digits cannot cancel")
+        return _make(kr, "n", a.val + b.val, unit, prec, exact)
 
     def inv(self) -> "LocalElement":
-        p = self.prime
         if self.kind == "z":
             raise ZeroDivisionError("inverse of exact zero")
         if self.kind == "u":
             raise PrecisionExhausted("inverse of uncertified element")
-        prec = len(self.digits)
-        pi = p.poly
-        mod = residue_field(p)
-        d0_inv = mod.lift(mod.inv(mod.reduce(self.digits[0])))
-        # schoolbook division 1 / unit-part
-        rem = [Poly.one(p.field)] + [Poly.zero(p.field)] * (prec - 1)
-        out = []
-        for i in range(prec):
-            digit = (rem[i] * d0_inv) % pi
-            out.append(digit)
-            if digit.is_zero():
-                continue
-            carry = Poly.zero(p.field)
-            for j in range(i, prec):
-                cur = rem[j] - digit * self.digits[j - i] - carry
-                rem[j], c2 = _digit_divmod(p, cur)
-                carry = -c2
-        return LocalElement(p, "n", -self.val, tuple(out))
+        kr = self._kr
+        return _make(kr, "n", -self.val, kr.inv(self.unit, self.prec),
+                     self.prec, False)
 
     def div(self, other: "LocalElement") -> "LocalElement":
         return self.mul(other.inv())
@@ -262,34 +236,36 @@ class LocalElement:
     def shift(self, k: int) -> "LocalElement":
         if self.kind == "z":
             return self
-        return LocalElement(self.prime, self.kind, self.val + k, self.digits,
-                            self.exact)
+        return _make(self._kr, self.kind, self.val + k, self.unit, self.prec,
+                     self.exact)
 
-    def residue_poly(self, k: int) -> Poly:
-        """Canonical representative of the class mod p^k (requires the
-        element to be certified integral and known to depth k)."""
+    def residue(self, k: int) -> int:
+        """Packed canonical representative of the class mod p^k (requires
+        the element to be certified integral and known to depth k)."""
         if self.kind == "z":
-            return Poly.zero(self.prime.field)
+            return 0
         if self.val >= k:
-            return Poly.zero(self.prime.field)
+            return 0
         if self.kind == "u":
             raise PrecisionExhausted(f"class mod p^{k} uncertified")
         if self.val < 0:
             raise ValueError("element is not integral")
         if self.abs_prec < k and not self.exact:
             raise PrecisionExhausted(f"known only mod p^{self.abs_prec} < p^{k}")
-        acc = Poly.zero(self.prime.field)
-        for i in range(k - self.val):
-            acc = acc + self.digits[i] * self.prime.poly ** (self.val + i)
-        return acc % self.prime.poly ** k
+        kr = self._kr
+        return kr.mod(kr.shl(self.unit, self.val), k)
+
+    def residue_poly(self, k: int) -> Poly:
+        """Canonical representative of the class mod p^k, as a Poly."""
+        return self._kr.to_poly(self.residue(k))
 
     def __eq__(self, other):
         return (isinstance(other, LocalElement) and self.prime == other.prime
                 and self.kind == other.kind and self.val == other.val
-                and self.digits == other.digits)
+                and self.unit == other.unit and self.prec == other.prec)
 
     def __hash__(self):
-        return hash((self.prime, self.kind, self.val, self.digits))
+        return hash((self.prime, self.kind, self.val, self.unit, self.prec))
 
     def __repr__(self):
         if self.kind == "z":
@@ -310,45 +286,32 @@ class LocalElement:
                     "digits": [], "precision": 0}
         return {"prime": prime, "valuation": self.val,
                 "digits": [poly_to_str(d) for d in self.digits],
-                "precision": len(self.digits)}
+                "precision": self.prec}
 
 
-def _trim_digits(digits: Tuple[Poly, ...]) -> Tuple[Poly, ...]:
-    n = len(digits)
-    while n > 0 and digits[n - 1].is_zero():
-        n -= 1
-    return digits[:n]
+_new = object.__new__
 
 
-def _normalize(prime: Prime, val: int, raw: List[Poly], abs_prec: int,
-               exact: bool = False) -> LocalElement:
-    """Carry-normalize raw digit accumulators for positions val..; the
-    result is known modulo pi^abs_prec (everywhere, when exact)."""
-    digits: List[Poly] = []
-    carry = Poly.zero(prime.field)
-    for f in raw:
-        digit, carry2 = _digit_divmod(prime, f + carry)
-        digits.append(digit)
-        carry = carry2
-    while exact and not carry.is_zero():
-        digit, carry = _digit_divmod(prime, carry)
-        digits.append(digit)
-    if not exact:
-        digits = digits[:max(0, abs_prec - val)]
-    lead = 0
-    while lead < len(digits) and digits[lead].is_zero():
-        lead += 1
-    if lead == len(digits):
-        if exact:
-            return LocalElement.zero(prime)
-        return LocalElement.unknown(prime, abs_prec)
-    out = digits[lead:]
-    if exact:
-        # keep the construction-time window as stored precision
-        want = abs_prec - (val + lead)
-        while len(out) < want:
-            out.append(Poly.zero(prime.field))
-    return LocalElement(prime, "n", val + lead, tuple(out), exact)
+def _make(kr, kind: str, val: int, unit: int, prec: int,
+          exact: bool) -> LocalElement:
+    """A LocalElement from its packed fields (no digit conversion)."""
+    e = _new(LocalElement)
+    e.prime = kr.prime
+    e._kr = kr
+    e.kind = kind
+    e.val = val
+    e.unit = unit
+    e.prec = prec
+    e.exact = exact
+    return e
+
+
+def _zero(kr) -> LocalElement:
+    return _make(kr, "z", 0, 0, 0, True)
+
+
+def _unknown(kr, bound: int) -> LocalElement:
+    return _make(kr, "u", bound, 0, 0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +383,7 @@ class LocalMatrix:
     def working_precision(self) -> int:
         """Fewest stored digits of a nonzero certified entry
         (DEFAULT_PRECISION when there is none)."""
-        precs = [len(e.digits) for row in self.rows for e in row if e.kind == "n"]
+        precs = [e.prec for row in self.rows for e in row if e.kind == "n"]
         return min(precs) if precs else DEFAULT_PRECISION
 
     def inverse(self) -> "LocalMatrix":
@@ -543,7 +506,8 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
             _elem_add_rowmult(R, k, j, c.neg())
 
     # global min-valuation pivoting makes the exponents ascending already
-    assert all(exps[i] <= exps[i + 1] for i in range(r - 1))
+    if any(exps[i] > exps[i + 1] for i in range(r - 1)):
+        raise AssertionError(f"elementary divisors not ascending: {exps}")
     if not transforms:
         return None, tuple(exps), None, None, None
     return (LocalMatrix(prime, L), tuple(exps), LocalMatrix(prime, R),
@@ -630,13 +594,13 @@ def count_matrix_group_exhaustive(prime: Prime, r: int, k: int) -> Tuple[int, in
     """Brute-force counterpart of count_matrix_group over A/p^k."""
     ring = ChainRing(prime, k)
     kp = residue_field(prime)
-    elems = list(ring.elements())
+    # each element reduced to k(p) once; the walk is over all of A/p^k
+    elems = [ring.to_residue(x) for x in ring.elements()]
     total = 0
     invertible = 0
     for entries in itertools.product(elems, repeat=r * r):
         total += 1
-        red = [[kp.reduce(entries[i * r + j]) for j in range(r)]
-               for i in range(r)]
+        red = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
         if _det_residue(kp, red) != 0:
             invertible += 1
     return invertible, total
@@ -695,6 +659,7 @@ class OrderStructure:
         assert len(self.min_poly) == self.m + 1
         assert self.min_poly[-1].is_one()
         self._y_powers = {}  # k -> y_power_blocks over A/p^k
+        self._y_residues = None  # y_power_blocks over k(p)
 
     @staticmethod
     def from_min_poly(prime: Prime, r_prime: int, coeffs: Sequence[Poly],
@@ -816,6 +781,15 @@ class OrderStructure:
             self._y_powers[ring.k] = powers
         return powers
 
+    def y_power_residues(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """rho(y)^j mod p for j = 0..m-1, entries in k(p); computed once."""
+        if self._y_residues is None:
+            ring = ChainRing(self.prime, 1)
+            self._y_residues = tuple(
+                tuple(tuple(ring.to_residue(c) for c in row) for row in mat)
+                for mat in self.y_power_blocks(ring))
+        return self._y_residues
+
 
 def _unramified_factor(prime: Prime, m: int, avoid: Tuple) -> List[Poly]:
     """Lift of the first monic irreducible of degree m over k(p) not in
@@ -867,10 +841,10 @@ def _chain_matmul(ring: ChainRing, a, b):
     for i in range(n):
         for l in range(inner):
             x = a[i][l]
-            if x.is_zero():
+            if not x:
                 continue
             for j in range(m):
-                if not b[l][j].is_zero():
+                if b[l][j]:
                     out[i][j] = ring.add(out[i][j], ring.mul(x, b[l][j]))
     return out
 
@@ -881,19 +855,19 @@ def _chain_matvec(ring: ChainRing, a, v):
     for i in range(n):
         acc = ring.zero
         for j, x in enumerate(v):
-            if not x.is_zero() and not a[i][j].is_zero():
+            if x and a[i][j]:
                 acc = ring.add(acc, ring.mul(a[i][j], x))
         out[i] = acc
     return out
 
 
-def _lattice_columns_chain(lattice, ring: ChainRing) -> List[Tuple[Poly, ...]]:
+def _lattice_columns_chain(lattice, ring: ChainRing) -> List[Tuple[int, ...]]:
     """Lattice basis columns as canonical vectors over A/p^k."""
     if isinstance(lattice, Lattice):
         r = lattice.r
         cols = []
         for j in range(r):
-            col = tuple(lattice.basis.rows[i][j].residue_poly(ring.k)
+            col = tuple(lattice.basis.rows[i][j].residue(ring.k)
                         for i in range(r))
             cols.append(col)
         return cols
@@ -914,7 +888,7 @@ def saturation_holds(order: OrderStructure, lattice) -> bool:
     for col in cols:
         for blk in blocks:
             v = _chain_matvec(ring, blk, col)
-            vectors.append([kp.reduce(x) for x in v])
+            vectors.append([ring.to_residue(x) for x in v])
     return len(_residue_echelon(kp, vectors, r)) == r
 
 
@@ -988,7 +962,7 @@ def _x_residue_matrix(order: OrderStructure, kp, x_res):
     """Block matrix over k(p) of the x in Mat_{r'}(R'/p) whose m*r'^2
     coordinates are the k(p) elements x_res."""
     m, rp, r = order.m, order.r_prime, order.r
-    ypow_res = order.y_power_blocks(ChainRing(order.prime, 1))
+    ypow_res = order.y_power_residues()
     mat = [[0] * r for _ in range(r)]
     idx = 0
     for a in range(rp):
@@ -1001,19 +975,21 @@ def _x_residue_matrix(order: OrderStructure, kp, x_res):
                 blk = ypow_res[j]
                 for i in range(m):
                     for l in range(m):
-                        v = kp.reduce(blk[i][l])
+                        v = blk[i][l]
                         if v:
                             mat[a * m + i][b * m + l] = kp.add(
                                 mat[a * m + i][b * m + l], kp.mul(c, v))
     return mat
 
 
-def _residue_image(order: OrderStructure, kp, sol) -> List[List[int]]:
+def _residue_image(order: OrderStructure, ring: ChainRing, kp,
+                   sol) -> List[List[int]]:
     """Echelon basis over k(p) of the hom-module with Howell rows sol,
     reduced mod p.  The Howell rows generate the module, so their
     reductions span its image."""
     dim = order.r_prime ** 2 * order.m
-    return _residue_echelon(kp, [[kp.reduce(c) for c in row] for row in sol], dim)
+    return _residue_echelon(
+        kp, [[ring.to_residue(c) for c in row] for row in sol], dim)
 
 
 def _span_dets(order: OrderStructure, kp, basis):
@@ -1076,7 +1052,7 @@ def _stabilizer(lattice, order: OrderStructure, k: Optional[int],
     """(stabilizer index, elementary divisors of the lattice)."""
     ring, sol, h_size, divisors = _multiplier_ring(lattice, order, k, budget)
     kp = residue_field(order.prime)
-    basis = _residue_image(order, kp, sol)
+    basis = _residue_image(order, ring, kp, sol)
     h_bar = kp.size ** len(basis)
     if h_size % h_bar != 0:
         raise AssertionError("|H mod p| must divide |H|")
@@ -1110,7 +1086,7 @@ def stabilizer_index_enumerated(lattice, order: OrderStructure,
     kp = residue_field(order.prime)
     units = 0
     for x in enumerate_module(ring, sol, budget):
-        mat = _x_residue_matrix(order, kp, [kp.reduce(c) for c in x])
+        mat = _x_residue_matrix(order, kp, [ring.to_residue(c) for c in x])
         if _det_residue(kp, mat) != 0:
             units += 1
     return _orbit_index(order, ring.k, units)
@@ -1150,7 +1126,7 @@ def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
         raise BudgetExceeded(
             f"module of size {size} exceeds enumeration budget {budget}")
     kp = residue_field(order.prime)
-    basis = _residue_image(order, kp, sol)
+    basis = _residue_image(order, ring, kp, sol)
     return any(det != 0 for det in _span_dets(order, kp, basis))
 
 
@@ -1233,7 +1209,8 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
         img = howell_form(ring, [tuple(block[i][j] for i in range(r))
                                  for j in range(r)])
         if img == m_rows:
-            h_polys = [[block[i][j] for j in range(r)] for i in range(r)]
+            h_polys = [[ring.lift(block[i][j]) for j in range(r)]
+                       for i in range(r)]
             h = LocalMatrix.from_polys(prime, h_polys)
             new_basis = h.inverse() @ lattice.basis
             out = Lattice(new_basis)
@@ -1253,12 +1230,12 @@ def _x_block_matrix(order: OrderStructure, ring: ChainRing, ypow, x_coords):
             for j in range(m):
                 c = x_coords[idx]
                 idx += 1
-                if c.is_zero():
+                if not c:
                     continue
                 blk = ypow[j]
                 for i in range(m):
                     for l in range(m):
-                        if not blk[i][l].is_zero():
+                        if blk[i][l]:
                             mat[a * m + i][b * m + l] = ring.add(
                                 mat[a * m + i][b * m + l],
                                 ring.mul(c, blk[i][l]))
@@ -1287,7 +1264,8 @@ def hermite_sublattices(prime: Prime, r: int, max_exp: int):
                 if a == 0:
                     choice_lists.append([Poly.zero(prime.field)])
                 else:
-                    choice_lists.append(list(ChainRing(prime, a).elements()))
+                    ring = ChainRing(prime, a)
+                    choice_lists.append([ring.lift(x) for x in ring.elements()])
             for picks in itertools.product(*choice_lists):
                 cols = [[Poly.zero(prime.field) for _ in range(r)]
                         for _ in range(r)]
