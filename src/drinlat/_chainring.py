@@ -4,14 +4,19 @@ normal forms.
 A/p^k = F_q[t]/(p(t)^k) is a local principal ring with uniformizer the
 class of p.  An element is its canonical representative (degree <
 deg(p)*k) packed into one Python int: w = (q-1).bit_length() bits per
-coefficient, the constant term in the lowest bits.  The arithmetic kernel
-is chosen once per prime from the base field.  Over F_2 a polynomial is a
-bit vector: add is XOR, mul is shift-xor, reduction mod p^k is shift-xor
-division (a mask when p = t) and the valuation at t is the count of
-trailing zeros.  Over any other base field the kernel unpacks coefficient
-lists: an odd prime field multiplies them by Kronecker substitution (one
-big-int product), an extension field by schoolbook with the field's
-tables.  No Poly object is built.  `localfield` keeps the unit parts of its truncated
+coefficient, the constant term in the lowest bits.  At a prime p = t - c
+of degree 1 the representative is written in the variable s = t - c, so
+that p^k = s^k: reduction mod p^k is a mask, multiplication by p a shift,
+the valuation the count of trailing zero coefficients and the pi-adic
+digits are the coefficients; `from_poly` and `to_poly` translate.  At
+primes of higher degree the kernel divides by p^k: over F_2 by shift-xor,
+over odd prime fields Barrett-style, over extension fields by long
+division.  The arithmetic is chosen once per prime from the base field.
+Over F_2 a polynomial is a bit vector (add is XOR, mul is shift-xor);
+over any other base field the kernel unpacks coefficient lists: an odd
+prime field multiplies them by Kronecker substitution (one big-int
+product), an extension field by schoolbook with the field's tables.  No
+Poly object is built.  `localfield` keeps the unit parts of its truncated
 elements in the same encoding.
 
 `ChainRing.reduce` maps a Poly of A into A/p^k and `ChainRing.lift`
@@ -37,7 +42,8 @@ class _Kernel:
     """Packed polynomials over F_q and their reduction at one prime p.
 
     Every argument and result is a packed int.  `mod`, `divmod_p`, `shl`
-    and `shr` work at p^j; with p = t they are masks and shifts.  This
+    and `shr` work at p^j; at a prime of degree 1 they are masks and
+    shifts, since the kernel then packs polynomials in s = t - c.  This
     class is the generic kernel on coefficient lists; `_F2Kernel`
     replaces the coefficient arithmetic by bit operations.
     """
@@ -50,7 +56,9 @@ class _Kernel:
         self.w = (q - 1).bit_length()
         self.cmask = (1 << self.w) - 1
         self.d = prime.degree
-        self.at_t = prime.poly.coeffs == (0, 1)
+        # at p = t - c of degree 1 the kernel packs polynomials in s = t - c
+        self.linear = self.d == 1
+        self.shift = F.neg(prime.poly.coeffs[0]) if self.linear else 0
         self.kp = residue_field(prime)
         # k(p) encodes a residue by its coefficients in base q; that is the
         # packed int itself when q = 2^w or the residue is a constant
@@ -58,6 +66,13 @@ class _Kernel:
         self._setup_coefficients(F)
         self.p = self.from_poly(prime.poly)
         self._pows = [1, self.p]
+        # Barrett division at p^j rests on the Kronecker products of an odd
+        # prime field; over F_2 shift-xor division is cheaper
+        self._barrett = self._char is not None and q > 2
+        self._barrett_tabs = [([1], [1])]
+        # k(p) builds its tables on first use: build them with the kernel,
+        # so that the first inverse at this prime costs what the others do
+        self.kp.inv(1)
         self._two = self.pack([F.add(1, 1)])  # 1 + 1, zero in characteristic 2
 
     def _setup_coefficients(self, F) -> None:
@@ -83,10 +98,38 @@ class _Kernel:
         return a
 
     def from_poly(self, f: Poly) -> int:
-        return self.pack(f.coeffs)
+        a = self.pack(f.coeffs)
+        return self.translate(a, self.shift) if self.shift else a
 
     def to_poly(self, a: int) -> Poly:
+        if self.shift:
+            a = self.translate(a, self.field.neg(self.shift))
         return Poly(self.field, self.unpack(a))
+
+    def translate(self, a: int, c: int) -> int:
+        """f(x + c) for the packed f(x), by Horner's rule."""
+        out: List[int] = []
+        p = self._char
+        for b in reversed(self.unpack(a)):
+            # out <- out * (x + c) + b
+            if not out:
+                out = [b]
+            elif p is not None:
+                out = ([(b + c * out[0]) % p]
+                       + [(y + c * z) % p for y, z in zip(out, out[1:])]
+                       + [out[-1]])
+            elif self._mt is not None:
+                at, q = self._at, self.q
+                row = self._mt[c * q:(c + 1) * q]
+                out = ([at[b * q + row[out[0]]]]
+                       + [at[y * q + row[z]] for y, z in zip(out, out[1:])]
+                       + [out[-1]])
+            else:
+                add, mul = self.field.add, self.field.mul
+                out = ([add(b, mul(c, out[0]))]
+                       + [add(y, mul(c, z)) for y, z in zip(out, out[1:])]
+                       + [out[-1]])
+        return self.pack(out)
 
     # -- coefficient lists -----------------------------------------------------
 
@@ -170,6 +213,63 @@ class _Kernel:
                                      self._lmul([c], negM, dm))
         return self.pack(Q), self.pack(A[:dm])
 
+    def _series_inv(self, R: List[int], n: int) -> List[int]:
+        """R^-1 mod x^n over an odd prime field, R[0] = 1: Newton's
+        X <- X (2 - R X) doubles the number of correct terms."""
+        p = self._char
+        X, c = [1], 1
+        while c < n:
+            c = min(2 * c, n)
+            T = [(-e) % p for e in self._lmul(R, X, c)]
+            T[0] = (T[0] + 2) % p
+            X = self._lmul(X, T, c)
+        return X
+
+    def _barrett_powers(self, j: int) -> Tuple[List[int], List[int]]:
+        """p^j and rev(p^j)^-1 mod x^(dj) as coefficient lists (kept per
+        exponent).  rev(p^j) = rev(p)^j, so the inverses are the powers of
+        one series, each cut to its length."""
+        tabs = self._barrett_tabs
+        if len(tabs) <= j:
+            tabs = list(tabs)  # extended privately, then swapped in whole
+            n = self.d * j
+            s = self._series_inv(self.unpack(self.p)[::-1], n)
+            power = [1]
+            for i in range(1, j + 1):
+                power = self._lmul(power, s, n)
+                if i >= len(tabs):
+                    tabs.append((self.unpack(self.pow_p(i)), power[:self.d * i]))
+            self._barrett_tabs = tabs
+        return tabs[j]
+
+    def _divmod_pow(self, a: int, j: int) -> Tuple[int, int]:
+        """(a // p^j, a mod p^j).
+
+        Over an odd prime field the division is Barrett's, n = deg(p^j)
+        quotient coefficients at a time from the top: the reversed block
+        quotient is the reversed top 2n coefficients times rev(p^j)^-1, and
+        the block remainder is what is left of them.  Two Kronecker
+        products per block, whose cost does not depend on how many
+        coefficients of p^j vanish, replace one per quotient coefficient.
+        """
+        if not self._barrett or not j:
+            return self._divmod_poly(a, self.pow_p(j))
+        n = self.d * j
+        A = self.unpack(a)
+        if len(A) <= n:
+            return 0, a
+        M, inv = self._barrett_powers(j)
+        p = self._char
+        Q = [0] * (len(A) - n)
+        while len(A) > n:
+            s = max(len(A) - 2 * n, 0)
+            X = A[s:]
+            l = len(X) - n
+            q = self._lmul(X[:n - 1:-1], inv, l)[::-1]
+            Q[s:s + l] = q
+            A = A[:s] + [(x - y) % p for x, y in zip(X, self._lmul(q, M, n))]
+        return self.pack(Q), self.pack(A)
+
     # -- ring operations ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -187,7 +287,7 @@ class _Kernel:
 
     def mulmod(self, a: int, b: int, k: int) -> int:
         """a * b mod p^k."""
-        if self.at_t:
+        if self.linear:
             return self.pack(self._lmul(self.unpack(a), self.unpack(b), k))
         return self.mod(self.mul(a, b), k)
 
@@ -201,34 +301,43 @@ class _Kernel:
             self._pows = pows
         return pows[j]
 
+    def reserve(self, k: int) -> None:
+        """Cache p^j, and its Barrett inverse, for j <= k now, when
+        elements known mod p^k are built, instead of in their first product
+        (no powers are needed at degree 1)."""
+        if not self.linear:
+            self.pow_p(k)
+            if self._barrett:
+                self._barrett_powers(k)
+
     def mod(self, a: int, k: int) -> int:
         """Canonical residue of a mod p^k."""
-        if self.at_t:
+        if self.linear:
             return a & ((1 << (self.w * k)) - 1)
-        return self._divmod_poly(a, self.pow_p(k))[1]
+        return self._divmod_pow(a, k)[1]
 
     def divmod_p(self, a: int, j: int) -> Tuple[int, int]:
         """(a // p^j, a mod p^j)."""
-        if self.at_t:
+        if self.linear:
             s = self.w * j
             return a >> s, a & ((1 << s) - 1)
-        return self._divmod_poly(a, self.pow_p(j))
+        return self._divmod_pow(a, j)
 
     def shl(self, a: int, j: int) -> int:
         """a * p^j."""
-        if self.at_t:
+        if self.linear:
             return a << (self.w * j)
         return self.mul(a, self.pow_p(j)) if j else a
 
     def shr(self, a: int, j: int) -> int:
         """a // p^j (exact when p^j divides a)."""
-        if self.at_t:
+        if self.linear:
             return a >> (self.w * j)
-        return self._divmod_poly(a, self.pow_p(j))[0] if j else a
+        return self._divmod_pow(a, j)[0] if j else a
 
     def val(self, a: int) -> int:
         """p-adic valuation of a nonzero a."""
-        if self.at_t:
+        if self.linear:
             return ((a & -a).bit_length() - 1) // self.w
         v = 0
         while True:
@@ -281,7 +390,7 @@ class _Kernel:
 
     def digits(self, a: int, n: int) -> List[int]:
         """The first n pi-adic digits of a, each packed."""
-        if self.at_t:
+        if self.linear:
             w, m = self.w, self.cmask
             return [(a >> (w * i)) & m for i in range(n)]
         out = []
@@ -298,17 +407,19 @@ class _Kernel:
         return acc
 
     def elements(self, n: int) -> Iterator[int]:
-        """All packed polynomials of degree < n, constant term varying
-        fastest."""
+        """All packed polynomials of degree < n, the constant term of the
+        polynomial in t varying fastest."""
         if self.q == 1 << self.w:
-            yield from range(self.q ** n)
+            seq = range(self.q ** n)
+        else:
+            seq = (self.pack(combo[::-1])
+                   for combo in itertools.product(range(self.q), repeat=n))
+        if not self.shift:
+            yield from seq
             return
-        w = self.w
-        for combo in itertools.product(range(self.q), repeat=n):
-            a = 0
-            for c in combo:
-                a = (a << w) | c
-            yield a
+        c = self.shift
+        for a in seq:
+            yield self.translate(a, c)
 
 
 def _clmul(a: int, b: int) -> int:
@@ -339,10 +450,16 @@ class _F2Kernel(_Kernel):
         return _clmul(a, b)
 
     def mulmod(self, a: int, b: int, k: int) -> int:
-        if self.at_t:
+        if self.linear:
             m = (1 << k) - 1
             return _clmul(a & m, b & m) & m
         return self.mod(_clmul(a, b), k)
+
+    def translate(self, a: int, c: int) -> int:
+        out = 0  # c = 1, the one nonzero shift
+        for i in reversed(range(a.bit_length())):
+            out = (out << 1) ^ out ^ ((a >> i) & 1)
+        return out
 
     def _divmod_poly(self, a: int, m: int) -> Tuple[int, int]:
         dm = m.bit_length() - 1
@@ -356,15 +473,20 @@ class _F2Kernel(_Kernel):
         return quot, a
 
 
-_KERNELS: Dict[Prime, _Kernel] = {}
+_KERNELS: Dict[Tuple[int, Tuple[int, ...]], _Kernel] = {}
 
 
 def _kernel(prime: Prime) -> _Kernel:
-    """The packed kernel of a prime, built once."""
-    kr = _KERNELS.get(prime)
+    """The packed kernel of a prime, built once.
+
+    Keyed by the prime's value (fields are interned): keyed by the Prime
+    object, a lookup with an equal Prime other than the one that built the
+    kernel would compare polynomials every time."""
+    key = (id(prime.field), prime.poly.coeffs)
+    kr = _KERNELS.get(key)
     if kr is None:
         cls = _F2Kernel if prime.field.size == 2 else _Kernel
-        kr = _KERNELS[prime] = cls(prime)
+        kr = _KERNELS[key] = cls(prime)
     return kr
 
 

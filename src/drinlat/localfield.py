@@ -60,6 +60,7 @@ class LocalElement:
         self.kind = kind
         self.val = val
         self.prec = len(digits) if kind == "n" else 0
+        kr.reserve(self.prec)
         self.unit = kr.mod(kr.from_digits([kr.from_poly(d) for d in digits]),
                            self.prec) if kind == "n" else 0
         self.exact = exact if kind == "n" else (kind == "z")
@@ -77,6 +78,7 @@ class LocalElement:
     @staticmethod
     def from_poly(prime: Prime, f: Poly, precision: int = DEFAULT_PRECISION) -> "LocalElement":
         kr = _kernel(prime)
+        kr.reserve(precision)
         a = kr.from_poly(f)
         if not a:
             return _zero(kr)
@@ -260,7 +262,7 @@ class LocalElement:
         return self._kr.to_poly(self.residue(k))
 
     def __eq__(self, other):
-        return (isinstance(other, LocalElement) and self.prime == other.prime
+        return (isinstance(other, LocalElement) and self._kr is other._kr
                 and self.kind == other.kind and self.val == other.val
                 and self.unit == other.unit and self.prec == other.prec)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from drinlat._chainring import ChainRing, _kernel
 from drinlat.errors import DrinlatError
-from drinlat.ffpoly import (FiniteField, Poly, ord_at, poly_ext_gcd,
+from drinlat.ffpoly import (FiniteField, Poly, Prime, ord_at, poly_ext_gcd,
                             prime_from_str, primes_of_degree, residue_field)
 from drinlat.localfield import LocalElement
 
@@ -39,6 +39,24 @@ def ring_case(draw):
 
 
 SETTINGS = settings(max_examples=150, deadline=None)
+
+
+# odd prime fields, where division by p^j at primes of degree >= 2 is
+# Barrett's; t^2 + 1 over F_3 is the sparse case
+BARRETT_PRIMES = [pr for q in (3, 5, 7) for d in (2, 3)
+                  for pr in primes_of_degree(FiniteField.of_order(q), d)[:2]]
+
+
+@st.composite
+def division_case(draw):
+    """(prime, j, f): f of degree up to six times deg(p^j), so that the
+    division runs over several blocks."""
+    prime = draw(st.sampled_from(BARRETT_PRIMES))
+    j = draw(st.integers(0, 12))
+    F = prime.field
+    coeffs = st.lists(st.integers(0, F.size - 1),
+                      max_size=6 * prime.degree * j + 2)
+    return prime, j, _poly(F, draw(coeffs))
 
 
 class TestKernelAgainstPoly:
@@ -108,6 +126,17 @@ class TestKernelAgainstPoly:
         assert c == kp.reduce(f)
         assert ring.lift(ring.kernel.from_residue(c)) == kp.lift(c)
 
+    @SETTINGS
+    @given(division_case())
+    def test_division_by_prime_powers(self, case):
+        prime, j, f = case
+        kr = _kernel(prime)
+        quot, rem = kr.divmod_p(kr.from_poly(f), j)
+        want_quot, want_rem = divmod(f, prime.poly ** j)
+        assert kr.to_poly(quot) == want_quot
+        assert kr.to_poly(rem) == want_rem
+        assert kr.to_poly(kr.mod(kr.from_poly(f), j)) == want_rem
+
     def test_elements_in_the_old_order(self):
         for prime in PRIMES:
             if prime.residue_size ** 2 > 100:
@@ -128,6 +157,50 @@ class TestKernelAgainstPoly:
                     counters[i] = 0
                     i += 1
             assert got == want
+
+
+def test_equal_primes_share_one_kernel(monkeypatch):
+    """Equal Prime objects find one kernel without comparing polynomials,
+    whichever of them built it."""
+    F = FiniteField.of_order(3)
+    for text in ("t+2", "t^2+1"):
+        p1 = Prime(Poly(F, prime_from_str(text, F).poly.coeffs))
+        p2 = Prime(Poly(F, p1.poly.coeffs))
+        assert p1 is not p2 and p1 == p2
+        kr = _kernel(p1)
+        compared = []
+        monkeypatch.setattr(Prime, "__eq__",
+                            lambda a, b: compared.append(1) or a is b)
+        assert _kernel(p2) is kr and _kernel(p1) is kr
+        f = _poly(F, [1, 2, 0, 1, 1])
+        assert LocalElement.from_poly(p1, f, 3) == LocalElement.from_poly(p2, f, 3)
+        assert not compared
+        monkeypatch.undo()
+
+
+def _exact_unit(prime, rng):
+    F = prime.field
+    while True:
+        f = _poly(F, [rng.randrange(F.size) for _ in range(2 * prime.degree)])
+        if not (f % prime.poly).is_zero():
+            return f
+
+
+def test_arithmetic_at_its_precision_builds_no_powers():
+    """Elements built at precision k leave no power of p and no Barrett
+    inverse for their arithmetic mod p^k to build, so that the first
+    inverse at a prime costs what the later ones do.  (An exact product's
+    window can outgrow k; its powers are built when it does.)"""
+    rng = random.Random("reserve")
+    for prime in PRIMES + BARRETT_PRIMES:
+        kr = _kernel(prime)
+        for prec in (12, 30, 41, 57):
+            x, y = (LocalElement.from_poly(prime, _exact_unit(prime, rng), prec)
+                    for _ in range(2))
+            assert x.exact and x.prec == prec
+            pows, tabs = kr._pows, kr._barrett_tabs
+            x.inv().mul(y).add(x).sub(y.inv())
+            assert kr._pows is pows and kr._barrett_tabs is tabs
 
 
 # ---------------------------------------------------------------------------
