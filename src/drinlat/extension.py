@@ -12,7 +12,10 @@ the generic shape trusts caller-supplied genus and infinity data.
 
 Splitting at an unramified prime reads the irreducible factors of the
 defining polynomial over the residue field; ramified primes are handled
-by the constructor's closed form or refused.
+by the constructor's closed form or refused.  Scans that need only the
+splitting pattern use residue tests instead, and a Kummer extension with
+n | q - 1 reads its pattern off the n-th power residue symbol, computed
+in F_q[t] by reciprocity.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (BudgetExceeded, MalformedInput, MultipleInfinitePlaces,
                      UnsupportedShape)
 from .ffpoly import (FiniteField, Poly, Prime, field_from_str, ord_at,
                      poly_factor, poly_from_str, poly_to_str,
-                     primes_of_degree, residue_field)
+                     power_residue_symbol, primes_of_degree, residue_field)
 from .localfield import (DEFAULT_BUDGET, Lattice, OrderStructure,
                          saturate_lattice, stabilizer_index)
 
@@ -365,35 +368,35 @@ def splitting(ext: Extension, prime: Prime) -> SplittingType:
     reduced = _reduced_defining_poly(ext, prime, kp)
     places = []
     for f, mult in poly_factor(reduced):
-        assert mult == 1, "unexpected ramification away from the support"
+        if mult != 1:
+            raise AssertionError(
+                f"unexpected ramification at {prime} away from the support")
         places.append(PlaceFactor(1, f.degree, tuple(f.coeffs)))
     places.sort(key=lambda pl: (pl.e, pl.f, pl.factor))
     total = sum(pl.e * pl.f for pl in places)
-    assert total == ext.m
+    if total != ext.m:
+        raise AssertionError(
+            f"local degrees at {prime} sum to {total}, not {ext.m}")
     return SplittingType(prime, tuple(places), True)
 
 
 def _reduced_defining_poly(ext: Extension, prime: Prime, kp) -> Poly:
     if ext.kind == "kummer":
-        a = ext.params["a"]
+        # a = p^mult * b with n | mult: substitute x -> x * p^(mult/n)
+        b = _prime_to_part(ext.params["a"], prime)
         n = ext.params["n"]
-        mult = ord_at(prime, a)
-        if mult:
-            # a = p^mult * b with n | mult: substitute x -> x * p^(mult/n)
-            b = a
-            for _ in range(mult):
-                b = b // prime.poly
-            return Poly(kp, [kp.neg(kp.reduce(b))] + [0] * (n - 1) + [1])
-        return Poly(kp, [kp.neg(kp.reduce(a))] + [0] * (n - 1) + [1])
+        return Poly(kp, [kp.neg(kp.reduce(b))] + [0] * (n - 1) + [1])
     return Poly(kp, [kp.reduce(c) for c in ext.x_coeffs])
 
 
 def splitting_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ...]:
     """The multiset of (e, f) above a prime, without factor polynomials.
 
-    Uses exact residue tests (power and trace conditions) instead of full
-    factorization, so scans over many primes stay cheap; the result
-    agrees with splitting(...) everywhere both are defined.
+    Uses exact residue tests instead of full factorization, so scans over
+    many primes stay cheap: the constant-extension law, the power residue
+    symbol or the root-count ladder for Kummer extensions (see
+    `_kummer_pattern`), the absolute trace for Artin-Schreier ones.  The
+    result agrees with splitting(...) everywhere both are defined.
     """
     if prime.field is not ext.base:
         raise MalformedInput("prime and extension base fields differ")
@@ -417,18 +420,45 @@ def splitting_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ..
 
 
 def _kummer_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ...]:
-    """Degrees of the irreducible factors of x^n - c over k(p), from the
-    root-count ladder: x^n = c has gcd(n, Q^j - 1) roots in F_{Q^j} iff
-    c^((Q^j-1)/gcd) = 1, else none."""
+    """Degrees of the irreducible factors of x^n - b over k(p), where
+    b = a / p^(v_p(a)).
+
+    When n | q - 1, s = (b/p)_n lies in the n-th roots of unity of F_q.
+    x^n = b has a root in the degree-j extension of k(p) iff
+    b^((Q^j - 1)/n) = s^j is 1 (Q = |k(p)|), so x^n - b is a product of
+    n/m irreducibles of degree m, the order of s.  No residue field is
+    built.  Otherwise the root-count ladder decides.
+    """
+    n = ext.params["n"]
+    F = ext.base
+    if (F.size - 1) % n:
+        return _kummer_pattern_ladder(ext, prime)
+    s = power_residue_symbol(_prime_to_part(ext.params["a"], prime),
+                             prime.poly, n)
+    m, power = 1, s
+    while power != 1:
+        power = F.mul(power, s)
+        m += 1
+    return ((1, m),) * (n // m)
+
+
+def _prime_to_part(a: Poly, prime: Prime) -> Poly:
+    """a / p^(v_p(a))."""
+    for _ in range(ord_at(prime, a)):
+        a = a // prime.poly
+    return a
+
+
+def _kummer_pattern_ladder(ext: Extension,
+                           prime: Prime) -> Tuple[Tuple[int, int], ...]:
+    """The Kummer pattern from the root-count ladder in k(p): x^n = c has
+    gcd(n, Q^j-1) roots in F_{Q^j} iff c^((Q^j-1)/gcd) = 1, else none.
+    It decides when n does not divide q - 1, and is the oracle of the
+    power-residue path."""
     import math
     kp = residue_field(prime)
-    a = ext.params["a"]
     n = ext.params["n"]
-    mult = ord_at(prime, a)
-    b = a
-    for _ in range(mult):
-        b = b // prime.poly
-    c = kp.reduce(b)
+    c = kp.reduce(_prime_to_part(ext.params["a"], prime))
     q_res = kp.size
     pattern = []
     strict = {}
@@ -444,11 +474,14 @@ def _kummer_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ...]
         new = roots - sum(strict.get(d, 0) for d in range(1, j) if j % d == 0)
         strict[j] = new
         if new:
-            assert new % j == 0
+            if new % j:
+                raise AssertionError(
+                    f"{new} roots of exact degree {j} over k({prime})")
             pattern.extend([(1, j)] * (new // j))
             total += new
         j += 1
-    assert total == n
+    if total != n:
+        raise AssertionError(f"x^{n} - c has {total} roots, not {n}")
     return tuple(sorted(pattern))
 
 
@@ -553,20 +586,24 @@ def zeta_numerator(ext: Extension, budget: int = PLACE_BUDGET) -> ZetaData:
         low[k] = acc
     coeffs = [0] * (2 * g + 1)
     for k in range(g + 1):
-        assert low[k].denominator == 1, "numerator coefficients must be integers"
+        if low[k].denominator != 1:
+            raise AssertionError(
+                f"zeta numerator coefficient a_{k} = {low[k]} is not an integer")
         coeffs[k] = int(low[k])
     for i in range(g):
         coeffs[2 * g - i] = qp ** (g - i) * coeffs[i]
-    assert coeffs[0] == 1
+    if coeffs[0] != 1:
+        raise AssertionError(f"zeta numerator has a_0 = {coeffs[0]}, not 1")
     h = sum(coeffs)
     # |Cl(A')| = P(1) * deg(infinity'), and the structured shapes all have
     # an infinite place of degree 1
     h_order = h * ext.infinite_place_degree
-    assert h_order >= 1
     # the class-number lower bound in terms of genus must hold
     lower = Fraction((qp - 1) * (qp ** (2 * g) - 2 * g * qp ** g + 1),
                      2 * g * (qp ** (g + 1) - 1))
-    assert Fraction(h_order) >= lower
+    if h_order < 1 or Fraction(h_order) < lower:
+        raise AssertionError(
+            f"class number {h_order} is below 1 or the genus bound {lower}")
     return ZetaData(qp, g, b, n_counts, coeffs, h_order)
 
 

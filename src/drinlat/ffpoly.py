@@ -5,7 +5,17 @@ deterministically chosen irreducible modulus) or as a quotient of F_q[t]
 by a prime, so residue fields are ordinary field objects.  Elements are
 plain ints in [0, size) encoding coordinates in a fixed polynomial basis
 over the base field; no compatibility between different constructions of
-the same order is promised.
+the same order is promised.  Extension fields of at most `_TABLE_LIMIT`
+elements multiply by table lookup; larger ones multiply the digit lists
+of their elements (`FiniteField._mul_raw`), without building Polys.
+
+The primes of one degree come from a sieve that marks every monic
+multiple of the smaller primes in a byte array indexed by coefficient
+vectors.  `power_residue_symbol` computes (a/b)_n by Euclid's algorithm
+and the reciprocity law, with no residue field.  Equal-degree splitting
+takes a product of two linear factors apart by the quadratic formula
+(`FiniteField.sqrt`), so its cost does not depend on which roots they
+are.
 
 Polynomial text grammar (bit-exact, used by the CLI and JSON payloads):
 terms ``c*t^k`` joined by ``+``, coefficients as decimal integers,
@@ -22,8 +32,8 @@ from typing import Iterator, Optional
 from .errors import MalformedInput, ZeroPolynomial
 
 # Extension fields up to this size keep full mul/inv tables, filled from
-# discrete logarithms (see FiniteField._build_tables); larger ones
-# multiply polynomials on every call.
+# discrete logarithms (see FiniteField._build_tables); larger ones take
+# each product on digit lists (FiniteField._mul_raw).
 _TABLE_LIMIT = 256
 
 
@@ -69,8 +79,11 @@ class FiniteField:
             self.modulus = modulus
             self.size = base.size ** modulus.degree
             self.e = base.e * modulus.degree
+            self._weights = [base.size ** i for i in range(modulus.degree)]
+            self._reducer = _reducer(modulus.coeffs)
         self._mul_table: Optional[list] = None
         self._inv_table: Optional[list] = None
+        self._nonsq: Optional[int] = None
 
     # -- construction ---------------------------------------------------
 
@@ -84,15 +97,10 @@ class FiniteField:
 
     # -- element codecs ---------------------------------------------------
 
-    def _split(self, a: int) -> tuple:
+    def _split(self, a: int) -> list:
         """Digits of a in base base.size, length = modulus degree."""
         b = self.base.size
-        k = self.modulus.degree
-        out = []
-        for _ in range(k):
-            a, d = divmod(a, b)
-            out.append(d)
-        return tuple(out)
+        return [a // w % b for w in self._weights]
 
     def _join(self, digits) -> int:
         b = self.base.size
@@ -107,9 +115,8 @@ class FiniteField:
 
     def from_base_poly(self, f: "Poly") -> int:
         """Reduce a base-field polynomial mod the modulus and encode."""
-        r = f % self.modulus
-        digits = list(r.coeffs) + [0] * (self.modulus.degree - len(r.coeffs))
-        return self._join(digits)
+        return self._join(_rem_coeffs(list(f.coeffs), self._reducer,
+                                      self.base))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -153,9 +160,27 @@ class FiniteField:
         return self._mul_raw(a, b)
 
     def _mul_raw(self, a: int, b: int) -> int:
-        fa = Poly(self.base, self._split(a))
-        fb = Poly(self.base, self._split(b))
-        return self.from_base_poly(fa * fb)
+        """Schoolbook product of the digit lists, reduced by the monic
+        modulus.  Over a prime base the coefficients accumulate as plain
+        integers and ``_rem_coeffs`` takes one ``% p`` per coefficient;
+        over an extension base they go through the base's products."""
+        x = self._split(a)
+        y = self._split(b)
+        base = self.base
+        prod = [0] * (len(x) + len(y) - 1)
+        if base.base is None:
+            for i, xi in enumerate(x):
+                if xi:
+                    for j, yj in enumerate(y, i):
+                        prod[j] += xi * yj
+        else:
+            add, mul = base.add, base.mul
+            for i, xi in enumerate(x):
+                if xi:
+                    for j, yj in enumerate(y, i):
+                        if yj:
+                            prod[j] = add(prod[j], mul(xi, yj))
+        return self._join(_rem_coeffs(prod, self._reducer, base))
 
     def _build_tables(self) -> None:
         """Fill the mul/inv tables from discrete logarithms.
@@ -201,6 +226,10 @@ class FiniteField:
         return self._inv_raw(a)
 
     def _inv_raw(self, a: int) -> int:
+        # Fermat: 2 log2(q) raw products, saved for 1, the leading
+        # coefficient of every monic divisor
+        if a == 1:
+            return 1
         return _pow_by(self._mul_raw, a, self.size - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -224,6 +253,48 @@ class FiniteField:
 
     def elements(self) -> range:
         return range(self.size)
+
+    def sqrt(self, a: int) -> int:
+        """A square root of a square a, in odd characteristic.
+
+        Tonelli-Shanks with the smallest non-square of the field, found
+        once per field: with q - 1 = m 2^s (m odd) the cost is two powers
+        and at most s^2 squarings, whichever square a is."""
+        if self.p == 2:
+            raise MalformedInput("sqrt needs odd characteristic")
+        if a == 0:
+            return 0
+        n = self.size - 1
+        s = (n & -n).bit_length() - 1
+        m = n >> s
+        x = self.pow(a, (m + 1) // 2)
+        t = self.pow(a, m)
+        c = None
+        while t != 1:
+            i, u = 0, t
+            while u != 1:
+                u = self.mul(u, u)
+                i += 1
+            if i == s:
+                raise MalformedInput(f"{a} is not a square in {self!r}")
+            if c is None:
+                c = self.pow(self._non_square(), m)
+            b = c
+            for _ in range(s - i - 1):
+                b = self.mul(b, b)
+            x = self.mul(x, b)
+            c = self.mul(b, b)
+            t = self.mul(t, c)
+            s = i
+        return x
+
+    def _non_square(self) -> int:
+        if self._nonsq is None:
+            minus_one = self.neg(1)
+            half = (self.size - 1) // 2
+            self._nonsq = next(z for z in range(2, self.size)
+                               if self.pow(z, half) == minus_one)
+        return self._nonsq
 
     def multiplicative_generator(self) -> int:
         return self._primitive_element(self.mul)
@@ -256,6 +327,41 @@ def _field_of_order(p: int, e: int) -> FiniteField:
         if mod.is_irreducible():
             return FiniteField(p, base=prime_field, modulus=mod)
     raise AssertionError("no irreducible modulus found")
+
+
+def _reducer(m) -> tuple:
+    """(deg m, the nonzero (j, m_j) below the leading term) of a monic m,
+    as `_rem_coeffs` takes it."""
+    k = len(m) - 1
+    return k, tuple((j, c) for j, c in enumerate(m[:k]) if c)
+
+
+def _rem_coeffs(x: list, reducer: tuple, F: FiniteField) -> list:
+    """x mod m on coefficient lists over F, for the monic m that
+    ``reducer = _reducer(m)`` describes; x is overwritten and the remainder
+    is padded with zeros to deg m coefficients.  Over a prime field the
+    entries of x may be any integers: each is reduced once, by one
+    ``% p``."""
+    k, low = reducer
+    if F.base is None:
+        p = F.p
+        for i in range(len(x) - 1, k - 1, -1):
+            c = x[i] % p
+            if c:
+                off = i - k
+                for j, mj in low:
+                    x[off + j] -= c * mj
+        out = [c % p for c in x[:k]]
+    else:
+        sub, mul = F.sub, F.mul
+        for i in range(len(x) - 1, k - 1, -1):
+            c = x[i]
+            if c:
+                off = i - k
+                for j, mj in low:
+                    x[off + j] = sub(x[off + j], mul(c, mj))
+        out = x[:k]
+    return out + [0] * (k - len(out))
 
 
 def _pow_by(mul, a: int, n: int) -> int:
@@ -574,17 +680,88 @@ def primes_of_degree(field: FiniteField, d: int) -> list:
 
 @lru_cache(maxsize=None)
 def _primes_of_degree_cached(field: FiniteField, d: int) -> tuple:
-    # sieve by trial division: any reducible monic of degree d has an
-    # irreducible factor of degree <= d/2
-    smaller = []
-    for dd in range(1, d // 2 + 1):
-        smaller.extend(_primes_of_degree_cached(field, dd))
+    """The monic irreducibles of degree d in `_monic_polys` order, by a
+    sieve.  A monic f of degree d has the index sum_{k<d} c_k q^k, its
+    coefficients read as base-q digits (c_0 lowest), so `_monic_polys`
+    walks the indices in increasing order.  Every reducible f is p*g for a
+    prime p of degree <= d/2, and `_mark_multiples` marks all those indices;
+    the unmarked ones are the primes.  The count is checked against
+    Gauss's formula."""
+    q = field.size
+    size = q ** d
+    marked = bytearray(size)
+    rows: dict = {}
+    for e in range(1, d // 2 + 1):
+        for p in _primes_of_degree_cached(field, e):
+            _mark_multiples(marked, field, p.poly.coeffs, d, rows)
     out = []
-    for f in _monic_polys(field, d):
-        if any((f % p.poly).is_zero() for p in smaller):
-            continue
-        out.append(Prime(f, check=False))
+    for idx in itertools.compress(range(size), marked.translate(_UNMARKED)):
+        coeffs = []
+        for _ in range(d):
+            idx, c = divmod(idx, q)
+            coeffs.append(c)
+        coeffs.append(1)
+        out.append(Prime(Poly(field, coeffs), check=False))
+    if len(out) != count_irreducibles(q, d):
+        raise AssertionError(
+            f"prime sieve over {field!r} found {len(out)} primes of degree "
+            f"{d}, not {count_irreducibles(q, d)}")
     return tuple(out)
+
+
+# bytes.translate table: a zero byte (unmarked index) to 1, a mark to 0
+_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _mark_multiples(marked: bytearray, field: FiniteField, p: tuple, d: int,
+                    rows: dict) -> None:
+    """Mark the index of p*g for every monic g of degree m = d - deg p.
+
+    Over F_P (q = P^E) the lower coefficients of g are m*E coordinates,
+    coordinate k = j*E + b at the additive basis element P^b of the digit
+    encoding of g_j, which moves p*g by w_k = P^b * p * t^j.  A base-P
+    counter runs from 0 to q^m - 1, and each step adds w_k for the digit k
+    that the step increments (the digits below k wrap to 0).  After s
+    steps the coordinate at w_k is s_k - s_(k+1) mod P, the s_k being the
+    digits of s, and that map is a bijection, so the walk meets every g
+    once.  A step changes the coefficients of p*g by w_k and moves the
+    index by the changed digits.  `rows` caches, per field element c, the
+    list x -> x + c.
+    """
+    q = field.size
+    P, E = field.p, field.e
+    e = len(p) - 1
+    m = d - e
+    weight = [q ** k for k in range(d)]
+    v = [0] * m + list(p[:e])  # p * t^m without its leading 1
+    idx = sum(c * w for c, w in zip(v, weight))
+    steps = []
+    for j in range(m):
+        for b in range(E):
+            step = []
+            for i, c in enumerate(p):
+                c = field.mul(P ** b, c)
+                if c:
+                    row = rows.get(c)
+                    if row is None:
+                        row = rows[c] = [field.add(x, c) for x in range(q)]
+                    step.append((j + i, row, weight[j + i]))
+            steps.append(step)
+    digits = [0] * (m * E)
+    top = P - 1
+    marked[idx] = 1
+    for _ in range(q ** m - 1):
+        k = 0
+        while digits[k] == top:
+            digits[k] = 0
+            k += 1
+        digits[k] += 1
+        for pos, row, w in steps[k]:
+            old = v[pos]
+            new = row[old]
+            v[pos] = new
+            idx += (new - old) * w
+        marked[idx] = 1
 
 
 def enumerate_primes(field: FiniteField, d_max: int) -> list:
@@ -608,7 +785,8 @@ def moebius(n: int) -> int:
 def count_irreducibles(q: int, d: int) -> int:
     """Gauss' necklace count (1/d) sum_{e|d} mu(e) q^(d/e)."""
     total = sum(moebius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    if total % d:
+        raise AssertionError(f"necklace sum {total} is not divisible by {d}")
     return total // d
 
 
@@ -723,12 +901,20 @@ def _split_candidates(F: FiniteField, max_degree: int) -> Iterator[Poly]:
 def _equal_degree_split(g: Poly, d: int) -> list:
     """Split a squarefree product of degree-d irreducibles.
 
-    Deterministic sweep over small candidate polynomials; fine at the
-    field sizes this library targets.
+    A product of two linear factors in odd characteristic splits by the
+    quadratic formula.  Otherwise a deterministic sweep over small
+    candidate polynomials; fine at the field sizes this library targets.
     """
     F = g.field
     if g.degree == d:
         return [g]
+    if d == 1 and g.degree == 2 and F.p != 2:
+        c, b = g.coeffs[0], g.coeffs[1]
+        two = F.add(1, 1)
+        root = F.sqrt(F.sub(F.mul(b, b), F.mul(F.add(two, two), c)))
+        half = F.inv(two)
+        return sorted((Poly(F, (F.mul(F.add(b, sign), half), 1))
+                       for sign in (root, F.neg(root))), key=_poly_sort_key)
     q = F.size
     for a in _split_candidates(F, g.degree + 3):
         if F.p == 2:
@@ -843,6 +1029,58 @@ def poly_ext_gcd(a: Poly, b: Poly):
         return r0, s0, t0
     c = F.inv(r0.lead())
     return r0.scale(c), s0.scale(c), t0.scale(c)
+
+
+def power_residue_symbol(a: Poly, b: Poly, n: int) -> int:
+    """The n-th power residue symbol (a/b)_n in F_q, for n | q - 1 and a
+    monic b of degree >= 1 prime to a.
+
+    At a prime b it is a^((q^deg b - 1)/n) mod b, the element of the n-th
+    roots of unity of F_q congruent to it; at a composite b it is the
+    product over the prime factors.  Euclid's algorithm computes it from
+    three rules, with e = (q-1)/n (Rosen, Number Theory in Function
+    Fields, Ch. 3, Thm 3.3):
+      (a/b)_n depends on a mod b only, and is multiplicative in a;
+      (c/b)_n = (c^e)^(deg b) for a constant c;
+      (a/b)_n = (-1)^(e deg a deg b) (b/a)_n for monic coprime a and b.
+    """
+    F = a.field
+    q = F.size
+    if n < 1 or (q - 1) % n:
+        raise MalformedInput(f"n = {n} does not divide q - 1 = {q - 1}")
+    if not b.is_monic() or b.degree < 1:
+        raise MalformedInput("the symbol needs a monic modulus of degree >= 1")
+    e = (q - 1) // n
+    if F.base is None:
+        p = F.p
+
+        def mul(u, v):
+            return u * v % p
+
+        def power(u, k):
+            return pow(u, k, p)
+    else:
+        mul, power = F.mul, F.pow
+    symbol = 1
+    x, y = list(a.coeffs), b.coeffs
+    while True:
+        k = len(y) - 1
+        x = _rem_coeffs(x, _reducer(y), F)
+        while x and x[-1] == 0:
+            x.pop()
+        if not x:
+            raise MalformedInput("power residue symbol of non-coprime arguments")
+        lead = x[-1]
+        if lead != 1:
+            symbol = mul(symbol, power(lead, e * k))
+            if len(x) > 1:
+                inv = F.inv(lead)
+                x = [mul(inv, c) for c in x]
+        if len(x) == 1:
+            return symbol
+        if e * (len(x) - 1) * k % 2:
+            symbol = F.neg(symbol)
+        x, y = list(y), x
 
 
 def ord_at(prime: Prime, f: Poly) -> int:

@@ -163,6 +163,64 @@ class TestSplitting:
             assert [(pl.e, pl.f) for pl in sp.places] == [(2, 1)]
 
 
+class TestKummerPattern:
+    # (q, n, radicand, max degree): n | q - 1 in each, so the pattern comes
+    # from the power-residue symbol; t^3+t^2 = t^2 (t+1) over F_5 has a
+    # factor of multiplicity n
+    CASES = [(5, 2, "t^3+t^2", 4), (5, 2, "t^3+t+1", 4), (5, 4, "t^3+t+1", 3),
+             (7, 3, "t^2+1", 3), (7, 6, "t+3", 3), (9, 4, "t^3+t", 3),
+             (9, 8, "t", 2), (13, 4, "t^3+2", 2)]
+
+    @pytest.mark.parametrize("q,n,a,d_max", CASES)
+    def test_symbol_matches_root_count_ladder(self, q, n, a, d_max):
+        from drinlat.extension import (_kummer_pattern,
+                                       _kummer_pattern_ladder,
+                                       splitting_pattern)
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        F = FiniteField.of_order(p, round(math.log(q, p)))
+        ext = Extension.kummer(F, n, poly_from_str(a, F))
+        assert (F.size - 1) % n == 0
+        checked = 0
+        for prime in enumerate_primes(F, d_max):
+            if prime in ext.ram_support:
+                continue
+            want = _kummer_pattern_ladder(ext, prime)
+            assert _kummer_pattern(ext, prime) == want, str(prime)
+            assert splitting_pattern(ext, prime) == want, str(prime)
+            checked += 1
+        assert checked > 0
+
+    def test_prime_of_multiplicity_n(self):
+        # t divides a = t^2 (t+1) twice: x^2 - (t+1) at t is x^2 - 1
+        from drinlat.extension import splitting_pattern
+        ext = Extension.kummer(F5, 2, poly_from_str("t^3+t^2", F5))
+        prime = prime_from_str("t", F5)
+        assert prime not in ext.ram_support
+        assert splitting_pattern(ext, prime) == ((1, 1), (1, 1))
+        assert splitting(ext, prime).places[0].f == 1
+
+    def test_symbol_path_builds_no_residue_field(self):
+        from drinlat.extension import _kummer_pattern
+        from drinlat.ffpoly import residue_field
+        F13 = FiniteField.of_order(13)
+        ext = Extension.kummer(F13, 4, poly_from_str("t^3+5", F13))
+        before = residue_field.cache_info().misses
+        for prime in primes_of_degree(F13, 3)[:40]:
+            _kummer_pattern(ext, prime)
+        assert residue_field.cache_info().misses == before
+
+    def test_ladder_decides_when_n_does_not_divide_q_minus_1(self):
+        from drinlat.extension import _kummer_pattern, _kummer_pattern_ladder
+        ext = Extension.kummer(F5, 3, poly_from_str("t^2+2", F5))
+        for prime in enumerate_primes(F5, 2):
+            if prime in ext.ram_support:
+                continue
+            sp = splitting(ext, prime)
+            want = tuple(sorted((pl.e, pl.f) for pl in sp.places))
+            assert _kummer_pattern(ext, prime) == want
+            assert _kummer_pattern_ladder(ext, prime) == want
+
+
 class TestZeta:
     def test_genus0_class_number_one(self):
         assert class_number(Extension.constant(F3, 2)) == 1

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from drinlat.errors import MalformedInput, ZeroPolynomial
+from drinlat import ffpoly
 from drinlat.ffpoly import (
-    _TABLE_LIMIT, FiniteField, Poly, Prime, count_irreducibles,
+    _TABLE_LIMIT, FiniteField, Poly, Prime, _monic_polys, count_irreducibles,
     enumerate_primes, field_from_str, poly_factor, poly_from_str, poly_to_str,
-    prime_from_str, primes_of_degree, random_poly, residue_field,
+    power_residue_symbol, prime_from_str, primes_of_degree, random_poly,
+    residue_field,
 )
 
 F2 = FiniteField.of_order(2)
@@ -115,6 +117,16 @@ def _field_id(field):
     return f"{field}" if prime is None else f"{field.base}[t]/({prime})"
 
 
+def _poly_product(field, a, b):
+    """Oracle for a product in an extension field: multiply the two
+    coordinate polynomials as Polys, reduce by the modulus, encode."""
+    base = field.base
+    fa = Poly(base, field._split(a))
+    fb = Poly(base, field._split(b))
+    r = (fa * fb) % field.modulus
+    return sum(c * base.size ** i for i, c in enumerate(r.coeffs))
+
+
 class TestFieldTables:
     @pytest.mark.parametrize("field", _table_fields(), ids=_field_id)
     def test_tables_match_raw_arithmetic(self, field):
@@ -125,11 +137,12 @@ class TestFieldTables:
         assert len(table) == q * q and len(inv) == q
         for a in range(q):
             for b in range(a, q):
-                v = field._mul_raw(a, b)
+                v = _poly_product(field, a, b)
+                assert field._mul_raw(a, b) == v, (a, b)
                 assert table[a * q + b] == v and table[b * q + a] == v, (a, b)
         for a in range(1, q):
             assert inv[a] == field._inv_raw(a), a
-            assert field._mul_raw(a, inv[a]) == 1, a
+            assert _poly_product(field, a, inv[a]) == 1, a
 
     def test_walk_refuses_a_reducible_modulus(self):
         # t^2 + 1 = (t + 1)^2 over F_2: the "field" has zero divisors, so
@@ -152,6 +165,44 @@ class TestFieldTables:
             assert field.add(a, b) == _digit_add(field, a, b)
             assert field.neg(a) == _digit_neg(field, a)
             assert field.sub(a, b) == _digit_add(field, a, _digit_neg(field, b))
+
+
+# Residue fields on both sides of _TABLE_LIMIT over F_2, F_3, F_5, F_4 and
+# F_9; the larger ones take every product by _mul_raw.
+RAW_RESIDUE_PRIMES = [
+    ((2, 1), "t^5+t^2+1"), ((2, 1), "t^9+t^4+1"), ((2, 1), "t^12+t^6+t^4+t+1"),
+    ((3, 1), "t^4+t+2"), ((3, 1), "t^6+t+2"),
+    ((5, 1), "t^3+t+1"), ((5, 1), "t^6+t+2"),
+    ((2, 2), "t^3+t+1"), ((2, 2), "t^5+t^4+t^3+3*t+3"),
+    ((3, 2), "t^2+t+3"), ((3, 2), "t^3+3*t^2+3"),
+]
+
+
+class TestRawProduct:
+    @pytest.mark.parametrize("field", [
+        residue_field(prime_from_str(text, FiniteField.of_order(p, e)))
+        for (p, e), text in RAW_RESIDUE_PRIMES], ids=_field_id)
+    def test_raw_product_matches_poly_product(self, field):
+        rng = random.Random(field.size)
+        q = field.size
+        samples = [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+        samples += [(0, rng.randrange(q)), (q - 1, q - 1), (1, q - 1)]
+        for a, b in samples:
+            assert field._mul_raw(a, b) == _poly_product(field, a, b), (a, b)
+        for a, _ in samples[:20]:
+            if a:
+                assert field._mul_raw(a, field.inv(a)) == 1
+        assert field.inv(1) == 1
+
+    def test_reduce_matches_poly_remainder(self):
+        rng = random.Random(11)
+        for (p, e), text in RAW_RESIDUE_PRIMES:
+            F = FiniteField.of_order(p, e)
+            k = residue_field(prime_from_str(text, F))
+            for _ in range(30):
+                f = random_poly(F, 3 * k.modulus.degree, rng)
+                r = f % k.modulus
+                assert k.lift(k.reduce(f)) == r
 
 
 class TestPolyArithmetic:
@@ -244,6 +295,36 @@ class TestEnumeratePrimes:
         for d in range(1, 5):
             assert len(primes_of_degree(field, d)) == count_irreducibles(q, d)
 
+    @pytest.mark.parametrize("q,e,d_max", [(2, 1, 11), (3, 1, 7), (2, 2, 5),
+                                           (5, 1, 4), (7, 1, 4), (3, 2, 3),
+                                           (5, 2, 2)])
+    def test_sieve_matches_irreducibility_filter(self, q, e, d_max):
+        # the same primes in the same order as _monic_polys filtered by
+        # Rabin's test, q^d up to about 2.5k
+        field = FiniteField.of_order(q, e)
+        for d in range(1, d_max + 1):
+            want = [f for f in _monic_polys(field, d) if f.is_irreducible()]
+            got = [p.poly for p in primes_of_degree(field, d)]
+            assert got == want, d
+
+    @pytest.mark.parametrize("q,e,d_max", [(2, 1, 13), (3, 1, 8), (2, 2, 6),
+                                           (5, 1, 5), (7, 1, 4), (3, 2, 4),
+                                           (5, 2, 2)])
+    def test_sieve_gauss_count(self, q, e, d_max):
+        field = FiniteField.of_order(q, e)
+        for d in range(1, d_max + 1):
+            primes = primes_of_degree(field, d)
+            assert len(primes) == count_irreducibles(field.size, d)
+            keys = [p.sort_key() for p in primes]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_sieve_refuses_a_wrong_count(self, monkeypatch):
+        # a fresh (not interned) field keeps the sieve cache cold
+        field = FiniteField(7)
+        monkeypatch.setattr(ffpoly, "count_irreducibles", lambda q, d: -1)
+        with pytest.raises(AssertionError):
+            primes_of_degree(field, 2)
+
     def test_sorted_by_degree_then_lex(self):
         ps = enumerate_primes(F3, 2)
         keys = [p.sort_key() for p in ps]
@@ -335,6 +416,99 @@ class TestResidueField:
     def test_residue_size_matches(self):
         for pr in enumerate_primes(F3, 3):
             assert residue_field(pr).size == 3 ** pr.degree
+
+
+class TestPowerResidueSymbol:
+    @pytest.mark.parametrize("q,e,n,d_max", [(5, 1, 2, 3), (5, 1, 4, 3),
+                                             (7, 1, 3, 2), (3, 2, 8, 2),
+                                             (13, 1, 4, 2)])
+    def test_matches_euler_criterion_at_primes(self, q, e, n, d_max):
+        # (a/p)_n = a^((|k(p)| - 1)/n) in k(p), a constant there
+        F = FiniteField.of_order(q, e)
+        rng = random.Random(q * n)
+        for prime in enumerate_primes(F, d_max):
+            k = residue_field(prime)
+            for _ in range(5):
+                a = random_poly(F, 2 * prime.degree + 1, rng)
+                c = k.reduce(a)
+                if c == 0:
+                    continue
+                want = k.pow(c, (k.size - 1) // n)
+                assert want < F.size  # an element of the constant field
+                assert power_residue_symbol(a, prime.poly, n) == want
+
+    def test_multiplicative_in_the_modulus(self):
+        # the symbol at a composite modulus is the product over its factors
+        F = FiniteField.of_order(7)
+        rng = random.Random(3)
+        primes = enumerate_primes(F, 2)
+        for _ in range(50):
+            p1, p2 = rng.sample(primes, 2)
+            a = random_poly(F, 4, rng)
+            if (a % p1.poly).is_zero() or (a % p2.poly).is_zero():
+                continue
+            both = power_residue_symbol(a, p1.poly * p2.poly, 6)
+            assert both == F.mul(power_residue_symbol(a, p1.poly, 6),
+                                 power_residue_symbol(a, p2.poly, 6))
+
+    def test_refusals(self):
+        t = P("t", F5)
+        with pytest.raises(MalformedInput):
+            power_residue_symbol(P("t+1", F5), t, 3)  # 3 does not divide 4
+        with pytest.raises(MalformedInput):
+            power_residue_symbol(P("t^2", F5), t, 2)  # not coprime
+        with pytest.raises(MalformedInput):
+            power_residue_symbol(t, P("2*t+1", F5), 2)  # modulus not monic
+
+
+# odd fields and residue fields on both sides of _TABLE_LIMIT, with
+# q - 1 = m 2^s for s = 1 (3, 7, 3^3, 3^5), 2 (5, 13, 5^3) and 3-5
+SQRT_FIELDS = [((3, 1), None), ((5, 1), None), ((7, 1), None),
+               ((13, 1), None), ((17, 1), None), ((3, 2), None),
+               ((5, 2), None), ((3, 3), None), ((3, 1), 4), ((3, 1), 5),
+               ((3, 1), 6), ((5, 1), 3), ((5, 1), 4), ((3, 2), 2),
+               ((3, 2), 3)]
+
+
+def _sqrt_field(spec):
+    (p, e), d = spec
+    F = FiniteField.of_order(p, e)
+    return F if d is None else residue_field(primes_of_degree(F, d)[5])
+
+
+class TestQuadraticSplit:
+    @pytest.mark.parametrize("spec", SQRT_FIELDS, ids=str)
+    def test_sqrt_of_squares(self, spec):
+        F = _sqrt_field(spec)
+        rng = random.Random(F.size)
+        xs = range(F.size) if F.size <= 256 else \
+            [rng.randrange(F.size) for _ in range(300)]
+        squares = set()
+        for x in xs:
+            a = F.mul(x, x)
+            squares.add(a)
+            r = F.sqrt(a)
+            assert F.mul(r, r) == a, x
+        if F.size <= 256:
+            for a in set(range(F.size)) - squares:
+                with pytest.raises(MalformedInput):
+                    F.sqrt(a)
+
+    @pytest.mark.parametrize("spec", SQRT_FIELDS, ids=str)
+    def test_two_linear_factors_split_by_the_quadratic_formula(self, spec):
+        F = _sqrt_field(spec)
+        rng = random.Random(F.size + 1)
+        for _ in range(100):
+            r1, r2 = rng.sample(range(F.size), 2)
+            lin = sorted([Poly(F, (F.neg(r1), 1)), Poly(F, (F.neg(r2), 1))],
+                         key=lambda f: tuple(reversed(f.coeffs)))
+            g = lin[0] * lin[1]
+            assert ffpoly._equal_degree_split(g, 1) == lin
+            assert [f for f, _ in poly_factor(g)] == lin
+
+    def test_sqrt_refuses_characteristic_2(self):
+        with pytest.raises(MalformedInput):
+            F4.sqrt(1)
 
 
 class TestPrime:

@@ -1,9 +1,14 @@
-"""Microbenchmark of the truncated-element kernels (layers 0 and 1).
+"""Microbenchmark of the layer-0 and truncated-element kernels.
 
 Times `LocalElement.mul` and `LocalElement.inv` on 50 seeded random
-units at p = t over F_2, F_3 and F_4, at precisions 12 and 30, and
-prints one JSON object: microseconds per call, the median of 7 repeats.
-Run it against any checkout to compare two versions of the library:
+units at p = t over F_2, F_3 and F_4, at precisions 12 and 30; a cold
+`primes_of_degree(F_5, 6)` (ms per call, caches cleared); `FiniteField.mul`
+on 1000 seeded pairs in residue fields of 5^6 and 3^6 elements, above the
+table limit; and `splitting_pattern` per prime for the Kummer extension
+x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
+cleared.  Prints one JSON object: microseconds per call (ms for the
+prime list), the median of 7 repeats.  Run it against any checkout to
+compare two versions of the library:
 
     python3 tools/bench_kernels.py --src src
     python3 tools/bench_kernels.py --src /path/to/other/checkout/src
@@ -46,13 +51,52 @@ def main() -> None:
             pairs = list(zip(units, units[1:] + units[:1]))
             for op, run in (("mul", lambda: [a.mul(b) for a, b in pairs]),
                             ("inv", lambda: [a.inv() for a in units])):
-                times = []
-                for _ in range(REPEATS):
-                    t0 = perf_counter()
-                    run()
-                    times.append((perf_counter() - t0) / UNITS * 1e6)
-                out[f"{op}|q={F.size}|prec={prec}"] = round(statistics.median(times), 2)
+                out[f"{op}|q={F.size}|prec={prec}"] = _median_time(run, UNITS, 1e6)
+    out.update(_layer0_rows())
     print(json.dumps(out))
+
+
+def _median_time(run, count: int, scale: float) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = perf_counter()
+        run()
+        times.append((perf_counter() - t0) / count * scale)
+    return round(statistics.median(times), 2)
+
+
+def _layer0_rows() -> dict:
+    from drinlat import ffpoly
+    from drinlat.extension import Extension, splitting_pattern
+    from drinlat.ffpoly import (FiniteField, poly_from_str, primes_of_degree,
+                                residue_field)
+
+    out = {}
+    F5 = FiniteField.of_order(5)
+
+    def cold_primes():
+        ffpoly._primes_of_degree_cached.cache_clear()
+        primes_of_degree(F5, 6)
+    out["primes_of_degree_ms|q=5|d=6"] = _median_time(cold_primes, 1, 1e3)
+
+    for p in (5, 3):
+        k = residue_field(primes_of_degree(FiniteField.of_order(p), 6)[0])
+        rng = random.Random(f"field-mul:{k.size}")
+        pairs = [(rng.randrange(k.size), rng.randrange(k.size))
+                 for _ in range(1000)]
+        out[f"field_mul|q={k.size}"] = _median_time(
+            lambda: [k.mul(a, b) for a, b in pairs], len(pairs), 1e6)
+
+    ext = Extension.kummer(F5, 2, poly_from_str("t", F5))
+    primes = primes_of_degree(F5, 4)
+
+    def patterns():
+        residue_field.cache_clear()
+        for prime in primes:
+            splitting_pattern(ext, prime)
+    out["splitting_pattern|kummer|q=5|n=2|a=t|d=4"] = _median_time(
+        patterns, len(primes), 1e6)
+    return out
 
 
 if __name__ == "__main__":
