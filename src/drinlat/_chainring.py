@@ -22,7 +22,9 @@ elements in the same encoding.
 `ChainRing.reduce` maps a Poly of A into A/p^k and `ChainRing.lift`
 returns the canonical Poly.  Submodules of (A/p^k)^n are handled through
 Howell normal forms, which are unique per submodule, so canonical row
-tuples double as dictionary keys.
+tuples double as dictionary keys.  `smith_form_left` is the Smith form of
+a basis over A/p^k with its row transform and inverse, from which
+`localfield` reads multiplier rings and hom-modules.
 """
 
 from __future__ import annotations
@@ -494,7 +496,8 @@ class ChainRing:
     """A/p^k; elements are packed ints (canonical representatives)."""
 
     def __init__(self, prime: Prime, k: int):
-        assert k >= 1
+        if k < 1:
+            raise ValueError(f"chain ring A/p^{k} needs k >= 1")
         self.prime = prime
         self.k = k
         self.kernel = _kernel(prime)
@@ -645,6 +648,84 @@ def howell_form(ring: ChainRing, rows: Sequence[Vec]) -> Tuple[Vec, ...]:
             pivots[jdx] = (jcol, ja, jrow)
 
     return tuple(row for _, _, row in sorted(pivots, key=lambda t: t[0]))
+
+
+Matrix = List[List[int]]
+
+
+def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
+                    ) -> Tuple[Tuple[int, ...], Matrix, Matrix]:
+    """Smith form of the r x L matrix B with the given L columns, with its
+    row transform: (exps, U, U_inv) such that B = U D V for some V
+    invertible over A/p^k, where D is r x L with pi^exps[i] (times a unit)
+    at (i, i) and zeros elsewhere.  The r exponents ascend; a row without
+    a pivot (a zero trailing submatrix mod p^k, or i >= L) gets exponent
+    k, as pi^k = 0.  So the column span of B is U diag(pi^exps) (A/p^k)^r.
+
+    Pivot rule: minimum valuation in the trailing submatrix, ties by
+    row-major position.  Only row operations are carried out: once the
+    pivot column is cleared below the pivot, the column operations would
+    only clear the pivot row, which no later step reads, so V is never
+    formed.  The pivots keep their unit parts, which V absorbs.
+    """
+    k = ring.k
+    r, L = len(cols[0]), len(cols)
+    A = [[cols[j][i] for j in range(L)] for i in range(r)]
+    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    U_inv = [row[:] for row in U]
+    exps: List[int] = []
+    for t in range(min(r, L)):
+        best, e = None, k
+        for i in range(t, r):
+            row = A[i]
+            for j in range(t, L):
+                if row[j]:
+                    v = ring.val(row[j])
+                    if v < e:
+                        best, e = (i, j), v
+                        if not v:
+                            break
+            if best is not None and not e:
+                break
+        if best is None:
+            break
+        i0, j0 = best
+        if i0 != t:
+            A[i0], A[t] = A[t], A[i0]
+            U_inv[i0], U_inv[t] = U_inv[t], U_inv[i0]
+            for row in U:
+                row[i0], row[t] = row[t], row[i0]
+        if j0 != t:
+            for row in A[t:]:
+                row[j0], row[t] = row[t], row[j0]
+        prow, irow = A[t], U_inv[t]
+        u_inv = ring.inv(ring.unit_part(prow[t], e))
+        for i in range(t + 1, r):
+            x = A[i][t]
+            if not x:
+                continue
+            # row i -= c * row t clears A[i][t]; U gets the inverse operation
+            c = ring.mul(ring.unit_part(x, e), u_inv)
+            A[i] = [ring.sub(a, ring.mul(c, b)) if b else a
+                    for a, b in zip(A[i], prow)]
+            U_inv[i] = [ring.sub(a, ring.mul(c, b)) if b else a
+                        for a, b in zip(U_inv[i], irow)]
+            for row in U:
+                if row[i]:
+                    row[t] = ring.add(row[t], ring.mul(c, row[i]))
+        exps.append(e)
+    exps.extend([k] * (r - len(exps)))
+    if any(exps[i] > exps[i + 1] for i in range(r - 1)):
+        raise AssertionError(f"Smith exponents not ascending: {exps}")
+    for i in range(r):
+        for j in range(r):
+            acc = 0
+            for a, b in zip(U[i], (row[j] for row in U_inv)):
+                if a and b:
+                    acc = ring.add(acc, ring.mul(a, b))
+            if acc != (i == j):
+                raise AssertionError("Smith row transform is not invertible")
+    return tuple(exps), U, U_inv
 
 
 def module_size(ring: ChainRing, howell_rows: Sequence[Vec]) -> int:

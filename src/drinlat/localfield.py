@@ -21,7 +21,7 @@ import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from ._chainring import (ChainRing, _kernel, enumerate_module, howell_form,
-                         module_size, solve_into_module)
+                         module_size, smith_form_left, solve_into_module)
 from .errors import (BudgetExceeded, NotContained, NotSaturated,
                      PrecisionExhausted, Singular)
 from .ffpoly import (FiniteField, Poly, Prime, poly_to_str, residue_field)
@@ -932,7 +932,11 @@ def _residue_echelon(field: FiniteField, vectors, width: int) -> List[List[int]]
 
 def _hom_module(order: OrderStructure, ring: ChainRing, src_cols, dst_rows):
     """Howell form of {x in Mat_{r'}(R'/p^k) : x . src subset of <dst>},
-    x given by its m*r'^2 chain-ring coordinates."""
+    x given by its m*r'^2 chain-ring coordinates.
+
+    The stacked construction: the m*r'^2 images of src, each r*len(src)
+    wide, solved into len(src) copies of dst's Howell rows.  The oracle
+    that tests compare `_hom_kernel` against."""
     m, rp, r = order.m, order.r_prime, order.r
     ypow = order.y_power_blocks(ring)
     dim = rp * rp * m
@@ -958,6 +962,46 @@ def _hom_module(order: OrderStructure, ring: ChainRing, src_cols, dst_rows):
             full[slot * r:(slot + 1) * r] = list(row)
             targets.append(tuple(full))
     return solve_into_module(ring, images, targets, dim)
+
+
+def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
+    """Howell form of Hom = {x in Mat_{r'}(R'/p^k) : x . L_src subset of
+    L_dst}, x given by its m*r'^2 chain-ring coordinates.
+
+    src = (e_src, U_src) and dst = (e_dst, U_dst^-1) come from Smith forms
+    L = U diag(pi^e) A^r over A/p^k (`smith_form_left`).  With Y = U_dst^-1
+    X U_src, x . L_src lies in L_dst iff v(Y_ij) >= e_dst_i - e_src_j, so
+    Hom is the kernel of the map sending x to pi^(k - e_dst_i + e_src_j)
+    Y_ij at the positions where e_dst_i > e_src_j.  `_hom_module` is the
+    stacked construction this replaces, kept as the oracle.
+    """
+    (e_src, u_src), (e_dst, u_dst_inv) = src, dst
+    m, rp, r, k = order.m, order.r_prime, order.r, ring.k
+    dim = rp * rp * m
+    spots = [(i, j, k - e_dst[i] + e_src[j])
+             for i in range(r) for j in range(r) if e_dst[i] > e_src[j]]
+    if not spots:  # no constraint: all of Mat_{r'}, whose Howell form is I
+        return tuple(map(tuple, _chain_identity(ring, dim)))
+    kr = ring.kernel
+    ypow = order.y_power_blocks(ring)
+    # x = y^j in block (a, b) maps block b through rho(y)^j into block a, so
+    # X U_src is rho(y)^j times the rows of U_src in block b, put in block a
+    xu = [[_chain_matmul(ring, pw, u_src[b * m:(b + 1) * m]) for pw in ypow]
+          for b in range(rp)]
+    images = []
+    for a in range(rp):
+        left = [row[a * m:(a + 1) * m] for row in u_dst_inv]
+        for b in range(rp):
+            for w in xu[b]:
+                img = []
+                for i, col, s in spots:
+                    acc = 0
+                    for x, wrow in zip(left[i], w):
+                        if x and wrow[col]:
+                            acc = ring.add(acc, ring.mul(x, wrow[col]))
+                    img.append(kr.mod(kr.shl(acc, s), k) if acc else 0)
+                images.append(tuple(img))
+    return solve_into_module(ring, images, (), dim)
 
 
 def _x_residue_matrix(order: OrderStructure, kp, x_res):
@@ -1011,16 +1055,36 @@ def _span_dets(order: OrderStructure, kp, basis):
         yield _det_residue(kp, mat)
 
 
+def _divisors_and_transforms(lattice, prime: Prime):
+    """(elementary divisors, (depth, U, U^-1) or None) of an integral basis.
+
+    Polynomial columns are reduced mod p^DEFAULT_PRECISION and run through
+    the packed Smith elimination, which yields the divisors and U with its
+    inverse at once.  Where it cannot certify a pivot (an exponent reaches
+    the depth), and for a Lattice, whose divisors are cached, the divisors
+    come from `Lattice.elementary_divisors`, so its refusals stand."""
+    if not isinstance(lattice, Lattice):
+        ring = ChainRing(prime, DEFAULT_PRECISION)
+        exps, u, u_inv = smith_form_left(
+            ring, _lattice_columns_chain(lattice, ring))
+        if exps[-1] < ring.k:
+            return exps, (ring.k, u, u_inv)
+        lattice = Lattice.from_poly_basis(prime, lattice)
+    return lattice.elementary_divisors, None
+
+
 def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
                      budget: int):
     """(A/p^k, Howell rows of H, |H|, elementary divisors) for the
     multiplier ring H = {x : x.Lambda subset Lambda} mod p^k, after the
-    integrality, depth, saturation and budget checks."""
+    integrality, depth, saturation and budget checks.
+
+    H is the kernel of a constraint system read off one Smith form
+    Lambda = U diag(pi^e) A^r: x is in H iff v((U^-1 X U)_ab) >= e_a - e_b
+    (`_hom_kernel`).  The Howell form is unique, so the rows are those of
+    the stacked construction `_hom_module`."""
     prime = order.prime
-    if isinstance(lattice, Lattice):
-        divisors = lattice.elementary_divisors
-    else:
-        divisors = Lattice.from_poly_basis(prime, lattice).elementary_divisors
+    divisors, snf = _divisors_and_transforms(lattice, prime)
     if min(divisors) < 0:
         raise NotContained("lattice must be integral (scale it first)")
     e_max = max(divisors)
@@ -1031,9 +1095,18 @@ def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
     if not saturation_holds(order, lattice):
         raise NotSaturated("R'-span of the lattice is not the full module")
     ring = ChainRing(prime, k)
-    cols = _lattice_columns_chain(lattice, ring)
-    lat_rows = howell_form(ring, [tuple(c) for c in cols])
-    sol = _hom_module(order, ring, cols, lat_rows)
+    if snf is not None and snf[0] >= k:
+        # the transforms at a greater depth, reduced
+        kr = ring.kernel
+        u, u_inv = ([[kr.mod(x, k) for x in row] for row in mat]
+                    for mat in snf[1:])
+    else:
+        exps, u, u_inv = smith_form_left(
+            ring, _lattice_columns_chain(lattice, ring))
+        if exps != divisors:
+            raise AssertionError(
+                f"Smith exponents {exps} mod p^{k} disagree with {divisors}")
+    sol = _hom_kernel(order, ring, (divisors, u), (divisors, u_inv))
     h_size = module_size(ring, sol)
     if h_size > budget:
         raise BudgetExceeded(
@@ -1069,12 +1142,14 @@ def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
     orbit-stabilizer: the stabilizer is the unit group of the finite
     multiplier ring H = {x : x.Lambda subset Lambda} mod p^k.
 
-    x in H is a unit iff x mod p is invertible, so the units are counted
-    on the image H-bar of H mod p, a k(p)-space spanned by the Howell rows
-    of H reduced mod p: |H^x| = |H| / |H-bar| times the number of
-    invertible elements of H-bar.  Only H-bar is enumerated; the gate
-    |H| <= budget is kept.  stabilizer_index_enumerated is the oracle that
-    walks all of H.
+    H is the kernel of a small linear system over A/p^k read off one
+    packed Smith form Lambda = U diag(pi^e) A^r, which also gives the
+    elementary divisors (`_multiplier_ring`).  x in H is a unit iff x mod
+    p is invertible, so the units are counted on the image H-bar of H mod
+    p, a k(p)-space spanned by the Howell rows of H reduced mod p: |H^x| =
+    |H| / |H-bar| times the number of invertible elements of H-bar.  Only
+    H-bar is enumerated; the gate |H| <= budget is kept.
+    stabilizer_index_enumerated is the oracle that walks all of H.
     """
     return _stabilizer(lattice, order, k, budget)[0]
 
@@ -1109,7 +1184,9 @@ def gitter_bound_check(lattice, order: OrderStructure, k: Optional[int] = None,
 def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
                        budget: int = DEFAULT_BUDGET) -> bool:
     """Whether two integral lattices lie in one GL_{r'}(R'/p^k)-orbit,
-    decided by searching the hom-module for an invertible map.
+    decided by searching the hom-module Hom(L_a, L_b) for an invertible
+    map.  Hom is the kernel of the constraint system of the two packed
+    Smith forms (`_hom_kernel`).
 
     Invertibility depends on x mod p only, so the search runs over the
     image of the hom-module mod p; the gate on its full size is kept."""
@@ -1122,7 +1199,9 @@ def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
         return False
     if rows_a == rows_b:
         return True
-    sol = _hom_module(order, ring, ca, rows_b)
+    e_a, u_a, _ = smith_form_left(ring, ca)
+    e_b, _, u_b_inv = smith_form_left(ring, cb)
+    sol = _hom_kernel(order, ring, (e_a, u_a), (e_b, u_b_inv))
     size = module_size(ring, sol)
     if size > budget:
         raise BudgetExceeded(
@@ -1177,6 +1256,9 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
     its R'-span becomes the standard module (the stabilizer index is
     invariant under this normalization, which matches the convention that
     indices are measured inside GL_{r'}(R')).
+
+    The normalizing map is searched in Hom(A^r, M) for the A'-span M,
+    built by `_hom_kernel` from M's packed Smith form.
     """
     prime = order.prime
     r = order.r
@@ -1200,11 +1282,11 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
     ring = ChainRing(prime, k)
     m_cols = _lattice_columns_chain(m_lat, ring)
     m_rows = howell_form(ring, [tuple(c) for c in m_cols])
-    std_cols = [tuple(ring.one if i == j else ring.zero for i in range(r))
-                for j in range(r)]
-    sol = _hom_module(order, ring, std_cols, m_rows)
+    # Hom(A^r, M): the source is standard, U = I and e = 0
+    e_m, _, u_m_inv = smith_form_left(ring, m_cols)
+    sol = _hom_kernel(order, ring, ((0,) * r, _chain_identity(ring, r)),
+                      (e_m, u_m_inv))
     ypow = order.y_power_blocks(ring)
-    target_size = module_size(ring, m_rows)
     for x in enumerate_module(ring, sol, budget):
         # does the A'-column span of x equal M mod p^k?
         block = _x_block_matrix(order, ring, ypow, x)

@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drinlat import localfield
 from drinlat._chainring import (ChainRing, enumerate_module, howell_form,
-                                module_contains, module_size)
+                                module_contains, module_size, smith_form_left)
 from drinlat.acceptance import _gitter_structures
-from drinlat.errors import (BudgetExceeded, NotContained, NotSaturated,
-                            PrecisionExhausted, Singular)
+from drinlat.errors import (BudgetExceeded, DrinlatError, NotContained,
+                            NotSaturated, PrecisionExhausted, Singular)
 from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
-                            residue_field)
+                            primes_of_degree, residue_field)
 from drinlat.localfield import (
-    Lattice, LocalElement, LocalMatrix, OrderStructure, count_matrix_group,
-    count_matrix_group_exhaustive, gitter_bound_check, hermite_sublattices,
-    lattice_index, module_orbit_equal, saturation_holds, smith_normal_form,
+    DEFAULT_BUDGET, DEFAULT_PRECISION, Lattice, LocalElement, LocalMatrix,
+    OrderStructure, count_matrix_group, count_matrix_group_exhaustive,
+    gitter_bound_check, hermite_sublattices, lattice_index,
+    module_orbit_equal, saturate_lattice, saturation_holds, smith_normal_form,
     stabilizer_index, stabilizer_index_enumerated,
 )
 
@@ -542,6 +545,281 @@ class TestStabilizerAgainstEnumeration:
         assert all(isinstance(row, tuple) for mat in ypow for row in mat)
 
 
+def _multiplier_ring_stacked(lattice, order, k, budget):
+    """_multiplier_ring as it was before the Smith-form constraint system:
+    divisors from the LocalElement SNF, H solved into the lattice's Howell
+    form by the stacked `_hom_module`."""
+    prime = order.prime
+    if isinstance(lattice, Lattice):
+        divisors = lattice.elementary_divisors
+    else:
+        divisors = Lattice.from_poly_basis(prime, lattice).elementary_divisors
+    if min(divisors) < 0:
+        raise NotContained("lattice must be integral (scale it first)")
+    e_max = max(divisors)
+    if k is None:
+        k = max(1, e_max)
+    if k < e_max:
+        raise ValueError(
+            f"depth {k} too small: p^{e_max} needed to contain the lattice")
+    if not saturation_holds(order, lattice):
+        raise NotSaturated("R'-span of the lattice is not the full module")
+    ring = ChainRing(prime, k)
+    cols = localfield._lattice_columns_chain(lattice, ring)
+    sol = localfield._hom_module(order, ring, cols, howell_form(ring, cols))
+    h_size = module_size(ring, sol)
+    if h_size > budget:
+        raise BudgetExceeded(
+            f"stabilizer ring has {h_size} elements, budget {budget}")
+    return ring, sol, h_size, divisors
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the refusal it raises."""
+    try:
+        return f(*args)
+    except (DrinlatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _once(f):
+    """f, called once; later calls replay its result or its exception."""
+    memo = []
+
+    def replay(*args):
+        if not memo:
+            try:
+                memo.append((True, f(*args)))
+            except Exception as exc:
+                memo.append((False, exc))
+        ok, value = memo[0]
+        if ok:
+            return value
+        raise value
+    return replay
+
+
+def _outcomes(multiplier_ring, lattice, order, k, budget):
+    """H's Howell rows, stabilizer_index and gitter_bound_check (or their
+    refusals), with H built once by multiplier_ring."""
+    args = (lattice, order, k, budget)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(localfield, "_multiplier_ring", _once(multiplier_ring))
+        return [_outcome(f, *args) for f in (
+            lambda *a: localfield._multiplier_ring(*a)[1],
+            stabilizer_index, gitter_bound_check)]
+
+
+def _assert_matches_stacked(lattice, order, k=None, budget=DEFAULT_BUDGET):
+    """The Howell rows of H, stabilizer_index and gitter_bound_check (or
+    the refusal each raises) agree between the Smith-form constraint
+    system and the stacked construction; returns them."""
+    new = _outcomes(localfield._multiplier_ring, lattice, order, k, budget)
+    old = _outcomes(_multiplier_ring_stacked, lattice, order, k, budget)
+    assert new == old, (lattice, k)
+    return new
+
+
+F4 = FiniteField.of_order(2, 2)
+
+
+def _rank_two_orders(prime):
+    """The orders of rank 2 over A_p; Mat_2(A_p) only while q_p <= 4, as
+    the unit count walks H mod p, up to q_p^4 elements."""
+    orders = [OrderStructure.unramified(prime, 1, 2),
+              OrderStructure.totally_ramified(prime, 1, 2),
+              OrderStructure.product(prime, 1, [("unramified", 1),
+                                                ("unramified", 1)])]
+    if prime.residue_size <= 4:
+        orders.append(OrderStructure.trivial(prime, 2))
+    return orders
+
+
+# (prime, largest Hermite exponent): a non-linear kernel over F_2, shifted
+# degree-1 primes and degree-2 primes over F_3 and F_4
+OTHER_PRIMES = [(prime_from_str("t^2+t+1", F2), 2),
+                (prime_from_str("t+1", F3), 2), (P3, 1),
+                (primes_of_degree(F4, 1)[-1], 2), (primes_of_degree(F4, 2)[0], 1)]
+
+
+class TestMultiplierRingFromSmithForm:
+    """H from one packed Smith form against the stacked construction."""
+
+    @pytest.mark.parametrize("name,order", _gitter_structures(),
+                             ids=[name for name, _ in _gitter_structures()])
+    def test_criterion_2_grid(self, name, order):
+        # every saturated lattice of criterion 2 (exponent <= 4)
+        cases = 0
+        for _, cols in hermite_sublattices(order.prime, order.r, 4):
+            if saturation_holds(order, cols):
+                got = _assert_matches_stacked(cols, order)
+                assert isinstance(got[1], int)
+                cases += 1
+        assert cases
+
+    @pytest.mark.parametrize("prime,max_exp", OTHER_PRIMES,
+                             ids=[f"q={p.field.size},{p.poly}"
+                                  for p, _ in OTHER_PRIMES])
+    def test_other_primes(self, prime, max_exp):
+        cases = 0
+        for order in _rank_two_orders(prime):
+            for _, cols in hermite_sublattices(prime, 2, max_exp):
+                if not saturation_holds(order, cols):
+                    continue
+                e_max = max(Lattice.from_poly_basis(prime, cols)
+                            .elementary_divisors)
+                for k in (None, e_max + 1):
+                    _assert_matches_stacked(cols, order, k)
+                    cases += 1
+        assert cases
+
+    def test_r_prime_2(self):
+        # r' = 2 over a quadratic order: H has m r'^2 = 8 coordinates
+        cases = 0
+        for order in (OrderStructure.unramified(T2, 2, 2),
+                      OrderStructure.totally_ramified(T2, 2, 2)):
+            for _, cols in hermite_sublattices(T2, 4, 2):
+                if saturation_holds(order, cols):
+                    _assert_matches_stacked(cols, order)
+                    cases += 1
+        assert cases
+
+    def test_lattice_inputs_refuse_alike(self):
+        # inexact entries, entries known to too low a precision, an
+        # uncertified entry, a non-integral basis, a depth below e_max
+        S = OrderStructure.unramified(T2, 1, 2)
+        one = LocalElement.one(T2)
+        zero = LocalElement.zero(T2)
+        low = LocalElement.from_poly(T2, poly_from_str("1+t+t^5", F2), 2)
+        cases = [
+            ([[one, low], [zero, pi_pow(T2, 2)]], (None, 2, 3)),
+            ([[one, zero], [low, pi_pow(T2, 1)]], (None, 1, 2, 3)),
+            ([[one, LocalElement.unknown(T2, 1)], [zero, pi_pow(T2, 2)]],
+             (None, 2)),
+            ([[one, LocalElement.unknown(T2, 4)], [zero, pi_pow(T2, 2)]],
+             (None, 2, 5)),
+            ([[one, zero], [LocalElement.unknown(T2, 0), one]], (None,)),
+            ([[pi_pow(T2, -1), zero], [zero, one]], (None, 1)),
+            ([[one, zero], [zero, pi_pow(T2, 3)]], (None, 2, 3, 4)),
+            ([[one, zero], [zero, pi_pow(T2, 3, prec=1)]], (None, 3, 4)),
+            ([[one, elem(T2, "t+t^3", prec=1)], [zero, pi_pow(T2, 2)]],
+             (None, 2, 3)),
+        ]
+        kinds = set()
+        for rows, depths in cases:
+            for k in depths:
+                lat = Lattice(LocalMatrix(T2, rows))
+                got = _assert_matches_stacked(lat, S, k)
+                kinds.update(g[0] for g in got if isinstance(g, tuple))
+        assert {PrecisionExhausted, NotContained, ValueError} <= kinds
+
+    def test_divisors_near_default_precision(self):
+        t, one, zero = poly_from_str("t", F2), Poly.one(F2), Poly.zero(F2)
+        N = DEFAULT_PRECISION
+        bases = []
+        for e in (N - 2, N - 1, N, N + 1):
+            bases.append([[one, zero], [zero, t ** e]])
+            # the same lattice behind a unimodular change of basis
+            bases.append([[one, t ** e + t], [one + t, t ** (e + 1) + one]])
+        # det t^13, but the entry 1 + t^13 has more than N digits: the SNF
+        # cannot certify the pivot and refuses
+        bases.append([[one, one + t ** (N + 1)], [one, one]])
+        bases.append([[zero, zero], [zero, one]])  # singular
+        kinds = set()
+        for cols in bases:
+            for order in (OrderStructure.unramified(T2, 1, 2),
+                          OrderStructure.trivial(T2, 2)):
+                for k in (None, N + 2):
+                    got = _assert_matches_stacked(cols, order, k)
+                    kinds.update(g[0] if isinstance(g, tuple) else "ok"
+                                 for g in got)
+        assert {"ok", PrecisionExhausted, Singular, BudgetExceeded} <= kinds
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_integral_bases(self, data):
+        prime = data.draw(st.sampled_from([T2, T3,
+                                           prime_from_str("t^2+t+1", F2)]))
+        order = data.draw(st.sampled_from(
+            _rank_two_orders(prime) + [OrderStructure.trivial(prime, 3),
+                                       OrderStructure.unramified(prime, 1, 3)]))
+        q = prime.field.size
+        cols = [[Poly(prime.field, data.draw(st.lists(
+                    st.integers(0, q - 1), max_size=4)))
+                 for _ in range(order.r)] for _ in range(order.r)]
+        k = data.draw(st.one_of(st.none(), st.integers(1, 5)))
+        # a budget of 2^10 bounds the walk over H mod p: without it, the
+        # 3^9 elements of Mat_3 over F_3 cost seconds per example
+        _assert_matches_stacked(cols, order, k, budget=2 ** 10)
+
+    def test_no_snf_or_stacked_hom_for_polynomial_columns(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("old construction reached")
+        monkeypatch.setattr(localfield, "_snf_full", refuse)
+        monkeypatch.setattr(localfield, "_hom_module", refuse)
+        S = OrderStructure.unramified(T2, 1, 2)
+        cols = [[Poly.one(F2), Poly.zero(F2)],
+                [Poly.zero(F2), poly_from_str("t", F2)]]
+        assert stabilizer_index(cols, S) == 3
+        assert gitter_bound_check(cols, S)
+
+
+def _random_chain_matrix(ring, rows, width, rng):
+    elems = list(ring.elements())
+    return [tuple(rng.choice(elems) for _ in range(rows)) for _ in range(width)]
+
+
+class TestSmithFormLeft:
+    @pytest.mark.parametrize("prime", [T2, T3, P3, prime_from_str("t^2+t+1", F2)],
+                             ids=["t/F2", "t/F3", "t^2+1/F3", "t^2+t+1/F2"])
+    def test_span_and_exponents(self, prime):
+        # the column span of B is U diag(pi^e) (A/p^k)^r, and the exponents
+        # are the elementary divisors capped at k
+        rng = random.Random(7)
+        for k in (1, 2, 3):
+            ring = ChainRing(prime, k)
+            for _ in range(40):
+                r, L = rng.choice([(2, 2), (3, 3), (2, 1), (3, 2), (2, 3)])
+                cols = _random_chain_matrix(ring, r, L, rng)
+                if rng.random() < 0.5:  # more non-unit entries
+                    cols = [tuple(ring.mul(ring.pi_pow(1), x) if i % 2 else x
+                                  for i, x in enumerate(col)) for col in cols]
+                exps, U, U_inv = smith_form_left(ring, cols)
+                assert list(exps) == sorted(exps) and len(exps) == r
+                span = [tuple(ring.mul(ring.pi_pow(e), U[i][j]) if e < k else 0
+                              for i in range(r)) for j, e in enumerate(exps)]
+                assert howell_form(ring, span) == howell_form(ring, cols)
+                if r == L:
+                    lattice = Lattice(LocalMatrix.from_polys(
+                        prime, [[ring.lift(cols[j][i]) for j in range(r)]
+                                for i in range(r)]))
+                    try:
+                        divisors = lattice.elementary_divisors
+                    except (Singular, PrecisionExhausted):
+                        # det vanishes mod p^DEFAULT_PRECISION
+                        assert exps[-1] == k
+                    else:
+                        assert exps == tuple(min(e, k) for e in divisors)
+
+    def test_invariants_raise(self, monkeypatch):
+        ring = ChainRing(T2, 2)
+        cols = [(1, 2), (2, 1)]
+        assert smith_form_left(ring, cols)[0] == (0, 0)
+        # a transform update that loses its sum, and valuations that lie
+        monkeypatch.setattr(ring, "add", lambda a, b: a)
+        with pytest.raises(AssertionError, match="not invertible"):
+            smith_form_left(ring, cols)
+        monkeypatch.undo()
+        vals = iter([1, 1, 0])  # pivot t (valuation 1) first, then 1
+        monkeypatch.setattr(ring, "val", lambda a: next(vals))
+        with pytest.raises(AssertionError, match="not ascending"):
+            smith_form_left(ring, [(2, 0), (0, 1)])
+
+    def test_chain_ring_depth_refused(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            ChainRing(T2, 0)
+
+
 def _orbit_equal_full_search(order, k, cols_a, cols_b):
     """module_orbit_equal as it was before the mod-p search: walk all of
     the hom-module and test each element for invertibility mod p."""
@@ -645,6 +923,103 @@ class TestModuleOrbitEqual:
         b = [[Poly.one(F2), Poly.zero(F2)],
              [Poly.zero(F2), Poly.one(F2)]]
         assert not module_orbit_equal(S, 2, a, b)
+
+    @pytest.mark.parametrize("prime", [prime_from_str("t^2+t+1", F2),
+                                       prime_from_str("t+1", F3)],
+                             ids=["t^2+t+1/F2", "t+1/F3"])
+    def test_other_primes_match_full_search(self, prime):
+        searched = {True: 0, False: 0}
+        lats = [(sum(exps), cols)
+                for exps, cols in hermite_sublattices(prime, 2, 1)]
+        for order in _rank_two_orders(prime):
+            for k in (1, 2):
+                for ea, a in lats:
+                    for eb, b in lats:
+                        if ea != eb or a is b:
+                            continue
+                        want = _orbit_equal_full_search(order, k, a, b)
+                        assert module_orbit_equal(order, k, a, b) == want
+                        searched[want] += 1
+        assert searched[True] and searched[False], searched
+
+    def test_hom_rows_match_stacked(self):
+        # Hom(L_a, L_b) from two Smith forms against the stacked
+        # construction, on random generator sets of 1 to 3 columns
+        rng = random.Random(11)
+        for prime in (T2, T3, prime_from_str("t^2+t+1", F2)):
+            for order in _rank_two_orders(prime):
+                for k in (1, 2, 3):
+                    ring = ChainRing(prime, k)
+                    for _ in range(6):
+                        ca, cb = (_random_chain_matrix(ring, 2,
+                                                       rng.randint(1, 3), rng)
+                                  for _ in range(2))
+                        e_a, u_a, _ = smith_form_left(ring, ca)
+                        e_b, _, u_b_inv = smith_form_left(ring, cb)
+                        got = localfield._hom_kernel(order, ring, (e_a, u_a),
+                                                     (e_b, u_b_inv))
+                        want = localfield._hom_module(
+                            order, ring, ca, howell_form(ring, cb))
+                        assert got == want, (ca, cb)
+
+
+def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
+    """saturate_lattice as it was before the Smith-form constraint system:
+    Hom(A^r, M) solved into M's Howell form by the stacked `_hom_module`,
+    walked for a map onto M."""
+    prime, r = order.prime, order.r
+    divisors = lattice.elementary_divisors
+    if min(divisors) < 0:
+        lattice = Lattice(lattice.basis.scale(
+            LocalElement.pi_power(prime, -min(divisors))))
+    if saturation_holds(order, lattice):
+        return lattice
+    blockm = order.companion_block_local()
+    cols, spans = [], lattice.basis
+    for _ in range(order.m):
+        for j in range(r):
+            cols.append([spans.rows[i][j] for i in range(r)])
+        spans = blockm @ spans
+    m_lat = Lattice(localfield.hnf_column_basis(prime, cols, r))
+    ring = ChainRing(prime, max(m_lat.elementary_divisors) + 1)
+    m_rows = howell_form(ring, localfield._lattice_columns_chain(m_lat, ring))
+    std_cols = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    sol = localfield._hom_module(order, ring, std_cols, m_rows)
+    ypow = order.y_power_blocks(ring)
+    for x in enumerate_module(ring, sol, budget):
+        block = localfield._x_block_matrix(order, ring, ypow, x)
+        if howell_form(ring, [tuple(block[i][j] for i in range(r))
+                              for j in range(r)]) == m_rows:
+            h = LocalMatrix.from_polys(prime, [[ring.lift(block[i][j])
+                                                for j in range(r)]
+                                               for i in range(r)])
+            return Lattice(h.inverse() @ lattice.basis)
+    raise NotSaturated("no normalizing map found below budget")
+
+
+class TestSaturateAgainstStacked:
+    @pytest.mark.parametrize("prime", [T2, T3, prime_from_str("t^2+t+1", F2)],
+                             ids=["t/F2", "t/F3", "t^2+t+1/F2"])
+    def test_same_normalized_lattice(self, prime):
+        # every unsaturated Hermite sublattice of exponent <= 3: the same
+        # normalizing map, so the same basis and stabilizer index (or the
+        # same refusal)
+        normalized = 0
+        for order in _rank_two_orders(prime):
+            for _, cols in hermite_sublattices(prime, 2, 3):
+                if saturation_holds(order, cols):
+                    continue
+                lat = Lattice.from_poly_basis(prime, cols)
+                got = _outcome(saturate_lattice, order, lat, 512)
+                want = _outcome(_saturate_stacked, order, lat, 512)
+                if isinstance(want, tuple):
+                    assert got == want
+                    continue
+                assert got.basis.rows == want.basis.rows
+                assert stabilizer_index(got, order) == \
+                    stabilizer_index(want, order)
+                normalized += 1
+        assert normalized
 
 
 class TestOrbitEqualFullGroupOracle:

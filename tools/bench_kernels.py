@@ -1,4 +1,4 @@
-"""Microbenchmark of the layer-0 and truncated-element kernels.
+"""Microbenchmark of the layer-0, truncated-element and stabilizer kernels.
 
 Times `LocalElement.mul` and `LocalElement.inv` on 50 seeded random
 units at p = t over F_2, F_3 and F_4, at precisions 12 and 30; a cold
@@ -6,9 +6,11 @@ units at p = t over F_2, F_3 and F_4, at precisions 12 and 30; a cold
 on 1000 seeded pairs in residue fields of 5^6 and 3^6 elements, above the
 table limit; and `splitting_pattern` per prime for the Kummer extension
 x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
-cleared.  Prints one JSON object: microseconds per call (ms for the
-prime list), the median of 7 repeats.  Run it against any checkout to
-compare two versions of the library:
+cleared; and `stabilizer_index` per call on a seeded sample of up to 40
+saturated lattices of criterion 2's grid (exponent <= 4) per order, each
+called 5 times per repeat.  Prints one JSON object: microseconds per
+call (ms for the prime list), the median of 7 repeats.  Run it against
+any checkout to compare two versions of the library:
 
     python3 tools/bench_kernels.py --src src
     python3 tools/bench_kernels.py --src /path/to/other/checkout/src
@@ -27,6 +29,8 @@ FIELDS = ((2, 1), (3, 1), (2, 2))
 PRECISIONS = (12, 30)
 UNITS = 50
 REPEATS = 7
+STABILIZER_SAMPLE = 40
+STABILIZER_ROUNDS = 5
 
 
 def main() -> None:
@@ -53,6 +57,7 @@ def main() -> None:
                             ("inv", lambda: [a.inv() for a in units])):
                 out[f"{op}|q={F.size}|prec={prec}"] = _median_time(run, UNITS, 1e6)
     out.update(_layer0_rows())
+    out.update(_stabilizer_rows())
     print(json.dumps(out))
 
 
@@ -96,6 +101,25 @@ def _layer0_rows() -> dict:
             splitting_pattern(ext, prime)
     out["splitting_pattern|kummer|q=5|n=2|a=t|d=4"] = _median_time(
         patterns, len(primes), 1e6)
+    return out
+
+
+def _stabilizer_rows() -> dict:
+    from drinlat.acceptance import _gitter_structures
+    from drinlat.localfield import (hermite_sublattices, saturation_holds,
+                                    stabilizer_index)
+
+    out = {}
+    for name, order in _gitter_structures():
+        lattices = [cols for _, cols in
+                    hermite_sublattices(order.prime, order.r, 4)
+                    if saturation_holds(order, cols)]
+        rng = random.Random(f"stabilizer:{name}")
+        sample = rng.sample(lattices, min(STABILIZER_SAMPLE, len(lattices)))
+        out[f"stabilizer_index|{name}"] = _median_time(
+            lambda: [stabilizer_index(cols, order)
+                     for _ in range(STABILIZER_ROUNDS) for cols in sample],
+            STABILIZER_ROUNDS * len(sample), 1e6)
     return out
 
 
