@@ -329,7 +329,9 @@ class LocalMatrix:
         self.prime = prime
         self.rows = tuple(tuple(row) for row in rows)
         self.r = len(self.rows)
-        assert all(len(row) == self.r for row in self.rows)
+        if any(len(row) != self.r for row in self.rows):
+            raise ValueError(f"a {self.r}-row square matrix needs {self.r} "
+                             f"entries per row")
 
     @staticmethod
     def identity(prime: Prime, r: int, precision: int = DEFAULT_PRECISION) -> "LocalMatrix":
@@ -377,7 +379,7 @@ class LocalMatrix:
         return all(e.is_integral() for row in self.rows for e in row)
 
     def elementary_divisors(self) -> Tuple[int, ...]:
-        return _snf_full(self, transforms=False)[1]
+        return _snf_full(self, transforms=False)[0]
 
     def det_valuation(self) -> int:
         return sum(self.elementary_divisors())
@@ -389,7 +391,7 @@ class LocalMatrix:
         return min(precs) if precs else DEFAULT_PRECISION
 
     def inverse(self) -> "LocalMatrix":
-        u, exps, v, u_inv, v_inv = _snf_full(self)
+        exps, u_inv, v_inv = _snf_full(self)
         prec = self.working_precision()
         d_inv = LocalMatrix.diagonal(
             self.prime, [LocalElement.pi_power(self.prime, -e, prec) for e in exps])
@@ -411,13 +413,14 @@ def _elem_add_colmult(mat: List[List[LocalElement]], dst: int, src: int,
 
 
 def _snf_full(M: LocalMatrix, transforms: bool = True):
-    """Smith normal form with all four transforms.
+    """Smith normal form with the inverse transforms.
 
-    Returns (U, exps, V, U_inv, V_inv) with M = U diag(pi^exps) V up to
-    working precision, U and V integral with valuation-0 determinant.
-    Pivot rule: minimum certified valuation, ties by row-major position.
+    Returns (exps, U_inv, V_inv) with U_inv M V_inv = diag(pi^exps) up to
+    working precision, U_inv and V_inv integral with valuation-0
+    determinant.  Pivot rule: minimum certified valuation, ties by
+    row-major position.
 
-    With transforms=False only the exponents are computed and the four
+    With transforms=False only the exponents are computed and the two
     matrices are returned as None.  The column eliminations are skipped
     too: once column k is cleared below the pivot they only change row k,
     which no later pivot search reads, so pivots and refusals are the
@@ -428,14 +431,11 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
     prec = DEFAULT_PRECISION
     A = [list(row) for row in M.rows]
     if transforms:
-        L, Li, R, Ri = ([list(row) for row in
-                         LocalMatrix.identity(prime, r, prec).rows]
-                        for _ in range(4))
+        Li, Ri = ([list(row) for row in
+                   LocalMatrix.identity(prime, r, prec).rows]
+                  for _ in range(2))
     zero = LocalElement.zero(prime)
     exps: List[int] = []
-
-    def swap_rows(mat, i, j):
-        mat[i], mat[j] = mat[j], mat[i]
 
     def swap_cols(mat, i, j):
         for row in mat:
@@ -464,26 +464,21 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
                 f"entry O(pi^{uncert_bound}) may undercut pivot pi^{best_val}")
         i0, j0 = best
         if i0 != k:
-            swap_rows(A, i0, k)
+            A[i0], A[k] = A[k], A[i0]
             if transforms:
-                swap_rows(Li, i0, k)
-                swap_cols(L, i0, k)
+                Li[i0], Li[k] = Li[k], Li[i0]
         if j0 != k:
             swap_cols(A, j0, k)
             if transforms:
                 swap_cols(Ri, j0, k)
-                swap_rows(R, j0, k)
         e = best_val
         pivot = A[k][k]
-        unit = pivot.shift(-e)  # valuation-0 unit part
-        unit_inv = unit.inv()
+        unit_inv = pivot.shift(-e).inv()  # inverse of the valuation-0 unit part
         # scale row k so the pivot is exactly pi^e
         A[k] = [x.mul(unit_inv) for x in A[k]]
         A[k][k] = LocalElement.pi_power(prime, e, prec)
         if transforms:
             Li[k] = [x.mul(unit_inv) for x in Li[k]]
-            for idx in range(r):
-                L[idx][k] = L[idx][k].mul(unit)
         for i in range(k + 1, r):
             x = A[i][k]
             if x.kind == "z":
@@ -493,7 +488,6 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
             A[i][k] = zero
             if transforms:
                 _elem_add_rowmult(Li, i, k, c)
-                _elem_add_colmult(L, k, i, c.neg())
         exps.append(e)
         if not transforms:
             continue
@@ -505,21 +499,13 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
             _elem_add_colmult(A, j, k, c)
             A[k][j] = zero
             _elem_add_colmult(Ri, j, k, c)
-            _elem_add_rowmult(R, k, j, c.neg())
 
     # global min-valuation pivoting makes the exponents ascending already
     if any(exps[i] > exps[i + 1] for i in range(r - 1)):
         raise AssertionError(f"elementary divisors not ascending: {exps}")
     if not transforms:
-        return None, tuple(exps), None, None, None
-    return (LocalMatrix(prime, L), tuple(exps), LocalMatrix(prime, R),
-            LocalMatrix(prime, Li), LocalMatrix(prime, Ri))
-
-
-def smith_normal_form(M: LocalMatrix):
-    """(U, exponents, V) with M = U diag(pi^e) V, exponents ascending."""
-    u, exps, v, _, _ = _snf_full(M)
-    return u, exps, v
+        return tuple(exps), None, None
+    return tuple(exps), LocalMatrix(prime, Li), LocalMatrix(prime, Ri)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +570,9 @@ def lattice_index(sub: Lattice, sup: Lattice) -> int:
 def count_matrix_group(r: int, q_res: int, k: int) -> Tuple[int, int]:
     """(|GL_r(R/m^k)|, |Mat_r(R/m^k)|) over a chain ring with residue
     field of size q_res, by the closed form."""
-    assert r >= 1 and k >= 1
+    if r < 1 or k < 1:
+        raise ValueError(f"matrix group over R/m^{k} of rank {r} needs "
+                         f"r >= 1 and k >= 1")
     gl = q_res ** ((k - 1) * r * r)
     for i in range(r):
         gl *= q_res ** r - q_res ** i
@@ -602,32 +590,10 @@ def count_matrix_group_exhaustive(prime: Prime, r: int, k: int) -> Tuple[int, in
     invertible = 0
     for entries in itertools.product(elems, repeat=r * r):
         total += 1
-        red = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
-        if _det_residue(kp, red) != 0:
+        red = [entries[i * r:(i + 1) * r] for i in range(r)]
+        if len(_residue_echelon(kp, red, r)) == r:
             invertible += 1
     return invertible, total
-
-
-def _det_residue(field: FiniteField, mat: List[List[int]]) -> int:
-    """Determinant over a finite field by Gaussian elimination."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = field.neg(det)
-        det = field.mul(det, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] == 0:
-                continue
-            f = field.mul(m[i][c], inv)
-            m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +624,12 @@ class OrderStructure:
         else:
             self.factor_polys = tuple(tuple(fp) for fp in factor_polys)
             self.min_poly = _ypoly_product(prime.field, self.factor_polys)
-        assert len(self.min_poly) == self.m + 1
-        assert self.min_poly[-1].is_one()
+        if len(self.min_poly) != self.m + 1:
+            raise ValueError(f"minimal polynomial of degree "
+                             f"{len(self.min_poly) - 1} for factors of total "
+                             f"degree {self.m}")
+        if not self.min_poly[-1].is_one():
+            raise ValueError("minimal polynomial must be monic")
         self._y_powers = {}  # k -> y_power_blocks over A/p^k
         self._y_residues = None  # y_power_blocks over k(p)
 
@@ -883,50 +853,39 @@ def saturation_holds(order: OrderStructure, lattice) -> bool:
     prime = order.prime
     ring = ChainRing(prime, 1)
     kp = residue_field(prime)
-    cols = _lattice_columns_chain(lattice, ring)
-    r = order.r
-    blocks = [_chain_block_matrix(ring, order, j) for j in range(order.m)]
+    m, r = order.m, order.r
+    ypow = order.y_power_blocks(ring)
     vectors = []
-    for col in cols:
-        for blk in blocks:
-            v = _chain_matvec(ring, blk, col)
-            vectors.append([ring.to_residue(x) for x in v])
+    for col in _lattice_columns_chain(lattice, ring):
+        blocks = [col[b * m:(b + 1) * m] for b in range(order.r_prime)]
+        # rho(y)^j acts block by block on (A/p)^r = ((A/p)^m)^(r')
+        for pw in ypow:
+            vectors.append([ring.to_residue(x) for blk in blocks
+                            for x in _chain_matvec(ring, pw, blk)])
     return len(_residue_echelon(kp, vectors, r)) == r
 
 
-def _chain_block_matrix(ring: ChainRing, order: OrderStructure, j: int):
-    """Block-diagonal rho(y)^j on (A/p^k)^r."""
-    m, rp = order.m, order.r_prime
-    pw = order.y_power_blocks(ring)[j]
-    n = m * rp
-    out = [[ring.zero for _ in range(n)] for _ in range(n)]
-    for b in range(rp):
-        for i in range(m):
-            for l in range(m):
-                out[b * m + i][b * m + l] = pw[i][l]
-    return out
-
-
 def _residue_echelon(field: FiniteField, vectors, width: int) -> List[List[int]]:
-    """Reduced row echelon basis of the k(p)-span of the vectors."""
+    """Row echelon basis of the k(p)-span of the vectors, by forward
+    elimination; its length is the rank, so a square matrix is invertible
+    iff the basis has as many rows as the matrix."""
     rows = [list(v) for v in vectors]
     rank = 0
-    col = 0
-    while col < width and rank < len(rows):
+    for col in range(width):
+        if rank == len(rows):
+            break
         piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
+        top = rows[rank]
+        inv = field.inv(top[col])
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                f = field.mul(rows[i][col], inv)
                 rows[i] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(rows[i], rows[rank])]
+                           for a, b in zip(rows[i], top)]
         rank += 1
-        col += 1
     return rows[:rank]
 
 
@@ -1004,30 +963,6 @@ def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
     return solve_into_module(ring, images, (), dim)
 
 
-def _x_residue_matrix(order: OrderStructure, kp, x_res):
-    """Block matrix over k(p) of the x in Mat_{r'}(R'/p) whose m*r'^2
-    coordinates are the k(p) elements x_res."""
-    m, rp, r = order.m, order.r_prime, order.r
-    ypow_res = order.y_power_residues()
-    mat = [[0] * r for _ in range(r)]
-    idx = 0
-    for a in range(rp):
-        for b in range(rp):
-            for j in range(m):
-                c = x_res[idx]
-                idx += 1
-                if c == 0:
-                    continue
-                blk = ypow_res[j]
-                for i in range(m):
-                    for l in range(m):
-                        v = blk[i][l]
-                        if v:
-                            mat[a * m + i][b * m + l] = kp.add(
-                                mat[a * m + i][b * m + l], kp.mul(c, v))
-    return mat
-
-
 def _residue_image(order: OrderStructure, ring: ChainRing, kp,
                    sol) -> List[List[int]]:
     """Echelon basis over k(p) of the hom-module with Howell rows sol,
@@ -1038,11 +973,12 @@ def _residue_image(order: OrderStructure, ring: ChainRing, kp,
         kp, [[ring.to_residue(c) for c in row] for row in sol], dim)
 
 
-def _span_dets(order: OrderStructure, kp, basis):
-    """det over k(p) of the block matrix of every element of the k(p)-span
-    of basis, one per element."""
+def _span_invertible(order: OrderStructure, kp, basis):
+    """Whether the block matrix of each element of the k(p)-span of basis
+    is invertible, one per element."""
     r = order.r
-    mats = [_x_residue_matrix(order, kp, v) for v in basis]
+    ypow_res = order.y_power_residues()
+    mats = [_x_block_matrix(order, kp, ypow_res, v) for v in basis]
     for coeffs in itertools.product(list(kp.elements()), repeat=len(basis)):
         mat = [[0] * r for _ in range(r)]
         for c, b in zip(coeffs, mats):
@@ -1052,7 +988,7 @@ def _span_dets(order: OrderStructure, kp, basis):
                 for j, v in enumerate(brow):
                     if v:
                         row[j] = kp.add(row[j], kp.mul(c, v))
-        yield _det_residue(kp, mat)
+        yield len(_residue_echelon(kp, mat, r)) == r
 
 
 def _divisors_and_transforms(lattice, prime: Prime):
@@ -1131,8 +1067,7 @@ def _stabilizer(lattice, order: OrderStructure, k: Optional[int],
     h_bar = kp.size ** len(basis)
     if h_size % h_bar != 0:
         raise AssertionError("|H mod p| must divide |H|")
-    units = h_size // h_bar * sum(
-        1 for det in _span_dets(order, kp, basis) if det != 0)
+    units = h_size // h_bar * sum(_span_invertible(order, kp, basis))
     return _orbit_index(order, ring.k, units), divisors
 
 
@@ -1161,10 +1096,13 @@ def stabilizer_index_enumerated(lattice, order: OrderStructure,
     of the multiplier ring H for invertibility mod p."""
     ring, sol, _, _ = _multiplier_ring(lattice, order, k, budget)
     kp = residue_field(order.prime)
+    ypow_res = order.y_power_residues()
+    r = order.r
     units = 0
     for x in enumerate_module(ring, sol, budget):
-        mat = _x_residue_matrix(order, kp, [ring.to_residue(c) for c in x])
-        if _det_residue(kp, mat) != 0:
+        mat = _x_block_matrix(order, kp, ypow_res,
+                              [ring.to_residue(c) for c in x])
+        if len(_residue_echelon(kp, mat, r)) == r:
             units += 1
     return _orbit_index(order, ring.k, units)
 
@@ -1208,7 +1146,7 @@ def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
             f"module of size {size} exceeds enumeration budget {budget}")
     kp = residue_field(order.prime)
     basis = _residue_image(order, ring, kp, sol)
-    return any(det != 0 for det in _span_dets(order, kp, basis))
+    return any(_span_invertible(order, kp, basis))
 
 
 def hnf_column_basis(prime: Prime, columns: Sequence[Sequence[LocalElement]],
@@ -1304,10 +1242,13 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
     raise NotSaturated("no normalizing map found below budget")
 
 
-def _x_block_matrix(order: OrderStructure, ring: ChainRing, ypow, x_coords):
-    """Full r x r chain-ring block matrix of x in Mat_{r'}(R'/p^k)."""
+def _x_block_matrix(order: OrderStructure, ring, ypow, x_coords):
+    """Full r x r block matrix of x in Mat_{r'}(R'/p^k) from its m*r'^2
+    coordinates: over A/p^k (ring a ChainRing, ypow its y_power_blocks)
+    or, for k = 1, over k(p) (ring the residue field, ypow
+    y_power_residues).  Both encode zero as 0."""
     m, rp, r = order.m, order.r_prime, order.r
-    mat = [[ring.zero] * r for _ in range(r)]
+    mat = [[0] * r for _ in range(r)]
     idx = 0
     for a in range(rp):
         for b in range(rp):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from drinlat.acceptance import DEFAULT_CONFIG, run_all
+from drinlat.acceptance import DEFAULT_CONFIG, CriterionResult, run_all
 from drinlat.cli import main
 
 
@@ -106,3 +106,21 @@ class TestSuiteProperties:
         lines = [l for l in captured.err.splitlines() if "criterion-" in l]
         assert len(lines) == 10
         assert all(l.startswith("PASS") for l in lines)
+
+
+class TestCriterionResultOutput:
+    def test_runtime_only_in_line(self):
+        # the JSON payload goes to stdout, which must not vary run to run;
+        # the runtime is printed by line() (on stderr for --output json)
+        fast, slow = (CriterionResult(2, "gitter bound", True, t,
+                                      {"checked": 7})
+                      for t in (0.25, 81.5))
+        assert fast.to_json() == slow.to_json() == {
+            "criterion": 2, "title": "gitter bound", "passed": True,
+            "budget_exceeded": False, "details": {"checked": 7}}
+        assert fast.line() == "PASS criterion-2: gitter bound (0.2s)"
+        assert slow.line() == "PASS criterion-2: gitter bound (81.5s)"
+        budget = CriterionResult(3, "counts", False, 1.0, {},
+                                 budget_exceeded=True)
+        assert budget.line() == "BUDGET criterion-3: counts (1.0s)"
+        assert "runtime_seconds" not in budget.to_json()

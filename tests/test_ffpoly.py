@@ -377,6 +377,7 @@ class TestFactor:
             if f.is_zero() or f.degree < 2:
                 continue
             fac = poly_factor(f)
+            assert fac == ffpoly._trial_division(f.monic())
             prod = Poly.const(F9, f.lead())
             for p, m in fac:
                 prod = prod * p ** m

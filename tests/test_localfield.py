@@ -1,7 +1,11 @@
+import itertools
+import json
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from residue_oracle import _det_residue
 
 from drinlat import localfield
 from drinlat._chainring import (ChainRing, enumerate_module, howell_form,
@@ -15,8 +19,8 @@ from drinlat.localfield import (
     DEFAULT_BUDGET, DEFAULT_PRECISION, Lattice, LocalElement, LocalMatrix,
     OrderStructure, count_matrix_group, count_matrix_group_exhaustive,
     gitter_bound_check, hermite_sublattices, lattice_index,
-    module_orbit_equal, saturate_lattice, saturation_holds, smith_normal_form,
-    stabilizer_index, stabilizer_index_enumerated,
+    module_orbit_equal, saturate_lattice, saturation_holds, stabilizer_index,
+    stabilizer_index_enumerated,
 )
 
 F2 = FiniteField.of_order(2)
@@ -109,29 +113,26 @@ class TestLocalElement:
 class TestSmithNormalForm:
     def test_diag_pi_one(self):
         m = LocalMatrix.diagonal(T2, [pi_pow(T2, 1), pi_pow(T2, 0)])
-        _, exps, _ = smith_normal_form(m)
-        assert exps == (0, 1)
+        assert m.elementary_divisors() == (0, 1)
 
     def test_triangular_example(self):
         # [[pi, 1], [0, pi]] -> exponents (0, 2)
         m = LocalMatrix(T2, [[pi_pow(T2, 1), pi_pow(T2, 0)],
                              [LocalElement.zero(T2), pi_pow(T2, 1)]])
-        _, exps, _ = smith_normal_form(m)
-        assert exps == (0, 2)
+        assert m.elementary_divisors() == (0, 2)
 
     def test_identity_any_r(self):
         for r in (1, 2, 3, 4):
             m = LocalMatrix.identity(T3, r)
-            _, exps, _ = smith_normal_form(m)
-            assert exps == (0,) * r
+            assert m.elementary_divisors() == (0,) * r
 
     def test_decomposition_transforms_are_units(self):
         rng = random.Random(1)
         for _ in range(30):
             m = _random_invertible(T2, 3, rng, val_range=(0, 2))
-            u, exps, v = smith_normal_form(m)
-            assert u.is_integral() and v.is_integral()
-            assert u.det_valuation() == 0 and v.det_valuation() == 0
+            exps, u_inv, v_inv = localfield._snf_full(m)
+            assert u_inv.is_integral() and v_inv.is_integral()
+            assert u_inv.det_valuation() == 0 and v_inv.det_valuation() == 0
             assert sum(exps) == m.det_valuation()
 
     def test_exponents_invariant_under_unit_multiplication(self):
@@ -147,9 +148,9 @@ class TestSmithNormalForm:
         z = LocalElement.zero(T2)
         m = LocalMatrix(T2, [[pi_pow(T2, 0), z], [z, z]])
         with pytest.raises(Singular):
-            smith_normal_form(m)
-        with pytest.raises(Singular):
             m.elementary_divisors()
+        with pytest.raises(Singular):
+            m.inverse()
 
     def test_precision_exhaustion_refuses(self):
         x = elem(T2, "1+t", prec=3).inv()  # inexact at precision 3
@@ -157,23 +158,24 @@ class TestSmithNormalForm:
         m = LocalMatrix(T2, [[noise, pi_pow(T2, 4)],
                              [pi_pow(T2, 4), LocalElement.zero(T2)]])
         with pytest.raises(PrecisionExhausted):
-            smith_normal_form(m)
-        with pytest.raises(PrecisionExhausted):
             m.elementary_divisors()
+        with pytest.raises(PrecisionExhausted):
+            m.inverse()
 
     def test_reconstruction_at_working_precision(self):
+        # U^-1 M V^-1 = diag(pi^e): no entry of the difference is a
+        # certified nonzero at working precision
         rng = random.Random(9)
         for _ in range(25):
             m = _random_invertible(T3, 3, rng, val_range=(-2, 2))
-            u, exps, v = smith_normal_form(m)
+            exps, u_inv, v_inv = localfield._snf_full(m)
             d = LocalMatrix.diagonal(
                 T3, [LocalElement.pi_power(T3, e) for e in exps])
-            recon = u @ d @ v
+            prod = u_inv @ m @ v_inv
             for i in range(3):
                 for j in range(3):
-                    diff = recon.entry(i, j).sub(m.entry(i, j))
-                    # no certified disagreement within the shared window
-                    assert diff.kind != "n" or diff.val >= 6
+                    diff = prod.entry(i, j).sub(d.entry(i, j))
+                    assert diff.kind != "n", (i, j, diff)
 
     def test_inverse_roundtrip(self):
         rng = random.Random(3)
@@ -190,10 +192,47 @@ class TestSmithNormalForm:
                     else:
                         assert e.kind != "n" or e.val >= 8
 
+    def test_row_length_checked(self):
+        one = LocalElement.one(T2)
+        with pytest.raises(ValueError, match="2 entries per row"):
+            LocalMatrix(T2, [[one, one], [one]])
+
+
+def _golden_entry(prime, spec, prec):
+    """A polynomial "f", or ["f", "g"] for the ratio f/g."""
+    F = prime.field
+    if isinstance(spec, list):
+        return LocalElement.from_ratio(prime, poly_from_str(spec[0], F),
+                                       poly_from_str(spec[1], F), prec)
+    return LocalElement.from_poly(prime, poly_from_str(spec, F), prec)
+
+
+INVERSE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "inverse_golden.json").read_text())
+
+
+class TestInverseGolden:
+    """inverse() digits of six fixed matrices at precisions 12 and 30,
+    recorded from the Smith form that also built U and V: inverse reads
+    only U^-1 and V^-1, so no digit may depend on the others."""
+
+    @pytest.mark.parametrize("case", INVERSE_GOLDEN,
+                             ids=[f"{c['prime']}/F{c['field'][0]}^"
+                                  f"{c['field'][1]}-{len(c['rows'])}"
+                                  for c in INVERSE_GOLDEN])
+    def test_digits(self, case):
+        prime = prime_from_str(case["prime"],
+                               FiniteField.of_order(*case["field"]))
+        for prec, want in case["inverse"].items():
+            m = LocalMatrix(prime, [[_golden_entry(prime, s, int(prec))
+                                     for s in row] for row in case["rows"]])
+            got = [[e.to_json() for e in row] for row in m.inverse().rows]
+            assert got == want, prec
+
 
 class TestExponentsOnlySNF:
     """elementary_divisors() skips the transforms; it must agree with the
-    full smith_normal_form, answers and refusals alike."""
+    Smith form that computes them, answers and refusals alike."""
 
     @pytest.mark.parametrize("prime,r,seed,val_range,count", [
         (T2, 3, 1, (0, 2), 30), (T2, 2, 2, (0, 3), 100),
@@ -203,7 +242,7 @@ class TestExponentsOnlySNF:
         rng = random.Random(seed)
         for _ in range(count):
             m = _random_invertible(prime, r, rng, val_range=val_range)
-            assert m.elementary_divisors() == smith_normal_form(m)[1]
+            assert m.elementary_divisors() == localfield._snf_full(m)[0]
 
     def test_same_outcome_at_low_precision(self):
         # entries mix exact polynomials, truncated inverses and O(pi^3)
@@ -219,7 +258,8 @@ class TestExponentsOnlySNF:
             m = LocalMatrix(T2, [[rng.choice(pool) for _ in range(3)]
                                  for _ in range(3)])
             outcomes = []
-            for f in (lambda: smith_normal_form(m)[1], m.elementary_divisors):
+            for f in (lambda: localfield._snf_full(m)[0],
+                      m.elementary_divisors):
                 try:
                     outcomes.append(f())
                 except (Singular, PrecisionExhausted) as exc:
@@ -351,6 +391,60 @@ class TestCountMatrixGroup:
                     gl, mat = count_matrix_group(r, q, k)
                     assert gl * q ** r >= mat * (q - 1) ** r
 
+    def test_rank_and_depth_checked(self):
+        for r, k in ((0, 1), (1, 0), (-1, 2)):
+            with pytest.raises(ValueError, match="r >= 1 and k >= 1"):
+                count_matrix_group(r, 2, k)
+
+
+# (field, prime): k(p) of 2, 3, 4, 9 and (degree 2 over F_2) 4 elements
+RESIDUE_PRIMES = [(F2, "t"), (F3, "t"), (FiniteField.of_order(2, 2), "t"),
+                  (FiniteField.of_order(3, 2), "t"), (F2, "t^2+t+1")]
+
+
+class TestResidueEchelon:
+    """Invertibility over k(p) as a rank test on the forward echelon,
+    against the determinant oracle and against brute-force span sizes."""
+
+    @pytest.mark.parametrize("field,prime", RESIDUE_PRIMES,
+                             ids=[f"q={F.size},{p}" for F, p in RESIDUE_PRIMES])
+    def test_full_rank_iff_det_nonzero(self, field, prime):
+        kp = residue_field(prime_from_str(prime, field))
+        elems = list(kp.elements())
+        rng = random.Random(f"echelon:{kp.size}:{prime}")
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            mat = [[rng.choice(elems) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                # a row that is a combination of the others: rank-deficient
+                src = rng.sample(range(n), 2)
+                c = rng.choice(elems)
+                mat[src[0]] = [kp.mul(c, x) for x in mat[src[1]]]
+            full = len(localfield._residue_echelon(kp, mat, n)) == n
+            assert full == (_det_residue(kp, mat) != 0), mat
+            seen[full] += 1
+        assert seen[True] and seen[False], seen
+
+    @pytest.mark.parametrize("field,prime", RESIDUE_PRIMES,
+                             ids=[f"q={F.size},{p}" for F, p in RESIDUE_PRIMES])
+    def test_rank_is_log_of_span_size(self, field, prime):
+        kp = residue_field(prime_from_str(prime, field))
+        elems = list(kp.elements())
+        rng = random.Random(f"span:{kp.size}:{prime}")
+        for _ in range(40):
+            rows, width = rng.randint(1, 3), rng.randint(1, 3)
+            vecs = [[rng.choice(elems) if rng.random() < 0.7 else 0
+                     for _ in range(width)] for _ in range(rows)]
+            span = set()
+            for coeffs in itertools.product(elems, repeat=rows):
+                v = [0] * width
+                for c, vec in zip(coeffs, vecs):
+                    v = [kp.add(a, kp.mul(c, b)) for a, b in zip(v, vec)]
+                span.add(tuple(v))
+            basis = localfield._residue_echelon(kp, vecs, width)
+            assert kp.size ** len(basis) == len(span), vecs
+
 
 class TestHowell:
     def test_canonical_for_equal_modules(self):
@@ -377,6 +471,15 @@ class TestHowell:
 
 
 class TestOrderStructure:
+    def test_min_poly_checked(self):
+        F = T2.field
+        one, t = Poly.one(F), poly_from_str("t", F)
+        with pytest.raises(ValueError, match="degree 1 for factors of total "
+                                             "degree 2"):
+            OrderStructure.from_min_poly(T2, 1, [t, one], [(1, 2)])
+        with pytest.raises(ValueError, match="monic"):
+            OrderStructure.from_min_poly(T2, 1, [t, one, t], [(1, 2)])
+
     def test_unramified_quadratic(self):
         S = OrderStructure.unramified(T2, 1, 2)
         assert S.m == 2 and S.factors == ((1, 2),)
@@ -440,7 +543,7 @@ class TestStabilizerIndex:
                 mat = [[ring.add(ring.mul(c0, ypow[0][i][j]),
                                  ring.mul(c1, ypow[1][i][j]))
                         for j in range(2)] for i in range(2)]
-                from drinlat.localfield import _det_residue, _chain_matvec
+                from drinlat.localfield import _chain_matvec
                 from drinlat.ffpoly import residue_field
                 kp = residue_field(T2)
                 red = [[ring.to_residue(mat[i][j]) for j in range(2)]
@@ -823,8 +926,8 @@ class TestSmithFormLeft:
 def _orbit_equal_full_search(order, k, cols_a, cols_b):
     """module_orbit_equal as it was before the mod-p search: walk all of
     the hom-module and test each element for invertibility mod p."""
-    from drinlat.localfield import (_det_residue, _hom_module,
-                                    _lattice_columns_chain, _x_residue_matrix)
+    from drinlat.localfield import (_hom_module, _lattice_columns_chain,
+                                    _x_block_matrix)
     ring = ChainRing(order.prime, k)
     ca = _lattice_columns_chain(cols_a, ring)
     cb = _lattice_columns_chain(cols_b, ring)
@@ -836,8 +939,10 @@ def _orbit_equal_full_search(order, k, cols_a, cols_b):
         return True
     sol = _hom_module(order, ring, ca, rows_b)
     kp = residue_field(order.prime)
+    ypow_res = order.y_power_residues()
     for x in enumerate_module(ring, sol, 2 ** 16):
-        mat = _x_residue_matrix(order, kp, [ring.to_residue(c) for c in x])
+        mat = _x_block_matrix(order, kp, ypow_res,
+                              [ring.to_residue(c) for c in x])
         if _det_residue(kp, mat) != 0:
             return True
     return False
@@ -1031,7 +1136,6 @@ class TestOrbitEqualFullGroupOracle:
         kp_elems = list(ring.elements())  # classes of A/p over F_2
         group = []
         from drinlat.ffpoly import residue_field
-        from drinlat.localfield import _det_residue
         kp = residue_field(T2)
         for a in kp_elems:
             for b in kp_elems:

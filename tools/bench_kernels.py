@@ -6,9 +6,11 @@ units at p = t over F_2, F_3 and F_4, at precisions 12 and 30; a cold
 on 1000 seeded pairs in residue fields of 5^6 and 3^6 elements, above the
 table limit; and `splitting_pattern` per prime for the Kummer extension
 x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
-cleared; and `stabilizer_index` per call on a seeded sample of up to 40
+cleared; `stabilizer_index` per call on a seeded sample of up to 40
 saturated lattices of criterion 2's grid (exponent <= 4) per order, each
-called 5 times per repeat.  Prints one JSON object: microseconds per
+called 5 times per repeat; and `LocalMatrix.inverse` per call on 10
+seeded invertible r x r matrices (r = 2, 3, 4) at p = t over F_2, F_3 and
+F_4, at precisions 12 and 30.  Prints one JSON object: microseconds per
 call (ms for the prime list), the median of 7 repeats.  Run it against
 any checkout to compare two versions of the library:
 
@@ -31,6 +33,8 @@ UNITS = 50
 REPEATS = 7
 STABILIZER_SAMPLE = 40
 STABILIZER_ROUNDS = 5
+INVERSE_RANKS = (2, 3, 4)
+INVERSE_SAMPLE = 10
 
 
 def main() -> None:
@@ -58,6 +62,7 @@ def main() -> None:
                 out[f"{op}|q={F.size}|prec={prec}"] = _median_time(run, UNITS, 1e6)
     out.update(_layer0_rows())
     out.update(_stabilizer_rows())
+    out.update(_inverse_rows())
     print(json.dumps(out))
 
 
@@ -120,6 +125,35 @@ def _stabilizer_rows() -> dict:
             lambda: [stabilizer_index(cols, order)
                      for _ in range(STABILIZER_ROUNDS) for cols in sample],
             STABILIZER_ROUNDS * len(sample), 1e6)
+    return out
+
+
+def _inverse_rows() -> dict:
+    from drinlat.errors import PrecisionExhausted, Singular
+    from drinlat.ffpoly import FiniteField, Poly, prime_from_str
+    from drinlat.localfield import LocalElement, LocalMatrix
+
+    out = {}
+    for p, e in FIELDS:
+        F = FiniteField.of_order(p, e)
+        prime = prime_from_str("t", F)
+        for r in INVERSE_RANKS:
+            for prec in PRECISIONS:
+                rng = random.Random(f"inverse:{F.size}:{r}:{prec}")
+                mats = []
+                while len(mats) < INVERSE_SAMPLE:
+                    # entries of degree <= 3, so valuations 0..3 occur
+                    m = LocalMatrix(prime, [[LocalElement.from_poly(
+                        prime, Poly(F, [rng.randrange(F.size)
+                                        for _ in range(4)]), prec)
+                        for _ in range(r)] for _ in range(r)])
+                    try:
+                        m.inverse()
+                    except (Singular, PrecisionExhausted):
+                        continue
+                    mats.append(m)
+                out[f"inverse|q={F.size}|r={r}|prec={prec}"] = _median_time(
+                    lambda: [m.inverse() for m in mats], len(mats), 1e6)
     return out
 
 
