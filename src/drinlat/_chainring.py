@@ -72,8 +72,9 @@ class _Kernel:
         # prime field; over F_2 shift-xor division is cheaper
         self._barrett = self._char is not None and q > 2
         self._barrett_tabs = [([1], [1])]
-        # k(p) builds its tables on first use: build them with the kernel,
-        # so that the first inverse at this prime costs what the others do
+        # k(p) builds its log/exp tables on first use, inv(1) included:
+        # build them with the kernel, so that the first inverse at this
+        # prime costs what the others do
         self.kp.inv(1)
         self._two = self.pack([F.add(1, 1)])  # 1 + 1, zero in characteristic 2
 

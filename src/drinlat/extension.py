@@ -351,7 +351,10 @@ def _bareiss_det(base: FiniteField, mat: List[List[Poly]]) -> Poly:
 # Splitting
 
 def splitting(ext: Extension, prime: Prime) -> SplittingType:
-    """Factorization type of the prime in F'/F."""
+    """Factorization type of the prime in F'/F.  At an unramified prime
+    the places are the irreducible factors of the defining polynomial over
+    k(p); a Kummer or Artin-Schreier prime that `splitting_pattern` finds
+    inert keeps the reduced polynomial as its one factor, unfactored."""
     if prime.field is not ext.base:
         raise MalformedInput("prime and extension base fields differ")
     if not ext.separable:
@@ -366,8 +369,13 @@ def splitting(ext: Extension, prime: Prime) -> SplittingType:
         return SplittingType(prime, places, False)
     kp = residue_field(prime)
     reduced = _reduced_defining_poly(ext, prime, kp)
+    if (ext.kind in ("kummer", "artin_schreier")
+            and splitting_pattern(ext, prime) == ((1, ext.m),)):
+        factors = [(reduced, 1)]  # inert: monic and irreducible over k(p)
+    else:
+        factors = poly_factor(reduced)
     places = []
-    for f, mult in poly_factor(reduced):
+    for f, mult in factors:
         if mult != 1:
             raise AssertionError(
                 f"unexpected ramification at {prime} away from the support")

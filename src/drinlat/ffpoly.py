@@ -6,8 +6,10 @@ by a prime, so residue fields are ordinary field objects.  Elements are
 plain ints in [0, size) encoding coordinates in a fixed polynomial basis
 over the base field; no compatibility between different constructions of
 the same order is promised.  Extension fields of at most `_TABLE_LIMIT`
-elements multiply by table lookup; larger ones multiply the digit lists
-of their elements (`FiniteField._mul_raw`), without building Polys.
+elements multiply and invert through discrete-logarithm (log/exp)
+tables of about 3q entries; larger ones multiply the digit lists of
+their elements (`FiniteField._mul_raw`) and invert them by the extended
+Euclidean algorithm against the modulus, without building Polys.
 
 The primes of one degree come from a sieve that marks every monic
 multiple of the smaller primes in a byte array indexed by coefficient
@@ -31,9 +33,10 @@ from typing import Iterator, Optional
 
 from .errors import MalformedInput, ZeroPolynomial
 
-# Extension fields up to this size keep full mul/inv tables, filled from
-# discrete logarithms (see FiniteField._build_tables); larger ones take
-# each product on digit lists (FiniteField._mul_raw).
+# Extension fields up to this size keep log/exp tables of their
+# multiplicative group (see FiniteField._build_tables); larger ones take
+# each product on digit lists (FiniteField._mul_raw) and each inverse by
+# extended Euclid (FiniteField._inv_raw).
 _TABLE_LIMIT = 256
 
 
@@ -56,9 +59,9 @@ class FiniteField:
     every such encoding is a bit vector, so addition is XOR.
 
     An extension field of at most ``_TABLE_LIMIT`` elements builds its
-    multiplication and inverse tables on first use: it walks the powers
-    of its smallest primitive element once with raw polynomial products
-    and fills both tables from the discrete logarithms.
+    log/exp tables on first use, from one walk over the powers of its
+    smallest primitive element g.  A product of nonzero elements is then
+    g^(log a + log b) and an inverse g^(q - 1 - log a), one lookup each.
     """
 
     def __init__(self, p: int, base: Optional["FiniteField"] = None,
@@ -72,8 +75,10 @@ class FiniteField:
             self.size = p
             self.e = 1
         else:
-            assert modulus is not None and modulus.field is base
-            assert modulus.is_monic() and modulus.degree >= 1
+            if modulus is None or modulus.field is not base:
+                raise ValueError("the modulus must be a polynomial over base")
+            if not modulus.is_monic() or modulus.degree < 1:
+                raise ValueError("the modulus must be monic of degree >= 1")
             self.p = base.p
             self.base = base
             self.modulus = modulus
@@ -81,8 +86,8 @@ class FiniteField:
             self.e = base.e * modulus.degree
             self._weights = [base.size ** i for i in range(modulus.degree)]
             self._reducer = _reducer(modulus.coeffs)
-        self._mul_table: Optional[list] = None
-        self._inv_table: Optional[list] = None
+        self._log: Optional[list] = None
+        self._exp: Optional[list] = None
         self._nonsq: Optional[int] = None
 
     # -- construction ---------------------------------------------------
@@ -154,9 +159,8 @@ class FiniteField:
         if self.base is None:
             return (a * b) % self.p
         if self.size <= _TABLE_LIMIT:
-            if self._mul_table is None:
-                self._build_tables()
-            return self._mul_table[a * self.size + b]
+            log = self._log or self._build_tables()
+            return self._exp[log[a] + log[b]] if a and b else 0
         return self._mul_raw(a, b)
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -182,13 +186,11 @@ class FiniteField:
                             prod[j] = add(prod[j], mul(xi, yj))
         return self._join(_rem_coeffs(prod, self._reducer, base))
 
-    def _build_tables(self) -> None:
-        """Fill the mul/inv tables from discrete logarithms.
-
-        The walk over the powers of the primitive element g costs q - 1 raw
-        products (the last one checks that g^(q-1) = 1); every table entry
-        is then index arithmetic: g^i * g^j = g^(i+j mod q-1).
-        """
+    def _build_tables(self) -> list:
+        """Fill the log/exp tables from a walk over the powers of the
+        primitive element g: q - 1 raw products, the last checking that
+        g^(q-1) = 1.  ``exp`` holds g^0 .. g^(q-2) twice, so a sum of two
+        logarithms needs no reduction mod q - 1.  Returns ``log``."""
         q = self.size
         n = q - 1
         mul = self._mul_raw
@@ -197,22 +199,17 @@ class FiniteField:
         log = [0] * q
         x = 1
         for k in range(1, n):
-            x = mul(x, g)
+            x = mul(g, x)
             if x == 1:
                 raise AssertionError(
                     f"{self!r}: element {g} has order {k}, not {n}")
             exp[k] = x
             log[x] = k
-        if mul(x, g) != 1:
+        if mul(g, x) != 1:
             raise AssertionError(f"{self!r}: element {g}^{n} is not 1")
-        exp2 = exp + exp
-        logs = log[1:]
-        table = [0] * (q * q)
-        for a in range(1, q):
-            la = log[a]
-            table[a * q + 1:(a + 1) * q] = [exp2[la + lb] for lb in logs]
-        self._mul_table = table
-        self._inv_table = [0] + [exp[(n - la) % n] for la in logs]
+        self._exp = exp + exp
+        self._log = log
+        return log
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -220,17 +217,38 @@ class FiniteField:
         if self.base is None:
             return pow(a, self.p - 2, self.p)
         if self.size <= _TABLE_LIMIT:
-            if self._inv_table is None:
-                self._build_tables()
-            return self._inv_table[a]
+            log = self._log or self._build_tables()
+            return self._exp[self.size - 1 - log[a]]
         return self._inv_raw(a)
 
     def _inv_raw(self, a: int) -> int:
-        # Fermat: 2 log2(q) raw products, saved for 1, the leading
-        # coefficient of every monic divisor
-        if a == 1:
-            return 1
-        return _pow_by(self._mul_raw, a, self.size - 2)
+        """Extended Euclid on the digit lists of a and the modulus m: keeps
+        r = s*a mod m, dividing by one base-field inverse per remainder."""
+        B = self.base
+        mul, sub = B.mul, B.sub
+        r0, r1 = list(self.modulus.coeffs), self._split(a)
+        s0, s1 = [], [1]
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        while len(r1) > 1:
+            # r0 <- r0 mod r1 and s0 <- s0 - (r0 div r1) * s1
+            d = len(r1) - 1
+            lead_inv = B.inv(r1[-1])
+            while len(r0) > d:
+                c = mul(r0[-1], lead_inv)
+                k = len(r0) - 1 - d
+                for i, y in enumerate(r1, k):
+                    r0[i] = sub(r0[i], mul(c, y))
+                s0 += [0] * (k + len(s1) - len(s0))
+                for i, y in enumerate(s1, k):
+                    s0[i] = sub(s0[i], mul(c, y))
+                while r0 and r0[-1] == 0:
+                    r0.pop()
+            if not r0:
+                raise ZeroDivisionError(f"{a} is not invertible in {self!r}")
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = B.inv(r1[0])
+        return self._join([mul(c, x) for x in s1])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -661,7 +679,8 @@ class ResidueField(FiniteField):
 
     def reduce(self, f: Poly) -> int:
         """Ring map A -> k(p)."""
-        assert f.field is self.base
+        if f.field is not self.base:
+            raise ValueError(f"{f!r} is not a polynomial over {self.base!r}")
         return self.from_base_poly(f)
 
     def lift(self, a: int) -> Poly:

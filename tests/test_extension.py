@@ -221,6 +221,46 @@ class TestKummerPattern:
             assert _kummer_pattern_ladder(ext, prime) == want
 
 
+class TestInertSplitting:
+    """`splitting` skips factoring at inert Kummer and Artin-Schreier
+    primes; the places and factor coefficients must be those of factoring
+    the reduced defining polynomial.  Over F_5, t^3+2*t^2 = t^2 (t+2) has
+    the unramified prime t, where b = t+2 is inert and differs from a."""
+    CASES = [
+        ({"kind": "kummer", "n": 2, "a": "t^3+2*t", "base": "3"}, 4),
+        ({"kind": "kummer", "n": 2, "a": "t^3+2*t^2", "base": "5"}, 4),
+        ({"kind": "kummer", "n": 4, "a": "t^3+t+1", "base": "5"}, 4),
+        ({"kind": "kummer", "n": 3, "a": "t^2+1", "base": "7"}, 4),
+        ({"kind": "kummer", "n": 2, "a": "t^3+t", "base": "3^2"}, 3),
+        ({"kind": "kummer", "n": 4, "a": "t^3+t", "base": "3^2"}, 3),
+        ({"kind": "kummer", "n": 3, "a": "t^2+2", "base": "5"}, 4),  # ladder
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 4),
+        ({"kind": "artin_schreier", "a": "t^2", "base": "3"}, 4),
+    ]
+
+    @pytest.mark.parametrize("spec,d_max", CASES,
+                             ids=["-".join(str(c[k]) for k in ("kind", "base", "n")
+                                           if k in c) for c, _ in CASES])
+    def test_matches_factoring_the_reduced_polynomial(self, spec, d_max):
+        from drinlat.extension import PlaceFactor, _reduced_defining_poly
+        from drinlat.ffpoly import poly_factor, residue_field
+        ext = make_extension(spec)
+        inert = 0
+        for prime in enumerate_primes(ext.base, d_max):
+            if prime in ext.ram_support:
+                continue
+            reduced = _reduced_defining_poly(ext, prime, residue_field(prime))
+            pairs = poly_factor(reduced)
+            assert all(mult == 1 for _, mult in pairs), str(prime)
+            want = sorted((PlaceFactor(1, f.degree, tuple(f.coeffs))
+                           for f, _ in pairs),
+                          key=lambda pl: (pl.e, pl.f, pl.factor))
+            sp = splitting(ext, prime)
+            assert sp.unramified and sp.places == tuple(want), str(prime)
+            inert += len(want) == 1
+        assert inert > 0
+
+
 class TestZeta:
     def test_genus0_class_number_one(self):
         assert class_number(Extension.constant(F3, 2)) == 1

@@ -132,17 +132,22 @@ class TestFieldTables:
     def test_tables_match_raw_arithmetic(self, field):
         q = field.size
         assert q <= _TABLE_LIMIT
-        field.mul(0, 0)  # builds the tables
-        table, inv = field._mul_table, field._inv_table
-        assert len(table) == q * q and len(inv) == q
         for a in range(q):
             for b in range(a, q):
                 v = _poly_product(field, a, b)
                 assert field._mul_raw(a, b) == v, (a, b)
-                assert table[a * q + b] == v and table[b * q + a] == v, (a, b)
+                assert field.mul(a, b) == v and field.mul(b, a) == v, (a, b)
         for a in range(1, q):
-            assert inv[a] == field._inv_raw(a), a
-            assert _poly_product(field, a, inv[a]) == 1, a
+            inv = field.inv(a)
+            assert inv == field._inv_raw(a), a
+            assert _poly_product(field, a, inv) == 1, a
+
+    @pytest.mark.parametrize("field", _table_fields(), ids=_field_id)
+    def test_tables_hold_fewer_than_3q_entries(self, field):
+        field.inv(1)  # builds the tables
+        entries = sum(len(v) for k, v in vars(field).items()
+                      if isinstance(v, list) and k != "_weights")
+        assert 0 < entries < 3 * field.size
 
     def test_walk_refuses_a_reducible_modulus(self):
         # t^2 + 1 = (t + 1)^2 over F_2: the "field" has zero divisors, so
@@ -165,6 +170,51 @@ class TestFieldTables:
             assert field.add(a, b) == _digit_add(field, a, b)
             assert field.neg(a) == _digit_neg(field, a)
             assert field.sub(a, b) == _digit_add(field, a, _digit_neg(field, b))
+
+
+def _fermat_inverse(field, a):
+    """Oracle: a^(q-2) by square-and-multiply on raw products."""
+    result, n = 1, field.size - 2
+    while n:
+        if n & 1:
+            result = field._mul_raw(result, a)
+        a = field._mul_raw(a, a)
+        n >>= 1
+    return result
+
+
+@pytest.mark.parametrize("field", [
+    FiniteField.of_order(5, 4), FiniteField.of_order(3, 6),
+    FiniteField.of_order(2, 9),
+    residue_field(prime_from_str("t^3+3*t^2+3", F9)),
+], ids=_field_id)
+def test_euclid_inverse_matches_fermat(field):
+    assert field.size > _TABLE_LIMIT
+    for a in range(1, field.size):
+        assert field._inv_raw(a) == _fermat_inverse(field, a), a
+
+
+class TestInvariantsSurviveOptimize:
+    """Checks that guard field construction and reduction raise
+    ValueError, which `python -O` keeps."""
+
+    def test_modulus_must_be_over_the_base(self):
+        with pytest.raises(ValueError):
+            FiniteField(2, base=F2)
+        with pytest.raises(ValueError):
+            FiniteField(3, base=F3, modulus=P("t^2+1", F5))
+
+    def test_modulus_must_be_monic_of_positive_degree(self):
+        with pytest.raises(ValueError):
+            FiniteField(3, base=F3, modulus=P("2*t^2+1", F3))
+        with pytest.raises(ValueError):
+            FiniteField(3, base=F3, modulus=P("1", F3))
+
+    def test_reduce_refuses_a_polynomial_over_another_field(self):
+        kp = residue_field(prime_from_str("t^2+1", F3))
+        with pytest.raises(ValueError):
+            kp.reduce(P("t+1", F5))
+        assert kp.reduce(P("t^2+t+1", F3)) == kp.reduce(P("t", F3))
 
 
 # Residue fields on both sides of _TABLE_LIMIT over F_2, F_3, F_5, F_4 and

@@ -178,6 +178,18 @@ def test_equal_primes_share_one_kernel(monkeypatch):
         monkeypatch.undo()
 
 
+def test_kernel_builds_residue_field_tables():
+    """k(p) builds its log/exp tables with the kernel, not inside the
+    first timed inverse at the prime."""
+    from drinlat._chainring import _Kernel
+    F4 = FiniteField.of_order(2, 2)
+    prime = prime_from_str("t^2+t+2", F4)
+    kp = residue_field(prime)
+    kp._log = kp._exp = None
+    kr = _Kernel(prime)
+    assert kr.kp is kp and kp._log is not None and kp._exp is not None
+
+
 def _exact_unit(prime, rng):
     F = prime.field
     while True:

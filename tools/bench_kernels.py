@@ -2,17 +2,22 @@
 
 Times `LocalElement.mul` and `LocalElement.inv` on 50 seeded random
 units at p = t over F_2, F_3 and F_4, at precisions 12 and 30; a cold
-`primes_of_degree(F_5, 6)` (ms per call, caches cleared); `FiniteField.mul`
-on 1000 seeded pairs in residue fields of 5^6 and 3^6 elements, above the
-table limit; and `splitting_pattern` per prime for the Kummer extension
+`primes_of_degree(F_5, 6)` (ms per call, caches cleared); a cold residue
+field k(p) of 64, 81, 243 and 256 elements, built with its log/exp tables
+(ms per field); above the table limit, `FiniteField.mul` on 1000 seeded
+pairs in residue fields of 5^6 and 3^6 elements and `FiniteField.inv` on
+1000 seeded nonzero elements in residue fields of 5^4 and 3^6 elements;
+`splitting_pattern` and `splitting` per prime for the Kummer extension
 x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
 cleared; `stabilizer_index` per call on a seeded sample of up to 40
 saturated lattices of criterion 2's grid (exponent <= 4) per order, each
 called 5 times per repeat; and `LocalMatrix.inverse` per call on 10
 seeded invertible r x r matrices (r = 2, 3, 4) at p = t over F_2, F_3 and
-F_4, at precisions 12 and 30.  Prints one JSON object: microseconds per
-call (ms for the prime list), the median of 7 repeats.  Run it against
-any checkout to compare two versions of the library:
+F_4, at precisions 12 and 30.  Prints one JSON object: per row the median
+and the minimum of 7 repeats, in microseconds per call (ms for the prime
+list and the field builds).  On a shared host the median of one run moves
+by up to 1.7x between runs; the minimum is the steadier figure.  Run it
+against any checkout to compare two versions of the library:
 
     python3 tools/bench_kernels.py --src src
     python3 tools/bench_kernels.py --src /path/to/other/checkout/src
@@ -59,27 +64,28 @@ def main() -> None:
             pairs = list(zip(units, units[1:] + units[:1]))
             for op, run in (("mul", lambda: [a.mul(b) for a, b in pairs]),
                             ("inv", lambda: [a.inv() for a in units])):
-                out[f"{op}|q={F.size}|prec={prec}"] = _median_time(run, UNITS, 1e6)
+                out[f"{op}|q={F.size}|prec={prec}"] = _timing(run, UNITS, 1e6)
     out.update(_layer0_rows())
     out.update(_stabilizer_rows())
     out.update(_inverse_rows())
     print(json.dumps(out))
 
 
-def _median_time(run, count: int, scale: float) -> float:
+def _timing(run, count: int, scale: float) -> dict:
     times = []
     for _ in range(REPEATS):
         t0 = perf_counter()
         run()
         times.append((perf_counter() - t0) / count * scale)
-    return round(statistics.median(times), 2)
+    return {"median": round(statistics.median(times), 2),
+            "min": round(min(times), 2)}
 
 
 def _layer0_rows() -> dict:
     from drinlat import ffpoly
-    from drinlat.extension import Extension, splitting_pattern
-    from drinlat.ffpoly import (FiniteField, poly_from_str, primes_of_degree,
-                                residue_field)
+    from drinlat.extension import Extension, splitting, splitting_pattern
+    from drinlat.ffpoly import (FiniteField, ResidueField, poly_from_str,
+                                primes_of_degree, residue_field)
 
     out = {}
     F5 = FiniteField.of_order(5)
@@ -87,25 +93,38 @@ def _layer0_rows() -> dict:
     def cold_primes():
         ffpoly._primes_of_degree_cached.cache_clear()
         primes_of_degree(F5, 6)
-    out["primes_of_degree_ms|q=5|d=6"] = _median_time(cold_primes, 1, 1e3)
+    out["primes_of_degree_ms|q=5|d=6"] = _timing(cold_primes, 1, 1e3)
+
+    for p, d in ((2, 6), (3, 4), (3, 5), (2, 8)):
+        prime = primes_of_degree(FiniteField.of_order(p), d)[0]
+        out[f"residue_field_build_ms|q={p ** d}"] = _timing(
+            lambda: ResidueField(prime).inv(1), 1, 1e3)
 
     for p in (5, 3):
         k = residue_field(primes_of_degree(FiniteField.of_order(p), 6)[0])
         rng = random.Random(f"field-mul:{k.size}")
         pairs = [(rng.randrange(k.size), rng.randrange(k.size))
                  for _ in range(1000)]
-        out[f"field_mul|q={k.size}"] = _median_time(
+        out[f"field_mul|q={k.size}"] = _timing(
             lambda: [k.mul(a, b) for a, b in pairs], len(pairs), 1e6)
+
+    for p, d in ((5, 4), (3, 6)):
+        k = residue_field(primes_of_degree(FiniteField.of_order(p), d)[0])
+        rng = random.Random(f"field-inv:{k.size}")
+        units = [rng.randrange(1, k.size) for _ in range(1000)]
+        out[f"field_inv|q={k.size}"] = _timing(
+            lambda: [k.inv(a) for a in units], len(units), 1e6)
 
     ext = Extension.kummer(F5, 2, poly_from_str("t", F5))
     primes = primes_of_degree(F5, 4)
-
-    def patterns():
-        residue_field.cache_clear()
-        for prime in primes:
-            splitting_pattern(ext, prime)
-    out["splitting_pattern|kummer|q=5|n=2|a=t|d=4"] = _median_time(
-        patterns, len(primes), 1e6)
+    for name, fn in (("splitting_pattern", splitting_pattern),
+                     ("splitting", splitting)):
+        def scan():
+            residue_field.cache_clear()
+            for prime in primes:
+                fn(ext, prime)
+        out[f"{name}|kummer|q=5|n=2|a=t|d=4"] = _timing(
+            scan, len(primes), 1e6)
     return out
 
 
@@ -121,7 +140,7 @@ def _stabilizer_rows() -> dict:
                     if saturation_holds(order, cols)]
         rng = random.Random(f"stabilizer:{name}")
         sample = rng.sample(lattices, min(STABILIZER_SAMPLE, len(lattices)))
-        out[f"stabilizer_index|{name}"] = _median_time(
+        out[f"stabilizer_index|{name}"] = _timing(
             lambda: [stabilizer_index(cols, order)
                      for _ in range(STABILIZER_ROUNDS) for cols in sample],
             STABILIZER_ROUNDS * len(sample), 1e6)
@@ -152,7 +171,7 @@ def _inverse_rows() -> dict:
                     except (Singular, PrecisionExhausted):
                         continue
                     mats.append(m)
-                out[f"inverse|q={F.size}|r={r}|prec={prec}"] = _median_time(
+                out[f"inverse|q={F.size}|r={r}|prec={prec}"] = _timing(
                     lambda: [m.inverse() for m in mats], len(mats), 1e6)
     return out
 
