@@ -1,5 +1,5 @@
-"""Truncated rings A/p^k on one packed-integer encoding, and Howell
-normal forms.
+"""Truncated rings A/p^k on one packed-integer encoding, and the Smith
+form of a basis over them.
 
 A/p^k = F_q[t]/(p(t)^k) is a local principal ring with uniformizer the
 class of p.  An element is its canonical representative (degree <
@@ -20,11 +20,10 @@ Poly object is built.  `localfield` keeps the unit parts of its truncated
 elements in the same encoding.
 
 `ChainRing.reduce` maps a Poly of A into A/p^k and `ChainRing.lift`
-returns the canonical Poly.  Submodules of (A/p^k)^n are handled through
-Howell normal forms, which are unique per submodule, so canonical row
-tuples double as dictionary keys.  `smith_form_left` is the Smith form of
-a basis over A/p^k with its row transform and inverse, from which
-`localfield` reads multiplier rings and hom-modules.
+returns the canonical Poly.  `smith_form_left`, the Smith form of a basis
+over A/p^k with its row transform and inverse, is the one elimination on
+submodules of (A/p^k)^n: `localfield` reads lattice spans, multiplier
+rings, hom-modules and their sizes off it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import BudgetExceeded
 from .ffpoly import Poly, Prime, residue_field
 
 # Extension base fields up to this size get kernel-local add/mul tables;
@@ -547,16 +545,6 @@ class ChainRing:
             raise AssertionError("inexact chain-ring division")
         return quot
 
-    def div_exact(self, a: int, b: int) -> int:
-        """a/b where val(a) >= val(b); exact in the chain ring."""
-        vb = self.val(b)
-        ub = self.unit_part(b, vb)
-        return self.mul(self.unit_part(a, vb), self.inv(ub))
-
-    def divmod_pi_pow(self, a: int, v: int) -> Tuple[int, int]:
-        """(a // pi^v, a mod pi^v) on canonical representatives."""
-        return self.kernel.divmod_p(a, v)
-
     def pi_pow(self, v: int) -> int:
         return self.kernel.pow_p(v) if v < self.k else 0
 
@@ -572,85 +560,6 @@ class ChainRing:
 
 
 Vec = Tuple[int, ...]
-
-
-def vec_add(ring: ChainRing, u: Vec, v: Vec) -> Vec:
-    return tuple(ring.add(a, b) for a, b in zip(u, v))
-
-def vec_sub(ring: ChainRing, u: Vec, v: Vec) -> Vec:
-    return tuple(ring.sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(ring: ChainRing, c: int, v: Vec) -> Vec:
-    if c == 1:
-        return tuple(v)
-    return tuple(ring.mul(c, a) if a else 0 for a in v)
-
-def vec_is_zero(v: Vec) -> bool:
-    return not any(v)
-
-
-def _leading_index(v: Vec) -> int:
-    for i, a in enumerate(v):
-        if a:
-            return i
-    return len(v)
-
-
-def howell_form(ring: ChainRing, rows: Sequence[Vec]) -> Tuple[Vec, ...]:
-    """Unique Howell normal form of the row span.
-
-    Pivots are normalized to exact powers of pi, every other entry in a
-    pivot column is reduced to its canonical residue mod that power, and
-    annihilator rows are folded in, so equal submodules give equal output.
-    """
-    k = ring.k
-    work: List[Vec] = [r for r in rows if not vec_is_zero(r)]
-    n = len(rows[0]) if rows else 0
-    pivots: List[Tuple[int, int, Vec]] = []  # (col, val, row)
-
-    for col in range(n):
-        eligible = [r for r in work if _leading_index(r) == col]
-        work = [r for r in work if _leading_index(r) > col]
-        if not eligible:
-            continue
-        vals = [ring.val(r[col]) for r in eligible]
-        best = min(range(len(eligible)), key=lambda i: vals[i])
-        a = vals[best]
-        pivot = eligible.pop(best)
-        # normalize pivot entry to exactly pi^a
-        u_inv = ring.inv(ring.unit_part(pivot[col], a))
-        pivot = vec_scale(ring, u_inv, pivot)
-        for r in eligible:
-            if not r[col]:
-                work.append(r)
-                continue
-            c = ring.div_exact(r[col], pivot[col])
-            r2 = vec_sub(ring, r, vec_scale(ring, c, pivot))
-            if not vec_is_zero(r2):
-                work.append(r2)
-        if a > 0:
-            ann = vec_scale(ring, ring.pi_pow(k - a), pivot)
-            if not vec_is_zero(ann):
-                work.append(ann)
-        pivots.append((col, a, pivot))
-
-    # full reduction: left-to-right, reduce every other row at each pivot col
-    for idx, (col, a, prow) in enumerate(pivots):
-        for jdx, (jcol, ja, jrow) in enumerate(pivots):
-            if jdx == idx:
-                continue
-            c = jrow[col]
-            if not c:
-                continue
-            q = ring.divmod_pi_pow(c, a)[0]
-            if not q:
-                continue
-            jrow = vec_sub(ring, jrow, vec_scale(ring, q, prow))
-            pivots[jdx] = (jcol, ja, jrow)
-
-    return tuple(row for _, _, row in sorted(pivots, key=lambda t: t[0]))
-
-
 Matrix = List[List[int]]
 
 
@@ -727,81 +636,3 @@ def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
             if acc != (i == j):
                 raise AssertionError("Smith row transform is not invertible")
     return tuple(exps), U, U_inv
-
-
-def module_size(ring: ChainRing, howell_rows: Sequence[Vec]) -> int:
-    """Cardinality of the module from its Howell form."""
-    total = 1
-    for row in howell_rows:
-        col = _leading_index(row)
-        a = ring.val(row[col])
-        total *= ring.prime.residue_size ** (ring.k - a)
-    return total
-
-
-def module_contains(ring: ChainRing, howell_rows: Sequence[Vec], v: Vec) -> bool:
-    """Membership test by reduction against the Howell form."""
-    for row in howell_rows:
-        col = _leading_index(row)
-        if not v[col]:
-            continue
-        a = ring.val(row[col])
-        if ring.val(v[col]) < a:
-            return False
-        c = ring.div_exact(v[col], row[col])
-        v = vec_sub(ring, v, vec_scale(ring, c, row))
-    return vec_is_zero(v)
-
-
-def enumerate_module(ring: ChainRing, howell_rows: Sequence[Vec],
-                     budget: int) -> Iterator[Vec]:
-    """All elements of the module; raises BudgetExceeded upfront if the
-    cardinality is over budget."""
-    size = module_size(ring, howell_rows)
-    if size > budget:
-        raise BudgetExceeded(
-            f"module of size {size} exceeds enumeration budget {budget}")
-    n = len(howell_rows[0]) if howell_rows else 0
-    zero = (0,) * n
-    if not howell_rows:
-        yield zero
-        return
-    pivot_vals = []
-    for row in howell_rows:
-        col = _leading_index(row)
-        pivot_vals.append(ring.val(row[col]))
-
-    def rec(i: int, acc: Vec) -> Iterator[Vec]:
-        if i == len(howell_rows):
-            yield acc
-            return
-        for c in ring.residues_mod_pi_pow(ring.k - pivot_vals[i]):
-            if not c:
-                yield from rec(i + 1, acc)
-            else:
-                yield from rec(i + 1, vec_add(ring, acc,
-                                              vec_scale(ring, c, howell_rows[i])))
-
-    yield from rec(0, zero)
-
-
-def solve_into_module(ring: ChainRing, image_rows: Sequence[Vec],
-                      target_rows: Sequence[Vec], dim: int) -> Tuple[Vec, ...]:
-    """Howell form of {x in R^dim : sum x_s * image_rows[s] in <target>}.
-
-    image_rows[s] is the image of the s-th domain basis vector; the row
-    span of target_rows is the allowed submodule of the codomain.
-    """
-    n = len(image_rows[0]) if image_rows else len(target_rows[0])
-    stacked: List[Vec] = []
-    for s, img in enumerate(image_rows):
-        tag = [0] * dim
-        tag[s] = 1
-        stacked.append(tuple(img) + tuple(tag))
-    for w in target_rows:
-        stacked.append(tuple(w) + (0,) * dim)
-    reduced = howell_form(ring, stacked)
-    solutions = [row[n:] for row in reduced if vec_is_zero(row[:n])]
-    if not solutions:
-        return ()
-    return howell_form(ring, solutions)

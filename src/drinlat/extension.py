@@ -83,7 +83,10 @@ class Extension:
         self.separable = separable
         self.const_degree = const_degree  # [F_{q'} : F_q]
         self.params = params
-        assert self.inf_ram[1] % self.const_degree == 0
+        if self.inf_ram[1] % self.const_degree:
+            raise AssertionError(
+                "infinite residue degree must be a multiple of the constant "
+                "field degree")
 
     @property
     def infinite_place_degree(self) -> int:
@@ -136,7 +139,8 @@ class Extension:
                 bad.add(pr)
         genus_sum += n - 1  # totally ramified infinite place
         two_g = -2 * n + genus_sum
-        assert two_g % 2 == 0 and two_g >= -2
+        if two_g % 2 or two_g < -2:
+            raise AssertionError(f"Riemann-Hurwitz gives 2g - 2 = {two_g}")
         genus = (two_g + 2) // 2
         coeffs = [-a] + [Poly.zero(base)] * (n - 1) + [Poly.one(base)]
         return Extension("kummer", base, n, genus, base.size, coeffs,
@@ -268,7 +272,8 @@ def _artin_schreier_reduce(base: FiniteField, a: Poly) -> Poly:
         c = base.pow(a.lead(), root_exp)  # p-th root of the leading coeff
         corr = Poly.monomial(base, c, d // p)
         a = a - corr ** p + corr
-        assert a.degree < d
+        if a.degree >= d:
+            raise AssertionError("Artin-Schreier reduction must lower the degree")
     return a
 
 
@@ -340,7 +345,8 @@ def _bareiss_det(base: FiniteField, mat: List[List[Poly]]) -> Poly:
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 q, r = divmod(num, prev)
-                assert r.is_zero(), "Bareiss division must be exact"
+                if not r.is_zero():
+                    raise AssertionError("Bareiss division must be exact")
                 m[i][j] = q
         prev = m[k][k]
     det = m[n - 1][n - 1]

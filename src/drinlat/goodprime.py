@@ -314,7 +314,8 @@ def shrink_level(level: LevelMap, prime: Prime,
         raise NotMaximalAtPrime(f"level at {prime} is not maximal")
     s_use = s if s is not None else lvl.s
     index = count_matrix_group(level.r, prime.residue_size, 1)[0]
-    assert index < prime.residue_size ** (level.r ** 2)
+    if index >= prime.residue_size ** (level.r ** 2):
+        raise AssertionError("level index must be below |Mat_r(k(p))|")
     shrunk = level.with_level(prime, LocalLevel("congruence", 1, s_use))
     return shrunk, index
 
@@ -390,8 +391,9 @@ def find_good_prime(datum: SubvarietyDatum, N: int, max_degree: int = 6,
         shrunk, index = shrink_level(datum.level, prime, s, precision)
         refined = datum.with_level(shrunk)
         cert = is_good_prime(refined, prime, precision)
-        assert isinstance(cert, GoodPrimeCertificate), \
-            "re-certification after shrinking must succeed"
+        if not isinstance(cert, GoodPrimeCertificate):
+            raise AssertionError(
+                "re-certification after shrinking must succeed")
         report = FindReport(scanned, counters, poly_to_str(prime.poly), d_of_x)
         return FindResult(True, cert, shrunk, index, report)
     report = FindReport(scanned, counters, None, d_of_x)
@@ -434,7 +436,8 @@ def transfer_good_prime(outer: SubvarietyDatum, inner_ext: Extension,
     else:
         factor = (kp.neg(rho_inner), 1)  # x - rho
         place = PlaceRef(prime, 1, 1, factor)
-    assert place.residue_size == prime.residue_size
+    if place.residue_size != prime.residue_size:
+        raise AssertionError("transferred place must keep the residue size")
     return TransferResult(place, inner_datum, inner_cert)
 
 
@@ -484,7 +487,8 @@ def _tower_witness_root(outer_ext: Extension, inner_ext: Extension,
             if acc == 0:
                 sigma = x
                 break
-        assert sigma is not None, "subfield generator must have a root"
+        if sigma is None:
+            raise AssertionError("subfield generator must have a root")
         digits = outer_const._split(sigma)
         out = 0
         power = 1
@@ -554,7 +558,8 @@ def count_components(base: FiniteField, level: LevelMap) -> int:
         qp = prime.residue_size
         units *= qp ** depth - qp ** (depth - 1)
     q = base.size
-    assert units % (q - 1) == 0
+    if units % (q - 1):
+        raise AssertionError("unit count must be divisible by q - 1")
     return units // (q - 1)
 
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
-from ._chainring import (ChainRing, _kernel, enumerate_module, howell_form,
-                         module_size, smith_form_left, solve_into_module)
+from ._chainring import ChainRing, _kernel, smith_form_left
 from .errors import (BudgetExceeded, NotContained, NotSaturated,
                      PrecisionExhausted, Singular)
 from .ffpoly import (FiniteField, Poly, Prime, poly_to_str, residue_field)
@@ -821,18 +820,6 @@ def _chain_matmul(ring: ChainRing, a, b):
     return out
 
 
-def _chain_matvec(ring: ChainRing, a, v):
-    n = len(a)
-    out = [ring.zero] * n
-    for i in range(n):
-        acc = ring.zero
-        for j, x in enumerate(v):
-            if x and a[i][j]:
-                acc = ring.add(acc, ring.mul(a[i][j], x))
-        out[i] = acc
-    return out
-
-
 def _lattice_columns_chain(lattice, ring: ChainRing) -> List[Tuple[int, ...]]:
     """Lattice basis columns as canonical vectors over A/p^k."""
     if isinstance(lattice, Lattice):
@@ -849,19 +836,27 @@ def _lattice_columns_chain(lattice, ring: ChainRing) -> List[Tuple[int, ...]]:
 
 def saturation_holds(order: OrderStructure, lattice) -> bool:
     """Nakayama test of R'.Lambda = R'^(r'): the y-power translates of the
-    basis columns must span (A/p)^r over k(p)."""
+    basis columns must span k(p)^r; the columns are reduced mod p once
+    and translated in k(p)."""
     prime = order.prime
     ring = ChainRing(prime, 1)
     kp = residue_field(prime)
     m, r = order.m, order.r
-    ypow = order.y_power_blocks(ring)
     vectors = []
     for col in _lattice_columns_chain(lattice, ring):
-        blocks = [col[b * m:(b + 1) * m] for b in range(order.r_prime)]
-        # rho(y)^j acts block by block on (A/p)^r = ((A/p)^m)^(r')
-        for pw in ypow:
-            vectors.append([ring.to_residue(x) for blk in blocks
-                            for x in _chain_matvec(ring, pw, blk)])
+        res = [ring.to_residue(x) for x in col]
+        # rho(y)^j acts block by block on k(p)^r = (k(p)^m)^(r')
+        for pw in order.y_power_residues():
+            vec = []
+            for b in range(0, r, m):
+                blk = res[b:b + m]
+                for prow in pw:
+                    acc = 0
+                    for a, x in zip(prow, blk):
+                        if a and x:
+                            acc = kp.add(acc, kp.mul(a, x))
+                    vec.append(acc)
+            vectors.append(vec)
     return len(_residue_echelon(kp, vectors, r)) == r
 
 
@@ -889,58 +884,29 @@ def _residue_echelon(field: FiniteField, vectors, width: int) -> List[List[int]]
     return rows[:rank]
 
 
-def _hom_module(order: OrderStructure, ring: ChainRing, src_cols, dst_rows):
-    """Howell form of {x in Mat_{r'}(R'/p^k) : x . src subset of <dst>},
-    x given by its m*r'^2 chain-ring coordinates.
-
-    The stacked construction: the m*r'^2 images of src, each r*len(src)
-    wide, solved into len(src) copies of dst's Howell rows.  The oracle
-    that tests compare `_hom_kernel` against."""
-    m, rp, r = order.m, order.r_prime, order.r
-    ypow = order.y_power_blocks(ring)
-    dim = rp * rp * m
-    images = []
-    for a in range(rp):
-        for b in range(rp):
-            for j in range(m):
-                # x = y^j in block (a, b): image on column v takes v's block b
-                # through rho(y)^j into block a
-                img_parts = []
-                for col in src_cols:
-                    vb = col[b * m:(b + 1) * m]
-                    w = _chain_matvec(ring, ypow[j], vb)
-                    full = [ring.zero] * r
-                    full[a * m:(a + 1) * m] = w
-                    img_parts.extend(full)
-                images.append(tuple(img_parts))
-    L = len(src_cols)
-    targets = []
-    for slot in range(L):
-        for row in dst_rows:
-            full = [ring.zero] * (r * L)
-            full[slot * r:(slot + 1) * r] = list(row)
-            targets.append(tuple(full))
-    return solve_into_module(ring, images, targets, dim)
-
-
 def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
-    """Howell form of Hom = {x in Mat_{r'}(R'/p^k) : x . L_src subset of
-    L_dst}, x given by its m*r'^2 chain-ring coordinates.
+    """Hom = {x in Mat_{r'}(R'/p^k) : x . L_src subset of L_dst}, x given
+    by its dim = m*r'^2 chain-ring coordinates, as Smith data (exps, G):
+    Hom is spanned by the rows of G, row i scaled by pi^(k - exps[i]), and
+    the scaled rows are independent, so |Hom| = q_p^sum(exps).
 
     src = (e_src, U_src) and dst = (e_dst, U_dst^-1) come from Smith forms
     L = U diag(pi^e) A^r over A/p^k (`smith_form_left`).  With Y = U_dst^-1
     X U_src, x . L_src lies in L_dst iff v(Y_ij) >= e_dst_i - e_src_j, so
-    Hom is the kernel of the map sending x to pi^(k - e_dst_i + e_src_j)
-    Y_ij at the positions where e_dst_i > e_src_j.  `_hom_module` is the
-    stacked construction this replaces, kept as the oracle.
+    Hom is the kernel of the constraint matrix C sending x to
+    pi^(k - e_dst_i + e_src_j) Y_ij at the positions where e_dst_i >
+    e_src_j.  The Smith form C^T = U D V gives it: x C^T = 0 iff y = U^T x
+    has v(y_i) >= k - exps[i] (exps padded with k to length dim), so G is
+    U^-1.  The stacked construction this replaces is kept as a test
+    oracle.
     """
     (e_src, u_src), (e_dst, u_dst_inv) = src, dst
     m, rp, r, k = order.m, order.r_prime, order.r, ring.k
     dim = rp * rp * m
     spots = [(i, j, k - e_dst[i] + e_src[j])
              for i in range(r) for j in range(r) if e_dst[i] > e_src[j]]
-    if not spots:  # no constraint: all of Mat_{r'}, whose Howell form is I
-        return tuple(map(tuple, _chain_identity(ring, dim)))
+    if not spots:  # no constraint: all of Mat_{r'}
+        return (k,) * dim, _chain_identity(ring, dim)
     kr = ring.kernel
     ypow = order.y_power_blocks(ring)
     # x = y^j in block (a, b) maps block b through rho(y)^j into block a, so
@@ -959,18 +925,47 @@ def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
                         if x and wrow[col]:
                             acc = ring.add(acc, ring.mul(x, wrow[col]))
                     img.append(kr.mod(kr.shl(acc, s), k) if acc else 0)
-                images.append(tuple(img))
-    return solve_into_module(ring, images, (), dim)
+                images.append(img)
+    # images[s] is the row of C^T for coordinate s; its columns are C's rows
+    exps, _, gens = smith_form_left(ring, list(zip(*images)))
+    return exps, gens
 
 
-def _residue_image(order: OrderStructure, ring: ChainRing, kp,
-                   sol) -> List[List[int]]:
-    """Echelon basis over k(p) of the hom-module with Howell rows sol,
-    reduced mod p.  The Howell rows generate the module, so their
-    reductions span its image."""
-    dim = order.r_prime ** 2 * order.m
-    return _residue_echelon(
-        kp, [[ring.to_residue(c) for c in row] for row in sol], dim)
+def _kernel_elements(ring: ChainRing, exps, gens, budget: int):
+    """Every element of the module with Smith data (exps, gens), each
+    once: the sums of c_i pi^(k - exps[i]) gens[i], c_i over A/p^exps[i].
+    Raises BudgetExceeded on the first step if the module has more than
+    budget elements."""
+    size = ring.prime.residue_size ** sum(exps)
+    if size > budget:
+        raise BudgetExceeded(
+            f"module of size {size} exceeds enumeration budget {budget}")
+    k = ring.k
+    # the terms with the fewest multiples vary fastest: a search that stops
+    # at its first hit, as saturate_lattice's does, then meets elements with
+    # every term nonzero early
+    terms = [(e, [ring.mul(ring.pi_pow(k - e), x) for x in row])
+             for e, row in zip(exps, gens) if e][::-1]
+
+    def walk(i, acc):
+        if i == len(terms):
+            yield acc
+            return
+        e, g = terms[i]
+        for c in ring.residues_mod_pi_pow(e):
+            yield from walk(i + 1, [ring.add(a, ring.mul(c, b)) if c and b
+                                    else a for a, b in zip(acc, g)])
+
+    yield from walk(0, [0] * len(gens))
+
+
+def _residue_image(ring: ChainRing, exps, gens) -> List[List[int]]:
+    """Basis over k(p) of the hom-module with Smith data (exps, gens)
+    reduced mod p: the rows of gens with exps[i] = k, reduced mod p.  The
+    other rows are scaled by a positive power of pi, and gens is
+    invertible, so these reductions are independent."""
+    return [[ring.to_residue(c) for c in row]
+            for e, row in zip(exps, gens) if e == ring.k]
 
 
 def _span_invertible(order: OrderStructure, kp, basis):
@@ -1011,14 +1006,13 @@ def _divisors_and_transforms(lattice, prime: Prime):
 
 def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
                      budget: int):
-    """(A/p^k, Howell rows of H, |H|, elementary divisors) for the
+    """(A/p^k, Smith data of H, |H|, elementary divisors) for the
     multiplier ring H = {x : x.Lambda subset Lambda} mod p^k, after the
     integrality, depth, saturation and budget checks.
 
     H is the kernel of a constraint system read off one Smith form
     Lambda = U diag(pi^e) A^r: x is in H iff v((U^-1 X U)_ab) >= e_a - e_b
-    (`_hom_kernel`).  The Howell form is unique, so the rows are those of
-    the stacked construction `_hom_module`."""
+    (`_hom_kernel`), which also gives |H|."""
     prime = order.prime
     divisors, snf = _divisors_and_transforms(lattice, prime)
     if min(divisors) < 0:
@@ -1042,12 +1036,12 @@ def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
         if exps != divisors:
             raise AssertionError(
                 f"Smith exponents {exps} mod p^{k} disagree with {divisors}")
-    sol = _hom_kernel(order, ring, (divisors, u), (divisors, u_inv))
-    h_size = module_size(ring, sol)
+    hom = _hom_kernel(order, ring, (divisors, u), (divisors, u_inv))
+    h_size = prime.residue_size ** sum(hom[0])
     if h_size > budget:
         raise BudgetExceeded(
             f"stabilizer ring has {h_size} elements, budget {budget}")
-    return ring, sol, h_size, divisors
+    return ring, hom, h_size, divisors
 
 
 def _orbit_index(order: OrderStructure, k: int, units: int) -> int:
@@ -1061,9 +1055,9 @@ def _orbit_index(order: OrderStructure, k: int, units: int) -> int:
 def _stabilizer(lattice, order: OrderStructure, k: Optional[int],
                 budget: int) -> Tuple[int, Tuple[int, ...]]:
     """(stabilizer index, elementary divisors of the lattice)."""
-    ring, sol, h_size, divisors = _multiplier_ring(lattice, order, k, budget)
+    ring, hom, h_size, divisors = _multiplier_ring(lattice, order, k, budget)
     kp = residue_field(order.prime)
-    basis = _residue_image(order, ring, kp, sol)
+    basis = _residue_image(ring, *hom)
     h_bar = kp.size ** len(basis)
     if h_size % h_bar != 0:
         raise AssertionError("|H mod p| must divide |H|")
@@ -1081,9 +1075,10 @@ def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
     packed Smith form Lambda = U diag(pi^e) A^r, which also gives the
     elementary divisors (`_multiplier_ring`).  x in H is a unit iff x mod
     p is invertible, so the units are counted on the image H-bar of H mod
-    p, a k(p)-space spanned by the Howell rows of H reduced mod p: |H^x| =
-    |H| / |H-bar| times the number of invertible elements of H-bar.  Only
-    H-bar is enumerated; the gate |H| <= budget is kept.
+    p, a k(p)-space whose basis the same Smith form gives
+    (`_residue_image`): |H^x| = |H| / |H-bar| times the number of
+    invertible elements of H-bar.  Only H-bar is enumerated; the gate
+    |H| <= budget is kept.
     stabilizer_index_enumerated is the oracle that walks all of H.
     """
     return _stabilizer(lattice, order, k, budget)[0]
@@ -1094,12 +1089,12 @@ def stabilizer_index_enumerated(lattice, order: OrderStructure,
                                 budget: int = DEFAULT_BUDGET) -> int:
     """Brute-force counterpart of stabilizer_index: tests every element
     of the multiplier ring H for invertibility mod p."""
-    ring, sol, _, _ = _multiplier_ring(lattice, order, k, budget)
+    ring, hom, _, _ = _multiplier_ring(lattice, order, k, budget)
     kp = residue_field(order.prime)
     ypow_res = order.y_power_residues()
     r = order.r
     units = 0
-    for x in enumerate_module(ring, sol, budget):
+    for x in _kernel_elements(ring, *hom, budget):
         mat = _x_block_matrix(order, kp, ypow_res,
                               [ring.to_residue(c) for c in x])
         if len(_residue_echelon(kp, mat, r)) == r:
@@ -1126,27 +1121,28 @@ def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
     map.  Hom is the kernel of the constraint system of the two packed
     Smith forms (`_hom_kernel`).
 
+    The same Smith forms decide equal lattices first: L_a = U_a
+    diag(pi^e_a) A^r and L_b have equal size iff sum(e_a) = sum(e_b), and
+    L_b lies in L_a iff row i of U_a^-1 L_b is divisible by pi^(e_a_i).
     Invertibility depends on x mod p only, so the search runs over the
     image of the hom-module mod p; the gate on its full size is kept."""
     ring = ChainRing(order.prime, k)
-    ca = _lattice_columns_chain(cols_a, ring)
+    e_a, u_a, u_a_inv = smith_form_left(
+        ring, _lattice_columns_chain(cols_a, ring))
     cb = _lattice_columns_chain(cols_b, ring)
-    rows_a = howell_form(ring, [tuple(c) for c in ca])
-    rows_b = howell_form(ring, [tuple(c) for c in cb])
-    if module_size(ring, rows_a) != module_size(ring, rows_b):
-        return False
-    if rows_a == rows_b:
-        return True
-    e_a, u_a, _ = smith_form_left(ring, ca)
     e_b, _, u_b_inv = smith_form_left(ring, cb)
-    sol = _hom_kernel(order, ring, (e_a, u_a), (e_b, u_b_inv))
-    size = module_size(ring, sol)
+    if sum(e_a) != sum(e_b):
+        return False
+    inside = _chain_matmul(ring, u_a_inv, list(zip(*cb)))
+    if all(ring.val(x) >= e for e, row in zip(e_a, inside) for x in row):
+        return True
+    exps, gens = _hom_kernel(order, ring, (e_a, u_a), (e_b, u_b_inv))
+    size = order.prime.residue_size ** sum(exps)
     if size > budget:
         raise BudgetExceeded(
             f"module of size {size} exceeds enumeration budget {budget}")
     kp = residue_field(order.prime)
-    basis = _residue_image(order, ring, kp, sol)
-    return any(_span_invertible(order, kp, basis))
+    return any(_span_invertible(order, kp, _residue_image(ring, exps, gens)))
 
 
 def hnf_column_basis(prime: Prime, columns: Sequence[Sequence[LocalElement]],
@@ -1196,7 +1192,8 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
     indices are measured inside GL_{r'}(R')).
 
     The normalizing map is searched in Hom(A^r, M) for the A'-span M,
-    built by `_hom_kernel` from M's packed Smith form.
+    built by `_hom_kernel` from M's packed Smith form.  x.A^r lies in M, so
+    it is M iff it has M's Smith exponents.
     """
     prime = order.prime
     r = order.r
@@ -1218,19 +1215,16 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
     m_lat = Lattice(m_basis)
     k = max(m_lat.elementary_divisors) + 1
     ring = ChainRing(prime, k)
-    m_cols = _lattice_columns_chain(m_lat, ring)
-    m_rows = howell_form(ring, [tuple(c) for c in m_cols])
     # Hom(A^r, M): the source is standard, U = I and e = 0
-    e_m, _, u_m_inv = smith_form_left(ring, m_cols)
-    sol = _hom_kernel(order, ring, ((0,) * r, _chain_identity(ring, r)),
+    e_m, _, u_m_inv = smith_form_left(
+        ring, _lattice_columns_chain(m_lat, ring))
+    hom = _hom_kernel(order, ring, ((0,) * r, _chain_identity(ring, r)),
                       (e_m, u_m_inv))
     ypow = order.y_power_blocks(ring)
-    for x in enumerate_module(ring, sol, budget):
+    for x in _kernel_elements(ring, *hom, budget):
         # does the A'-column span of x equal M mod p^k?
         block = _x_block_matrix(order, ring, ypow, x)
-        img = howell_form(ring, [tuple(block[i][j] for i in range(r))
-                                 for j in range(r)])
-        if img == m_rows:
+        if smith_form_left(ring, list(zip(*block)))[0] == e_m:
             h_polys = [[ring.lift(block[i][j]) for j in range(r)]
                        for i in range(r)]
             h = LocalMatrix.from_polys(prime, h_polys)

@@ -4,12 +4,14 @@ import pathlib
 import random
 
 import pytest
+from howell_oracle import (_chain_matvec, _hom_module, enumerate_module,
+                           howell_form, kernel_rows, module_contains,
+                           module_size, saturation_holds_chain)
 from hypothesis import given, settings, strategies as st
 from residue_oracle import _det_residue
 
 from drinlat import localfield
-from drinlat._chainring import (ChainRing, enumerate_module, howell_form,
-                                module_contains, module_size, smith_form_left)
+from drinlat._chainring import ChainRing, smith_form_left
 from drinlat.acceptance import _gitter_structures
 from drinlat.errors import (BudgetExceeded, DrinlatError, NotContained,
                             NotSaturated, PrecisionExhausted, Singular)
@@ -543,7 +545,6 @@ class TestStabilizerIndex:
                 mat = [[ring.add(ring.mul(c0, ypow[0][i][j]),
                                  ring.mul(c1, ypow[1][i][j]))
                         for j in range(2)] for i in range(2)]
-                from drinlat.localfield import _chain_matvec
                 from drinlat.ffpoly import residue_field
                 kp = residue_field(T2)
                 red = [[ring.to_residue(mat[i][j]) for j in range(2)]
@@ -648,10 +649,20 @@ class TestStabilizerAgainstEnumeration:
         assert all(isinstance(row, tuple) for mat in ypow for row in mat)
 
 
+def _smith_data(ring, rows, dim):
+    """Howell rows of a submodule of (A/p^k)^dim as the Smith data (exps,
+    gens) that `_hom_kernel` returns: the span of the rows is U diag(pi^e)
+    (A/p^k)^dim, so gens are the columns of U and exps are k - e."""
+    if not rows:
+        return (0,) * dim, localfield._chain_identity(ring, dim)
+    exps, u, _ = smith_form_left(ring, rows)
+    return tuple(ring.k - e for e in exps), [list(col) for col in zip(*u)]
+
+
 def _multiplier_ring_stacked(lattice, order, k, budget):
     """_multiplier_ring as it was before the Smith-form constraint system:
     divisors from the LocalElement SNF, H solved into the lattice's Howell
-    form by the stacked `_hom_module`."""
+    form by the stacked `_hom_module`, handed on as Smith data."""
     prime = order.prime
     if isinstance(lattice, Lattice):
         divisors = lattice.elementary_divisors
@@ -669,12 +680,18 @@ def _multiplier_ring_stacked(lattice, order, k, budget):
         raise NotSaturated("R'-span of the lattice is not the full module")
     ring = ChainRing(prime, k)
     cols = localfield._lattice_columns_chain(lattice, ring)
-    sol = localfield._hom_module(order, ring, cols, howell_form(ring, cols))
+    sol = _hom_module(order, ring, cols, howell_form(ring, cols))
     h_size = module_size(ring, sol)
     if h_size > budget:
         raise BudgetExceeded(
             f"stabilizer ring has {h_size} elements, budget {budget}")
-    return ring, sol, h_size, divisors
+    dim = order.r_prime ** 2 * order.m
+    return ring, _smith_data(ring, sol, dim), h_size, divisors
+
+
+def _module_and_size(ring, hom, h_size, divisors):
+    """H as its Howell rows, with |H|: equal for equal modules."""
+    return kernel_rows(ring, *hom), h_size
 
 
 def _outcome(f, *args):
@@ -703,20 +720,21 @@ def _once(f):
 
 
 def _outcomes(multiplier_ring, lattice, order, k, budget):
-    """H's Howell rows, stabilizer_index and gitter_bound_check (or their
-    refusals), with H built once by multiplier_ring."""
+    """H's Howell rows with |H|, stabilizer_index and gitter_bound_check
+    (or their refusals), with H built once by multiplier_ring."""
     args = (lattice, order, k, budget)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(localfield, "_multiplier_ring", _once(multiplier_ring))
         return [_outcome(f, *args) for f in (
-            lambda *a: localfield._multiplier_ring(*a)[1],
+            lambda *a: _module_and_size(*localfield._multiplier_ring(*a)),
             stabilizer_index, gitter_bound_check)]
 
 
 def _assert_matches_stacked(lattice, order, k=None, budget=DEFAULT_BUDGET):
-    """The Howell rows of H, stabilizer_index and gitter_bound_check (or
-    the refusal each raises) agree between the Smith-form constraint
-    system and the stacked construction; returns them."""
+    """H as a module (the oracle's Howell rows of its generators) with
+    |H|, stabilizer_index and gitter_bound_check (or the refusal each
+    raises) agree between the Smith-form constraint system and the
+    stacked construction; returns them."""
     new = _outcomes(localfield._multiplier_ring, lattice, order, k, budget)
     old = _outcomes(_multiplier_ring_stacked, lattice, order, k, budget)
     assert new == old, (lattice, k)
@@ -743,6 +761,32 @@ def _rank_two_orders(prime):
 OTHER_PRIMES = [(prime_from_str("t^2+t+1", F2), 2),
                 (prime_from_str("t+1", F3), 2), (P3, 1),
                 (primes_of_degree(F4, 1)[-1], 2), (primes_of_degree(F4, 2)[0], 1)]
+
+
+class TestSaturationOverResidueField:
+    """saturation_holds in k(p) arithmetic against the depth-1 chain-ring
+    construction it replaced."""
+
+    @pytest.mark.parametrize("name,order", _gitter_structures(),
+                             ids=[name for name, _ in _gitter_structures()])
+    def test_criterion_2_grid(self, name, order):
+        seen = {True: 0, False: 0}
+        for _, cols in hermite_sublattices(order.prime, order.r, 4):
+            want = saturation_holds_chain(order, cols)
+            assert saturation_holds(order, cols) == want, cols
+            seen[want] += 1
+        assert seen[True] and seen[False], seen
+
+    @pytest.mark.parametrize("prime,max_exp", OTHER_PRIMES,
+                             ids=[f"q={p.field.size},{p.poly}"
+                                  for p, _ in OTHER_PRIMES])
+    def test_other_primes_and_lattice_inputs(self, prime, max_exp):
+        for order in _rank_two_orders(prime):
+            for _, cols in hermite_sublattices(prime, order.r, max_exp):
+                lat = Lattice.from_poly_basis(prime, cols)
+                for arg in (cols, lat):
+                    assert saturation_holds(order, arg) == \
+                        saturation_holds_chain(order, arg), cols
 
 
 class TestMultiplierRingFromSmithForm:
@@ -859,7 +903,6 @@ class TestMultiplierRingFromSmithForm:
         def refuse(*args, **kwargs):
             raise AssertionError("old construction reached")
         monkeypatch.setattr(localfield, "_snf_full", refuse)
-        monkeypatch.setattr(localfield, "_hom_module", refuse)
         S = OrderStructure.unramified(T2, 1, 2)
         cols = [[Poly.one(F2), Poly.zero(F2)],
                 [Poly.zero(F2), poly_from_str("t", F2)]]
@@ -926,8 +969,7 @@ class TestSmithFormLeft:
 def _orbit_equal_full_search(order, k, cols_a, cols_b):
     """module_orbit_equal as it was before the mod-p search: walk all of
     the hom-module and test each element for invertibility mod p."""
-    from drinlat.localfield import (_hom_module, _lattice_columns_chain,
-                                    _x_block_matrix)
+    from drinlat.localfield import _lattice_columns_chain, _x_block_matrix
     ring = ChainRing(order.prime, k)
     ca = _lattice_columns_chain(cols_a, ring)
     cb = _lattice_columns_chain(cols_b, ring)
@@ -1011,7 +1053,6 @@ class TestModuleOrbitEqual:
         ypow = S.y_power_blocks(ring)
         a = [[Poly.one(F2), Poly.zero(F2)],
              [Poly.zero(F2), poly_from_str("t", F2)]]
-        from drinlat.localfield import _chain_matvec
         b = [tuple(_chain_matvec(ring, ypow[1], [ring.reduce(c) for c in col]))
              for col in a]
         rows_a = howell_form(ring, [tuple(ring.reduce(c) for c in col)
@@ -1061,11 +1102,46 @@ class TestModuleOrbitEqual:
                                   for _ in range(2))
                         e_a, u_a, _ = smith_form_left(ring, ca)
                         e_b, _, u_b_inv = smith_form_left(ring, cb)
-                        got = localfield._hom_kernel(order, ring, (e_a, u_a),
-                                                     (e_b, u_b_inv))
-                        want = localfield._hom_module(
-                            order, ring, ca, howell_form(ring, cb))
-                        assert got == want, (ca, cb)
+                        exps, gens = localfield._hom_kernel(
+                            order, ring, (e_a, u_a), (e_b, u_b_inv))
+                        want = _hom_module(order, ring, ca,
+                                           howell_form(ring, cb))
+                        assert kernel_rows(ring, exps, gens) == want, (ca, cb)
+                        assert prime.residue_size ** sum(exps) == \
+                            module_size(ring, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_hom_kernels_match_stacked(self, data):
+        # Hom(L_a, L_b) for random generator sets: the Smith data span the
+        # stacked construction's module, and give its size
+        prime = data.draw(st.sampled_from([T2, T3, P3,
+                                           prime_from_str("t^2+t+1", F2)]))
+        order = data.draw(st.sampled_from(
+            _rank_two_orders(prime) + [OrderStructure.unramified(prime, 1, 3),
+                                       OrderStructure.totally_ramified(
+                                           prime, 1, 3)]))
+        ring = ChainRing(prime, data.draw(st.integers(1, 3)))
+        entry = st.sampled_from(list(ring.elements()))
+        ca, cb = (data.draw(st.lists(st.tuples(*[entry] * order.r),
+                                     min_size=1, max_size=3))
+                  for _ in range(2))
+        e_a, u_a, _ = smith_form_left(ring, ca)
+        e_b, _, u_b_inv = smith_form_left(ring, cb)
+        exps, gens = localfield._hom_kernel(order, ring, (e_a, u_a),
+                                            (e_b, u_b_inv))
+        want = _hom_module(order, ring, ca, howell_form(ring, cb))
+        assert kernel_rows(ring, exps, gens) == want
+        size = prime.residue_size ** sum(exps)
+        assert size == module_size(ring, want)
+        if size <= 2 ** 10:
+            # the walk meets every element once
+            walked = [tuple(x) for x in localfield._kernel_elements(
+                ring, exps, gens, size)]
+            assert len(walked) == size
+            # the oracle walks the zero module as the empty vector
+            assert set(walked) == (set(enumerate_module(ring, want, size))
+                                   if want else {(0,) * len(gens)})
 
 
 def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
@@ -1089,7 +1165,7 @@ def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
     ring = ChainRing(prime, max(m_lat.elementary_divisors) + 1)
     m_rows = howell_form(ring, localfield._lattice_columns_chain(m_lat, ring))
     std_cols = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    sol = localfield._hom_module(order, ring, std_cols, m_rows)
+    sol = _hom_module(order, ring, std_cols, m_rows)
     ypow = order.y_power_blocks(ring)
     for x in enumerate_module(ring, sol, budget):
         block = localfield._x_block_matrix(order, ring, ypow, x)
@@ -1105,10 +1181,11 @@ def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
 class TestSaturateAgainstStacked:
     @pytest.mark.parametrize("prime", [T2, T3, prime_from_str("t^2+t+1", F2)],
                              ids=["t/F2", "t/F3", "t^2+t+1/F2"])
-    def test_same_normalized_lattice(self, prime):
+    def test_same_normalized_orbit(self, prime):
         # every unsaturated Hermite sublattice of exponent <= 3: the same
-        # normalizing map, so the same basis and stabilizer index (or the
-        # same refusal)
+        # refusal, or saturated lattices with the same stabilizer index in
+        # one GL_{r'}(R')-orbit.  The two searches walk Hom(A^r, M) in
+        # different orders, so they may stop at different normalizing maps
         normalized = 0
         for order in _rank_two_orders(prime):
             for _, cols in hermite_sublattices(prime, 2, 3):
@@ -1120,9 +1197,12 @@ class TestSaturateAgainstStacked:
                 if isinstance(want, tuple):
                     assert got == want
                     continue
-                assert got.basis.rows == want.basis.rows
+                assert saturation_holds(order, got)
                 assert stabilizer_index(got, order) == \
                     stabilizer_index(want, order)
+                k = max(1, max(got.elementary_divisors))
+                assert module_orbit_equal(order, k, got, want,
+                                          budget=prime.residue_size ** (4 * k))
                 normalized += 1
         assert normalized
 

@@ -11,7 +11,13 @@ pairs in residue fields of 5^6 and 3^6 elements and `FiniteField.inv` on
 x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
 cleared; `stabilizer_index` per call on a seeded sample of up to 40
 saturated lattices of criterion 2's grid (exponent <= 4) per order, each
-called 5 times per repeat; and `LocalMatrix.inverse` per call on 10
+called 5 times per repeat; on the same grid, per order, `module_orbit_equal`
+per call on a seeded sample of up to 40 pairs of distinct lattices of equal
+index, at the least depth k >= 1 with p^k inside both, and
+`saturate_lattice` per call on a seeded sample of up to 40 unsaturated
+lattices, each called 5 times per repeat (at the default budget, so
+budget and precision refusals are timed too, as the library raises them);
+and `LocalMatrix.inverse` per call on 10
 seeded invertible r x r matrices (r = 2, 3, 4) at p = t over F_2, F_3 and
 F_4, at precisions 12 and 30.  Prints one JSON object: per row the median
 and the minimum of 7 repeats, in microseconds per call (ms for the prime
@@ -67,6 +73,7 @@ def main() -> None:
                 out[f"{op}|q={F.size}|prec={prec}"] = _timing(run, UNITS, 1e6)
     out.update(_layer0_rows())
     out.update(_stabilizer_rows())
+    out.update(_hom_rows())
     out.update(_inverse_rows())
     print(json.dumps(out))
 
@@ -143,6 +150,43 @@ def _stabilizer_rows() -> dict:
         out[f"stabilizer_index|{name}"] = _timing(
             lambda: [stabilizer_index(cols, order)
                      for _ in range(STABILIZER_ROUNDS) for cols in sample],
+            STABILIZER_ROUNDS * len(sample), 1e6)
+    return out
+
+
+def _hom_rows() -> dict:
+    from drinlat.acceptance import _gitter_structures
+    from drinlat.errors import DrinlatError
+    from drinlat.localfield import (Lattice, hermite_sublattices,
+                                    module_orbit_equal, saturate_lattice,
+                                    saturation_holds)
+
+    def refused(fn, *args):
+        try:
+            fn(*args)
+        except DrinlatError:
+            pass
+
+    out = {}
+    for name, order in _gitter_structures():
+        grid = [(sum(exps), cols, Lattice.from_poly_basis(order.prime, cols))
+                for exps, cols in hermite_sublattices(order.prime, order.r, 4)]
+        rng = random.Random(f"orbit:{name}")
+        pairs = [(a, b, max(1, *la.elementary_divisors, *lb.elementary_divisors))
+                 for ia, a, la in grid for ib, b, lb in grid
+                 if ia == ib and a is not b]
+        sample = rng.sample(pairs, min(STABILIZER_SAMPLE, len(pairs)))
+        out[f"module_orbit_equal|{name}"] = _timing(
+            lambda: [refused(module_orbit_equal, order, k, a, b)
+                     for _ in range(STABILIZER_ROUNDS) for a, b, k in sample],
+            STABILIZER_ROUNDS * len(sample), 1e6)
+        rng = random.Random(f"saturate:{name}")
+        lattices = [lat for _, cols, lat in grid
+                    if not saturation_holds(order, cols)]
+        sample = rng.sample(lattices, min(STABILIZER_SAMPLE, len(lattices)))
+        out[f"saturate_lattice|{name}"] = _timing(
+            lambda: [refused(saturate_lattice, order, lat)
+                     for _ in range(STABILIZER_ROUNDS) for lat in sample],
             STABILIZER_ROUNDS * len(sample), 1e6)
     return out
 
