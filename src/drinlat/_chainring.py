@@ -552,12 +552,6 @@ class ChainRing:
         """All elements (size = q_p^k of them), constant term fastest."""
         return self.kernel.elements(self.prime.degree * self.k)
 
-    def residues_mod_pi_pow(self, a: int) -> Iterator[int]:
-        """Canonical representatives of A/p^a inside the ring (a <= k)."""
-        if a < 1:
-            return iter((0,))
-        return self.kernel.elements(self.prime.degree * a)
-
 
 Vec = Tuple[int, ...]
 Matrix = List[List[int]]

@@ -2,9 +2,10 @@
 
 One command per invocation, deterministic output for a given
 (args, config, seed).  Reports are JSON on stdout with the config echoed
-verbatim; refusals and budget failures are machine-readable JSON on
-stderr with exit codes 2 (refusal / not found), 3 (budget exceeded) and
-4 (malformed input).
+verbatim; refusals, budget failures and internal faults are
+machine-readable JSON on stderr with exit codes 2 (refusal / not found),
+3 (budget exceeded), 4 (malformed input) and 5 (internal fault: a
+library invariant check raised AssertionError).
 """
 
 from __future__ import annotations
@@ -495,6 +496,9 @@ def main(argv=None) -> int:
     except REFUSALS as exc:
         print(_error_payload("refusal", exc), file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(_error_payload("internal", exc), file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -314,9 +314,6 @@ class FiniteField:
                                if self.pow(z, half) == minus_one)
         return self._nonsq
 
-    def multiplicative_generator(self) -> int:
-        return self._primitive_element(self.mul)
-
     def _primitive_element(self, mul) -> int:
         """The smallest g >= 2 that generates the multiplicative group (1
         in a field of two elements), with products taken by ``mul``."""
@@ -1026,28 +1023,6 @@ def field_from_str(s: str) -> FiniteField:
 
 def prime_from_str(s: str, field: FiniteField) -> Prime:
     return Prime(poly_from_str(s, field))
-
-
-def random_poly(field: FiniteField, degree: int, rng) -> Poly:
-    """Uniform polynomial of degree <= degree (may be zero)."""
-    return Poly(field, [rng.randrange(field.size) for _ in range(degree + 1)])
-
-
-def poly_ext_gcd(a: Poly, b: Poly):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    F = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(F), Poly.zero(F)
-    t0, t1 = Poly.zero(F), Poly.one(F)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = F.inv(r0.lead())
-    return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
 def power_residue_symbol(a: Poly, b: Poly, n: int) -> int:

@@ -557,15 +557,6 @@ class Lattice:
         return f"Lattice(divisors={self.elementary_divisors})"
 
 
-def lattice_index(sub: Lattice, sup: Lattice) -> int:
-    """|sup / sub| for sub contained in sup, as an exact integer."""
-    change = sup.basis.inverse() @ sub.basis
-    if not change.is_integral():
-        raise NotContained("first lattice is not contained in the second")
-    exps = change.elementary_divisors()
-    return sub.prime.residue_size ** sum(exps)
-
-
 def count_matrix_group(r: int, q_res: int, k: int) -> Tuple[int, int]:
     """(|GL_r(R/m^k)|, |Mat_r(R/m^k)|) over a chain ring with residue
     field of size q_res, by the closed form."""
@@ -931,50 +922,24 @@ def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
     return exps, gens
 
 
-def _kernel_elements(ring: ChainRing, exps, gens, budget: int):
-    """Every element of the module with Smith data (exps, gens), each
-    once: the sums of c_i pi^(k - exps[i]) gens[i], c_i over A/p^exps[i].
-    Raises BudgetExceeded on the first step if the module has more than
-    budget elements."""
-    size = ring.prime.residue_size ** sum(exps)
-    if size > budget:
-        raise BudgetExceeded(
-            f"module of size {size} exceeds enumeration budget {budget}")
-    k = ring.k
-    # the terms with the fewest multiples vary fastest: a search that stops
-    # at its first hit, as saturate_lattice's does, then meets elements with
-    # every term nonzero early
-    terms = [(e, [ring.mul(ring.pi_pow(k - e), x) for x in row])
-             for e, row in zip(exps, gens) if e][::-1]
-
-    def walk(i, acc):
-        if i == len(terms):
-            yield acc
-            return
-        e, g = terms[i]
-        for c in ring.residues_mod_pi_pow(e):
-            yield from walk(i + 1, [ring.add(a, ring.mul(c, b)) if c and b
-                                    else a for a, b in zip(acc, g)])
-
-    yield from walk(0, [0] * len(gens))
-
-
-def _residue_image(ring: ChainRing, exps, gens) -> List[List[int]]:
+def _residue_image(order: OrderStructure, ring: ChainRing, exps, gens):
     """Basis over k(p) of the hom-module with Smith data (exps, gens)
-    reduced mod p: the rows of gens with exps[i] = k, reduced mod p.  The
-    other rows are scaled by a positive power of pi, and gens is
-    invertible, so these reductions are independent."""
-    return [[ring.to_residue(c) for c in row]
+    reduced mod p, as r x r block matrices over k(p): the rows of gens
+    with exps[i] = k, reduced mod p.  The other rows are scaled by a
+    positive power of pi, and gens is invertible, so these reductions are
+    independent."""
+    kp = residue_field(order.prime)
+    ypow_res = order.y_power_residues()
+    return [_x_block_matrix(order, kp, ypow_res,
+                            [ring.to_residue(c) for c in row])
             for e, row in zip(exps, gens) if e == ring.k]
 
 
-def _span_invertible(order: OrderStructure, kp, basis):
-    """Whether the block matrix of each element of the k(p)-span of basis
-    is invertible, one per element."""
-    r = order.r
-    ypow_res = order.y_power_residues()
-    mats = [_x_block_matrix(order, kp, ypow_res, v) for v in basis]
-    for coeffs in itertools.product(list(kp.elements()), repeat=len(basis)):
+def _span_units(kp: FiniteField, r: int, mats):
+    """The coefficients c over k(p) of every invertible matrix
+    sum c_i mats[i] in the k(p)-span of the r x r matrices mats, one per
+    coefficient vector, found by a rank check (`_residue_echelon`)."""
+    for coeffs in itertools.product(list(kp.elements()), repeat=len(mats)):
         mat = [[0] * r for _ in range(r)]
         for c, b in zip(coeffs, mats):
             if c == 0:
@@ -983,7 +948,8 @@ def _span_invertible(order: OrderStructure, kp, basis):
                 for j, v in enumerate(brow):
                     if v:
                         row[j] = kp.add(row[j], kp.mul(c, v))
-        yield len(_residue_echelon(kp, mat, r)) == r
+        if len(_residue_echelon(kp, mat, r)) == r:
+            yield coeffs
 
 
 def _divisors_and_transforms(lattice, prime: Prime):
@@ -1057,11 +1023,11 @@ def _stabilizer(lattice, order: OrderStructure, k: Optional[int],
     """(stabilizer index, elementary divisors of the lattice)."""
     ring, hom, h_size, divisors = _multiplier_ring(lattice, order, k, budget)
     kp = residue_field(order.prime)
-    basis = _residue_image(ring, *hom)
+    basis = _residue_image(order, ring, *hom)
     h_bar = kp.size ** len(basis)
     if h_size % h_bar != 0:
         raise AssertionError("|H mod p| must divide |H|")
-    units = h_size // h_bar * sum(_span_invertible(order, kp, basis))
+    units = h_size // h_bar * sum(1 for _ in _span_units(kp, order.r, basis))
     return _orbit_index(order, ring.k, units), divisors
 
 
@@ -1079,27 +1045,8 @@ def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
     (`_residue_image`): |H^x| = |H| / |H-bar| times the number of
     invertible elements of H-bar.  Only H-bar is enumerated; the gate
     |H| <= budget is kept.
-    stabilizer_index_enumerated is the oracle that walks all of H.
     """
     return _stabilizer(lattice, order, k, budget)[0]
-
-
-def stabilizer_index_enumerated(lattice, order: OrderStructure,
-                                k: Optional[int] = None,
-                                budget: int = DEFAULT_BUDGET) -> int:
-    """Brute-force counterpart of stabilizer_index: tests every element
-    of the multiplier ring H for invertibility mod p."""
-    ring, hom, _, _ = _multiplier_ring(lattice, order, k, budget)
-    kp = residue_field(order.prime)
-    ypow_res = order.y_power_residues()
-    r = order.r
-    units = 0
-    for x in _kernel_elements(ring, *hom, budget):
-        mat = _x_block_matrix(order, kp, ypow_res,
-                              [ring.to_residue(c) for c in x])
-        if len(_residue_echelon(kp, mat, r)) == r:
-            units += 1
-    return _orbit_index(order, ring.k, units)
 
 
 def gitter_bound_check(lattice, order: OrderStructure, k: Optional[int] = None,
@@ -1142,46 +1089,8 @@ def module_orbit_equal(order: OrderStructure, k: int, cols_a, cols_b,
         raise BudgetExceeded(
             f"module of size {size} exceeds enumeration budget {budget}")
     kp = residue_field(order.prime)
-    return any(_span_invertible(order, kp, _residue_image(ring, exps, gens)))
-
-
-def hnf_column_basis(prime: Prime, columns: Sequence[Sequence[LocalElement]],
-                     r: int) -> LocalMatrix:
-    """Reduce a spanning set of integral columns to an r-column basis by
-    min-valuation column elimination (Hermite style over A_p)."""
-    cols = [list(c) for c in columns]
-    basis: List[List[LocalElement]] = []
-    for row in range(r):
-        live = []
-        for c in cols:
-            e = c[row]
-            if e.kind == "n":
-                live.append((e.val, c))
-            elif e.kind == "u":
-                raise PrecisionExhausted("column entry uncertified in HNF")
-        if not live:
-            continue
-        piv_val = min(v for v, _ in live)
-        piv = next(c for v, c in live if v == piv_val)
-        cols.remove(piv)
-        piv_entry = piv[row]
-        inv_unit = piv_entry.shift(-piv_val).inv()
-        rest = []
-        for c in cols:
-            e = c[row]
-            if e.kind == "z" or (e.kind == "u" and e.val >= piv_val):
-                rest.append(c)
-                continue
-            q = e.shift(-piv_val).mul(inv_unit)
-            newc = [a.sub(q.mul(b)) for a, b in zip(c, piv)]
-            newc[row] = LocalElement.zero(prime)
-            rest.append(newc)
-        cols = rest
-        basis.append(piv)
-    if len(basis) != r:
-        raise Singular("columns do not span a full-rank lattice")
-    rows = [[basis[j][i] for j in range(r)] for i in range(r)]
-    return LocalMatrix(prime, rows)
+    units = _span_units(kp, order.r, _residue_image(order, ring, exps, gens))
+    return next(units, None) is not None
 
 
 def saturate_lattice(order: OrderStructure, lattice: Lattice,
@@ -1191,49 +1100,68 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
     invariant under this normalization, which matches the convention that
     indices are measured inside GL_{r'}(R')).
 
-    The normalizing map is searched in Hom(A^r, M) for the A'-span M,
-    built by `_hom_kernel` from M's packed Smith form.  x.A^r lies in M, so
-    it is M iff it has M's Smith exponents.
+    One packed Smith form of the m*r spanning columns of the A'-span M
+    gives M = U D A^r, D = diag(pi^e), at depth k = max(e) + 1, where p^k
+    A^r lies in pM.  The normalizing map x is sought in Hom(A^r, M)
+    (`_hom_kernel`) by Nakayama's lemma: x.A^r = M iff x.A^r + pM = M,
+    i.e. iff Y(x) = D^-1 U^-1 X mod p is invertible over k(p), X the block
+    matrix of x.  Y is k(p)-linear on Hom/pHom, so only the k(p)-span of
+    the Y of Hom's generators is searched (`_span_units`); the gate on
+    |Hom| is kept.
     """
-    prime = order.prime
-    r = order.r
+    prime, r = order.prime, order.r
     divisors = lattice.elementary_divisors
-    if min(divisors) < 0:
+    shift = max(0, -min(divisors))
+    if shift:
         lattice = Lattice(lattice.basis.scale(
-            LocalElement.pi_power(prime, -min(divisors))))
+            LocalElement.pi_power(prime, shift)))
     if saturation_holds(order, lattice):
         return lattice
-    # A'-span M of the lattice, as an A_p-lattice
-    blockm = order.companion_block_local()
+    # the y-power translates of the basis columns span M; M contains the
+    # lattice, so its exponents lie below max(divisors) + shift + 1
+    span = ChainRing(prime, max(divisors) + shift + 1)
+    rows = list(zip(*_lattice_columns_chain(lattice, span)))
     cols = []
-    spans = lattice.basis
-    for _ in range(order.m):
-        for j in range(r):
-            cols.append([spans.rows[i][j] for i in range(r)])
-        spans = blockm @ spans
-    m_basis = hnf_column_basis(prime, cols, r)
-    m_lat = Lattice(m_basis)
-    k = max(m_lat.elementary_divisors) + 1
+    for pw in order.y_power_blocks(span):
+        moved = [row for b in range(0, r, order.m)
+                 for row in _chain_matmul(span, pw, rows[b:b + order.m])]
+        cols.extend(zip(*moved))
+    e_m, _, u_inv = smith_form_left(span, cols)
+    k = max(e_m) + 1
     ring = ChainRing(prime, k)
+    u_inv = [[ring.kernel.mod(x, k) for x in row] for row in u_inv]
     # Hom(A^r, M): the source is standard, U = I and e = 0
-    e_m, _, u_m_inv = smith_form_left(
-        ring, _lattice_columns_chain(m_lat, ring))
-    hom = _hom_kernel(order, ring, ((0,) * r, _chain_identity(ring, r)),
-                      (e_m, u_m_inv))
+    exps, gens = _hom_kernel(order, ring, ((0,) * r, _chain_identity(ring, r)),
+                             (e_m, u_inv))
+    size = prime.residue_size ** sum(exps)
+    if size > budget:
+        raise BudgetExceeded(
+            f"module of size {size} exceeds enumeration budget {budget}")
     ypow = order.y_power_blocks(ring)
-    for x in _kernel_elements(ring, *hom, budget):
-        # does the A'-column span of x equal M mod p^k?
-        block = _x_block_matrix(order, ring, ypow, x)
-        if smith_form_left(ring, list(zip(*block)))[0] == e_m:
-            h_polys = [[ring.lift(block[i][j]) for j in range(r)]
-                       for i in range(r)]
-            h = LocalMatrix.from_polys(prime, h_polys)
-            new_basis = h.inverse() @ lattice.basis
-            out = Lattice(new_basis)
-            if not saturation_holds(order, out):
-                raise AssertionError("normalized lattice must be saturated")
-            return out
-    raise NotSaturated("no normalizing map found below budget")
+    terms, images = [], []
+    for e, g in zip(exps, gens):
+        if not e:
+            continue
+        x = [ring.mul(ring.pi_pow(k - e), c) for c in g]
+        y = _chain_matmul(ring, u_inv, _x_block_matrix(order, ring, ypow, x))
+        terms.append(x)
+        images.append([[ring.to_residue(ring.unit_part(a, ei)) for a in row]
+                       for ei, row in zip(e_m, y)])
+    coeffs = next(_span_units(residue_field(prime), r, images), None)
+    if coeffs is None:
+        raise NotSaturated("no normalizing map found below budget")
+    x = [0] * len(gens)
+    for c, term in zip(coeffs, terms):
+        if c:
+            c = ring.kernel.from_residue(c)
+            x = [ring.add(a, ring.mul(c, b)) for a, b in zip(x, term)]
+    block = _x_block_matrix(order, ring, ypow, x)
+    h = LocalMatrix.from_polys(prime, [[ring.lift(v) for v in row]
+                                       for row in block])
+    out = Lattice(h.inverse() @ lattice.basis)
+    if not saturation_holds(order, out):
+        raise AssertionError("normalized lattice must be saturated")
+    return out
 
 
 def _x_block_matrix(order: OrderStructure, ring, ypow, x_coords):

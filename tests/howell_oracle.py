@@ -156,7 +156,9 @@ def enumerate_module(ring: ChainRing, howell_rows: Sequence[Vec],
         if i == len(howell_rows):
             yield acc
             return
-        for c in ring.residues_mod_pi_pow(ring.k - pivot_vals[i]):
+        # the canonical representatives of A/p^(k - pivot valuation)
+        for c in ring.kernel.elements(ring.prime.degree *
+                                      (ring.k - pivot_vals[i])):
             if not c:
                 yield from rec(i + 1, acc)
             else:

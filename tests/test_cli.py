@@ -187,6 +187,19 @@ class TestExitCodes:
         assert error["kind"] == "refusal"
         assert error["type"] == "PrecisionExhausted"
 
+    def test_internal_fault_is_5(self, capsys, monkeypatch):
+        # a library invariant check raises AssertionError explicitly
+        def broken(*args, **kwargs):
+            raise AssertionError("orbit-stabilizer must divide")
+
+        monkeypatch.setattr("drinlat.cli.hecke_degree", broken)
+        code, out, err = run_cli(["hecke-degree", "--q", "2", "--r", "2",
+                                  "--prime", "t"], capsys)
+        assert code == 5 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "AssertionError", "kind": "internal",
+                         "message": "orbit-stabilizer must divide"}
+
     def test_inapplicable_degree_is_2(self, capsys):
         code, _, err = run_cli(["cebotarev", "--ext",
                                 '{"kind":"constant","n":2,"base":"5"}',

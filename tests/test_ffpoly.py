@@ -7,8 +7,7 @@ from drinlat import ffpoly
 from drinlat.ffpoly import (
     _TABLE_LIMIT, FiniteField, Poly, Prime, _monic_polys, count_irreducibles,
     enumerate_primes, field_from_str, poly_factor, poly_from_str, poly_to_str,
-    power_residue_symbol, prime_from_str, primes_of_degree, random_poly,
-    residue_field,
+    power_residue_symbol, prime_from_str, primes_of_degree, residue_field,
 )
 
 F2 = FiniteField.of_order(2)
@@ -17,6 +16,11 @@ F4 = FiniteField.of_order(2, 2)
 F5 = FiniteField.of_order(5)
 F8 = FiniteField.of_order(2, 3)
 F9 = FiniteField.of_order(3, 2)
+
+
+def random_poly(field, degree, rng):
+    """Uniform polynomial of degree <= degree (may be zero)."""
+    return Poly(field, [rng.randrange(field.size) for _ in range(degree + 1)])
 
 
 def P(s, field):
@@ -54,9 +58,9 @@ class TestFiniteField:
             if a:
                 assert field.mul(a, field.inv(a)) == 1
 
-    def test_multiplicative_generator(self):
+    def test_primitive_element_generates(self):
         for field in (F2, F4, F5, F9):
-            g = field.multiplicative_generator()
+            g = field._primitive_element(field.mul)
             seen = set()
             x = 1
             for _ in range(field.size - 1):

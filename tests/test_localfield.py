@@ -6,9 +6,10 @@ import random
 import pytest
 from howell_oracle import (_chain_matvec, _hom_module, enumerate_module,
                            howell_form, kernel_rows, module_contains,
-                           module_size, saturation_holds_chain)
+                           module_size, saturation_holds_chain, vec_scale)
 from hypothesis import given, settings, strategies as st
 from residue_oracle import _det_residue
+from stabilizer_oracle import _kernel_elements, stabilizer_index_enumerated
 
 from drinlat import localfield
 from drinlat._chainring import ChainRing, smith_form_left
@@ -20,9 +21,8 @@ from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
 from drinlat.localfield import (
     DEFAULT_BUDGET, DEFAULT_PRECISION, Lattice, LocalElement, LocalMatrix,
     OrderStructure, count_matrix_group, count_matrix_group_exhaustive,
-    gitter_bound_check, hermite_sublattices, lattice_index,
-    module_orbit_equal, saturate_lattice, saturation_holds, stabilizer_index,
-    stabilizer_index_enumerated,
+    gitter_bound_check, hermite_sublattices, module_orbit_equal,
+    saturate_lattice, saturation_holds, stabilizer_index,
 )
 
 F2 = FiniteField.of_order(2)
@@ -40,6 +40,20 @@ def pi_pow(prime, k, prec=12):
     return LocalElement.pi_power(prime, k, prec)
 
 
+def random_poly(field, degree, rng):
+    """Uniform polynomial of degree <= degree (may be zero)."""
+    return Poly(field, [rng.randrange(field.size) for _ in range(degree + 1)])
+
+
+def lattice_index(sub, sup):
+    """|sup / sub| for sub inside sup, from the elementary divisors of the
+    change of basis sup^-1 sub."""
+    change = sup.basis.inverse() @ sub.basis
+    if not change.is_integral():
+        raise NotContained("first lattice is not contained in the second")
+    return sub.prime.residue_size ** sum(change.elementary_divisors())
+
+
 class TestLocalElement:
     def test_from_poly_valuation(self):
         x = elem(T2, "t^3+t^4")
@@ -48,9 +62,8 @@ class TestLocalElement:
     def test_mul_adds_valuations(self):
         rng = random.Random(0)
         for _ in range(100):
-            import drinlat.ffpoly as fp
-            f = fp.random_poly(F3, 5, rng)
-            g = fp.random_poly(F3, 5, rng)
+            f = random_poly(F3, 5, rng)
+            g = random_poly(F3, 5, rng)
             if f.is_zero() or g.is_zero():
                 continue
             a = LocalElement.from_poly(T3, f)
@@ -1136,7 +1149,7 @@ class TestModuleOrbitEqual:
         assert size == module_size(ring, want)
         if size <= 2 ** 10:
             # the walk meets every element once
-            walked = [tuple(x) for x in localfield._kernel_elements(
+            walked = [tuple(x) for x in _kernel_elements(
                 ring, exps, gens, size)]
             assert len(walked) == size
             # the oracle walks the zero module as the empty vector
@@ -1145,9 +1158,9 @@ class TestModuleOrbitEqual:
 
 
 def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
-    """saturate_lattice as it was before the Smith-form constraint system:
-    Hom(A^r, M) solved into M's Howell form by the stacked `_hom_module`,
-    walked for a map onto M."""
+    """saturate_lattice by Howell forms: M is the Howell form of the
+    y-power translates of the basis columns, Hom(A^r, M) is solved into
+    it by the stacked `_hom_module` and walked for a map onto M."""
     prime, r = order.prime, order.r
     divisors = lattice.elementary_divisors
     if min(divisors) < 0:
@@ -1155,17 +1168,24 @@ def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
             LocalElement.pi_power(prime, -min(divisors))))
     if saturation_holds(order, lattice):
         return lattice
+    # the spanning columns, translated in LocalElement arithmetic
     blockm = order.companion_block_local()
     cols, spans = [], lattice.basis
     for _ in range(order.m):
-        for j in range(r):
-            cols.append([spans.rows[i][j] for i in range(r)])
+        cols.extend([spans.rows[i][j] for i in range(r)] for j in range(r))
         spans = blockm @ spans
-    m_lat = Lattice(localfield.hnf_column_basis(prime, cols, r))
-    ring = ChainRing(prime, max(m_lat.elementary_divisors) + 1)
-    m_rows = howell_form(ring, localfield._lattice_columns_chain(m_lat, ring))
-    std_cols = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    sol = _hom_module(order, ring, std_cols, m_rows)
+    # M contains the lattice, so p^(max divisor) A^r lies in M
+    big = ChainRing(prime, max(lattice.elementary_divisors) + 1)
+    m_big = howell_form(big, [tuple(x.residue(big.k) for x in c)
+                              for c in cols])
+    unit_cols = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    depth = next(j for j in range(big.k) if all(
+        module_contains(big, m_big, vec_scale(big, big.pi_pow(j), e))
+        for e in unit_cols))
+    ring = ChainRing(prime, depth + 1)
+    m_rows = howell_form(ring, [tuple(x.residue(ring.k) for x in c)
+                                for c in cols])
+    sol = _hom_module(order, ring, unit_cols, m_rows)
     ypow = order.y_power_blocks(ring)
     for x in enumerate_module(ring, sol, budget):
         block = localfield._x_block_matrix(order, ring, ypow, x)
@@ -1178,33 +1198,66 @@ def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
     raise NotSaturated("no normalizing map found below budget")
 
 
+def _assert_saturates_as_stacked(order, cols, budget):
+    """saturate_lattice and the Howell-form search give the same refusal,
+    or saturated lattices with the same stabilizer index in one
+    GL_{r'}(R')-orbit; returns whether they answered.  The searches run
+    over different sets in different orders, so they may stop at
+    different normalizing maps."""
+    prime = order.prime
+    lat = Lattice.from_poly_basis(prime, cols)
+    got = _outcome(saturate_lattice, order, lat, budget)
+    want = _outcome(_saturate_stacked, order, lat, budget)
+    if isinstance(want, tuple):
+        assert got == want, cols
+        return False
+    assert saturation_holds(order, got)
+    assert stabilizer_index(got, order) == stabilizer_index(want, order)
+    k = max(1, max(got.elementary_divisors))
+    assert module_orbit_equal(order, k, got, want,
+                              budget=prime.residue_size ** (4 * k))
+    return True
+
+
 class TestSaturateAgainstStacked:
     @pytest.mark.parametrize("prime", [T2, T3, prime_from_str("t^2+t+1", F2)],
                              ids=["t/F2", "t/F3", "t^2+t+1/F2"])
     def test_same_normalized_orbit(self, prime):
-        # every unsaturated Hermite sublattice of exponent <= 3: the same
-        # refusal, or saturated lattices with the same stabilizer index in
-        # one GL_{r'}(R')-orbit.  The two searches walk Hom(A^r, M) in
-        # different orders, so they may stop at different normalizing maps
+        # every unsaturated Hermite sublattice of exponent <= 3
         normalized = 0
         for order in _rank_two_orders(prime):
             for _, cols in hermite_sublattices(prime, 2, 3):
-                if saturation_holds(order, cols):
-                    continue
-                lat = Lattice.from_poly_basis(prime, cols)
-                got = _outcome(saturate_lattice, order, lat, 512)
-                want = _outcome(_saturate_stacked, order, lat, 512)
-                if isinstance(want, tuple):
-                    assert got == want
-                    continue
-                assert saturation_holds(order, got)
-                assert stabilizer_index(got, order) == \
-                    stabilizer_index(want, order)
-                k = max(1, max(got.elementary_divisors))
-                assert module_orbit_equal(order, k, got, want,
-                                          budget=prime.residue_size ** (4 * k))
-                normalized += 1
+                if not saturation_holds(order, cols):
+                    normalized += _assert_saturates_as_stacked(order, cols,
+                                                               512)
         assert normalized
+
+    @pytest.mark.parametrize("name,order", _gitter_structures(),
+                             ids=[name for name, _ in _gitter_structures()])
+    def test_criterion_2_grid(self, name, order):
+        # every unsaturated Hermite sublattice of exponent <= 4 at r = 2
+        # and <= 3 at r = 3
+        normalized = 0
+        for _, cols in hermite_sublattices(order.prime, order.r,
+                                           4 if order.r == 2 else 3):
+            if not saturation_holds(order, cols):
+                normalized += _assert_saturates_as_stacked(order, cols,
+                                                           DEFAULT_BUDGET)
+        assert normalized
+
+    def test_plain_span_normalized(self):
+        # diag(t^2, t, t) under the unramified cubic order: its A'-span is
+        # t.R'.  The Hermite elimination this replaced refused it with
+        # "column entry uncertified in HNF"
+        order = OrderStructure.unramified(T2, 1, 3)
+        t, t2 = poly_from_str("t", F2), poly_from_str("t^2", F2)
+        zero = Poly.zero(F2)
+        lat = Lattice.from_poly_basis(T2, [[t2, zero, zero], [zero, t, zero],
+                                           [zero, zero, t]])
+        got = saturate_lattice(order, lat)
+        assert saturation_holds(order, got)
+        assert stabilizer_index(got, order) == 7
+        assert stabilizer_index_enumerated(got, order) == 7
 
 
 class TestOrbitEqualFullGroupOracle:
