@@ -2,10 +2,10 @@
 
 One command per invocation, deterministic output for a given
 (args, config, seed).  Reports are JSON on stdout with the config echoed
-verbatim; refusals, budget failures and internal faults are
-machine-readable JSON on stderr with exit codes 2 (refusal / not found),
-3 (budget exceeded), 4 (malformed input) and 5 (internal fault: a
-library invariant check raised AssertionError).
+verbatim; errors are machine-readable JSON on stderr, with the exit code
+given by the error's category (see `errors`): 2 refusal (or nothing
+found), 3 budget exceeded, 4 malformed input (usage errors included) and
+5 internal fault, any exception outside the three library categories.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Tuple
 
 from . import errors
 from .acceptance import DEFAULT_CONFIG, run_all
@@ -32,47 +31,37 @@ from .localfield import LocalElement
 
 SCHEMA = 1
 
-MALFORMED = (errors.MalformedInput, errors.ZeroPolynomial,
-             errors.ReducibleDefiningPolynomial,
-             errors.MultipleInfinitePlaces, errors.UnsupportedShape,
-             json.JSONDecodeError, KeyError, ValueError)
-REFUSALS = (errors.UnsupportedRamifiedPrime, errors.NotMaximalAtPrime,
-            errors.Inconclusive, errors.NotNormal, errors.InapplicableDegree,
-            errors.GenusZero, errors.QuotientInsufficient,
-            errors.TowerNotSupported, errors.Singular, errors.NotContained,
-            errors.NotSaturated, errors.PrecisionExhausted)
-
 
 def _load_config(args) -> dict:
     cfg = dict(DEFAULT_CONFIG)
-    path = os.environ.get("DRINLAT_CONFIG")
-    if getattr(args, "config", None):
-        path = args.config
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    path = args.config or os.environ.get("DRINLAT_CONFIG")
+    with errors.decoding("config"):
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            for key in DEFAULT_CONFIG:
+                if key in data:
+                    cfg[key] = data[key]
         for key in DEFAULT_CONFIG:
-            if key in data:
-                cfg[key] = data[key]
-    for key in DEFAULT_CONFIG:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if cfg["output"] not in ("json", "tsv"):
-        raise errors.MalformedInput("output must be json or tsv")
-    for key in ("precision", "orbit_budget", "scan_max_degree"):
-        if int(cfg[key]) < 1:
-            raise errors.MalformedInput(f"config {key} must be positive")
-        cfg[key] = int(cfg[key])
-    cfg["seed"] = int(cfg["seed"])
+            val = getattr(args, key, None)
+            if val is not None:
+                cfg[key] = val
+        if cfg["output"] not in ("json", "tsv"):
+            raise errors.MalformedInput("output must be json or tsv")
+        for key in ("precision", "orbit_budget", "scan_max_degree"):
+            if int(cfg[key]) < 1:
+                raise errors.MalformedInput(f"config {key} must be positive")
+            cfg[key] = int(cfg[key])
+        cfg["seed"] = int(cfg["seed"])
     return cfg
 
 
 def _inline_or_file(text: str):
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+    with errors.decoding("JSON argument"):
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(text)
 
 
 def _emit(payload: dict, cfg: dict) -> None:
@@ -161,117 +150,73 @@ def cmd_hecke_degree(args, cfg) -> int:
     return 0
 
 
-def _parse_x_polynomial(text: str, prime, precision):
-    """Polynomial in x with rational-function coefficients, e.g.
-    'x^2-(1/t)' or 'x^3+t*x+(t+1)/(t^2)'."""
-    field = prime.field
-    s = text.replace(" ", "")
-    terms = []
+def _toplevel(s: str, chars: str):
+    """Indices of the characters of `chars` in s outside parentheses."""
     depth = 0
-    cur = ""
-    sign = 1
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and depth == 0 and not cur:
-            sign = sign if ch == "+" else -sign
-        else:
-            cur += ch
-    if cur:
-        terms.append((sign, cur))
-    if not terms:
-        raise errors.MalformedInput(f"empty polynomial {text!r}")
-    coeffs = {}
-    for sign, term in terms:
-        coef_text, k = _split_x_term(term)
-        val = _parse_coefficient(coef_text, prime, precision)
-        if sign < 0:
-            val = val.neg()
-        coeffs[k] = coeffs.get(k, LocalElement.zero(prime)).add(val)
-    degree = max(coeffs)
-    out = [coeffs.get(k, LocalElement.zero(prime)) for k in range(degree + 1)]
-    return out
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and ch in chars:
+            yield i
 
 
-def _split_x_term(term: str) -> Tuple[str, int]:
-    idx = _toplevel_x(term)
-    if idx is None:
-        return term, 0
-    coef = term[:idx].rstrip("*")
-    rest = term[idx + 1:]
-    if rest.startswith("^"):
-        return coef or "1", int(rest[1:])
-    if rest:
-        raise errors.MalformedInput(f"bad term {term!r}")
-    return coef or "1", 1
-
-
-def _toplevel_x(term: str) -> Optional[int]:
-    depth = 0
-    for i, ch in enumerate(term):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "x" and depth == 0:
-            return i
-    return None
-
-
-def _strip_wrapping_parens(s: str) -> str:
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        wrapped = True
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    wrapped = False
-                    break
-        if not wrapped:
-            return s
+def _unwrap(s: str) -> str:
+    """s without the parentheses that enclose all of it."""
+    while (s[:1] == "(" and s[-1:] == ")"
+           and next(_toplevel(s, ")"), len(s) - 1) == len(s) - 1):
         s = s[1:-1]
     return s
 
 
-def _parse_coefficient(text: str, prime, precision) -> LocalElement:
-    field = prime.field
-    text = _strip_wrapping_parens(text or "1")
-    depth = 0
-    split = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            split = i
-            break
-    if split is None:
-        return LocalElement.from_poly(prime, poly_from_str(text, field),
-                                      precision)
-    num = poly_from_str(_strip_wrapping_parens(text[:split]), field)
-    den = poly_from_str(_strip_wrapping_parens(text[split + 1:]), field)
-    return LocalElement.from_ratio(prime, num, den, precision)
+def _x_term(term: str, prime, precision):
+    """(k, c) for a term c*x^k: its x is the first one outside
+    parentheses, and the unwrapped coefficient splits at its first /
+    outside parentheses."""
+    k, coef = 0, term
+    x = next(_toplevel(term, "x"), None)
+    if x is not None:
+        coef, rest = term[:x].rstrip("*") or "1", term[x + 1:]
+        if rest and rest[0] != "^":
+            raise errors.MalformedInput(f"bad term {term!r}")
+        k = int(rest[1:]) if rest else 1
+    coef = _unwrap(coef)
+    bar = next(_toplevel(coef, "/"), None)
+    if bar is None:
+        return k, LocalElement.from_poly(
+            prime, poly_from_str(coef, prime.field), precision)
+    num, den = (poly_from_str(_unwrap(part), prime.field)
+                for part in (coef[:bar], coef[bar + 1:]))
+    return k, LocalElement.from_ratio(prime, num, den, precision)
 
 
-def cmd_newton_polygon(args, cfg, default_tsv: bool = True) -> int:
+def _parse_x_polynomial(text: str, prime, precision):
+    """Polynomial in x with rational-function coefficients, e.g.
+    'x^2-(1/t)' or 'x^3+t*x+(t+1)/(t^2)'.  The terms are the runs between
+    the signs outside parentheses; a run of signs multiplies out."""
+    s = text.replace(" ", "")
+    coeffs = {}
+    sign, start = 1, 0
+    with errors.decoding(f"x-polynomial {text!r}"):
+        for end in [*_toplevel(s, "+-"), len(s)]:
+            if end > start:
+                k, val = _x_term(s[start:end], prime, precision)
+                val = val if sign > 0 else val.neg()
+                coeffs[k] = coeffs.get(k, LocalElement.zero(prime)).add(val)
+                sign = 1
+            if s[end:end + 1] == "-":
+                sign = -sign
+            start = end + 1
+    if not coeffs:
+        raise errors.MalformedInput(f"empty polynomial {text!r}")
+    return [coeffs.get(k, LocalElement.zero(prime))
+            for k in range(max(coeffs) + 1)]
+
+
+def cmd_newton_polygon(args, cfg) -> int:
     field = field_from_str(args.q)
     prime = prime_from_str(args.prime, field)
     coeffs = _parse_x_polynomial(args.poly, prime, cfg["precision"])
     np_ = newton_polygon(coeffs)
-    out = cfg["output"]
-    if getattr(args, "output", None) is None and default_tsv:
-        out = "tsv"
-    if out == "tsv":
+    if (args.output or "tsv") == "tsv":
         lines = [f"{s}\t{l}" for s, l in np_.segments]
         lines.append(f"segments={np_.segment_count}")
         _emit_tsv(lines)
@@ -371,6 +316,22 @@ def cmd_verify_suite(args, cfg) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input, reported like any other."""
+
+    def error(self, message):
+        raise errors.MalformedInput(message)
+
+
+def positive(text: str) -> int:
+    """argparse type of the counts that must be at least 1; argparse
+    reports any other value as "invalid positive value"."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--precision", type=int)
@@ -381,7 +342,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drinlat",
         description="Exact arithmetic for function-field lattice, Hecke, "
                     "and good-prime computations")
@@ -389,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primes", help="enumerate monic irreducibles")
     p.add_argument("--q", required=True)
-    p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--degree", type=int)
+    p.add_argument("--max-degree", type=positive, default=3)
+    p.add_argument("--degree", type=positive)
     p.set_defaults(fn=cmd_primes)
 
     p = sub.add_parser("factor", help="factor a polynomial over F_q")
@@ -414,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hecke-degree", help="degree of the correspondence")
     p.add_argument("--q", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=positive, required=True)
     p.add_argument("--prime", required=True)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=positive, default=1)
     p.add_argument("--matrix", help="matrix JSON or @file (default diagonal)")
     p.set_defaults(fn=cmd_hecke_degree)
 
@@ -437,21 +398,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("good-prime", help="search for a good prime")
     p.add_argument("--datum", required=True, help="datum JSON or @file")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=positive)
     p.add_argument("--i-of-x", dest="i_of_x", type=int,
                    help="override the datum index i(X)")
     p.set_defaults(fn=cmd_good_prime)
 
     p = sub.add_parser("shrink-level", help="maximal to depth-1 congruence")
     p.add_argument("--q", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=positive, required=True)
     p.add_argument("--prime", required=True)
     p.add_argument("--level", help="level JSON or @file")
     p.set_defaults(fn=cmd_shrink_level)
 
     p = sub.add_parser("components", help="irreducible component count")
     p.add_argument("--base", required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=positive, default=2)
     p.add_argument("--level", help="level JSON or @file, [] for maximal")
     p.set_defaults(fn=cmd_components)
 
@@ -461,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cebotarev)
 
     p = sub.add_parser("thresholds", help="induction threshold and N")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=positive, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--kp", type=int, required=True)
     p.add_argument("--degZ", type=int, required=True)
@@ -475,30 +436,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(kind: str, exc: Exception) -> str:
-    return json.dumps({"schema": SCHEMA, "error": {
+def _fail(kind: str, code: int, exc: Exception) -> int:
+    print(json.dumps({"schema": SCHEMA, "error": {
         "type": type(exc).__name__, "kind": kind, "message": str(exc)}},
-        sort_keys=True)
+        sort_keys=True), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return args.fn(args, cfg)
+        args = build_parser().parse_args(argv)
+        return args.fn(args, _load_config(args))
     except errors.BudgetExceeded as exc:
-        print(_error_payload("budget", exc), file=sys.stderr)
-        return 3
-    except MALFORMED as exc:
-        print(_error_payload("malformed", exc), file=sys.stderr)
-        return 4
-    except REFUSALS as exc:
-        print(_error_payload("refusal", exc), file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(_error_payload("internal", exc), file=sys.stderr)
-        return 5
+        return _fail("budget", 3, exc)
+    except errors.InputError as exc:
+        return _fail("malformed", 4, exc)
+    except errors.Refusal as exc:
+        return _fail("refusal", 2, exc)
+    except Exception as exc:
+        return _fail("internal", 5, exc)
 
 
 if __name__ == "__main__":

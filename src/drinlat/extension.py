@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, MalformedInput, MultipleInfinitePlaces,
                      ReducibleDefiningPolynomial, UnsupportedRamifiedPrime,
-                     UnsupportedShape)
+                     UnsupportedShape, decoding)
 from .ffpoly import (FiniteField, Poly, Prime, field_from_str, ord_at,
                      poly_factor, poly_from_str, poly_to_str,
                      power_residue_symbol, primes_of_degree, residue_field)
@@ -207,25 +207,24 @@ class Extension:
 
     @staticmethod
     def from_json(spec: dict) -> "Extension":
-        try:
+        with decoding("extension spec"):
             kind = spec["kind"]
             base = field_from_str(str(spec["base"]))
-        except KeyError as exc:
-            raise MalformedInput(f"extension spec missing {exc}") from exc
-        if kind == "constant":
-            return Extension.constant(base, int(spec["n"]))
-        if kind == "kummer":
-            return Extension.kummer(base, int(spec["n"]),
-                                    poly_from_str(spec["a"], base))
-        if kind == "artin_schreier":
-            return Extension.artin_schreier(base, poly_from_str(spec["a"], base))
-        if kind == "generic":
-            coeffs = [poly_from_str(s, base) for s in spec["f"]]
-            inf_ram = tuple(spec.get("infinity_ram", (1, 1)))
-            return Extension.generic(base, coeffs, int(spec["genus"]),
-                                     int(spec.get("infinity_places", 1)),
-                                     (int(inf_ram[0]), int(inf_ram[1])),
-                                     spec.get("q_prime"))
+            if kind == "constant":
+                return Extension.constant(base, int(spec["n"]))
+            if kind == "kummer":
+                return Extension.kummer(base, int(spec["n"]),
+                                        poly_from_str(spec["a"], base))
+            if kind == "artin_schreier":
+                return Extension.artin_schreier(base,
+                                                poly_from_str(spec["a"], base))
+            if kind == "generic":
+                coeffs = [poly_from_str(s, base) for s in spec["f"]]
+                inf_ram = tuple(spec.get("infinity_ram", (1, 1)))
+                return Extension.generic(base, coeffs, int(spec["genus"]),
+                                         int(spec.get("infinity_places", 1)),
+                                         (int(inf_ram[0]), int(inf_ram[1])),
+                                         spec.get("q_prime"))
         raise MalformedInput(f"unknown extension kind {kind!r}")
 
     def to_json(self) -> dict:

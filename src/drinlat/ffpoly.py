@@ -975,6 +975,8 @@ def poly_to_str(f: Poly) -> str:
 
 
 def poly_from_str(s: str, field: FiniteField) -> Poly:
+    if not isinstance(s, str):
+        raise MalformedInput(f"polynomial must be a string, not {s!r}")
     text = s.replace(" ", "")
     if not text:
         raise MalformedInput("empty polynomial string")

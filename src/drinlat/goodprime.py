@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (Inconclusive, MalformedInput, NotMaximalAtPrime,
-                     TowerNotSupported, UnsupportedRamifiedPrime)
+                     TowerNotSupported, UnsupportedRamifiedPrime, decoding)
 from .extension import (Extension, index_iX, order_at, predegree, splitting)
 from .ffpoly import (FiniteField, Poly, Prime, enumerate_primes, poly_from_str,
                      poly_to_str, prime_from_str, residue_field)
@@ -85,15 +85,17 @@ class LevelMap:
     def from_json(data: list, base: FiniteField, r: int,
                   precision: int = DEFAULT_PRECISION) -> "LevelMap":
         assignments = {}
-        for entry in data:
-            prime = prime_from_str(entry["prime"], base)
-            kind = entry.get("kind", "congruence")
-            depth = int(entry.get("depth", 1 if kind == "congruence" else 0))
-            s = None
-            if "s" in entry:
-                s = local_matrix_from_json(prime, entry["s"], precision)
-            assignments[prime] = LocalLevel(kind, depth, s)
-        return LevelMap(r, assignments)
+        with decoding("level map"):
+            for entry in data:
+                prime = prime_from_str(entry["prime"], base)
+                kind = entry.get("kind", "congruence")
+                depth = int(entry.get("depth",
+                                      1 if kind == "congruence" else 0))
+                s = None
+                if "s" in entry:
+                    s = local_matrix_from_json(prime, entry["s"], precision)
+                assignments[prime] = LocalLevel(kind, depth, s)
+            return LevelMap(r, assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +107,9 @@ def local_matrix_to_json(m: LocalMatrix) -> list:
 
 def local_matrix_from_json(prime: Prime, rows: list,
                            precision: int = DEFAULT_PRECISION) -> LocalMatrix:
-    parsed = []
-    for row in rows:
-        out = []
-        for cell in row:
-            out.append(_entry_from_json(prime, cell, precision))
-        parsed.append(out)
+    with decoding("matrix"):
+        parsed = [[_entry_from_json(prime, cell, precision) for cell in row]
+                  for row in rows]
     if len({len(r) for r in parsed}) != 1 or len(parsed[0]) != len(parsed):
         raise MalformedInput("matrix must be square")
     return LocalMatrix(prime, parsed)
@@ -185,18 +184,17 @@ class SubvarietyDatum:
 
     @staticmethod
     def from_json(data: dict, precision: int = DEFAULT_PRECISION) -> "SubvarietyDatum":
-        try:
+        with decoding("datum"):
             ext = Extension.from_json(data["extension"])
             r = int(data["r"])
-        except KeyError as exc:
-            raise MalformedInput(f"datum missing key {exc}") from exc
-        twists = {}
-        for entry in data.get("twists", []):
-            prime = prime_from_str(entry["prime"], ext.base)
-            twists[prime] = local_matrix_from_json(prime, entry["matrix"],
-                                                   precision)
-        level = LevelMap.from_json(data.get("level", []), ext.base, r, precision)
-        return SubvarietyDatum(ext, r, twists, level)
+            twists = {}
+            for entry in data.get("twists", []):
+                prime = prime_from_str(entry["prime"], ext.base)
+                twists[prime] = local_matrix_from_json(prime, entry["matrix"],
+                                                       precision)
+            level = LevelMap.from_json(data.get("level", []), ext.base, r,
+                                       precision)
+            return SubvarietyDatum(ext, r, twists, level)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +293,12 @@ def is_good_prime(datum: SubvarietyDatum, prime: Prime,
 
 def _stability_witness(datum: SubvarietyDatum, prime: Prime, s: LocalMatrix,
                        precision: int) -> Tuple[bool, Optional[LocalMatrix]]:
-    """Condition (c): s^-1 (g^-1 C_y g) s integral, C_y the block companion
-    matrix of the extension generator."""
+    """Condition (c): s^-1 (g^-1 C_y g) s = (gs)^-1 C_y (gs) integral, C_y
+    the block companion matrix of the extension generator."""
     order = order_at(datum.extension, prime, datum.r_prime)
     c_y = order.companion_block_local(precision)
-    g = datum.twist_at(prime, precision)
-    conj = s.inverse() @ (g.inverse() @ c_y @ g) @ s
+    gs = datum.twist_at(prime, precision) @ s
+    conj = gs.inverse() @ c_y @ gs
     return conj.is_integral(), conj
 
 

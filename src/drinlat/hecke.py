@@ -367,8 +367,11 @@ def unboundedness_sample_check(g: Union[LocalMatrix, HeckeElement],
                                samples: int = 100, seed: int = 0,
                                precision: int = DEFAULT_PRECISION) -> SampleReport:
     """Sample k_1, k_2 in the depth-1 congruence group and certify that
-    the characteristic polynomial of k_2^-1 D k_1^-1 has v(a_0) = -1,
-    v(a_{r-1}) = -1 and at least two Newton segments.
+    the characteristic polynomial of k_2 D k_1 has v(a_0) = -1,
+    v(a_{r-1}) = -1 and at least two Newton segments.  The k_i are
+    uniform in K(p) mod p^precision, and inversion is a bijection of that
+    finite group, so k_2 D k_1 has the distribution of k_2^-1 D k_1^-1
+    without inverting anything.
 
     For a HeckeElement the diagonal model D = diag(pi^-1, 1, ..., 1) is
     used (equivalent by normality of K(p) under GL_r(A_p)); a raw matrix
@@ -386,7 +389,7 @@ def unboundedness_sample_check(g: Union[LocalMatrix, HeckeElement],
         rng = random.Random((seed << 20) ^ (idx * 1000003 + 1))
         k1 = _random_congruence_matrix(prime, r, rng, precision)
         k2 = _random_congruence_matrix(prime, r, rng, precision)
-        b = k2.inverse() @ core @ k1.inverse()
+        b = k2 @ core @ k1
         cp = char_poly(b)
         np_ = newton_polygon(cp)
         v0 = cp[0].val if cp[0].kind == "n" else None

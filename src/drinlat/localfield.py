@@ -415,7 +415,8 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
     """Smith normal form with the inverse transforms.
 
     Returns (exps, U_inv, V_inv) with U_inv M V_inv = diag(pi^exps) up to
-    working precision, U_inv and V_inv integral with valuation-0
+    M's working precision, at which the transforms and the pivots reset
+    to pi^e are built, U_inv and V_inv integral with valuation-0
     determinant.  Pivot rule: minimum certified valuation, ties by
     row-major position.
 
@@ -427,7 +428,7 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
     """
     prime = M.prime
     r = M.r
-    prec = DEFAULT_PRECISION
+    prec = M.working_precision()
     A = [list(row) for row in M.rows]
     if transforms:
         Li, Ri = ([list(row) for row in

@@ -1,8 +1,16 @@
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
-from drinlat.cli import main
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from xpoly_oracle import parse_x_polynomial as oracle_parse_x_polynomial
+
+from drinlat import errors
+from drinlat.cli import _parse_x_polynomial, main
+from drinlat.ffpoly import FiniteField, prime_from_str
 
 
 def run_cli(args, capsys):
@@ -200,11 +208,153 @@ class TestExitCodes:
         assert error == {"type": "AssertionError", "kind": "internal",
                          "message": "orbit-stabilizer must divide"}
 
+    def test_library_value_error_is_5(self, capsys, monkeypatch):
+        # a ValueError from the library is a fault, not malformed input
+        def broken(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr("drinlat.cli.hecke_degree", broken)
+        code, out, err = run_cli(["hecke-degree", "--q", "2", "--r", "2",
+                                  "--prime", "t"], capsys)
+        assert code == 5 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "kind": "internal",
+            "message": "math domain error"}
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["hecke-degree", "--help"])
+        assert info.value.code == 0
+        assert "--depth" in capsys.readouterr().out
+
     def test_inapplicable_degree_is_2(self, capsys):
         code, _, err = run_cli(["cebotarev", "--ext",
                                 '{"kind":"constant","n":2,"base":"5"}',
                                 "--i", "3"], capsys)
         assert code == 2
+
+
+EXT = {"kind": "kummer", "n": 2, "a": "t^3+2*t", "base": "3"}
+MISSING = "@" + str(pathlib.Path(__file__).parent / "no-such-file.json")
+MALFORMED_INPUTS = {
+    "matrix-file-missing": ["hecke-degree", "--q", "2", "--r", "2",
+                            "--prime", "t", "--matrix", MISSING],
+    "config-file-missing": ["thresholds", "--r", "2", "--s", "1",
+                            "--kp", "2", "--degZ", "1",
+                            "--config", MISSING[1:]],
+    "ext-not-an-object": ["class-number", "--ext", "[1,2]"],
+    "poly-zero-denominator": ["newton-polygon", "--q", "2", "--prime", "t",
+                              "--poly", "x^2-(1/0)"],
+    "poly-bad-exponent": ["newton-polygon", "--q", "2", "--prime", "t",
+                          "--poly", "x^a"],
+    "poly-signs-only": ["newton-polygon", "--q", "2", "--prime", "t",
+                        "--poly", "+-"],
+    "companion-zero-denominator": ["bounded", "--q", "2", "--prime", "t",
+                                   "--companion", "x^2-(t/(t+t))"],
+    "matrix-zero-denominator": [
+        "bounded", "--q", "2", "--prime", "t", "--matrix",
+        '[[{"num": "1", "den": "0"}, "0"], ["0", "1"]]'],
+    "degree-0": ["primes", "--q", "2", "--degree", "0"],
+    "degree-negative": ["primes", "--q", "2", "--degree", "-1"],
+    "r-0": ["hecke-degree", "--q", "2", "--r", "0", "--prime", "t"],
+    "max-degree-0": ["good-prime", "--datum",
+                     json.dumps({"extension": EXT, "r": 2}), "--N", "1",
+                     "--max-degree", "0"],
+    "depth-0": ["hecke-degree", "--q", "2", "--r", "2", "--prime", "t",
+                "--depth", "0"],
+    "unknown-flag": ["primes", "--q", "2", "--bogus"],
+    "unknown-command": ["bogus"],
+    "r-not-an-integer": ["hecke-degree", "--q", "2", "--r", "two",
+                         "--prime", "t"],
+    "ext-missing-key": ["class-number", "--ext",
+                        json.dumps({"kind": "kummer", "n": 2, "base": "3"})],
+    "ext-bad-integer": ["class-number", "--ext",
+                        json.dumps({**EXT, "n": "two"})],
+    "ext-poly-not-a-string": ["class-number", "--ext",
+                              json.dumps({**EXT, "a": 5})],
+    "ext-bad-json": ["class-number", "--ext", "{nope"],
+    "datum-missing-key": ["good-prime", "--datum",
+                          json.dumps({"extension": EXT}), "--N", "1"],
+    "datum-bad-integer": ["good-prime", "--datum",
+                          json.dumps({"extension": EXT, "r": "two"}),
+                          "--N", "1"],
+    "datum-twist-missing-key": [
+        "good-prime", "--datum",
+        json.dumps({"extension": EXT, "r": 2, "twists": [{"prime": "t"}]}),
+        "--N", "1"],
+    "level-missing-key": ["components", "--base", "2", "--level",
+                          json.dumps([{"kind": "congruence"}])],
+    "level-bad-integer": ["components", "--base", "2", "--level",
+                          json.dumps([{"prime": "t", "depth": "deep"}])],
+    "level-not-a-list": ["shrink-level", "--q", "2", "--r", "2",
+                         "--prime", "t", "--level", "7"],
+}
+
+
+class TestMalformedInput:
+    """Bad outside input exits 4 with one JSON object on stderr."""
+
+    @pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(),
+                             ids=MALFORMED_INPUTS.keys())
+    def test_exits_4(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["kind"] == "malformed"
+        assert payload["error"]["type"] == "MalformedInput"
+
+
+def _concrete_errors(cls=errors.DrinlatError):
+    for sub in cls.__subclasses__():
+        if sub not in (errors.InputError, errors.Refusal):
+            yield sub
+        yield from _concrete_errors(sub)
+
+
+class TestErrorCategories:
+    def test_each_error_in_one_category(self):
+        found = list(_concrete_errors())
+        assert len(found) == 18
+        for cls in found:
+            assert sum(issubclass(cls, cat) for cat in (
+                errors.InputError, errors.Refusal,
+                errors.BudgetExceeded)) == 1, cls
+
+
+X_TEXT = st.text(alphabet="x^t()+-*/0123", max_size=16)
+COEFFICIENT = st.sampled_from(
+    ["", "1", "2", "t", "t^2+1", "(t+1)", "(1/t)", "((1+t)/t)",
+     "(t+1)/(t^2)", "t*", "(t^3-t)/(t+2)", "((t))", "(1/(t+t))"])
+X_TERM = st.tuples(st.sampled_from(["", "+", "-", "--", "-+-"]), COEFFICIENT,
+                   st.sampled_from(["", "x", "*x", "x^2", "*x^3", "x^0"]))
+X_POLY = st.lists(X_TERM, min_size=1, max_size=4).map(
+    lambda terms: "".join(a + b + c for a, b, c in terms))
+X_PRIMES = [prime_from_str("t", FiniteField.of_order(2)),
+            prime_from_str("t+1", FiniteField.of_order(3))]
+
+
+def _parse_outcome(parse, text, prime):
+    try:
+        return [c.to_json() for c in parse(text, prime, 12)]
+    except Exception as exc:
+        # the CLI wraps a bare ValueError or ZeroDivisionError
+        cause = exc.__cause__ or exc
+        return type(cause).__name__, str(cause)
+
+
+class TestXPolynomialAgainstOracle:
+    """The one-scanner x-polynomial parser against the per-task loops it
+    replaced: equal coefficients, or the same error."""
+
+    @pytest.mark.parametrize("prime", X_PRIMES, ids=str)
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(X_TEXT, X_POLY))
+    def test_same_outcome(self, prime, text):
+        # a long digit run is a huge exponent, and both parsers would
+        # build its dense coefficient list
+        assume(not re.search(r"\d{4}", text))
+        assert _parse_outcome(_parse_x_polynomial, text, prime) == \
+            _parse_outcome(oracle_parse_x_polynomial, text, prime)
 
 
 class TestDeterminismAndConfig:

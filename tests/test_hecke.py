@@ -450,3 +450,13 @@ class TestUnboundednessSamples:
         r2 = unboundedness_sample_check(elem, samples=10, seed=7)
         assert [(o.v_a0, o.v_atop, o.segments) for o in r1.outcomes] == \
             [(o.v_a0, o.v_atop, o.segments) for o in r2.outcomes]
+
+    def test_samples_without_inverting(self, monkeypatch):
+        # k_2 D k_1 has the distribution of k_2^-1 D k_1^-1 over K(p)
+        def refuse(self):
+            raise AssertionError("unboundedness sampling inverted a matrix")
+
+        monkeypatch.setattr(LocalMatrix, "inverse", refuse)
+        elem = HeckeElement(T3, 2, standard_hecke_matrix(T3, 2),
+                            LocalMatrix.identity(T3, 2), 3)
+        assert unboundedness_sample_check(elem, samples=20, seed=5).all_pass
