@@ -17,7 +17,8 @@ from typing import Tuple
 from .errors import (BudgetExceeded, GenusZero, InapplicableDegree,
                      MalformedInput, NotNormal, UnsupportedRamifiedPrime)
 from .extension import Extension, splits_completely
-from .ffpoly import primes_of_degree
+from .ffpoly import (Prime, count_irreducibles, poly_factor,
+                     power_residue_counts, primes_of_degree)
 
 SPLIT_SCAN_BUDGET = 10 ** 6
 
@@ -172,7 +173,34 @@ def _require_normal(ext: Extension) -> None:
 def count_split_primes(ext: Extension, i: int,
                        budget: int = SPLIT_SCAN_BUDGET) -> int:
     """Number of degree-i primes that split completely in E'/F (and are
-    unramified over F_q(theta) = F, which is automatic here)."""
+    unramified over F_q(theta) = F, which is automatic here), in closed
+    form wherever that is less work than the sieve.
+
+    In the constant extension of degree n a degree-i prime splits
+    completely iff n | i (`constant_splitting_law`), so the count is
+    Gauss's.  A Kummer extension is counted by its power residue
+    character (`_kummer_split_count`), unless its radicand is too long
+    for that to beat `count_split_primes_enumerated`, the sieve that is
+    this function's oracle.  The q^i > budget gate holds for both paths.
+    """
+    _require_normal(ext)
+    q = ext.base.size
+    if q ** i > budget:
+        raise BudgetExceeded(f"degree-{i} scan exceeds the budget")
+    if ext.kind == "constant":
+        return count_irreducibles(q, i) if i % ext.m == 0 else 0
+    # the closed form takes a residue symbol at each monic f of degree 1
+    # to min(deg a - 1, i); the sieve visits all q^i monic f of degree i
+    low_degrees = range(1, min(ext.params["a"].degree - 1, i) + 1)
+    if sum(q ** d for d in low_degrees) > q ** i:
+        return count_split_primes_enumerated(ext, i, budget)
+    return _kummer_split_count(ext, i)
+
+
+def count_split_primes_enumerated(ext: Extension, i: int,
+                                  budget: int = SPLIT_SCAN_BUDGET) -> int:
+    """`count_split_primes` by sieving every degree-i prime and asking
+    `splits_completely` about each."""
     _require_normal(ext)
     if ext.base.size ** i > budget:
         raise BudgetExceeded(f"degree-{i} scan exceeds the budget")
@@ -184,6 +212,112 @@ def count_split_primes(ext: Extension, i: int,
         except UnsupportedRamifiedPrime:
             continue  # ramified primes never split completely
     return count
+
+
+def _kummer_split_count(ext: Extension, i: int) -> int:
+    """The split count of x^n = a, n | q - 1, from the distribution of a
+    power residue character over the primes of degree i.
+
+    Write a = c.a0 with a0 monic and e = (q-1)/n.  For a prime P not
+    dividing a, reciprocity (Rosen, Number Theory in Function Fields, Thm
+    3.3) gives (a/P)_n = w^(deg P) chi(P), with w = c^e (-1)^(e deg a0)
+    and chi(f) = (f/a0)_n, and P splits completely iff (a/P)_n = 1.
+
+    Distributions of chi values are vectors over Z/n, the exponents of a
+    primitive n-th root of unity zeta, multiplied as in the group ring.
+    N_d, chi's distribution over the monic f of degree d prime to a0, is
+    q^(d - deg a0) times its distribution R over (A/a0)^x once
+    d >= deg a0 (Rosen, Prop. 4.3), so only the lower degrees are
+    enumerated.  With a0 = prod P_j^(v_j), chi's image is mu_m for
+    m = n / gcd(n, v_1, ..., v_k), each value taken Phi(a0)/m times.
+
+    Unique factorisation gives sum N_d u^d = prod over P not dividing a0
+    of (1 - [chi(P)] u^(deg P))^-1.  Its logarithmic derivative yields
+    Newton's identity c_k = k N_k - sum_(j<k) c_j N_(k-j), and
+    c_i = sum over d | i of d psi_(i/d)(Pi_d), where Pi_d is chi's
+    distribution over the degree-d primes prime to a0 and psi_m sends
+    [z] to [z^m].  Solved for Pi_i by exact division, its entry at
+    w^(-i) counts the split primes prime to a; `splits_completely`
+    decides the degree-i primes that divide a0.
+    """
+    F = ext.base
+    q, n, a = F.size, ext.params["n"], ext.params["a"]
+    a0 = a.monic()
+    deg_a0 = a0.degree
+    e = (q - 1) // n
+    zeta = F.pow(F._primitive_element(F.mul), e)
+    log = {}
+    z = 1
+    for k in range(n):
+        log[z] = k
+        z = F.mul(z, zeta)
+    w = F.pow(a.lead(), e)
+    if e * deg_a0 % 2:
+        w = F.neg(w)
+
+    factors = poly_factor(a0)
+    g = n
+    phi = 1
+    for f, v in factors:
+        g = math.gcd(g, v)
+        phi *= (q ** f.degree - 1) * q ** (f.degree * (v - 1))
+    residues = [phi * g // n if k % g == 0 else 0 for k in range(n)]
+
+    dists = [[1] + [0] * (n - 1)]
+    for d in range(1, i + 1):
+        if d >= deg_a0:
+            scale = q ** (d - deg_a0)
+            dists.append([scale * r for r in residues])
+        else:
+            dist = [0] * n
+            for s, count in power_residue_counts(a0, n, d).items():
+                dist[log[s]] = count
+            dists.append(dist)
+
+    power_sums = [None]
+    for k in range(1, i + 1):
+        c = [k * x for x in dists[k]]
+        for j in range(1, k):
+            for idx, x in enumerate(_group_ring_mul(power_sums[j],
+                                                    dists[k - j])):
+                c[idx] -= x
+        power_sums.append(c)
+
+    prime_dists: dict = {}
+    for d in range(1, i + 1):
+        if i % d:
+            continue
+        acc = list(power_sums[d])
+        for d0, dist in prime_dists.items():
+            if d % d0 == 0:
+                for k, x in enumerate(dist):
+                    acc[k * (d // d0) % n] -= d0 * x
+        if any(x % d for x in acc):
+            raise AssertionError(
+                f"prime distribution of degree {d} is not integral: {acc}")
+        prime_dists[d] = [x // d for x in acc]
+
+    count = prime_dists[i][-i * log[w] % n]
+    for f, _ in factors:
+        if f.degree != i:
+            continue
+        try:
+            if splits_completely(ext, Prime(f, check=False)):
+                count += 1
+        except UnsupportedRamifiedPrime:
+            continue  # ramified primes never split completely
+    return count
+
+
+def _group_ring_mul(x: list, y: list) -> list:
+    """The product in Z[Z/n] of two coefficient vectors of length n."""
+    n = len(x)
+    out = [0] * n
+    for j, xj in enumerate(x):
+        if xj:
+            for k, yk in enumerate(y):
+                out[(j + k) % n] += xj * yk
+    return out
 
 
 @dataclass

@@ -307,10 +307,14 @@ class FiniteField:
         return x
 
     def _non_square(self) -> int:
+        """The smallest non-square.  Over an even-degree extension of F_p
+        every element of F_p (the ints below p) is a square, so the search
+        starts at p."""
         if self._nonsq is None:
             minus_one = self.neg(1)
             half = (self.size - 1) // 2
-            self._nonsq = next(z for z in range(2, self.size)
+            start = self.p if self.e % 2 == 0 else 2
+            self._nonsq = next(z for z in range(start, self.size)
                                if self.pow(z, half) == minus_one)
         return self._nonsq
 
@@ -413,8 +417,11 @@ class Poly:
     __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field: FiniteField, coeffs):
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        if coeffs and coeffs[-1] == 0:
+            k = len(coeffs) - 1
+            while k >= 0 and coeffs[k] == 0:
+                k -= 1
+            coeffs = coeffs[:k + 1]
         self.field = field
         self.coeffs = tuple(coeffs)
         self._hash = None
@@ -1040,13 +1047,40 @@ def power_residue_symbol(a: Poly, b: Poly, n: int) -> int:
       (c/b)_n = (c^e)^(deg b) for a constant c;
       (a/b)_n = (-1)^(e deg a deg b) (b/a)_n for monic coprime a and b.
     """
-    F = a.field
+    e = _residue_exponent(a.field, b, n)
+    symbol = _residue_symbol(list(a.coeffs), b.coeffs, a.field, e)
+    if not symbol:
+        raise MalformedInput("power residue symbol of non-coprime arguments")
+    return symbol
+
+
+def power_residue_counts(b: Poly, n: int, d: int) -> dict:
+    """{s: number of monic f of degree d with (f/b)_n = s}, over the f
+    prime to b, for the b and n that `power_residue_symbol` takes."""
+    F = b.field
+    e = _residue_exponent(F, b, n)
+    counts: dict = {}
+    for tail in itertools.product(F.elements(), repeat=d):
+        s = _residue_symbol(list(tail) + [1], b.coeffs, F, e)
+        if s:
+            counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+def _residue_exponent(F: FiniteField, b: Poly, n: int) -> int:
+    """e = (q-1)/n, after checking n | q - 1 and that b is a monic
+    modulus of degree >= 1."""
     q = F.size
     if n < 1 or (q - 1) % n:
         raise MalformedInput(f"n = {n} does not divide q - 1 = {q - 1}")
     if not b.is_monic() or b.degree < 1:
         raise MalformedInput("the symbol needs a monic modulus of degree >= 1")
-    e = (q - 1) // n
+    return (q - 1) // n
+
+
+def _residue_symbol(x: list, y: tuple, F: FiniteField, e: int) -> int:
+    """(x/y)_n on coefficient lists, e = (q-1)/n, for a monic y of degree
+    >= 1; 0 when x and y are not coprime.  x is overwritten."""
     if F.base is None:
         p = F.p
 
@@ -1058,14 +1092,13 @@ def power_residue_symbol(a: Poly, b: Poly, n: int) -> int:
     else:
         mul, power = F.mul, F.pow
     symbol = 1
-    x, y = list(a.coeffs), b.coeffs
     while True:
         k = len(y) - 1
         x = _rem_coeffs(x, _reducer(y), F)
         while x and x[-1] == 0:
             x.pop()
         if not x:
-            raise MalformedInput("power residue symbol of non-coprime arguments")
+            return 0
         lead = x[-1]
         if lead != 1:
             symbol = mul(symbol, power(lead, e * k))

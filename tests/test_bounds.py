@@ -1,17 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinlat.bounds import (CebotarevParams, bezout, castelnuovo_normal_closure,
                             castelnuovo_pairwise, cebotarev_bound,
                             cebotarev_check, cebotarev_main_term,
                             clg_lower_bound, count_split_primes,
+                            count_split_primes_enumerated,
                             genus_bound_holds, genus_upper_from_classnumber,
                             hecke_pullback, induction_threshold, separable_N)
-from drinlat.errors import GenusZero, InapplicableDegree, NotNormal
-from drinlat.extension import Extension, class_number
-from drinlat.ffpoly import FiniteField, poly_from_str
+from drinlat import bounds
+from drinlat.errors import (BudgetExceeded, GenusZero, InapplicableDegree,
+                            NotNormal)
+from drinlat.extension import Extension, class_number, make_extension
+from drinlat.ffpoly import FiniteField, Poly, poly_from_str
 
 F2 = FiniteField.of_order(2)
 F3 = FiniteField.of_order(3)
@@ -127,6 +132,99 @@ class TestCountSplitPrimes:
         bad = Extension.artin_schreier(F2, poly_from_str("t^3", F2))
         with pytest.raises(NotNormal):
             count_split_primes(bad, 2)
+
+
+# the differential tests compare every degree i with q^i <= this budget
+DIFF_BUDGET = 4000
+# q -> (p, e)
+DIFF_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+               9: (3, 2), 13: (13, 1)}
+# (q, n) with n | q - 1, n in {2, 3, 4, 6}
+KUMMER_FIELDS = [(3, 2), (5, 2), (7, 2), (9, 2), (5, 4), (9, 4), (4, 3),
+                 (7, 3), (7, 6), (13, 3), (13, 4), (13, 6)]
+# the radicands the closed form was first checked on: (q, n, a)
+PROTOTYPE_RADICANDS = [(5, 2, "t"), (5, 2, "t^3+t"), (5, 2, "2*t^5+t+1"),
+                       (5, 4, "t^3+2"), (3, 2, "t^3+2*t"),
+                       (3, 2, "t^3+t^2"), (7, 3, "t^4+t+3"),
+                       (7, 3, "t^4+2*t^3"), (7, 6, "3*t^5+1")]
+
+
+def _field(q):
+    return FiniteField.of_order(*DIFF_FIELDS[q])
+
+
+def _assert_counts_agree(ext):
+    """The closed form equals the sieve at every degree the budget
+    allows, and both refuse the next degree."""
+    q = ext.base.size
+    i = 1
+    while q ** i <= DIFF_BUDGET:
+        got = count_split_primes(ext, i, DIFF_BUDGET)
+        assert got == count_split_primes_enumerated(ext, i, DIFF_BUDGET), i
+        i += 1
+    for count in (count_split_primes, count_split_primes_enumerated):
+        with pytest.raises(BudgetExceeded, match=f"degree-{i} scan"):
+            count(ext, i, DIFF_BUDGET)
+
+
+@st.composite
+def kummer_extensions(draw):
+    """x^n = a with a non-monic and a product of random monic factors of
+    degree 1-2 with multiplicities 1..n+1 (so both n | v and n does not
+    divide v occur), padded by linear factors until n and deg a are
+    coprime."""
+    q, n = draw(st.sampled_from(KUMMER_FIELDS))
+    F = _field(q)
+    a = Poly.const(F, draw(st.integers(1, q - 1)))
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 2))
+        tail = draw(st.lists(st.integers(0, q - 1), min_size=degree,
+                             max_size=degree))
+        a = a * Poly(F, tail + [1]) ** draw(st.integers(1, n + 1))
+    while math.gcd(n, a.degree) != 1:
+        a = a * Poly(F, [draw(st.integers(0, q - 1)), 1])
+    return Extension.kummer(F, n, a)
+
+
+class TestSplitCountAgainstSieve:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_constant_extensions(self, q, n):
+        _assert_counts_agree(Extension.constant(_field(q), n))
+
+    @pytest.mark.parametrize("q,n,a", PROTOTYPE_RADICANDS, ids=str)
+    def test_prototype_radicands(self, q, n, a):
+        F = _field(q)
+        _assert_counts_agree(Extension.kummer(F, n, poly_from_str(a, F)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kummer_extensions())
+    def test_random_kummer_radicands(self, ext):
+        _assert_counts_agree(ext)
+
+    def test_criterion_7_counts_without_a_sieve(self, monkeypatch):
+        cases = []
+        for spec in ({"kind": "constant", "n": 2, "base": "5"},
+                     {"kind": "constant", "n": 2, "base": "2"},
+                     {"kind": "constant", "n": 3, "base": "2"},
+                     {"kind": "kummer", "n": 2, "a": "t", "base": "5"}):
+            ext = make_extension(spec)
+            for i in range(ext.const_degree, 7, ext.const_degree):
+                cases.append((ext, i, count_split_primes_enumerated(ext, i)))
+        assert len(cases) == 14
+
+        def no_sieve(*args):
+            raise AssertionError("the library path enumerated primes")
+        monkeypatch.setattr(bounds, "primes_of_degree", no_sieve)
+        for ext, i, want in cases:
+            assert count_split_primes(ext, i) == want
+
+    def test_long_radicand_takes_the_sieve(self, monkeypatch):
+        # deg a = 5 > i: the closed form would visit more polynomials
+        F = FiniteField.of_order(7)
+        ext = Extension.kummer(F, 6, poly_from_str("3*t^5+1", F))
+        monkeypatch.setattr(bounds, "_kummer_split_count", None)
+        assert count_split_primes(ext, 3) == 18
 
 
 class TestCebotarevCheck:

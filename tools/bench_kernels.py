@@ -9,9 +9,13 @@ pairs in residue fields of 5^6 and 3^6 elements and `FiniteField.inv` on
 1000 seeded nonzero elements in residue fields of 5^4 and 3^6 elements;
 `splitting_pattern` and `splitting` per prime for the Kummer extension
 x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
-cleared; `stabilizer_index` per call on a seeded sample of up to 40
-saturated lattices of criterion 2's grid (exponent <= 4) per order, each
-called 5 times per repeat; on the same grid, per order, `module_orbit_equal`
+cleared; the split-prime counts of criterion 7's 14 (extension, i) cases,
+once by `count_split_primes` and once by the sieve
+`count_split_primes_enumerated` (ms for all 14, prime-list and
+residue-field caches cleared first; a checkout without the sieve
+function reports only the first row); `stabilizer_index` per call on a
+seeded sample of up to 40 saturated lattices of criterion 2's grid
+(exponent <= 4) per order, each called 5 times per repeat; on the same grid, per order, `module_orbit_equal`
 per call on a seeded sample of up to 40 pairs of distinct lattices of equal
 index, at the least depth k >= 1 with p^k inside both, and
 `saturate_lattice` per call on a seeded sample of up to 40 unsaturated
@@ -21,9 +25,10 @@ and `LocalMatrix.inverse` per call on 10
 seeded invertible r x r matrices (r = 2, 3, 4) at p = t over F_2, F_3 and
 F_4, at precisions 12 and 30.  Prints one JSON object: per row the median
 and the minimum of 7 repeats, in microseconds per call (ms for the prime
-list and the field builds).  On a shared host the median of one run moves
-by up to 1.7x between runs; the minimum is the steadier figure.  Run it
-against any checkout to compare two versions of the library:
+list, the field builds and the split counts).  On a shared host the median
+of one run moves by up to 1.7x between runs; the minimum is the steadier
+figure.  Run it against any checkout to compare two versions of the
+library:
 
     python3 tools/bench_kernels.py --src src
     python3 tools/bench_kernels.py --src /path/to/other/checkout/src
@@ -89,8 +94,9 @@ def _timing(run, count: int, scale: float) -> dict:
 
 
 def _layer0_rows() -> dict:
-    from drinlat import ffpoly
-    from drinlat.extension import Extension, splitting, splitting_pattern
+    from drinlat import bounds, ffpoly
+    from drinlat.extension import (Extension, make_extension, splitting,
+                                   splitting_pattern)
     from drinlat.ffpoly import (FiniteField, ResidueField, poly_from_str,
                                 primes_of_degree, residue_field)
 
@@ -132,6 +138,26 @@ def _layer0_rows() -> dict:
                 fn(ext, prime)
         out[f"{name}|kummer|q=5|n=2|a=t|d=4"] = _timing(
             scan, len(primes), 1e6)
+
+    cases = []
+    for spec in ({"kind": "constant", "n": 2, "base": "5"},
+                 {"kind": "constant", "n": 2, "base": "2"},
+                 {"kind": "constant", "n": 3, "base": "2"},
+                 {"kind": "kummer", "n": 2, "a": "t", "base": "5"}):
+        ext = make_extension(spec)
+        cases += [(ext, i) for i in range(1, 7) if i % ext.const_degree == 0]
+    for name in ("count_split_primes", "count_split_primes_enumerated"):
+        count = getattr(bounds, name, None)
+        if count is None:
+            continue
+
+        def cold_counts():
+            ffpoly._primes_of_degree_cached.cache_clear()
+            residue_field.cache_clear()
+            for ext, i in cases:
+                count(ext, i)
+        out[f"{name}_ms|criterion7|{len(cases)} cases"] = _timing(
+            cold_counts, 1, 1e3)
     return out
 
 
