@@ -145,7 +145,7 @@ class Extension:
         coeffs = [-a] + [Poly.zero(base)] * (n - 1) + [Poly.one(base)]
         return Extension("kummer", base, n, genus, base.size, coeffs,
                          ram, frozenset(bad), (n, 1), True, 1,
-                         {"n": n, "a": a})
+                         {"n": n, "a": a, "factors": fac})
 
     @staticmethod
     def artin_schreier(base: FiniteField, a: Poly) -> "Extension":

@@ -13,7 +13,11 @@ cleared; the split-prime counts of criterion 7's 14 (extension, i) cases,
 once by `count_split_primes` and once by the sieve
 `count_split_primes_enumerated` (ms for all 14, prime-list and
 residue-field caches cleared first; a checkout without the sieve
-function reports only the first row); `stabilizer_index` per call on a
+function reports only the first row); on either side of the rule that
+sends a Kummer count to the sieve when deg a > i, the closed form
+`_kummer_split_count` against the sieve for x^4 = a over F_5 at i = 5,
+deg a = 5 and 7 (ms per count, same caches cleared; skipped where the
+closed form is missing); `stabilizer_index` per call on a
 seeded sample of up to 40 saturated lattices of criterion 2's grid
 (exponent <= 4) per order, each called 5 times per repeat; on the same grid, per order, `module_orbit_equal`
 per call on a seeded sample of up to 40 pairs of distinct lattices of equal
@@ -158,6 +162,19 @@ def _layer0_rows() -> dict:
                 count(ext, i)
         out[f"{name}_ms|criterion7|{len(cases)} cases"] = _timing(
             cold_counts, 1, 1e3)
+
+    kummer_count = getattr(bounds, "_kummer_split_count", None)
+    if kummer_count is not None:
+        for a in (poly_from_str("t^5+t+2", F5), poly_from_str("t^7+t+2", F5)):
+            ext = Extension.kummer(F5, 4, a)
+            for name, count in (("closed", kummer_count),
+                                ("sieve", bounds.count_split_primes_enumerated)):
+                def cold_count():
+                    ffpoly._primes_of_degree_cached.cache_clear()
+                    residue_field.cache_clear()
+                    count(ext, 5)
+                out[f"split_count_{name}_ms|kummer|q=5|n=4|deg a={a.degree}"
+                    f"|i=5"] = _timing(cold_count, 1, 1e3)
     return out
 
 
