@@ -446,7 +446,13 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args, _load_config(args))
+        code = args.fn(args, _load_config(args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed by its reader (`| head`); devnull quiets the flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except errors.BudgetExceeded as exc:
         return _fail("budget", 3, exc)
     except errors.InputError as exc:

@@ -636,15 +636,15 @@ def predegree(ext: Extension, index: int, budget: int = PLACE_BUDGET) -> int:
 
 def order_at(ext: Extension, prime: Prime, r_prime: int) -> OrderStructure:
     """The A_p-order A'_p = A_p[y] presented by the defining polynomial,
-    valid where A[y] is p-maximal."""
+    valid where A[y] is p-maximal.  Its (e, f) shape, which feeds only m
+    and `gl_order`, is `splitting_pattern`'s: nothing is factored."""
     if not ext.separable:
         raise UnsupportedRamifiedPrime(
             "no order machinery for inseparable extensions")
     if prime in ext.maximality_bad:
         raise UnsupportedRamifiedPrime(
             f"A[y] is not certified maximal at {prime}")
-    sp = splitting(ext, prime)
-    factors = tuple((pl.e, pl.f) for pl in sp.places)
+    factors = splitting_pattern(ext, prime)
     for e, f in factors:
         if e > 1 and f > 1:
             raise UnsupportedRamifiedPrime(

@@ -845,6 +845,8 @@ def _poly_sort_key(f: Poly):
 
 
 def _trial_division(m: Poly) -> list:
+    """Divide out the primes of degree d = 1, 2, ...; a cofactor of
+    degree < 2d is then 1 or prime, so the division stops there."""
     out = []
     d = 1
     while m.degree >= 2 * d:
@@ -857,6 +859,8 @@ def _trial_division(m: Poly) -> list:
                 m, mult = q, mult + 1
             if mult:
                 out.append((p.poly, mult))
+                if m.degree < 2 * d:
+                    break
         d += 1
     if m.degree >= 1:
         out.append((m, 1))
@@ -905,20 +909,18 @@ def _factor_squarefree(m: Poly, mult: int, acc: dict) -> None:
 
 
 def _split_candidates(F: FiniteField, max_degree: int) -> Iterator[Poly]:
-    """Monic polynomials of degree 1..max_degree, in characteristic 2 with
-    the scaled c*t after the monic linears.
-
-    Over F, the linear factors t - r and t - s are separated by a
-    candidate a when Tr(a(r)) != Tr(a(s)), the trace taken to F_2.  For
-    t + c that needs Tr(r - s) = 1, which fails when r - s = 1 and
-    [F : F_2] is even (the roots of y^2 + y + c); for c*t it needs
-    Tr(c (r - s)) = 1, which holds for some c in F whenever r != s.
+    """Monic polynomials of degree 1..max_degree; in characteristic 2,
+    c*t for c in the F_2-basis 1, 2, 4, ... of F (elements are bit vectors)
+    replace the linear ones.  In characteristic 2, a separates the roots r
+    and s when Tr(a(r)) != Tr(a(s)), the trace taken to F_2; so t + c
+    fails wherever t does, while Tr(c (r - s)) is F_2-linear in c and,
+    for r != s in F, nonzero on some basis element.
     """
     for degree in range(1, max_degree + 1):
-        yield from _monic_polys(F, degree)
         if degree == 1 and F.p == 2:
-            for c in range(2, F.size):
-                yield Poly(F, (0, c))
+            yield from (Poly(F, (0, 1 << j)) for j in range(F.e))
+        else:
+            yield from _monic_polys(F, degree)
 
 
 def _equal_degree_split(g: Poly, d: int) -> list:

@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (Inconclusive, MalformedInput, NotMaximalAtPrime,
                      TowerNotSupported, UnsupportedRamifiedPrime, decoding)
-from .extension import (Extension, index_iX, order_at, predegree, splitting)
+from .extension import (Extension, index_iX, order_at, predegree, splitting,
+                        splitting_pattern)
 from .ffpoly import (FiniteField, Poly, Prime, enumerate_primes, poly_from_str,
                      poly_to_str, prime_from_str, residue_field)
 from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, Lattice,
@@ -352,6 +353,12 @@ def find_good_prime(datum: SubvarietyDatum, N: int, max_degree: int = 6,
     re-certifies.  Each scanned prime increments exactly one failure
     counter (the first failing condition) or is accepted, so the counts
     add up to the number of primes scanned.
+
+    Condition (i) is read off `splitting_pattern`, unfactored.  With no
+    twist and no level matrix at the prime, (iii) needs no linear algebra:
+    (gs)^-1 C_y (gs) = C_y has entries in A (`order_at` still runs, for
+    its refusals).  Only the accepted prime is factored and conjugated,
+    by `is_good_prime`, for its certificate.
     """
     ext = datum.extension
     idx = i_of_x if i_of_x is not None else index_iX(datum, budget)
@@ -363,20 +370,24 @@ def find_good_prime(datum: SubvarietyDatum, N: int, max_degree: int = 6,
     for prime in enumerate_primes(ext.base, max_degree):
         scanned += 1
         try:
-            sp = splitting(ext, prime)
+            pattern = splitting_pattern(ext, prime)
         except UnsupportedRamifiedPrime:
             counters["unsupported"] += 1
             continue
-        if sp.degree_one_place() is None:
+        if (1, 1) not in pattern:
             counters["i"] += 1
             continue
         lvl = datum.level.at(prime)
         if lvl.kind != "maximal":
             counters["ii"] += 1
             continue
-        s = lvl.s_matrix(prime, datum.r, precision)
         try:
-            stable, _ = _stability_witness(datum, prime, s, precision)
+            if prime in datum.twists or lvl.s is not None:
+                s = lvl.s_matrix(prime, datum.r, precision)
+                stable = _stability_witness(datum, prime, s, precision)[0]
+            else:  # C_y has entries in A; order_at may still refuse
+                order_at(ext, prime, datum.r_prime)
+                stable = True
         except UnsupportedRamifiedPrime:
             counters["unsupported"] += 1
             continue
@@ -386,6 +397,7 @@ def find_good_prime(datum: SubvarietyDatum, N: int, max_degree: int = 6,
         if prime.residue_size ** N >= d_of_x:
             counters["iv"] += 1
             continue
+        s = lvl.s_matrix(prime, datum.r, precision)
         shrunk, index = shrink_level(datum.level, prime, s, precision)
         refined = datum.with_level(shrunk)
         cert = is_good_prime(refined, prime, precision)

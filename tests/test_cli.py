@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -402,3 +403,18 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["separable_N"] == 8
+
+    def test_closed_stdout_exits_1_without_payload(self):
+        # the read end is closed before the command writes, as when
+        # `| head -c 120` has exited: exit 1, nothing on stderr
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "drinlat.cli", "factor", "--q", "2",
+                 "--poly", "t^20000"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""

@@ -422,3 +422,72 @@ class TestOrderAt:
                                    Poly.one(F2)], genus=0)
         with pytest.raises(UnsupportedRamifiedPrime):
             order_at(e, prime_from_str("t", F2), 1)
+
+
+def _shape_by_factoring(ext, prime):
+    """The (e, f) multiset that `order_at` took from `splitting` before it
+    read `splitting_pattern`, or "refused" where it raised."""
+    if not ext.separable or prime in ext.maximality_bad:
+        return "refused"
+    try:
+        places = splitting(ext, prime).places
+    except UnsupportedRamifiedPrime:
+        return "refused"
+    shape = sorted((pl.e, pl.f) for pl in places)
+    return "refused" if any(e > 1 and f > 1 for e, f in shape) else shape
+
+
+class TestOrderAtShape:
+    """`order_at` reads its shape off `splitting_pattern`: at every prime
+    up to degree 4 the (e, f) multiset and the refusals must be those of
+    factoring.  The radicands put ramified primes in the support, with a
+    closed form (e.g. t of x^2 = t^3+2*t), without one (the mixed tame
+    prime t of x^4 = t^3+t^2 over F_5, or t of the generic x^2 = t), or
+    off the certified-maximal locus (t of x^2 = t^3+t^2 over F_3)."""
+    SPECS = [
+        {"kind": "constant", "n": 2, "base": "2"},
+        {"kind": "constant", "n": 3, "base": "3"},
+        {"kind": "constant", "n": 3, "base": "2^2"},
+        {"kind": "kummer", "n": 2, "a": "t^3+2*t", "base": "3"},
+        {"kind": "kummer", "n": 2, "a": "t^3+t^2", "base": "3"},
+        {"kind": "kummer", "n": 4, "a": "t^3+t^2", "base": "5"},
+        {"kind": "kummer", "n": 3, "a": "t^2+1", "base": "7"},
+        {"kind": "kummer", "n": 2, "a": "t", "base": "3^2"},
+        {"kind": "kummer", "n": 3, "a": "t", "base": "2"},          # ladder
+        {"kind": "kummer", "n": 3, "a": "t^2+t+1", "base": "5"},    # ladder
+        {"kind": "kummer", "n": 5, "a": "t^2+t", "base": "2^2"},    # ladder
+        {"kind": "kummer", "n": 3, "a": "t", "base": "2^3"},        # ladder
+        {"kind": "artin_schreier", "a": "t^3", "base": "2"},
+        {"kind": "artin_schreier", "a": "t^2+t", "base": "3"},
+        {"kind": "artin_schreier", "a": "t^3", "base": "2^2"},
+        {"kind": "generic", "f": ["t", "t", "0", "1"], "genus": 1,
+         "base": "2"},
+        {"kind": "generic", "f": ["-t", "0", "1"], "genus": 0, "base": "3"},
+        {"kind": "generic", "f": ["1", "t", "1"], "genus": 0, "base": "2^2"},
+    ]
+
+    @pytest.mark.parametrize(
+        "spec", SPECS,
+        ids=["-".join(str(s.get(k, "")) for k in ("kind", "base", "n", "a"))
+             for s in SPECS])
+    def test_shape_and_refusals_match_factoring(self, spec):
+        ext = make_extension(spec)
+        for prime in enumerate_primes(ext.base, 4):
+            want = _shape_by_factoring(ext, prime)
+            try:
+                got = sorted(order_at(ext, prime, 1).factors)
+            except UnsupportedRamifiedPrime:
+                got = "refused"
+            assert got == want, str(prime)
+
+    def test_specs_cover_every_kind_of_ramified_prime(self):
+        seen = set()
+        for spec in self.SPECS:
+            ext = make_extension(spec)
+            for prime, closed in ext.ram_support.items():
+                seen.add("closed form" if closed else "no closed form")
+            if ext.maximality_bad - set(ext.ram_support):
+                seen.add("not maximal")
+            seen.add(ext.base.size)
+        assert seen == {"closed form", "no closed form", "not maximal",
+                        2, 3, 4, 5, 7, 8, 9}

@@ -447,6 +447,37 @@ class TestFactor:
                 prod = prod * p ** m
             assert prod == f
 
+    @pytest.mark.parametrize("order", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                       (2, 3), (3, 2), (2, 4)])
+    def test_trial_division_agrees_with_ddf_below_threshold(self, order):
+        # below the 4096 threshold poly_factor takes _trial_division, which
+        # stops once the cofactor is too small to split; compare it with
+        # the squarefree/DDF/EDF path on seeded monic polynomials, random
+        # ones and products of random primes (repeated factors included)
+        field = FiniteField.of_order(*order)
+        rng = random.Random(f"trial:{field.size}")
+        max_degree = 1
+        while field.size ** (max_degree + 1) <= 4096:
+            max_degree += 1
+        for trial in range(300):
+            if trial % 2:
+                f = Poly.one(field)
+                while True:
+                    d = rng.randrange(1, max_degree + 1)
+                    p = rng.choice(primes_of_degree(field, d)).poly
+                    if (f * p).degree > max_degree:
+                        break
+                    f = f * p
+                if f.degree == 0:
+                    continue
+            else:
+                f = random_poly(field, rng.randrange(1, max_degree), rng)
+                f = Poly(field, list(f.coeffs) + [1])
+            acc = {}
+            ffpoly._factor_monic(f, 1, acc)
+            want = sorted(acc.items(), key=lambda kv: ffpoly._poly_sort_key(kv[0]))
+            assert ffpoly._trial_division(f) == want, poly_to_str(f)
+
 
 class TestResidueField:
     def test_prime_t_over_f2(self):

@@ -1,5 +1,7 @@
 import pytest
 
+from goodprime_oracle import find_good_prime_full
+
 from drinlat.errors import Inconclusive, NotMaximalAtPrime
 from drinlat.extension import Extension, splitting
 from drinlat.ffpoly import FiniteField, Poly, enumerate_primes, poly_from_str, \
@@ -168,6 +170,99 @@ class TestFindGoodPrime:
                 assert hecke_degree(elem) == prime.residue_size ** (r - 1)
                 checked += 1
         assert checked >= 3
+
+
+def _scan_data():
+    """(name, datum, N, max_degree, i_of_x) covering every shape and every
+    counter of the scan."""
+    F5 = FiniteField.of_order(5)
+    F7 = FiniteField.of_order(7)
+    F9 = FiniteField.of_order(3, 2)
+    p3 = prime_from_str("t^2+1", F3)
+    unstable = LocalMatrix.diagonal(p3, [LocalElement.pi_power(p3, -1),
+                                         LocalElement.pi_power(p3, 0)])
+    unit = LocalMatrix.from_polys(p3, [[Poly.one(F3), poly_from_str("t", F3)],
+                                       [Poly.zero(F3), Poly.one(F3)]])
+    insep = Extension.generic(F2, [-poly_from_str("t", F2), Poly.zero(F2),
+                                   Poly.one(F2)], genus=0)
+    generic = Extension.generic(F3, [-poly_from_str("t", F3), Poly.zero(F3),
+                                     Poly.one(F3)], genus=0)
+    x_json = {"schema": 1,
+              "extension": {"kind": "kummer", "n": 2, "a": "t^3+2*t",
+                            "base": "3"},
+              "r": 2,
+              "twists": [{"prime": "t", "matrix": [["1", "0"], ["0", "t"]]}],
+              "level": [{"prime": "t^2+1", "kind": "congruence",
+                         "depth": 1}]}
+    kummer = elliptic_datum().extension
+    return [
+        ("kummer-accept", elliptic_datum(), 1, 3, 25),
+        ("kummer-exhaust", elliptic_datum(), 6, 4, 25),
+        ("artin-schreier", SubvarietyDatum(Extension.artin_schreier(
+            F2, poly_from_str("t^3", F2)), 2), 10, 6, 1),
+        ("artin-schreier-accept", SubvarietyDatum(Extension.artin_schreier(
+            F3, poly_from_str("t^2+t", F3)), 3), 1, 3, 10 ** 3),
+        ("constant", SubvarietyDatum(Extension.constant(F2, 2), 2),
+         1, 3, 10 ** 6),
+        ("constant-cubic", SubvarietyDatum(Extension.constant(F3, 3), 3),
+         9, 3, 1),
+        ("kummer-f5", SubvarietyDatum(Extension.kummer(
+            F5, 2, poly_from_str("t^3+t", F5)), 2), 10, 2, 1),
+        ("kummer-f9", SubvarietyDatum(Extension.kummer(
+            F9, 2, poly_from_str("t", F9)), 2), 3, 2, 1),
+        ("kummer-cubic-f7", SubvarietyDatum(Extension.kummer(
+            F7, 3, poly_from_str("t^2+1", F7)), 3), 3, 2, 10 ** 3),
+        ("kummer-ladder", SubvarietyDatum(Extension.kummer(
+            F5, 3, poly_from_str("t^2+t+1", F5)), 3), 4, 2, 1),
+        ("kummer-not-maximal", SubvarietyDatum(Extension.kummer(
+            F3, 2, poly_from_str("t^3+t^2", F3)), 2), 1, 3, 10 ** 3),
+        ("inseparable", SubvarietyDatum(insep, 2), 3, 6, 1),
+        ("generic-ramified", SubvarietyDatum(generic, 2), 1, 3, 10 ** 3),
+        ("readme-datum", SubvarietyDatum.from_json(x_json), 3, 4, None),
+        ("congruence-level", elliptic_datum(congruence_level(p3, 2)),
+         1, 3, 25),
+        ("twist-fails-iii", SubvarietyDatum(kummer, 2, {p3: unstable}),
+         1, 3, 25),
+        ("level-matrix-fails-iii", elliptic_datum(LevelMap(2, {
+            p3: LocalLevel("maximal", 0, unstable)})), 1, 3, 25),
+        ("unit-twist-accept", SubvarietyDatum(kummer, 2, {p3: unit}, LevelMap(
+            2, {p3: LocalLevel("maximal", 0, unit)})), 1, 3, 25),
+    ]
+
+
+class TestScanAgainstFullLoop:
+    """`find_good_prime` against the loop that factors and conjugates at
+    every prime (tests/goodprime_oracle.py): every counter, the scan
+    length, the accepted prime, the certificate and the shrunk level."""
+
+    @pytest.mark.parametrize("name,datum,N,max_degree,i_of_x", _scan_data(),
+                             ids=[case[0] for case in _scan_data()])
+    def test_same_result(self, name, datum, N, max_degree, i_of_x):
+        got = find_good_prime(datum, N, max_degree, i_of_x=i_of_x)
+        want = find_good_prime_full(datum, N, max_degree, i_of_x=i_of_x)
+        for key, count in want.report.counters.items():
+            assert got.report.counters[key] == count, key
+        assert got.report.counters.keys() == want.report.counters.keys()
+        assert got.report.scanned == want.report.scanned
+        assert got.report.accepted == want.report.accepted
+        assert got.report.predegree == want.report.predegree
+        assert got.found == want.found
+        assert got.shrink_index == want.shrink_index
+        if want.found:
+            assert got.certificate.to_json() == want.certificate.to_json()
+            assert got.level.to_json() == want.level.to_json()
+        else:
+            assert got.certificate is None and got.level is None
+
+    def test_every_outcome_is_covered(self):
+        seen = set()
+        for _, datum, N, max_degree, i_of_x in _scan_data():
+            res = find_good_prime_full(datum, N, max_degree, i_of_x=i_of_x)
+            seen |= {key for key, count in res.report.counters.items()
+                     if count}
+            if res.found:
+                seen.add("accepted")
+        assert seen == {"i", "ii", "iii", "iv", "unsupported", "accepted"}
 
 
 class TestTransfer:

@@ -25,12 +25,17 @@ index, at the least depth k >= 1 with p^k inside both, and
 `saturate_lattice` per call on a seeded sample of up to 40 unsaturated
 lattices, each called 5 times per repeat (at the default budget, so
 budget and precision refusals are timed too, as the library raises them);
-and `LocalMatrix.inverse` per call on 10
-seeded invertible r x r matrices (r = 2, 3, 4) at p = t over F_2, F_3 and
-F_4, at precisions 12 and 30.  Prints one JSON object: per row the median
-and the minimum of 7 repeats, in microseconds per call (ms for the prime
-list, the field builds and the split counts).  On a shared host the median
-of one run moves by up to 1.7x between runs; the minimum is the steadier
+`LocalMatrix.inverse` per call on 10 seeded invertible r x r matrices
+(r = 2, 3, 4) at p = t over F_2, F_3 and F_4, at precisions 12 and 30;
+cold good-prime scans (prime-list and residue-field caches cleared
+first): `find_good_prime` on the README datum `perfbench/data/X.json`
+(x^2 = t^3 - t over F_3, a twist at t, N = 3) at max degree 4 and 6, and `places-scan`'s `exhaust-2`
+(x^2 + x = t^3 over F_2, N = 10, max degree 6); and `order_at` at the
+first split degree-4 prime of x^2 = t over F_5, caches cleared.  Prints
+one JSON object: per row the median and the minimum of 7 repeats, in
+microseconds per call (ms for the prime list, the field builds, the split
+counts and the scans).  On a shared host the median of one run moves by
+up to 1.7x between runs; the minimum is the steadier
 figure.  Run it against any checkout to compare two versions of the
 library:
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import random
 import statistics
 import sys
@@ -84,6 +90,7 @@ def main() -> None:
     out.update(_stabilizer_rows())
     out.update(_hom_rows())
     out.update(_inverse_rows())
+    out.update(_goodprime_rows())
     print(json.dumps(out))
 
 
@@ -260,6 +267,44 @@ def _inverse_rows() -> dict:
                     mats.append(m)
                 out[f"inverse|q={F.size}|r={r}|prec={prec}"] = _timing(
                     lambda: [m.inverse() for m in mats], len(mats), 1e6)
+    return out
+
+
+README_DATUM = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
+    / "data" / "X.json"
+
+
+def _goodprime_rows() -> dict:
+    from drinlat import ffpoly
+    from drinlat.extension import (Extension, make_extension, order_at,
+                                   splitting_pattern)
+    from drinlat.ffpoly import FiniteField, poly_from_str, residue_field
+    from drinlat.goodprime import SubvarietyDatum, find_good_prime
+
+    def cold(run):
+        def timed():
+            ffpoly._primes_of_degree_cached.cache_clear()
+            residue_field.cache_clear()
+            run()
+        return timed
+
+    out = {}
+    readme = SubvarietyDatum.from_json(json.loads(README_DATUM.read_text()))
+    for max_degree in (4, 6):
+        out[f"find_good_prime_ms|readme|N=3|max_degree={max_degree}"] = \
+            _timing(cold(lambda: find_good_prime(readme, 3, max_degree)),
+                    1, 1e3)
+    exhaust = SubvarietyDatum(make_extension(
+        {"kind": "artin_schreier", "a": "t^3", "base": "2"}), 2)
+    out["find_good_prime_ms|exhaust-2|N=10|max_degree=6"] = _timing(
+        cold(lambda: find_good_prime(exhaust, 10, 6, i_of_x=1)), 1, 1e3)
+
+    F5 = FiniteField.of_order(5)
+    ext = Extension.kummer(F5, 2, poly_from_str("t", F5))
+    split = next(prime for prime in ffpoly.primes_of_degree(F5, 4)
+                 if splitting_pattern(ext, prime) == ((1, 1), (1, 1)))
+    out[f"order_at|kummer|q=5|n=2|a=t|split {split}"] = _timing(
+        cold(lambda: order_at(ext, split, 1)), 1, 1e6)
     return out
 
 
