@@ -82,8 +82,9 @@ DEFAULT_CONFIG = {
 def criterion_1(config: dict) -> Dict[str, object]:
     """Hecke degree formula q_p^(r-1) for diag(pi^-1, 1, ..., 1), read by
     `hecke_degree` from the elementary divisors.  The grid keeps each
-    coset count within 2^16, the default orbit budget; the coset-counting
-    oracle `hecke_degree_enumerated` is compared with it in the tests."""
+    coset count within 2^16, the default orbit budget; the tests compare it
+    with the coset-counting oracle `hecke_degree_enumerated` of
+    `tests/hecke_oracle.py`."""
     budget = config["orbit_budget"]
     cases = []
     for q in (2, 3):

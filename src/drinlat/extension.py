@@ -10,26 +10,36 @@ infinity), Artin-Schreier extensions adjoin x with x^p - x = a(t)
 (pole order at infinity prime to p after the standard reduction), and
 the generic shape trusts caller-supplied genus and infinity data.
 
-Splitting at an unramified prime reads the irreducible factors of the
-defining polynomial over the residue field; ramified primes are handled
-by the constructor's closed form or refused.  Scans that need only the
-splitting pattern use residue tests instead, and a Kummer extension with
-n | q - 1 reads its pattern off the n-th power residue symbol, computed
-in F_q[t] by reciprocity.
+Splitting at an unramified prime returns the monic irreducible factors
+of the defining polynomial over the residue field.  `splitting_pattern`
+knows their degrees without factoring: the constant-extension law, the
+n-th power residue symbol for a Kummer extension with n | q - 1, and
+the absolute trace for an Artin-Schreier one, the last two computed in
+F_q[t].  `splitting` builds the factors from that pattern.  A split
+Kummer prime takes one root of the radicand (Tonelli-Shanks or
+Adleman-Manders-Miller) times the roots of unity of F_q; a split
+Artin-Schreier prime takes the trace-one solution of y^p - y = c; each
+root is checked before it is returned.  A constant extension splits its
+modulus by equal-degree splitting at the known degree.  `poly_factor`
+remains for the Kummer ladder (n not dividing q - 1) and generic
+extensions.  Ramified primes are handled by the constructor's closed
+form or refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, MalformedInput, MultipleInfinitePlaces,
                      ReducibleDefiningPolynomial, UnsupportedRamifiedPrime,
                      UnsupportedShape, decoding)
-from .ffpoly import (FiniteField, Poly, Prime, field_from_str, ord_at,
-                     poly_factor, poly_from_str, poly_to_str,
-                     power_residue_symbol, primes_of_degree, residue_field)
+from .ffpoly import (FiniteField, Poly, Prime, _equal_degree_split,
+                     absolute_trace, field_from_str, ord_at, poly_factor,
+                     poly_from_str, poly_to_str, power_residue_symbol,
+                     primes_of_degree, residue_field)
 from .localfield import (DEFAULT_BUDGET, Lattice, OrderStructure,
                          saturate_lattice, stabilizer_index)
 
@@ -357,9 +367,10 @@ def _bareiss_det(base: FiniteField, mat: List[List[Poly]]) -> Poly:
 
 def splitting(ext: Extension, prime: Prime) -> SplittingType:
     """Factorization type of the prime in F'/F.  At an unramified prime
-    the places are the irreducible factors of the defining polynomial over
-    k(p); a Kummer or Artin-Schreier prime that `splitting_pattern` finds
-    inert keeps the reduced polynomial as its one factor, unfactored."""
+    the places are the monic irreducible factors of the defining
+    polynomial over k(p), built from the pattern that `splitting_pattern`
+    already knows wherever it knows one (`_unramified_factors`);
+    `poly_factor` factors the rest."""
     if prime.field is not ext.base:
         raise MalformedInput("prime and extension base fields differ")
     if not ext.separable:
@@ -372,25 +383,86 @@ def splitting(ext: Extension, prime: Prime) -> SplittingType:
                 f"no closed form for the ramified prime {prime}")
         places = tuple(PlaceFactor(e, f) for e, f in closed)
         return SplittingType(prime, places, False)
-    kp = residue_field(prime)
-    reduced = _reduced_defining_poly(ext, prime, kp)
-    if (ext.kind in ("kummer", "artin_schreier")
-            and splitting_pattern(ext, prime) == ((1, ext.m),)):
-        factors = [(reduced, 1)]  # inert: monic and irreducible over k(p)
-    else:
-        factors = poly_factor(reduced)
-    places = []
-    for f, mult in factors:
-        if mult != 1:
-            raise AssertionError(
-                f"unexpected ramification at {prime} away from the support")
-        places.append(PlaceFactor(1, f.degree, tuple(f.coeffs)))
-    places.sort(key=lambda pl: (pl.e, pl.f, pl.factor))
+    places = sorted((PlaceFactor(1, f.degree, tuple(f.coeffs))
+                     for f in _unramified_factors(ext, prime)),
+                    key=lambda pl: (pl.e, pl.f, pl.factor))
     total = sum(pl.e * pl.f for pl in places)
     if total != ext.m:
         raise AssertionError(
             f"local degrees at {prime} sum to {total}, not {ext.m}")
     return SplittingType(prime, tuple(places), True)
+
+
+def _unramified_factors(ext: Extension, prime: Prime) -> List[Poly]:
+    """The monic irreducible factors of the reduced defining polynomial
+    over k(p) at an unramified prime.
+
+    - An inert prime keeps the reduced polynomial, unfactored.
+    - A constant extension splits its modulus at the known degree
+      n / gcd(n, deg p) by equal-degree splitting alone.
+    - A Kummer prime with n | q - 1 and pattern n/m factors of degree m
+      takes one (n/m)-th root c of b (`FiniteField.nth_root`): x^n - b
+      is the product of x^m - omega c over the (n/m)-th roots of unity
+      omega of F_q.
+    - A split Artin-Schreier prime has the roots y + j, j in F_p, for
+      the root y of `FiniteField.artin_schreier_root`.
+    - The Kummer ladder (n not dividing q - 1) and generic extensions
+      go to `poly_factor`.
+    """
+    kp = residue_field(prime)
+    reduced = _reduced_defining_poly(ext, prime, kp)
+    if ext.kind == "constant":
+        count, f = constant_splitting_law(ext.m, prime.degree)
+        return [reduced] if count == 1 else _equal_degree_split(reduced, f)
+    if ext.kind in ("kummer", "artin_schreier"):
+        pattern = splitting_pattern(ext, prime)
+        if len(pattern) == 1:
+            return [reduced]  # inert: monic and irreducible over k(p)
+        if ext.kind == "artin_schreier":
+            c = kp.neg(reduced.coeffs[0])
+            y = kp.artin_schreier_root(c)
+            if kp.sub(kp.frobenius(y), y) != c:
+                raise AssertionError(
+                    f"y^p - y != c for the root formula at {prime}")
+            return [Poly(kp, (kp.neg(kp.add(y, j)), 1)) for j in range(kp.p)]
+        n = ext.params["n"]
+        if (ext.base.size - 1) % n == 0:
+            return _kummer_factors(kp, kp.neg(reduced.coeffs[0]), n,
+                                   pattern[0][1])
+    factors = []
+    for f, mult in poly_factor(reduced):
+        if mult != 1:
+            raise AssertionError(
+                f"unexpected ramification at {prime} away from the support")
+        factors.append(f)
+    return factors
+
+
+def _kummer_factors(kp, b: int, n: int, m: int) -> List[Poly]:
+    """x^n - b over k(p) as the k = n/m binomials x^m - omega c, for one
+    k-th root c of b and the k-th roots of unity omega of F_q.  The
+    omegas are checked to be k distinct k-th roots of unity, so the
+    (omega c)^k = b are all the roots of X^k = b and the binomials
+    multiply to x^n - b."""
+    k = n // m
+    F = kp.base
+    try:
+        c = kp.nth_root(b, k)
+    except MalformedInput as exc:
+        raise AssertionError(f"the pattern promised a {k}-th power") from exc
+    omegas = _roots_of_unity(F, k)
+    if len(set(omegas)) != k or any(F.pow(w, k) != 1 for w in omegas):
+        raise AssertionError(f"not the {k} distinct {k}-th roots of unity "
+                             f"of {F!r}: {omegas}")
+    zeros = (0,) * (m - 1)
+    return [Poly(kp, (kp.scale(F.neg(w), c),) + zeros + (1,))
+            for w in omegas]
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(F: FiniteField, k: int) -> Tuple[int, ...]:
+    """The k-th roots of unity of F, for k dividing |F| - 1."""
+    return tuple(w for w in range(1, F.size) if F.pow(w, k) == 1)
 
 
 def _reduced_defining_poly(ext: Extension, prime: Prime, kp) -> Poly:
@@ -500,19 +572,11 @@ def _kummer_pattern_ladder(ext: Extension,
 
 def _artin_schreier_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ...]:
     """x^p - x - c splits completely iff the absolute trace of c vanishes,
-    and is irreducible otherwise."""
-    kp = residue_field(prime)
-    p = ext.base.p
-    c = kp.reduce(ext.params["a"])
-    tr = 0
-    x = c
-    steps = kp.e  # [k(p) : F_p]
-    for _ in range(steps):
-        tr = kp.add(tr, x)
-        x = kp.pow(x, p)
-    if tr == 0:
-        return ((1, 1),) * p
-    return ((1, p),)
+    and is irreducible otherwise.  The trace is taken in F_q[t] mod p
+    (`absolute_trace`), so no residue field is built."""
+    if absolute_trace(ext.params["a"], prime) == 0:
+        return ((1, 1),) * ext.base.p
+    return ((1, ext.base.p),)
 
 
 def splits_completely(ext: Extension, prime: Prime) -> bool:

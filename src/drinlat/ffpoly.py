@@ -14,10 +14,15 @@ Euclidean algorithm against the modulus, without building Polys.
 The primes of one degree come from a sieve that marks every monic
 multiple of the smaller primes in a byte array indexed by coefficient
 vectors.  `power_residue_symbol` computes (a/b)_n by Euclid's algorithm
-and the reciprocity law, with no residue field.  Equal-degree splitting
-takes a product of two linear factors apart by the quadratic formula
-(`FiniteField.sqrt`), so its cost does not depend on which roots they
-are.
+and the reciprocity law, with no residue field, and `absolute_trace`
+takes the trace of a residue class by Frobenius steps in F_q[t].
+Equal-degree splitting takes a product of two linear factors apart by
+the quadratic formula (`FiniteField.sqrt`), so its cost does not depend
+on which roots they are.  The root formulas, n-th roots
+(`FiniteField.nth_root`: Tonelli-Shanks and Adleman-Manders-Miller) and
+roots of y^p - y = c (`FiniteField.artin_schreier_root`), multiply
+without filling tables, and the p-th power `FiniteField.frobenius` is a
+spread of digits and one reduction.
 
 Polynomial text grammar (bit-exact, used by the CLI and JSON payloads):
 terms ``c*t^k`` joined by ``+``, coefficients as decimal integers,
@@ -88,7 +93,7 @@ class FiniteField:
             self._reducer = _reducer(modulus.coeffs)
         self._log: Optional[list] = None
         self._exp: Optional[list] = None
-        self._nonsq: Optional[int] = None
+        self._nonres: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -272,51 +277,180 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.size)
 
+    def _untabled_mul(self):
+        """The product of the root formulas, which fills no table: the
+        log/exp tables where another caller has built them, digit lists
+        (`_mul_raw`) where it has not, plain ints over a prime field."""
+        if self.base is None:
+            p = self.p
+            return lambda a, b: a * b % p
+        if self._log is not None:
+            return self.mul
+        return self._mul_raw
+
+    def frobenius(self, a: int) -> int:
+        """a^p, from the digits of a by `_frobenius_coeffs`: no products
+        in this field."""
+        if self.base is None:
+            return a
+        return self._join(_frobenius_coeffs(self._split(a), self._reducer,
+                                            self.base))
+
+    def scale(self, c: int, a: int) -> int:
+        """c * a for c in the base field, digit by digit."""
+        if self.base is None:
+            return self.mul(c, a)
+        mul = self.base.mul
+        return self._join([mul(c, x) for x in self._split(a)])
+
+    def trace(self, a: int) -> int:
+        """The absolute trace of a, an element of F_p (`_trace_coeffs`)."""
+        if self.base is None:
+            return a
+        return _trace_coeffs(self._split(a), self._reducer, self.base, self.e)
+
+    def artin_schreier_root(self, c: int) -> int:
+        """A root y of y^p - y = c, for c of absolute trace 0.
+
+        With e = [F : F_p], an element delta of trace 1 and C_j = c +
+        c^p + ... + c^(p^(j-1)), y = -sum over 0 < j < e of
+        delta^(p^j) C_j has y^p - y = c Tr(delta) - delta Tr(c) = c
+        (Lidl & Niederreiter, Finite Fields, Thm 2.25).  When p does not
+        divide e, delta = 1/e lies in F_p and the sum is
+        y = (1/e) sum over i < e of i c^(p^i), scalings only; for p = 2
+        it is a half-trace.  Otherwise delta is the first F_p-basis
+        element p^j of nonzero trace, scaled, and the sum takes e - 1
+        products through `_untabled_mul`."""
+        p, e = self.p, self.e
+        y, x = 0, c
+        if e % p:
+            inv_e = pow(e, -1, p)
+            for i in range(1, e):
+                x = self.frobenius(x)
+                if i * inv_e % p:
+                    y = self.add(y, self.scale(i * inv_e % p, x))
+            return y
+        delta = next(z for z in (p ** j for j in range(e)) if self.trace(z))
+        delta = self.scale(pow(self.trace(delta), -1, p), delta)
+        mul = self._untabled_mul()
+        prefix = 0
+        for _ in range(e - 1):
+            prefix = self.add(prefix, x)
+            x = self.frobenius(x)
+            delta = self.frobenius(delta)
+            y = self.add(y, mul(delta, prefix))
+        return self.neg(y)
+
     def sqrt(self, a: int) -> int:
         """A square root of a square a, in odd characteristic.
 
         Tonelli-Shanks with the smallest non-square of the field, found
-        once per field: with q - 1 = m 2^s (m odd) the cost is two powers
-        and at most s^2 squarings, whichever square a is."""
+        once per field: with q - 1 = m 2^s (m odd) the cost is one power
+        a^((m-1)/2), which gives both a^((m+1)/2) and a^m, and at most s^2
+        squarings, whichever square a is.  Products go through
+        `_untabled_mul`, so a cold field builds no table."""
         if self.p == 2:
             raise MalformedInput("sqrt needs odd characteristic")
         if a == 0:
             return 0
+        mul = self._untabled_mul()
         n = self.size - 1
         s = (n & -n).bit_length() - 1
         m = n >> s
-        x = self.pow(a, (m + 1) // 2)
-        t = self.pow(a, m)
+        w = _pow_by(mul, a, (m - 1) // 2)
+        x = mul(w, a)
+        t = mul(w, x)
         c = None
         while t != 1:
             i, u = 0, t
             while u != 1:
-                u = self.mul(u, u)
+                u = mul(u, u)
                 i += 1
             if i == s:
                 raise MalformedInput(f"{a} is not a square in {self!r}")
             if c is None:
-                c = self.pow(self._non_square(), m)
+                c = _pow_by(mul, self._non_residue(2), m)
             b = c
             for _ in range(s - i - 1):
-                b = self.mul(b, b)
-            x = self.mul(x, b)
-            c = self.mul(b, b)
-            t = self.mul(t, c)
+                b = mul(b, b)
+            x = mul(x, b)
+            c = mul(b, b)
+            t = mul(t, c)
             s = i
         return x
 
-    def _non_square(self) -> int:
-        """The smallest non-square.  Over an even-degree extension of F_p
-        every element of F_p (the ints below p) is a square, so the search
-        starts at p."""
-        if self._nonsq is None:
-            minus_one = self.neg(1)
-            half = (self.size - 1) // 2
-            start = self.p if self.e % 2 == 0 else 2
-            self._nonsq = next(z for z in range(start, self.size)
-                               if self.pow(z, half) == minus_one)
-        return self._nonsq
+    def nth_root(self, a: int, n: int) -> int:
+        """An n-th root of a, for n dividing size - 1 and a an n-th power.
+
+        One prime r of n at a time: a square root by Tonelli-Shanks
+        (`sqrt`), an r-th root for odd r by Adleman-Manders-Miller (FOCS
+        1977).  An r-th root of a k-th power is a (k/r)-th power when k
+        divides size - 1, so the chain never leaves the residues.  The
+        root is checked (root^n = a) before it is returned; a non-residue
+        a fails that check and raises MalformedInput."""
+        if n < 1 or (self.size - 1) % n:
+            raise MalformedInput(f"{n} does not divide {self.size} - 1")
+        x = a
+        if a:
+            for r, mult in _int_factor(n):
+                for _ in range(mult):
+                    x = self.sqrt(x) if r == 2 else self._amm_root(x, r)
+        if _pow_by(self._untabled_mul(), x, n) != a:
+            raise MalformedInput(f"{a} is not an {n}-th power in {self!r}")
+        return x
+
+    def _amm_root(self, a: int, r: int) -> int:
+        """An r-th root of a nonzero r-th power a, r an odd prime dividing
+        size - 1 = r^s t with r prime to t (Adleman-Manders-Miller, in the
+        form of Cao, Sha & Fan, 2011).  a^alpha with r alpha = 1 mod t is
+        a root up to a unit b of r-power order; the loop removes b one
+        r-adic level at a time, by discrete logarithms in the order-r
+        subgroup <z>, z = rho^(r^(s-1) t) for an r-th non-residue rho."""
+        mul = self._untabled_mul()
+        n = self.size - 1
+        s, t = 0, n
+        while t % r == 0:
+            s, t = s + 1, t // r
+        alpha = pow(r, -1, t)
+        rho = self._non_residue(r)
+        c = _pow_by(mul, rho, t)
+        z = _pow_by(mul, c, r ** (s - 1))
+        logs = {}
+        w = 1
+        for j in range(r):
+            logs[w] = j
+            w = mul(w, z)
+        b = _pow_by(mul, a, (r * alpha - 1) % n)
+        h = 1
+        for i in range(1, s):
+            d = _pow_by(mul, b, r ** (s - 1 - i))
+            if d not in logs:
+                raise MalformedInput(f"{a} is not an {r}-th power in {self!r}")
+            j = -logs[d] % r
+            if j:
+                cj = _pow_by(mul, c, j)
+                h = mul(h, cj)
+                b = mul(b, _pow_by(mul, cj, r))
+            c = _pow_by(mul, c, r)
+        return mul(_pow_by(mul, a, alpha), h)
+
+    def _non_residue(self, r: int) -> int:
+        """The smallest r-th power non-residue, for a prime r dividing
+        size - 1.  When r does not divide p - 1, or [F : F_p] is a
+        multiple of r, every element of F_p (the ints below p) is an r-th
+        power, so the search starts at p."""
+        z = self._nonres.get(r)
+        if z is None:
+            start = self.p if (self.p - 1) % r or self.e % r == 0 else 2
+            z = next(z for z in range(start, self.size)
+                     if not self._is_power(z, r))
+            self._nonres[r] = z
+        return z
+
+    def _is_power(self, z: int, r: int) -> bool:
+        """Whether the nonzero z is an r-th power, r dividing size - 1:
+        Euler's criterion z^((size - 1)/r) = 1."""
+        return _pow_by(self._untabled_mul(), z, (self.size - 1) // r) == 1
 
     def _primitive_element(self, mul) -> int:
         """The smallest g >= 2 that generates the multiplicative group (1
@@ -381,6 +515,33 @@ def _rem_coeffs(x: list, reducer: tuple, F: FiniteField) -> list:
                     x[off + j] = sub(x[off + j], mul(c, mj))
         out = x[:k]
     return out + [0] * (k - len(out))
+
+
+def _frobenius_coeffs(x: list, reducer: tuple, F: FiniteField) -> list:
+    """x^p mod m on coefficient lists over F of characteristic p, for the
+    monic m that ``reducer`` describes: (sum c_i t^i)^p = sum c_i^p t^(p i),
+    so the coefficients are spread (and raised to the p-th power over an
+    extension F) and reduced once."""
+    p = F.p
+    out = [0] * (p * (len(x) - 1) + 1) if x else []
+    for i, c in enumerate(x):
+        if c:
+            out[p * i] = c if F.base is None else F.pow(c, p)
+    return _rem_coeffs(out, reducer, F)
+
+
+def _trace_coeffs(x: list, reducer: tuple, F: FiniteField, e: int) -> int:
+    """The trace of x mod m down to F_p, for the coefficient list x of
+    length deg m and e = [F[t]/(m) : F_p]: the sum of the e images
+    x^(p^i) mod m (`_frobenius_coeffs`).  It must be a constant of F_p,
+    an int below p; anything else raises."""
+    acc = list(x)
+    for _ in range(e - 1):
+        x = _frobenius_coeffs(x, reducer, F)
+        acc = [F.add(u, v) for u, v in zip(acc, x)]
+    if any(acc[1:]) or acc[0] >= F.p:
+        raise AssertionError(f"trace {acc} is not in F_{F.p}")
+    return acc[0]
 
 
 def _pow_by(mul, a: int, n: int) -> int:
@@ -690,6 +851,14 @@ class ResidueField(FiniteField):
     def lift(self, a: int) -> Poly:
         """Canonical representative of degree < deg p."""
         return self.to_poly(a)
+
+    def _is_power(self, z: int, r: int) -> bool:
+        """Euler's criterion, read off the power residue symbol (z/p)_r in
+        F_q[t] when r divides q - 1: Euclid's algorithm on polynomials of
+        degree < deg p instead of a power in k(p)."""
+        if (self.base.size - 1) % r:
+            return super()._is_power(z, r)
+        return power_residue_symbol(self.to_poly(z), self.prime.poly, r) == 1
 
 
 @lru_cache(maxsize=None)
@@ -1112,6 +1281,16 @@ def _residue_symbol(x: list, y: tuple, F: FiniteField, e: int) -> int:
         if e * (len(x) - 1) * k % 2:
             symbol = F.neg(symbol)
         x, y = list(y), x
+
+
+def absolute_trace(a: Poly, prime: Prime) -> int:
+    """The trace of a mod p from k(p) = F_q[t]/(p) down to F_p, taken in
+    F_q[t] on coefficient lists (`_trace_coeffs`), so no residue field is
+    built."""
+    F = a.field
+    reducer = _reducer(prime.poly.coeffs)
+    return _trace_coeffs(_rem_coeffs(list(a.coeffs), reducer, F), reducer, F,
+                         prime.degree * F.e)
 
 
 def ord_at(prime: Prime, f: Poly) -> int:

@@ -5,13 +5,13 @@ The degree of the correspondence attached to g at level depth k is the
 index [K : K cap g^-1 K g] for K the principal congruence subgroup mod
 p^k.  It is read off the elementary divisors e_1 <= ... <= e_r of g as
 q_p^(sum over a < b of (e_b - e_a)), valid when the spread e_r - e_1 is
-at most k; `hecke_degree_enumerated` is the coset-counting oracle in the
-finite quotient K(p^k)/K(p^2k) ~ Mat_r(A/p^k) that tests compare it
-against.  The characteristic polynomial sums the principal minors of
+at most k.  The characteristic polynomial sums the principal minors of
 each size, all computed in one Laplace programme that shares
-sub-determinants between minors (633 products at r = 6);
-`char_poly_expanded`, the expansion of each minor over all
-permutations, is the oracle.  The boundedness predicate reads the
+sub-determinants between minors (633 products at r = 6).  Their
+brute-force oracles live in `tests/hecke_oracle.py`: coset counting in
+the finite quotient K(p^k)/K(p^2k) ~ Mat_r(A/p^k)
+(`hecke_degree_enumerated`) and the expansion of each minor over all
+permutations (`char_poly_expanded`).  The boundedness predicate reads the
 Newton polygon of the characteristic polynomial: at least two segments
 certifies an unbounded cyclic image in PGL_r(F_p); the adopted converse
 is that a single slope means bounded (a power scales to an integral
@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (BudgetExceeded, PrecisionExhausted, QuotientInsufficient)
 from .ffpoly import Poly, Prime
-from ._chainring import ChainRing
 from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, LocalElement,
                          LocalMatrix)
 
@@ -52,9 +51,10 @@ def char_poly(g: LocalMatrix) -> List[LocalElement]:
 
     and e_i = sum over |P| = i of D(P, P).  Every product is a
     sub-determinant times the next row's entry, the left-to-right row
-    order of `char_poly_expanded`, so truncation acts on the same
-    products; exact zeros are skipped as `mul` and `add` would.  A dense
-    r = 6 matrix takes 633 products where the expansion takes 7,830.
+    order of the oracle `char_poly_expanded`, so truncation acts on the
+    same products; exact zeros are skipped as `mul` and `add` would.  A
+    dense r = 6 matrix takes 633 products where the expansion takes
+    7,830.
     """
     prime = g.prime
     r = g.r
@@ -93,48 +93,6 @@ def _next_minors(minors, pool, row, k: int):
         if acc is not None and acc.kind != "z":
             out[T] = acc
     return out
-
-
-def char_poly_expanded(g: LocalMatrix) -> List[LocalElement]:
-    """Oracle for `char_poly`: every principal minor expanded over all
-    permutations, each product multiplied out in row order."""
-    prime = g.prime
-    r = g.r
-    coeffs = [LocalElement.zero(prime) for _ in range(r)]
-    sign = -1
-    for i in range(1, r + 1):
-        e_i = LocalElement.zero(prime)
-        for subset in itertools.combinations(range(r), i):
-            e_i = e_i.add(_minor_det(g, subset))
-        # a_{r-i} = (-1)^i e_i
-        coeffs[r - i] = e_i if sign > 0 else e_i.neg()
-        sign = -sign
-    one = LocalElement.one(prime, g.working_precision())
-    return coeffs + [one]
-
-
-def _minor_det(g: LocalMatrix, subset: Sequence[int]) -> LocalElement:
-    prime = g.prime
-    acc = LocalElement.zero(prime)
-    idx = list(subset)
-    for perm in itertools.permutations(range(len(idx))):
-        term = None
-        for row_pos, col_pos in enumerate(perm):
-            e = g.rows[idx[row_pos]][idx[col_pos]]
-            term = e if term is None else term.mul(e)
-        if _parity(perm) < 0:
-            term = term.neg()
-        acc = acc.add(term)
-    return acc
-
-
-def _parity(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +232,8 @@ def hecke_degree(g: Union[LocalMatrix, HeckeElement], depth: int = 1,
     K(p^depth)/K(p^2*depth) ~ Mat_r(A/p^depth), which captures the index
     exactly when the spread e_r - e_1 is <= depth; a larger spread is
     refused with QuotientInsufficient.  A quotient of more than `budget`
-    cosets, the number `hecke_degree_enumerated` walks, is refused with
-    BudgetExceeded, so the two answer the same inputs.
+    cosets, the number the coset-counting oracle walks, is refused with
+    BudgetExceeded.
     """
     if isinstance(g, HeckeElement):
         g = g.matrix
@@ -297,41 +255,6 @@ def _divisors_within(g: LocalMatrix, depth: int) -> Tuple[int, ...]:
             f"divisor spread {spread} > depth {depth}: the quotient mod "
             f"p^{2 * depth} does not capture the index")
     return exps
-
-
-def hecke_degree_enumerated(g: LocalMatrix, depth: int) -> int:
-    """Oracle for `hecke_degree`: count the members of K(p^depth) that
-    g conjugates into K(p^depth) by lifting each class of
-    Mat_r(A/p^depth), conjugating and testing mod p^depth.  It walks
-    q_p^(depth r^2) cosets with no budget."""
-    _divisors_within(g, depth)
-    prime = g.prime
-    r = g.r
-    g_inv = g.inverse()
-    ring = ChainRing(prime, depth)
-    elems = [ring.lift(x) for x in ring.elements()]
-    prec = max(DEFAULT_PRECISION, 3 * depth + 4)
-    ident = LocalMatrix.identity(prime, r, prec)
-    count = 0
-    for entries in itertools.product(elems, repeat=r * r):
-        mat = [[LocalElement.from_poly(prime, entries[i * r + j], prec).shift(depth)
-                if not entries[i * r + j].is_zero() else LocalElement.zero(prime)
-                for j in range(r)] for i in range(r)]
-        h = LocalMatrix(prime, [[ident.rows[i][j].add(mat[i][j])
-                                 for j in range(r)] for i in range(r)])
-        w = g @ h @ g_inv
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                e = w.entry(i, j).sub(ident.rows[i][j])
-                if not e.has_val_at_least(depth):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return prime.residue_size ** (depth * r * r) // count
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from drinlat.errors import (MalformedInput, MultipleInfinitePlaces,
                             ReducibleDefiningPolynomial,
                             UnsupportedRamifiedPrime, UnsupportedShape)
-from drinlat.ffpoly import (FiniteField, Poly, enumerate_primes, poly_from_str,
-                            prime_from_str, primes_of_degree)
+from drinlat.ffpoly import (FiniteField, Poly, enumerate_primes, field_from_str,
+                            poly_from_str, prime_from_str, primes_of_degree)
 from drinlat.extension import (Extension, constant_splitting_law, class_number,
                                count_places, make_extension, order_at,
                                predegree, splitting, zeta_numerator)
@@ -104,6 +105,18 @@ class TestSplitting:
                     sp = splitting(e, prime)
                     assert len(sp.places) == count
                     assert all(pl.f == fdeg and pl.e == 1 for pl in sp.places)
+
+    def test_constant_quadratic_over_f9_at_degree_4(self):
+        # a seeded sample of the 1,620 degree-4 primes, where the modulus
+        # splits into two linear factors over k(p) = F_9^4
+        F9 = FiniteField.of_order(3, 2)
+        ext = Extension.constant(F9, 2)
+        primes = primes_of_degree(F9, 4)
+        assert len(primes) == 1620
+        for prime in random.Random(9).sample(primes, 40):
+            places = splitting(ext, prime).places
+            assert places == _places_by_factoring(ext, prime), str(prime)
+            assert [(pl.e, pl.f) for pl in places] == [(1, 1), (1, 1)]
 
     def test_sum_ef_equals_degree_1000_random_pairs(self):
         rng = random.Random(0)
@@ -222,43 +235,211 @@ class TestKummerPattern:
 
 
 class TestInertSplitting:
-    """`splitting` skips factoring at inert Kummer and Artin-Schreier
-    primes; the places and factor coefficients must be those of factoring
-    the reduced defining polynomial.  Over F_5, t^3+2*t^2 = t^2 (t+2) has
-    the unramified prime t, where b = t+2 is inert and differs from a."""
+    """`splitting` builds its factors from the pattern it knows: inert
+    primes keep the reduced polynomial, split Kummer (n | q - 1) and
+    Artin-Schreier primes take root formulas, and constant extensions
+    take equal-degree splitting at the known degree.  At every unramified
+    prime up to the degree bound the places and factor coefficients must
+    be those of factoring the reduced defining polynomial with
+    `poly_factor`.  Over F_5, t^3+2*t^2 = t^2 (t+2) has the unramified
+    prime t, where b = t+2 is inert and differs from a.  The grid has
+    Kummer n in {2, 3, 4, 6} over F_3 to F_13 with m > 1 (n/m factors of
+    degree m), the ladder where n does not divide q - 1, Artin-Schreier
+    over F_2, F_3 and F_4 at p dividing [k(p) : F_p] and not, and
+    constant extensions over F_2 to F_9."""
     CASES = [
-        ({"kind": "kummer", "n": 2, "a": "t^3+2*t", "base": "3"}, 4),
+        ({"kind": "kummer", "n": 2, "a": "t^3+2*t", "base": "3"}, 6),
         ({"kind": "kummer", "n": 2, "a": "t^3+2*t^2", "base": "5"}, 4),
         ({"kind": "kummer", "n": 4, "a": "t^3+t+1", "base": "5"}, 4),
         ({"kind": "kummer", "n": 3, "a": "t^2+1", "base": "7"}, 4),
         ({"kind": "kummer", "n": 2, "a": "t^3+t", "base": "3^2"}, 3),
         ({"kind": "kummer", "n": 4, "a": "t^3+t", "base": "3^2"}, 3),
         ({"kind": "kummer", "n": 3, "a": "t^2+2", "base": "5"}, 4),  # ladder
-        ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 4),
-        ({"kind": "artin_schreier", "a": "t^2", "base": "3"}, 4),
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 9),
+        ({"kind": "artin_schreier", "a": "t^2", "base": "3"}, 6),
+        ({"kind": "kummer", "n": 4, "a": "t^3+2*t", "base": "3"}, 4),  # ladder
+        ({"kind": "kummer", "n": 3, "a": "t^2+t", "base": "2^2"}, 4),
+        ({"kind": "kummer", "n": 2, "a": "t^3+t", "base": "7"}, 3),
+        ({"kind": "kummer", "n": 6, "a": "t+3", "base": "7"}, 3),
+        ({"kind": "kummer", "n": 3, "a": "t", "base": "2^3"}, 3),  # ladder
+        ({"kind": "kummer", "n": 2, "a": "t^3+t+4", "base": "11"}, 2),
+        ({"kind": "kummer", "n": 4, "a": "t^3+2", "base": "11"}, 2),  # ladder
+        ({"kind": "kummer", "n": 3, "a": "t^2+2", "base": "13"}, 2),
+        ({"kind": "kummer", "n": 4, "a": "t^3+2", "base": "13"}, 2),
+        ({"kind": "kummer", "n": 6, "a": "t+5", "base": "13"}, 2),
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2^2"}, 4),
+        ({"kind": "constant", "n": 2, "base": "2"}, 8),
+        ({"kind": "constant", "n": 3, "base": "2"}, 6),
+        ({"kind": "constant", "n": 4, "base": "3"}, 4),
+        ({"kind": "constant", "n": 2, "base": "2^2"}, 4),
+        ({"kind": "constant", "n": 3, "base": "5"}, 3),
+        ({"kind": "constant", "n": 2, "base": "7"}, 3),
+        ({"kind": "constant", "n": 2, "base": "2^3"}, 2),
+        ({"kind": "constant", "n": 2, "base": "3^2"}, 3),
     ]
 
     @pytest.mark.parametrize("spec,d_max", CASES,
                              ids=["-".join(str(c[k]) for k in ("kind", "base", "n")
                                            if k in c) for c, _ in CASES])
     def test_matches_factoring_the_reduced_polynomial(self, spec, d_max):
-        from drinlat.extension import PlaceFactor, _reduced_defining_poly
-        from drinlat.ffpoly import poly_factor, residue_field
         ext = make_extension(spec)
-        inert = 0
+        inert = split = 0
         for prime in enumerate_primes(ext.base, d_max):
             if prime in ext.ram_support:
                 continue
-            reduced = _reduced_defining_poly(ext, prime, residue_field(prime))
-            pairs = poly_factor(reduced)
-            assert all(mult == 1 for _, mult in pairs), str(prime)
-            want = sorted((PlaceFactor(1, f.degree, tuple(f.coeffs))
-                           for f, _ in pairs),
-                          key=lambda pl: (pl.e, pl.f, pl.factor))
+            want = _places_by_factoring(ext, prime)
             sp = splitting(ext, prime)
-            assert sp.unramified and sp.places == tuple(want), str(prime)
+            assert sp.unramified and sp.places == want, str(prime)
             inert += len(want) == 1
-        assert inert > 0
+            split += len(want) > 1
+        assert inert > 0 and split > 0
+
+    KNOWN = [(spec, d_max) for spec, d_max in CASES
+             if spec["kind"] != "kummer"
+             or (field_from_str(spec["base"]).size - 1) % spec["n"] == 0]
+
+    @pytest.mark.parametrize("spec,d_max", KNOWN)
+    def test_known_patterns_do_not_factor(self, spec, d_max, monkeypatch):
+        # poly_factor stays only where no pattern is known: the Kummer
+        # ladder (n not dividing q - 1) and generic extensions
+        from drinlat import extension
+
+        def refuse(f):
+            raise AssertionError("poly_factor called")
+        ext = make_extension(spec)
+        monkeypatch.setattr(extension, "poly_factor", refuse)
+        for prime in enumerate_primes(ext.base, min(d_max, 3)):
+            if prime not in ext.ram_support:
+                splitting(ext, prime)
+
+    @pytest.mark.parametrize("spec,degree", [
+        ({"kind": "kummer", "n": 2, "a": "t^3+2*t", "base": "3"}, 4),
+        ({"kind": "kummer", "n": 3, "a": "t^2+t", "base": "2^2"}, 3),
+        ({"kind": "kummer", "n": 6, "a": "t+3", "base": "7"}, 2),
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 7),
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 6),
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2^2"}, 3),
+        ({"kind": "artin_schreier", "a": "t^2", "base": "3"}, 4)])
+    def test_root_formulas_fill_no_table(self, spec, degree):
+        # a cold residue field of at most 256 elements builds no log/exp
+        # tables for the root formulas
+        from drinlat.extension import splitting_pattern
+        from drinlat.ffpoly import residue_field
+        ext = make_extension(spec)
+        split = [prime for prime in primes_of_degree(ext.base, degree)
+                 if prime not in ext.ram_support
+                 and len(splitting_pattern(ext, prime)) > 1]
+        assert split
+        residue_field.cache_clear()
+        for prime in split[:5]:
+            splitting(ext, prime)
+            k = residue_field(prime)
+            assert k.size <= 256 and k._log is None, str(prime)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(3, 2), (5, 2), (5, 4), (7, 3), (7, 6), (4, 3),
+                            (9, 4), (13, 6), (5, 3), (3, 4)]),
+           st.lists(st.integers(0, 12), min_size=1, max_size=5),
+           st.integers(1, 12))
+    def test_random_radicands(self, qn, tail, lead):
+        q, n = qn
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        F = FiniteField.of_order(p, round(math.log(q, p)))
+        a = Poly(F, [c % q for c in tail] + [lead % (q - 1) + 1])
+        assume(math.gcd(n, a.degree) == 1)
+        ext = Extension.kummer(F, n, a)
+        for prime in enumerate_primes(F, 2 if q > 5 else 3):
+            if prime in ext.ram_support:
+                continue
+            assert splitting(ext, prime).places == \
+                _places_by_factoring(ext, prime), str(prime)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(2, 6), (3, 4), (4, 3)]),
+           st.lists(st.integers(0, 3), min_size=1, max_size=5),
+           st.integers(1, 3))
+    def test_random_artin_schreier_radicands(self, qd, tail, lead):
+        q, d_max = qd
+        F = FiniteField.of_order(2, 2) if q == 4 else FiniteField.of_order(q)
+        a = Poly(F, [c % q for c in tail] + [lead % (q - 1) + 1])
+        try:
+            ext = Extension.artin_schreier(F, a)
+        except UnsupportedShape:
+            assume(False)
+        for prime in enumerate_primes(F, d_max):
+            assert splitting(ext, prime).places == \
+                _places_by_factoring(ext, prime), str(prime)
+
+
+def _places_by_factoring(ext, prime):
+    """The sorted places from `poly_factor` of the reduced defining
+    polynomial, each factor simple."""
+    from drinlat.extension import PlaceFactor, _reduced_defining_poly
+    from drinlat.ffpoly import poly_factor, residue_field
+    reduced = _reduced_defining_poly(ext, prime, residue_field(prime))
+    pairs = poly_factor(reduced)
+    assert all(mult == 1 for _, mult in pairs), str(prime)
+    return tuple(sorted((PlaceFactor(1, f.degree, tuple(f.coeffs))
+                         for f, _ in pairs),
+                        key=lambda pl: (pl.e, pl.f, pl.factor)))
+
+
+class TestSplittingGuards:
+    """Each closed-form root is checked before `splitting` returns it, so
+    a wrong root of unity or a root formula without its 1/e raises
+    instead of returning wrong factors."""
+
+    def test_wrong_root_of_unity_raises(self, monkeypatch):
+        from drinlat import extension
+        ext = Extension.kummer(F5, 2, poly_from_str("t^3+t", F5))
+        prime = next(pr for pr in primes_of_degree(F5, 2)
+                     if len(extension.splitting_pattern(ext, pr)) == 2)
+        assert extension._roots_of_unity(F5, 2) == (1, 4)
+        monkeypatch.setattr(extension, "_roots_of_unity", lambda F, k: (1, 2))
+        with pytest.raises(AssertionError, match="roots of unity"):
+            splitting(ext, prime)
+
+    def test_missing_one_over_e_raises(self, monkeypatch):
+        # [k(p) : F_3] = 2 at a degree-2 prime: without 1/e the formula
+        # gives 2y, and (2y)^3 - 2y = 2c, not c
+        from drinlat.extension import splitting_pattern
+        from drinlat.ffpoly import ResidueField
+        ext = Extension.artin_schreier(F3, poly_from_str("t^2", F3))
+        prime = next(pr for pr in primes_of_degree(F3, 2)
+                     if len(splitting_pattern(ext, pr)) == 3)
+        right = ResidueField.artin_schreier_root
+        monkeypatch.setattr(
+            ResidueField, "artin_schreier_root",
+            lambda kp, c: kp.scale(kp.e % kp.p, right(kp, c)))
+        with pytest.raises(AssertionError, match="y\\^p - y"):
+            splitting(ext, prime)
+
+
+class TestArtinSchreierTrace:
+    @pytest.mark.parametrize("spec,d_max", [
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 9),
+        ({"kind": "artin_schreier", "a": "t^5+t^3+t", "base": "2"}, 7),
+        ({"kind": "artin_schreier", "a": "t^2", "base": "3"}, 5),
+        ({"kind": "artin_schreier", "a": "t^4+2*t", "base": "3"}, 4),
+        ({"kind": "artin_schreier", "a": "t^3", "base": "2^2"}, 4),
+        ({"kind": "artin_schreier", "a": "t^4+t", "base": "5"}, 3),
+        ({"kind": "artin_schreier", "a": "t^2+t", "base": "3^2"}, 2)])
+    def test_matches_the_residue_field_trace(self, spec, d_max):
+        from trace_oracle import artin_schreier_pattern_in_kp
+        from drinlat.extension import _artin_schreier_pattern
+        ext = make_extension(spec)
+        for prime in enumerate_primes(ext.base, d_max):
+            assert _artin_schreier_pattern(ext, prime) == \
+                artin_schreier_pattern_in_kp(ext, prime), str(prime)
+
+    def test_builds_no_residue_field(self):
+        from drinlat.extension import _artin_schreier_pattern
+        from drinlat.ffpoly import residue_field
+        ext = Extension.artin_schreier(F2, poly_from_str("t^3", F2))
+        before = residue_field.cache_info().misses
+        for prime in primes_of_degree(F2, 9):
+            _artin_schreier_pattern(ext, prime)
+        assert residue_field.cache_info().misses == before
 
 
 class TestZeta:

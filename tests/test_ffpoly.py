@@ -524,7 +524,7 @@ class TestNonSquare:
         half = (k.size - 1) // 2
         full_scan = next(z for z in range(2, k.size)
                          if k.pow(z, half) == k.neg(1))
-        assert k._non_square() == full_scan
+        assert k._non_residue(2) == full_scan
 
 
 class TestPowerResidueSymbol:
@@ -632,6 +632,115 @@ class TestQuadraticSplit:
     def test_sqrt_refuses_characteristic_2(self):
         with pytest.raises(MalformedInput):
             F4.sqrt(1)
+
+
+# (field, n): prime fields and residue fields on both sides of
+# _TABLE_LIMIT; n runs over divisors of |F| - 1 with odd prime factors
+# (Adleman-Manders-Miller) and powers of 2 (Tonelli-Shanks), r^s
+# exactly dividing |F| - 1 for s = 1, 2 and 3
+ROOT_FIELDS = [((7, 1), None, (3, 6)), ((13, 1), None, (3, 4, 6, 12)),
+               ((2, 2), None, (3,)), ((5, 1), 2, (3, 4, 6, 8, 12, 24)),
+               ((2, 1), 8, (3, 5, 15, 17, 255)),
+               ((3, 1), 4, (2, 4, 5, 8, 10, 16)),
+               ((7, 1), 3, (3, 6, 9, 18, 19)), ((2, 1), 6, (3, 7, 9, 21, 63)),
+               ((3, 2), 2, (4, 5, 8, 16, 80)), ((5, 1), 4, (3, 4, 12, 13))]
+
+
+class TestNthRoot:
+    @pytest.mark.parametrize("spec", ROOT_FIELDS, ids=str)
+    def test_roots_of_powers(self, spec):
+        F = _sqrt_field(spec[:2])
+        rng = random.Random(f"root:{F.size}")
+        for n in spec[2]:
+            assert (F.size - 1) % n == 0
+            powers = set()
+            for _ in range(60):
+                x = rng.randrange(F.size)
+                a = F.pow(x, n)
+                powers.add(a)
+                r = F.nth_root(a, n)
+                assert F.pow(r, n) == a, (n, x)
+            if F.size <= 256:
+                non = next(a for a in range(1, F.size)
+                           if F.pow(a, (F.size - 1) // n) != 1)
+                with pytest.raises(MalformedInput):
+                    F.nth_root(non, n)
+
+    def test_refuses_n_not_dividing(self):
+        with pytest.raises(MalformedInput):
+            F5.nth_root(1, 3)
+
+    @pytest.mark.parametrize("p,d", [(2, 6), (3, 4), (5, 3), (2, 8)])
+    def test_cold_field_builds_no_table(self, p, d):
+        # a fresh residue field, not the cached one
+        k = ffpoly.ResidueField(primes_of_degree(FiniteField.of_order(p), d)[1])
+        n = next(n for n in (3, 2) if (k.size - 1) % n == 0)
+        a = 5
+        for _ in range(n - 1):
+            a = k._mul_raw(a, 5)
+        assert k._mul_raw(k.nth_root(a, n), 1) is not None
+        assert k._log is None
+
+    @pytest.mark.parametrize("field", [FiniteField.of_order(7), F9, F4],
+                             ids=str)
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_non_residue_matches_full_scan(self, field, degree):
+        k = residue_field(primes_of_degree(field, degree)[0])
+        for r, _ in ffpoly._int_factor(k.size - 1):
+            if r == 2 or r > 7:  # r = 2 is TestNonSquare's
+                continue
+            full_scan = next(z for z in range(2, k.size)
+                             if k.pow(z, (k.size - 1) // r) != 1)
+            assert k._non_residue(r) == full_scan
+
+
+class TestFrobeniusAndTrace:
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 5), (3, 1, 4), (2, 2, 3),
+                                       (3, 2, 2), (5, 1, 3), (2, 1, 9)])
+    def test_frobenius_is_the_p_th_power(self, p, e, d):
+        k = residue_field(primes_of_degree(FiniteField.of_order(p, e), d)[2])
+        rng = random.Random(f"frob:{k.size}")
+        xs = range(k.size) if k.size <= 256 else \
+            [rng.randrange(k.size) for _ in range(200)]
+        for x in xs:
+            assert k.frobenius(x) == k.pow(x, p), x
+
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 5), (2, 1, 6), (2, 1, 8),
+                                       (3, 1, 4), (3, 1, 6), (2, 2, 3),
+                                       (3, 2, 2), (3, 2, 3), (5, 1, 5)])
+    def test_artin_schreier_root(self, p, e, d):
+        # p divides [k(p) : F_p] at (2, 1, 6), (2, 1, 8), (3, 1, 6),
+        # (2, 2, 3) and (3, 2, 3); the trace and the root are checked
+        # against powers in k(p)
+        k = residue_field(primes_of_degree(FiniteField.of_order(p, e), d)[1])
+        rng = random.Random(f"as-root:{k.size}")
+        roots = 0
+        for _ in range(60):
+            c = rng.randrange(k.size)
+            tr, x = 0, c
+            for _ in range(k.e):
+                tr, x = k.add(tr, x), k.pow(x, p)
+            assert k.trace(c) == tr
+            if tr:
+                continue
+            y = k.artin_schreier_root(c)
+            assert k.sub(k.pow(y, p), y) == c
+            roots += 1
+        assert roots > 0
+
+    @pytest.mark.parametrize("p,e,d_max", [(2, 1, 7), (3, 1, 5), (2, 2, 3),
+                                           (3, 2, 2), (5, 1, 3)])
+    def test_absolute_trace_matches_the_residue_field(self, p, e, d_max):
+        F = FiniteField.of_order(p, e)
+        rng = random.Random(f"trace:{F.size}")
+        for prime in enumerate_primes(F, d_max):
+            k = residue_field(prime)
+            for _ in range(4):
+                a = random_poly(F, 2 * prime.degree + 2, rng)
+                tr, x = 0, k.reduce(a)
+                for _ in range(k.e):
+                    tr, x = k.add(tr, x), k.pow(x, p)
+                assert ffpoly.absolute_trace(a, prime) == tr, str(prime)
 
 
 class TestPrime:

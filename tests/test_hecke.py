@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hecke_oracle import char_poly_expanded, hecke_degree_enumerated
 
 from drinlat import acceptance
 from drinlat.errors import PrecisionExhausted, QuotientInsufficient
 from drinlat.ffpoly import FiniteField, Poly, poly_from_str, prime_from_str
 from drinlat.hecke import (HeckeElement, _random_congruence_matrix,
-                           char_poly, char_poly_expanded, companion_matrix,
-                           hecke_degree, hecke_degree_enumerated,
+                           char_poly, companion_matrix, hecke_degree,
                            newton_polygon, projectively_bounded,
                            standard_hecke_matrix, unboundedness_sample_check)
 from drinlat.localfield import LocalElement, LocalMatrix

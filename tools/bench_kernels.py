@@ -9,6 +9,10 @@ pairs in residue fields of 5^6 and 3^6 elements and `FiniteField.inv` on
 1000 seeded nonzero elements in residue fields of 5^4 and 3^6 elements;
 `splitting_pattern` and `splitting` per prime for the Kummer extension
 x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
+cleared; `splitting` per prime at the first 20 split primes (more than
+one place) of x^2 = t^3+t over F_5 at degree 4, x^4 = t^3+t+1 over F_5
+at degree 3, y^2 + y = t^3 over F_2 at degrees 7 and 6, and the
+constant quadratic extension of F_9 at degree 4, residue-field cache
 cleared; the split-prime counts of criterion 7's 14 (extension, i) cases,
 once by `count_split_primes` and once by the sieve
 `count_split_primes_enumerated` (ms for all 14, prime-list and
@@ -61,6 +65,15 @@ STABILIZER_SAMPLE = 40
 STABILIZER_ROUNDS = 5
 INVERSE_RANKS = (2, 3, 4)
 INVERSE_SAMPLE = 10
+SPLIT_SAMPLE = 20
+# (extension, prime degree) of the cold split-prime `splitting` rows
+SPLIT_ROWS = (
+    ({"kind": "kummer", "n": 2, "a": "t^3+t", "base": "5"}, 4),
+    ({"kind": "kummer", "n": 4, "a": "t^3+t+1", "base": "5"}, 3),
+    ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 7),
+    ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 6),
+    ({"kind": "constant", "n": 2, "base": "3^2"}, 4),
+)
 
 
 def main() -> None:
@@ -149,6 +162,20 @@ def _layer0_rows() -> dict:
                 fn(ext, prime)
         out[f"{name}|kummer|q=5|n=2|a=t|d=4"] = _timing(
             scan, len(primes), 1e6)
+
+    for spec, degree in SPLIT_ROWS:
+        ext = make_extension(spec)
+        split = [prime for prime in primes_of_degree(ext.base, degree)
+                 if prime not in ext.ram_support
+                 and len(splitting_pattern(ext, prime)) > 1][:SPLIT_SAMPLE]
+
+        def cold_split():
+            residue_field.cache_clear()
+            for prime in split:
+                splitting(ext, prime)
+        label = "|".join(f"{k}={v}" for k, v in spec.items() if k != "kind")
+        out[f"splitting|split|{spec['kind']}|{label}|d={degree}"] = _timing(
+            cold_split, len(split), 1e6)
 
     cases = []
     for spec in ({"kind": "constant", "n": 2, "base": "5"},
