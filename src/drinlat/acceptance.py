@@ -8,40 +8,42 @@ checks assert property-true outcomes for any seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ._chainring import ChainRing
 from .bounds import (bezout, cebotarev_check, clg_lower_bound,
                      genus_bound_holds, hecke_pullback, induction_threshold,
                      separable_N)
 from .errors import BudgetExceeded
 from .extension import Extension, class_number, make_extension
-from .ffpoly import FiniteField, Poly, enumerate_primes, poly_from_str, \
-    prime_from_str, primes_of_degree
+from .ffpoly import FiniteField, Poly, Prime, enumerate_primes, \
+    poly_from_str, prime_from_str, primes_of_degree, residue_field
 from .goodprime import (GoodPrimeRefusal, LevelMap, LocalLevel,
-                        SubvarietyDatum, count_components,
-                        count_components_enumerated, find_good_prime,
+                        SubvarietyDatum, count_components, find_good_prime,
                         is_good_prime)
 from .hecke import (HeckeElement, companion_matrix, exhecke_element,
                     hecke_degree, projectively_bounded,
                     standard_hecke_matrix, unboundedness_sample_check)
 from .localfield import (LocalElement, LocalMatrix, OrderStructure,
-                         count_matrix_group, count_matrix_group_exhaustive,
+                         _residue_echelon, count_matrix_group,
                          gitter_bound_check, hermite_sublattices,
                          saturation_holds)
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    runtime: float
-    details: Dict[str, object] = field(default_factory=dict)
-    budget_exceeded: bool = False
+    def __init__(self, number: int, title: str, passed: bool,
+                 runtime: float, details: Optional[Dict[str, object]] = None,
+                 budget_exceeded: bool = False):
+        self.number = number
+        self.title = title
+        self.passed = passed
+        self.runtime = runtime
+        self.details = {} if details is None else details
+        self.budget_exceeded = budget_exceeded
 
     def line(self) -> str:
         status = "PASS" if self.passed else (
@@ -68,6 +70,50 @@ def _wrap(number: int, title: str, fn: Callable[[dict], Dict[str, object]],
     except BudgetExceeded as exc:
         return CriterionResult(number, title, False, time.time() - start,
                                {"error": str(exc)}, budget_exceeded=True)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles of criteria 3 and 9
+
+
+def count_matrix_group_exhaustive(prime: Prime, r: int, k: int) -> Tuple[int, int]:
+    """Brute-force counterpart of count_matrix_group over A/p^k."""
+    ring = ChainRing(prime, k)
+    kp = residue_field(prime)
+    # each element reduced to k(p) once; the walk is over all of A/p^k
+    elems = [ring.to_residue(x) for x in ring.elements()]
+    total = 0
+    invertible = 0
+    for entries in itertools.product(elems, repeat=r * r):
+        total += 1
+        red = [entries[i * r:(i + 1) * r] for i in range(r)]
+        if len(_residue_echelon(kp, red, r)) == r:
+            invertible += 1
+    return invertible, total
+
+
+def count_components_enumerated(base: FiniteField, level: LevelMap) -> int:
+    """Brute-force oracle: enumerate the product of unit groups and count
+    orbits under the diagonal action of F_q^*."""
+    support = level.congruence_support()
+    if not support:
+        return 1
+    rings = [ChainRing(p, k) for p, k in support]
+    unit_lists = []
+    for ring in rings:
+        unit_lists.append([u for u in ring.elements() if ring.is_unit(u)])
+    consts = [Poly.const(base, c) for c in range(1, base.size)]
+    scalars = [[ring.reduce(c) for ring in rings] for c in consts]
+    seen = set()
+    orbits = 0
+    for combo in itertools.product(*unit_lists):
+        if combo in seen:
+            continue
+        orbits += 1
+        for cs in scalars:
+            seen.add(tuple(ring.mul(u, c)
+                           for ring, u, c in zip(rings, combo, cs)))
+    return orbits
 
 
 DEFAULT_CONFIG = {

@@ -10,9 +10,8 @@ point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import (BudgetExceeded, GenusZero, InapplicableDegree,
                      MalformedInput, NotNormal, UnsupportedRamifiedPrime)
@@ -64,8 +63,7 @@ def castelnuovo_pairwise(r_prime: int, genus: int) -> int:
 # Effective Cebotarev
 
 
-@dataclass(frozen=True)
-class CebotarevParams:
+class CebotarevParams(NamedTuple):
     q: int          # base constant field size
     i: int          # target prime degree
     n: int          # constant-extension degree of E'/F
@@ -73,11 +71,9 @@ class CebotarevParams:
     g: int          # genus of E'
     d: int = 1      # [F : F_q(theta)], 1 for F = F_q(t) with theta = t
 
-    def __post_init__(self):
+    def check_applicable(self) -> None:
         if min(self.q, self.i, self.n, self.k, self.d) < 1 or self.g < 0:
             raise MalformedInput("Cebotarev parameters must be nonnegative")
-
-    def check_applicable(self) -> None:
         if self.i % self.n != 0:
             raise InapplicableDegree(
                 f"the bound needs n | i; n = {self.n}, i = {self.i}")
@@ -319,8 +315,7 @@ def _group_ring_mul(x: list, y: list) -> list:
     return out
 
 
-@dataclass
-class CebotarevReport:
+class CebotarevReport(NamedTuple):
     count: int
     main_term: Fraction
     bound: float

@@ -19,9 +19,9 @@ from . import errors
 from .acceptance import DEFAULT_CONFIG, run_all
 from .bounds import cebotarev_check, induction_threshold, separable_N
 from .extension import Extension, class_number, splitting, zeta_numerator
-from .ffpoly import (field_from_str, poly_factor, poly_from_str,
-                     poly_to_str, prime_from_str, enumerate_primes,
-                     primes_of_degree)
+from .ffpoly import (exponent_from_str, field_from_str, poly_factor,
+                     poly_from_str, poly_to_str, prime_from_str,
+                     enumerate_primes, primes_of_degree)
 from .goodprime import (LevelMap, SubvarietyDatum, count_components,
                         find_good_prime, local_matrix_from_json,
                         shrink_level)
@@ -177,7 +177,7 @@ def _x_term(term: str, prime, precision):
         coef, rest = term[:x].rstrip("*") or "1", term[x + 1:]
         if rest and rest[0] != "^":
             raise errors.MalformedInput(f"bad term {term!r}")
-        k = int(rest[1:]) if rest else 1
+        k = exponent_from_str(rest[1:]) if rest else 1
     coef = _unwrap(coef)
     bar = next(_toplevel(coef, "/"), None)
     if bar is None:
@@ -341,97 +341,82 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=["json", "tsv"])
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every command's help line and its own flags, in the order `--help`
+# lists them; each command also takes the config flags.
+COMMANDS = {
+    "primes": ("enumerate monic irreducibles", (
+        ("--q", {"required": True}),
+        ("--max-degree", {"type": positive, "default": 3}),
+        ("--degree", {"type": positive}))),
+    "factor": ("factor a polynomial over F_q", (
+        ("--q", {"required": True}),
+        ("--poly", {"required": True}))),
+    "splitting": ("splitting type of a prime", (
+        ("--ext", {"required": True, "help": "extension JSON or @file"}),
+        ("--prime", {"required": True}))),
+    "class-number": ("zeta numerator and class number", (
+        ("--ext", {"required": True}),)),
+    "predegree": ("class number times index", (
+        ("--ext", {"required": True}),
+        ("--i", {"type": int, "required": True}))),
+    "hecke-degree": ("degree of the correspondence", (
+        ("--q", {"required": True}),
+        ("--r", {"type": positive, "required": True}),
+        ("--prime", {"required": True}),
+        ("--depth", {"type": positive, "default": 1}),
+        ("--matrix", {"help": "matrix JSON or @file (default diagonal)"}))),
+    "newton-polygon": ("Newton polygon of a polynomial", (
+        ("--q", {"required": True}),
+        ("--prime", {"required": True}),
+        ("--poly", {"required": True,
+                    "help": "monic polynomial in x, e.g. 'x^2-(1/t)'"}))),
+    "bounded": ("projective boundedness predicate", (
+        ("--q", {"required": True}),
+        ("--prime", {"required": True}),
+        ("--matrix", {}),
+        ("--companion", {"help": "monic polynomial in x"}))),
+    "good-prime": ("search for a good prime", (
+        ("--datum", {"required": True, "help": "datum JSON or @file"}),
+        ("--N", {"type": int, "required": True}),
+        ("--max-degree", {"type": positive}),
+        ("--i-of-x", {"dest": "i_of_x", "type": int,
+                      "help": "override the datum index i(X)"}))),
+    "shrink-level": ("maximal to depth-1 congruence", (
+        ("--q", {"required": True}),
+        ("--r", {"type": positive, "required": True}),
+        ("--prime", {"required": True}),
+        ("--level", {"help": "level JSON or @file"}))),
+    "components": ("irreducible component count", (
+        ("--base", {"required": True}),
+        ("--r", {"type": positive, "default": 2}),
+        ("--level", {"help": "level JSON or @file, [] for maximal"}))),
+    "cebotarev": ("split-prime count vs the bound", (
+        ("--ext", {"required": True}),
+        ("--i", {"type": int, "required": True}))),
+    "thresholds": ("induction threshold and N", (
+        ("--r", {"type": positive, "required": True}),
+        ("--s", {"type": int, "required": True}),
+        ("--kp", {"type": int, "required": True}),
+        ("--degZ", {"type": int, "required": True}))),
+    "verify-suite": ("run all acceptance criteria", ()),
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the named commands, by default all of them.  Each
+    handler is looked up when the parser is built, so a wrapper put in
+    place of a `cmd_*` function (as a tracer does) is the one called."""
     parser = _Parser(
         prog="drinlat",
         description="Exact arithmetic for function-field lattice, Hecke, "
                     "and good-prime computations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("primes", help="enumerate monic irreducibles")
-    p.add_argument("--q", required=True)
-    p.add_argument("--max-degree", type=positive, default=3)
-    p.add_argument("--degree", type=positive)
-    p.set_defaults(fn=cmd_primes)
-
-    p = sub.add_parser("factor", help="factor a polynomial over F_q")
-    p.add_argument("--q", required=True)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(fn=cmd_factor)
-
-    p = sub.add_parser("splitting", help="splitting type of a prime")
-    p.add_argument("--ext", required=True, help="extension JSON or @file")
-    p.add_argument("--prime", required=True)
-    p.set_defaults(fn=cmd_splitting)
-
-    p = sub.add_parser("class-number", help="zeta numerator and class number")
-    p.add_argument("--ext", required=True)
-    p.set_defaults(fn=cmd_class_number)
-
-    p = sub.add_parser("predegree", help="class number times index")
-    p.add_argument("--ext", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(fn=cmd_predegree)
-
-    p = sub.add_parser("hecke-degree", help="degree of the correspondence")
-    p.add_argument("--q", required=True)
-    p.add_argument("--r", type=positive, required=True)
-    p.add_argument("--prime", required=True)
-    p.add_argument("--depth", type=positive, default=1)
-    p.add_argument("--matrix", help="matrix JSON or @file (default diagonal)")
-    p.set_defaults(fn=cmd_hecke_degree)
-
-    p = sub.add_parser("newton-polygon", help="Newton polygon of a polynomial")
-    p.add_argument("--q", required=True)
-    p.add_argument("--prime", required=True)
-    p.add_argument("--poly", required=True,
-                   help="monic polynomial in x, e.g. 'x^2-(1/t)'")
-    p.set_defaults(fn=cmd_newton_polygon)
-
-    p = sub.add_parser("bounded", help="projective boundedness predicate")
-    p.add_argument("--q", required=True)
-    p.add_argument("--prime", required=True)
-    p.add_argument("--matrix")
-    p.add_argument("--companion", help="monic polynomial in x")
-    p.set_defaults(fn=cmd_bounded)
-
-    p = sub.add_parser("good-prime", help="search for a good prime")
-    p.add_argument("--datum", required=True, help="datum JSON or @file")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--max-degree", type=positive)
-    p.add_argument("--i-of-x", dest="i_of_x", type=int,
-                   help="override the datum index i(X)")
-    p.set_defaults(fn=cmd_good_prime)
-
-    p = sub.add_parser("shrink-level", help="maximal to depth-1 congruence")
-    p.add_argument("--q", required=True)
-    p.add_argument("--r", type=positive, required=True)
-    p.add_argument("--prime", required=True)
-    p.add_argument("--level", help="level JSON or @file")
-    p.set_defaults(fn=cmd_shrink_level)
-
-    p = sub.add_parser("components", help="irreducible component count")
-    p.add_argument("--base", required=True)
-    p.add_argument("--r", type=positive, default=2)
-    p.add_argument("--level", help="level JSON or @file, [] for maximal")
-    p.set_defaults(fn=cmd_components)
-
-    p = sub.add_parser("cebotarev", help="split-prime count vs the bound")
-    p.add_argument("--ext", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(fn=cmd_cebotarev)
-
-    p = sub.add_parser("thresholds", help="induction threshold and N")
-    p.add_argument("--r", type=positive, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--kp", type=int, required=True)
-    p.add_argument("--degZ", type=int, required=True)
-    p.set_defaults(fn=cmd_thresholds)
-
-    p = sub.add_parser("verify-suite", help="run all acceptance criteria")
-    p.set_defaults(fn=cmd_verify_suite)
-
-    for p in sub.choices.values():
+    for name in names:
+        help_text, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
         _add_config_flags(p)
     return parser
 
@@ -444,8 +429,13 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command needs only its own sub-parser; without one (no
+    # command, an unknown one, a flag first) the full parser lists every
+    # command in its help and its errors
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(names).parse_args(argv)
         code = args.fn(args, _load_config(args))
         sys.stdout.flush()
         return code

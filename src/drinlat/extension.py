@@ -28,10 +28,9 @@ form or refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, MalformedInput, MultipleInfinitePlaces,
                      ReducibleDefiningPolynomial, UnsupportedRamifiedPrime,
@@ -46,8 +45,7 @@ from .localfield import (DEFAULT_BUDGET, Lattice, OrderStructure,
 PLACE_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class PlaceFactor:
+class PlaceFactor(NamedTuple):
     """One place above a prime: ramification index e, residue degree f
     (both over F), and the defining factor over k(p) when available."""
     e: int
@@ -59,8 +57,7 @@ class PlaceFactor:
         return self.e * self.f
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(NamedTuple):
     prime: Prime
     places: Tuple[PlaceFactor, ...]
     unramified: bool
@@ -383,9 +380,8 @@ def splitting(ext: Extension, prime: Prime) -> SplittingType:
                 f"no closed form for the ramified prime {prime}")
         places = tuple(PlaceFactor(e, f) for e, f in closed)
         return SplittingType(prime, places, False)
-    places = sorted((PlaceFactor(1, f.degree, tuple(f.coeffs))
-                     for f in _unramified_factors(ext, prime)),
-                    key=lambda pl: (pl.e, pl.f, pl.factor))
+    places = sorted(PlaceFactor(1, f.degree, tuple(f.coeffs))
+                    for f in _unramified_factors(ext, prime))
     total = sum(pl.e * pl.f for pl in places)
     if total != ext.m:
         raise AssertionError(
@@ -595,8 +591,7 @@ def constant_splitting_law(n: int, d: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Zeta and class numbers
 
-@dataclass
-class ZetaData:
+class ZetaData(NamedTuple):
     q_prime: int
     genus: int
     place_counts: List[int]          # b_d for d = 1..genus

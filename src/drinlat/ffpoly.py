@@ -36,7 +36,7 @@ import re
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .errors import MalformedInput, ZeroPolynomial
+from .errors import MalformedInput, ZeroPolynomial, decoding
 
 # Extension fields up to this size keep log/exp tables of their
 # multiplicative group (see FiniteField._build_tables); larger ones take
@@ -1134,6 +1134,19 @@ def _equal_degree_split(g: Poly, d: int) -> list:
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
 
+# The largest exponent the text parsers accept: polynomials are dense
+# coefficient lists, so t^(10^8) would ask for gigabytes.
+MAX_EXPONENT = 2 ** 18
+
+
+def exponent_from_str(digits: str) -> int:
+    """The exponent written `digits`; a ValueError above MAX_EXPONENT,
+    which `errors.decoding` reports as malformed input."""
+    k = int(digits)
+    if k > MAX_EXPONENT:
+        raise ValueError(f"exponent {k} exceeds {MAX_EXPONENT}")
+    return k
+
 
 def poly_to_str(f: Poly) -> str:
     if f.is_zero():
@@ -1165,25 +1178,26 @@ def poly_from_str(s: str, field: FiniteField) -> Poly:
     if text.startswith("+"):
         text = text[1:]
     coeffs: dict = {}
-    for term in text.split("+"):
-        if not term:
-            raise MalformedInput(f"bad polynomial syntax: {s!r}")
-        negate = term.startswith("-")
-        if negate:
-            term = term[1:]
-        mm = _TERM_RE.match(term)
-        if not mm or (mm.group(1) is None and mm.group(2) is None):
-            raise MalformedInput(f"bad polynomial term {term!r} in {s!r}")
-        c = field.from_int(int(mm.group(1))) if mm.group(1) is not None else 1
-        if mm.group(2) is None:
-            k = 0
-        elif mm.group(3) is not None:
-            k = int(mm.group(3))
-        else:
-            k = 1
-        if negate:
-            c = field.neg(c)
-        coeffs[k] = field.add(coeffs.get(k, 0), c)
+    with decoding(f"polynomial {s!r}"):
+        for term in text.split("+"):
+            if not term:
+                raise MalformedInput(f"bad polynomial syntax: {s!r}")
+            negate = term.startswith("-")
+            if negate:
+                term = term[1:]
+            mm = _TERM_RE.match(term)
+            if not mm or (mm.group(1) is None and mm.group(2) is None):
+                raise MalformedInput(f"bad polynomial term {term!r} in {s!r}")
+            c = 1 if mm.group(1) is None else field.from_int(int(mm.group(1)))
+            if mm.group(2) is None:
+                k = 0
+            elif mm.group(3) is not None:
+                k = exponent_from_str(mm.group(3))
+            else:
+                k = 1
+            if negate:
+                c = field.neg(c)
+            coeffs[k] = field.add(coeffs.get(k, 0), c)
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c

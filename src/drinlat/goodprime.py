@@ -12,8 +12,7 @@ block companion matrix of the extension's generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (Inconclusive, MalformedInput, NotMaximalAtPrime,
                      TowerNotSupported, UnsupportedRamifiedPrime, decoding)
@@ -29,8 +28,7 @@ from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, Lattice,
 # Levels
 
 
-@dataclass(frozen=True)
-class LocalLevel:
+class LocalLevel(NamedTuple):
     """Local factor of the level: either the full stabilizer of the
     lattice s*A_p^r, or its depth-k principal congruence kernel."""
     kind: str                     # "maximal" | "congruence"
@@ -202,8 +200,7 @@ class SubvarietyDatum:
 # Good primes
 
 
-@dataclass
-class PlaceRef:
+class PlaceRef(NamedTuple):
     """A chosen place above a prime, with its residue data."""
     prime: Prime
     e: int
@@ -225,8 +222,7 @@ class PlaceRef:
                 "residue_size": self.residue_size}
 
 
-@dataclass
-class GoodPrimeCertificate:
+class GoodPrimeCertificate(NamedTuple):
     prime: Prime
     r: int
     r_prime: int
@@ -257,8 +253,7 @@ class GoodPrimeCertificate:
         }
 
 
-@dataclass
-class GoodPrimeRefusal:
+class GoodPrimeRefusal(NamedTuple):
     prime: Prime
     tag: str          # 'a' | 'b' | 'c'
     detail: str
@@ -319,8 +314,7 @@ def shrink_level(level: LevelMap, prime: Prime,
     return shrunk, index
 
 
-@dataclass
-class FindReport:
+class FindReport(NamedTuple):
     scanned: int
     counters: Dict[str, int]
     accepted: Optional[str]
@@ -332,8 +326,7 @@ class FindReport:
                 "predegree": self.predegree}
 
 
-@dataclass
-class FindResult:
+class FindResult(NamedTuple):
     found: bool
     certificate: Optional[GoodPrimeCertificate]
     level: Optional[LevelMap]
@@ -414,8 +407,7 @@ def find_good_prime(datum: SubvarietyDatum, N: int, max_degree: int = 6,
 # Transfer to an intermediate reflex field
 
 
-@dataclass
-class TransferResult:
+class TransferResult(NamedTuple):
     place: PlaceRef
     inner_datum: SubvarietyDatum
     certificate: GoodPrimeCertificate
@@ -571,29 +563,3 @@ def count_components(base: FiniteField, level: LevelMap) -> int:
     if units % (q - 1):
         raise AssertionError("unit count must be divisible by q - 1")
     return units // (q - 1)
-
-
-def count_components_enumerated(base: FiniteField, level: LevelMap) -> int:
-    """Brute-force oracle: enumerate the product of unit groups and count
-    orbits under the diagonal action of F_q^*."""
-    import itertools as it
-    from ._chainring import ChainRing
-    support = level.congruence_support()
-    if not support:
-        return 1
-    rings = [ChainRing(p, k) for p, k in support]
-    unit_lists = []
-    for ring in rings:
-        unit_lists.append([u for u in ring.elements() if ring.is_unit(u)])
-    consts = [Poly.const(base, c) for c in range(1, base.size)]
-    scalars = [[ring.reduce(c) for ring in rings] for c in consts]
-    seen = set()
-    orbits = 0
-    for combo in it.product(*unit_lists):
-        if combo in seen:
-            continue
-        orbits += 1
-        for cs in scalars:
-            seen.add(tuple(ring.mul(u, c)
-                           for ring, u, c in zip(rings, combo, cs)))
-    return orbits

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (BudgetExceeded, PrecisionExhausted, QuotientInsufficient)
 from .ffpoly import Poly, Prime
@@ -98,8 +97,7 @@ def _next_minors(minors, pool, row, k: int):
 # ---------------------------------------------------------------------------
 # Newton polygons
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex hull of (i, v(a_i)); slopes strictly increase and the
     negatives of the slopes are the root valuations with multiplicity."""
     points: Tuple[Tuple[int, Optional[int]], ...]
@@ -191,8 +189,7 @@ def standard_hecke_matrix(prime: Prime, r: int,
     return LocalMatrix.diagonal(prime, entries)
 
 
-@dataclass(frozen=True)
-class HeckeElement:
+class HeckeElement(NamedTuple):
     """Correspondence element g = s diag(pi^-1, 1, ..., 1) s^-1 with its
     declared degree |k(p)|^(r-1)."""
     prime: Prime
@@ -260,8 +257,7 @@ def _divisors_within(g: LocalMatrix, depth: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Sampled unboundedness certification
 
-@dataclass
-class SampleOutcome:
+class SampleOutcome(NamedTuple):
     index: int
     v_a0: Optional[int]
     v_atop: Optional[int]
@@ -269,8 +265,7 @@ class SampleOutcome:
     passed: bool
 
 
-@dataclass
-class SampleReport:
+class SampleReport(NamedTuple):
     prime_text: str
     r: int
     samples: int

@@ -571,22 +571,6 @@ def count_matrix_group(r: int, q_res: int, k: int) -> Tuple[int, int]:
     return gl, mat
 
 
-def count_matrix_group_exhaustive(prime: Prime, r: int, k: int) -> Tuple[int, int]:
-    """Brute-force counterpart of count_matrix_group over A/p^k."""
-    ring = ChainRing(prime, k)
-    kp = residue_field(prime)
-    # each element reduced to k(p) once; the walk is over all of A/p^k
-    elems = [ring.to_residue(x) for x in ring.elements()]
-    total = 0
-    invertible = 0
-    for entries in itertools.product(elems, repeat=r * r):
-        total += 1
-        red = [entries[i * r:(i + 1) * r] for i in range(r)]
-        if len(_residue_echelon(kp, red, r)) == r:
-            invertible += 1
-    return invertible, total
-
-
 # ---------------------------------------------------------------------------
 # Orders A'_p and stabilizer indices
 

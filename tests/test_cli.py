@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from xpoly_oracle import parse_x_polynomial as oracle_parse_x_polynomial
 
+import drinlat
 from drinlat import errors
-from drinlat.cli import _parse_x_polynomial, main
+from drinlat.cli import COMMANDS, _parse_x_polynomial, build_parser, main
 from drinlat.ffpoly import FiniteField, prime_from_str
 
 
@@ -418,3 +419,99 @@ class TestEntryPoint:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == ""
+
+
+SRC = str(pathlib.Path(drinlat.__file__).resolve().parents[1])
+CHOICES = ("'primes', 'factor', 'splitting', 'class-number', 'predegree', "
+           "'hecke-degree', 'newton-polygon', 'bounded', 'good-prime', "
+           "'shrink-level', 'components', 'cebotarev', 'thresholds', "
+           "'verify-suite'")
+
+
+class TestParserPerCommand:
+    """`main` builds only the sub-parser its first argument names; help
+    and usage errors read as from the full parser."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_matches_full_parser(self, command, capsys):
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args([command, "--help"])
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as own:
+            main([command, "--help"])
+        got = capsys.readouterr()
+        assert own.value.code == full.value.code == 0
+        assert got.out == want.out and got.err == want.err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], f"argument command: invalid choice: 'bogus' "
+                    f"(choose from {CHOICES})"),
+        ([], "the following arguments are required: command"),
+        (["--output", "json", "primes", "--q", "2"],
+         f"argument command: invalid choice: 'json' (choose from {CHOICES})"),
+        (["primes"], "the following arguments are required: --q"),
+        (["primes", "--q", "2", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["unknown", "missing", "flag-first", "missing-flag",
+            "unknown-flag"])
+    def test_usage_errors(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"schema": 1, "error": {
+            "type": "MalformedInput", "kind": "malformed",
+            "message": message}}
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS)
+
+    def test_import_leaves_out_dataclasses(self):
+        # importing `dataclasses` and applying it took about half of
+        # `import drinlat.cli`; -S keeps site hooks out of the check
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, drinlat.cli; print(sorted({'dataclasses', "
+             "'inspect'} & set(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+# Runs argv in a child whose address space is capped, so a parser that
+# allocates before checking fails fast instead of exhausting memory, and
+# prints how long `main` took.
+_CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from drinlat.cli import main
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - t0)
+sys.exit(code)
+"""
+
+
+class TestExponentBound:
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--q", "2", "--poly", "t^100000000"],
+        ["newton-polygon", "--q", "2", "--prime", "t",
+         "--poly", "x^100000000"],
+        ["bounded", "--q", "2", "--prime", "t",
+         "--companion", "x^100000000+t"],
+    ], ids=["t", "x", "companion"])
+    def test_huge_exponent_exits_4_at_once(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_MAIN, *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == "malformed"
+        assert "exponent 100000000 exceeds" in error["message"]
+        assert float(proc.stdout) < 1.0
+
+    def test_large_exponent_below_the_bound_still_factors(self, capsys):
+        data = run_json(["factor", "--q", "2", "--poly", "t^200000"], capsys)
+        assert data["factors"] == [["t", 200000]]

@@ -337,6 +337,15 @@ class TestGrammar:
         with pytest.raises(MalformedInput):
             P("", F2)
 
+    def test_exponent_bound(self):
+        top = ffpoly.MAX_EXPONENT
+        assert P(f"t^{top}+1", F2).degree == top
+        for text in (f"t^{top + 1}", "t^100000000"):
+            with pytest.raises(MalformedInput, match=f"exceeds {top}"):
+                P(text, F2)
+        with pytest.raises(MalformedInput):  # past int()'s digit limit
+            P("t^" + "9" * 5000, F2)
+
 
 class TestEnumeratePrimes:
     def test_q2_d1(self):

@@ -2,6 +2,7 @@ import pytest
 
 from goodprime_oracle import find_good_prime_full
 
+from drinlat.acceptance import count_components_enumerated
 from drinlat.errors import Inconclusive, NotMaximalAtPrime
 from drinlat.extension import Extension, splitting
 from drinlat.ffpoly import FiniteField, Poly, enumerate_primes, poly_from_str, \
@@ -9,8 +10,8 @@ from drinlat.ffpoly import FiniteField, Poly, enumerate_primes, poly_from_str, \
 from drinlat.goodprime import (GoodPrimeCertificate,
                                GoodPrimeRefusal, LevelMap, LocalLevel,
                                SubvarietyDatum, count_components,
-                               count_components_enumerated, find_good_prime,
-                               is_good_prime, local_matrix_from_json,
+                               find_good_prime, is_good_prime,
+                               local_matrix_from_json,
                                local_matrix_to_json, same_subvariety,
                                shrink_level, transfer_good_prime)
 from drinlat.hecke import exhecke_element, hecke_degree, projectively_bounded

@@ -13,14 +13,15 @@ from stabilizer_oracle import _kernel_elements, stabilizer_index_enumerated
 
 from drinlat import localfield
 from drinlat._chainring import ChainRing, smith_form_left
-from drinlat.acceptance import _gitter_structures
+from drinlat.acceptance import (_gitter_structures,
+                                count_matrix_group_exhaustive)
 from drinlat.errors import (BudgetExceeded, DrinlatError, NotContained,
                             NotSaturated, PrecisionExhausted, Singular)
 from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
                             primes_of_degree, residue_field)
 from drinlat.localfield import (
     DEFAULT_BUDGET, DEFAULT_PRECISION, Lattice, LocalElement, LocalMatrix,
-    OrderStructure, count_matrix_group, count_matrix_group_exhaustive,
+    OrderStructure, count_matrix_group,
     gitter_bound_check, hermite_sublattices, module_orbit_equal,
     saturate_lattice, saturation_holds, stabilizer_index,
 )

@@ -34,11 +34,13 @@ budget and precision refusals are timed too, as the library raises them);
 cold good-prime scans (prime-list and residue-field caches cleared
 first): `find_good_prime` on the README datum `perfbench/data/X.json`
 (x^2 = t^3 - t over F_3, a twist at t, N = 3) at max degree 4 and 6, and `places-scan`'s `exhaust-2`
-(x^2 + x = t^3 over F_2, N = 10, max degree 6); and `order_at` at the
-first split degree-4 prime of x^2 = t over F_5, caches cleared.  Prints
-one JSON object: per row the median and the minimum of 7 repeats, in
-microseconds per call (ms for the prime list, the field builds, the split
-counts and the scans).  On a shared host the median of one run moves by
+(x^2 + x = t^3 over F_2, N = 10, max degree 6); `order_at` at the
+first split degree-4 prime of x^2 = t over F_5, caches cleared; and the
+CLI layer, each in a fresh interpreter: `import drinlat.cli`, and
+`main(["thresholds", ...])` after that import, 15 of each, the two kinds
+of process interleaved (ms).  Prints one JSON object: per row the median
+and the minimum of 7 repeats, in microseconds per call (ms for the prime
+list, the field builds, the split counts, the scans and the CLI rows).  On a shared host the median of one run moves by
 up to 1.7x between runs; the minimum is the steadier
 figure.  Run it against any checkout to compare two versions of the
 library:
@@ -54,6 +56,7 @@ import json
 import pathlib
 import random
 import statistics
+import subprocess
 import sys
 from time import perf_counter
 
@@ -104,6 +107,7 @@ def main() -> None:
     out.update(_hom_rows())
     out.update(_inverse_rows())
     out.update(_goodprime_rows())
+    out.update(_cli_rows(args.src))
     print(json.dumps(out))
 
 
@@ -333,6 +337,43 @@ def _goodprime_rows() -> dict:
     out[f"order_at|kummer|q=5|n=2|a=t|split {split}"] = _timing(
         cold(lambda: order_at(ext, split, 1)), 1, 1e6)
     return out
+
+
+CLI_ROUNDS = 15
+CLI_ARGS = ["thresholds", "--r", "3", "--s", "2", "--kp", "2", "--degZ", "3"]
+# A fresh interpreter imports drinlat.cli from argv[1], runs main(argv[2:])
+# when given, and prints the seconds of the import, then of main, last.
+CLI_PROBE = """
+import sys
+from time import perf_counter
+sys.path.insert(0, sys.argv[1])
+t0 = perf_counter()
+import drinlat.cli
+t1 = perf_counter()
+if sys.argv[2:]:
+    drinlat.cli.main(sys.argv[2:])
+print(t1 - t0, perf_counter() - t1)
+"""
+
+
+def _cli_probe(src: str, args) -> tuple:
+    proc = subprocess.run([sys.executable, "-c", CLI_PROBE, src, *args],
+                          capture_output=True, text=True, check=True)
+    import_s, main_s = proc.stdout.splitlines()[-1].split()
+    return float(import_s), float(main_s)
+
+
+def _cli_rows(src: str) -> dict:
+    """Medians of fresh processes, an import-only probe alternating with
+    one that runs a command, so host drift reaches both rows alike."""
+    imports, mains = [], []
+    for _ in range(CLI_ROUNDS):
+        imports.append(_cli_probe(src, [])[0])
+        mains.append(_cli_probe(src, CLI_ARGS)[1])
+    return {name: {"median": round(statistics.median(ts) * 1e3, 2),
+                   "min": round(min(ts) * 1e3, 2)}
+            for name, ts in (("cli_import_ms", imports),
+                             (f"cli_main_ms|{' '.join(CLI_ARGS)}", mains))}
 
 
 if __name__ == "__main__":
