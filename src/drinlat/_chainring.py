@@ -16,7 +16,9 @@ Over F_2 a polynomial is a bit vector (add is XOR, mul is shift-xor);
 over any other base field the kernel unpacks coefficient lists: an odd
 prime field multiplies them by Kronecker substitution (one big-int
 product), an extension field by schoolbook with the field's tables.  No
-Poly object is built.  `localfield` keeps the unit parts of its truncated
+Poly object is built.  A unit is inverted by Newton iteration from its
+residue, except a constant of F_q, whose inverse is the constant c^-1 at
+every precision.  `localfield` keeps the unit parts of its truncated
 elements in the same encoding.
 
 `ChainRing.reduce` maps a Poly of A into A/p^k and `ChainRing.lift`
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from .errors import InvariantError
 from .ffpoly import Poly, Prime, residue_field
 
 # Extension base fields up to this size get kernel-local add/mul tables;
@@ -357,12 +360,18 @@ class _Kernel:
         return self.mod(a, 1) != 0
 
     def inv(self, a: int, k: int) -> int:
-        """Inverse of a unit mod p^k by Newton iteration from the residue
-        field inverse: x <- x (2 - a x) doubles the precision."""
+        """Inverse of a unit mod p^k.  A constant c of F_q (every pivot of
+        a standard Hecke matrix, and 1) has the constant c^-1 as its
+        inverse at every precision.  Any other unit is lifted by Newton
+        iteration from its residue field inverse: x <- x (2 - a x) doubles
+        the precision.  The test is "constant", not "residue": t at
+        p = t^2+t+1 is a residue with a different inverse mod p^2."""
         r = self.residue(a)
         if not r:
             raise ZeroDivisionError("non-unit in chain ring")
         x = self.from_residue(self.kp.inv(r))
+        if a <= self.cmask:
+            return x
         c = 1
         while c < k:
             c = min(2 * c, k)
@@ -542,7 +551,7 @@ class ChainRing:
         """u with a = u * pi^v, given val(a) >= v."""
         quot, rem = self.kernel.divmod_p(a, v)
         if rem:
-            raise AssertionError("inexact chain-ring division")
+            raise InvariantError("inexact chain-ring division")
         return quot
 
     def pi_pow(self, v: int) -> int:
@@ -620,7 +629,7 @@ def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
         exps.append(e)
     exps.extend([k] * (r - len(exps)))
     if any(exps[i] > exps[i + 1] for i in range(r - 1)):
-        raise AssertionError(f"Smith exponents not ascending: {exps}")
+        raise InvariantError(f"Smith exponents not ascending: {exps}")
     for i in range(r):
         for j in range(r):
             acc = 0
@@ -628,5 +637,5 @@ def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
                 if a and b:
                     acc = ring.add(acc, ring.mul(a, b))
             if acc != (i == j):
-                raise AssertionError("Smith row transform is not invertible")
+                raise InvariantError("Smith row transform is not invertible")
     return tuple(exps), U, U_inv

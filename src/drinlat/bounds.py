@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .errors import (BudgetExceeded, GenusZero, InapplicableDegree,
-                     MalformedInput, NotNormal, UnsupportedRamifiedPrime)
+                     InvariantError, MalformedInput, NotNormal,
+                     UnsupportedRamifiedPrime)
 from .extension import Extension, splits_completely
 from .ffpoly import (Prime, count_irreducibles, power_residue_counts,
                      primes_of_degree)
@@ -141,7 +142,7 @@ def cebotarev_deviation_below_bound(params: CebotarevParams,
             return True
         if dev >= hi:
             return False
-    raise AssertionError("root refinement failed to separate the comparison")
+    raise InvariantError("root refinement failed to separate the comparison")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def _kummer_split_count(ext: Extension, i: int) -> int:
                 for k, x in enumerate(dist):
                     acc[k * (d // d0) % n] -= d0 * x
         if any(x % d for x in acc):
-            raise AssertionError(
+            raise InvariantError(
                 f"prime distribution of degree {d} is not integral: {acc}")
         prime_dists[d] = [x // d for x in acc]
 

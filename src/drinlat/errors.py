@@ -9,7 +9,8 @@ exit codes:
 - `Refusal` (2): the input is well formed but no answer is certified;
 - `BudgetExceeded` (3): an enumeration would exceed its budget.
 
-Any other exception is an internal fault (5).  `decoding` reports the
+Any other exception is an internal fault (5); a failed invariant check
+raises `InvariantError`, which is one.  `decoding` reports the
 Python exceptions that bad outside input raises while it is decoded as
 `MalformedInput`.
 """
@@ -51,6 +52,14 @@ class NotContained(Refusal):
 
 class NotSaturated(Refusal):
     """The lattice does not span the standard module over the order."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant that guards a returned number failed.
+
+    Raised explicitly, never by an `assert` statement, so that the check
+    survives `python -O`.  Not a DrinlatError: it is a fault of the
+    library, not a category of answer, and the CLI exits 5 on it."""
 
 
 class BudgetExceeded(DrinlatError):

@@ -32,9 +32,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (BudgetExceeded, MalformedInput, MultipleInfinitePlaces,
-                     ReducibleDefiningPolynomial, UnsupportedRamifiedPrime,
-                     UnsupportedShape, decoding)
+from .errors import (BudgetExceeded, InvariantError, MalformedInput,
+                     MultipleInfinitePlaces, ReducibleDefiningPolynomial,
+                     UnsupportedRamifiedPrime, UnsupportedShape, decoding)
 from .ffpoly import (FiniteField, Poly, Prime, _equal_degree_split,
                      absolute_trace, field_from_str, ord_at, poly_factor,
                      poly_from_str, poly_to_str, power_residue_symbol,
@@ -91,7 +91,7 @@ class Extension:
         self.const_degree = const_degree  # [F_{q'} : F_q]
         self.params = params
         if self.inf_ram[1] % self.const_degree:
-            raise AssertionError(
+            raise InvariantError(
                 "infinite residue degree must be a multiple of the constant "
                 "field degree")
 
@@ -147,7 +147,7 @@ class Extension:
         genus_sum += n - 1  # totally ramified infinite place
         two_g = -2 * n + genus_sum
         if two_g % 2 or two_g < -2:
-            raise AssertionError(f"Riemann-Hurwitz gives 2g - 2 = {two_g}")
+            raise InvariantError(f"Riemann-Hurwitz gives 2g - 2 = {two_g}")
         genus = (two_g + 2) // 2
         coeffs = [-a] + [Poly.zero(base)] * (n - 1) + [Poly.one(base)]
         return Extension("kummer", base, n, genus, base.size, coeffs,
@@ -265,7 +265,7 @@ def _first_irreducible(field: FiniteField, degree: int) -> Poly:
     for f in _monic_polys(field, degree):
         if f.is_irreducible():
             return f
-    raise AssertionError("no irreducible polynomial found")
+    raise InvariantError("no irreducible polynomial found")
 
 
 def _artin_schreier_reduce(base: FiniteField, a: Poly) -> Poly:
@@ -279,7 +279,7 @@ def _artin_schreier_reduce(base: FiniteField, a: Poly) -> Poly:
         corr = Poly.monomial(base, c, d // p)
         a = a - corr ** p + corr
         if a.degree >= d:
-            raise AssertionError("Artin-Schreier reduction must lower the degree")
+            raise InvariantError("Artin-Schreier reduction must lower the degree")
     return a
 
 
@@ -352,7 +352,7 @@ def _bareiss_det(base: FiniteField, mat: List[List[Poly]]) -> Poly:
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 q, r = divmod(num, prev)
                 if not r.is_zero():
-                    raise AssertionError("Bareiss division must be exact")
+                    raise InvariantError("Bareiss division must be exact")
                 m[i][j] = q
         prev = m[k][k]
     det = m[n - 1][n - 1]
@@ -384,7 +384,7 @@ def splitting(ext: Extension, prime: Prime) -> SplittingType:
                     for f in _unramified_factors(ext, prime))
     total = sum(pl.e * pl.f for pl in places)
     if total != ext.m:
-        raise AssertionError(
+        raise InvariantError(
             f"local degrees at {prime} sum to {total}, not {ext.m}")
     return SplittingType(prime, tuple(places), True)
 
@@ -418,7 +418,7 @@ def _unramified_factors(ext: Extension, prime: Prime) -> List[Poly]:
             c = kp.neg(reduced.coeffs[0])
             y = kp.artin_schreier_root(c)
             if kp.sub(kp.frobenius(y), y) != c:
-                raise AssertionError(
+                raise InvariantError(
                     f"y^p - y != c for the root formula at {prime}")
             return [Poly(kp, (kp.neg(kp.add(y, j)), 1)) for j in range(kp.p)]
         n = ext.params["n"]
@@ -428,7 +428,7 @@ def _unramified_factors(ext: Extension, prime: Prime) -> List[Poly]:
     factors = []
     for f, mult in poly_factor(reduced):
         if mult != 1:
-            raise AssertionError(
+            raise InvariantError(
                 f"unexpected ramification at {prime} away from the support")
         factors.append(f)
     return factors
@@ -445,10 +445,10 @@ def _kummer_factors(kp, b: int, n: int, m: int) -> List[Poly]:
     try:
         c = kp.nth_root(b, k)
     except MalformedInput as exc:
-        raise AssertionError(f"the pattern promised a {k}-th power") from exc
+        raise InvariantError(f"the pattern promised a {k}-th power") from exc
     omegas = _roots_of_unity(F, k)
     if len(set(omegas)) != k or any(F.pow(w, k) != 1 for w in omegas):
-        raise AssertionError(f"not the {k} distinct {k}-th roots of unity "
+        raise InvariantError(f"not the {k} distinct {k}-th roots of unity "
                              f"of {F!r}: {omegas}")
     zeros = (0,) * (m - 1)
     return [Poly(kp, (kp.scale(F.neg(w), c),) + zeros + (1,))
@@ -556,13 +556,13 @@ def _kummer_pattern_ladder(ext: Extension,
         strict[j] = new
         if new:
             if new % j:
-                raise AssertionError(
+                raise InvariantError(
                     f"{new} roots of exact degree {j} over k({prime})")
             pattern.extend([(1, j)] * (new // j))
             total += new
         j += 1
     if total != n:
-        raise AssertionError(f"x^{n} - c has {total} roots, not {n}")
+        raise InvariantError(f"x^{n} - c has {total} roots, not {n}")
     return tuple(sorted(pattern))
 
 
@@ -659,13 +659,13 @@ def zeta_numerator(ext: Extension, budget: int = PLACE_BUDGET) -> ZetaData:
     coeffs = [0] * (2 * g + 1)
     for k in range(g + 1):
         if low[k].denominator != 1:
-            raise AssertionError(
+            raise InvariantError(
                 f"zeta numerator coefficient a_{k} = {low[k]} is not an integer")
         coeffs[k] = int(low[k])
     for i in range(g):
         coeffs[2 * g - i] = qp ** (g - i) * coeffs[i]
     if coeffs[0] != 1:
-        raise AssertionError(f"zeta numerator has a_0 = {coeffs[0]}, not 1")
+        raise InvariantError(f"zeta numerator has a_0 = {coeffs[0]}, not 1")
     h = sum(coeffs)
     # |Cl(A')| = P(1) * deg(infinity'), and the structured shapes all have
     # an infinite place of degree 1
@@ -674,7 +674,7 @@ def zeta_numerator(ext: Extension, budget: int = PLACE_BUDGET) -> ZetaData:
     lower = Fraction((qp - 1) * (qp ** (2 * g) - 2 * g * qp ** g + 1),
                      2 * g * (qp ** (g + 1) - 1))
     if h_order < 1 or Fraction(h_order) < lower:
-        raise AssertionError(
+        raise InvariantError(
             f"class number {h_order} is below 1 or the genus bound {lower}")
     return ZetaData(qp, g, b, n_counts, coeffs, h_order)
 

@@ -36,7 +36,8 @@ import re
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .errors import MalformedInput, ZeroPolynomial, decoding
+from .errors import (BudgetExceeded, InvariantError, MalformedInput,
+                     ZeroPolynomial, decoding)
 
 # Extension fields up to this size keep log/exp tables of their
 # multiplicative group (see FiniteField._build_tables); larger ones take
@@ -206,12 +207,12 @@ class FiniteField:
         for k in range(1, n):
             x = mul(g, x)
             if x == 1:
-                raise AssertionError(
+                raise InvariantError(
                     f"{self!r}: element {g} has order {k}, not {n}")
             exp[k] = x
             log[x] = k
         if mul(g, x) != 1:
-            raise AssertionError(f"{self!r}: element {g}^{n} is not 1")
+            raise InvariantError(f"{self!r}: element {g}^{n} is not 1")
         self._exp = exp + exp
         self._log = log
         return log
@@ -462,7 +463,7 @@ class FiniteField:
         for g in range(2, self.size):
             if all(_pow_by(mul, g, n // f) != 1 for f in factors):
                 return g
-        raise AssertionError(f"{self!r}: no generator found")
+        raise InvariantError(f"{self!r}: no generator found")
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -479,7 +480,7 @@ def _field_of_order(p: int, e: int) -> FiniteField:
     for mod in _monic_polys(prime_field, e):
         if mod.is_irreducible():
             return FiniteField(p, base=prime_field, modulus=mod)
-    raise AssertionError("no irreducible modulus found")
+    raise InvariantError("no irreducible modulus found")
 
 
 def _reducer(m) -> tuple:
@@ -540,7 +541,7 @@ def _trace_coeffs(x: list, reducer: tuple, F: FiniteField, e: int) -> int:
         x = _frobenius_coeffs(x, reducer, F)
         acc = [F.add(u, v) for u, v in zip(acc, x)]
     if any(acc[1:]) or acc[0] >= F.p:
-        raise AssertionError(f"trace {acc} is not in F_{F.p}")
+        raise InvariantError(f"trace {acc} is not in F_{F.p}")
     return acc[0]
 
 
@@ -870,6 +871,11 @@ def primes_of_degree(field: FiniteField, d: int) -> list:
     return list(_primes_of_degree_cached(field, d))
 
 
+# The most indices the prime sieve marks, one byte each: the sieve of the
+# primes of degree d over F_q has q^d of them (2^20 takes about 2 s).
+MAX_SIEVE_SIZE = 2 ** 20
+
+
 @lru_cache(maxsize=None)
 def _primes_of_degree_cached(field: FiniteField, d: int) -> tuple:
     """The monic irreducibles of degree d in `_monic_polys` order, by a
@@ -880,6 +886,10 @@ def _primes_of_degree_cached(field: FiniteField, d: int) -> tuple:
     the unmarked ones are the primes.  The count is checked against
     Gauss's formula."""
     q = field.size
+    # q >= 2, so a degree of 21 or more exceeds 2^20 at once
+    if d >= MAX_SIEVE_SIZE.bit_length() or q ** d > MAX_SIEVE_SIZE:
+        raise BudgetExceeded(
+            f"a sieve of {q}^{d} polynomials exceeds {MAX_SIEVE_SIZE}")
     size = q ** d
     marked = bytearray(size)
     rows: dict = {}
@@ -895,7 +905,7 @@ def _primes_of_degree_cached(field: FiniteField, d: int) -> tuple:
         coeffs.append(1)
         out.append(Prime(Poly(field, coeffs), check=False))
     if len(out) != count_irreducibles(q, d):
-        raise AssertionError(
+        raise InvariantError(
             f"prime sieve over {field!r} found {len(out)} primes of degree "
             f"{d}, not {count_irreducibles(q, d)}")
     return tuple(out)
@@ -978,7 +988,7 @@ def count_irreducibles(q: int, d: int) -> int:
     """Gauss' necklace count (1/d) sum_{e|d} mu(e) q^(d/e)."""
     total = sum(moebius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
     if total % d:
-        raise AssertionError(f"necklace sum {total} is not divisible by {d}")
+        raise InvariantError(f"necklace sum {total} is not divisible by {d}")
     return total // d
 
 
@@ -1126,7 +1136,7 @@ def _equal_degree_split(g: Poly, d: int) -> list:
             return sorted(
                 _equal_degree_split(h, d) + _equal_degree_split(g // h, d),
                 key=_poly_sort_key)
-    raise AssertionError("equal-degree split failed to find a splitter")
+    raise InvariantError("equal-degree split failed to find a splitter")
 
 
 # ---------------------------------------------------------------------------
@@ -1204,14 +1214,30 @@ def poly_from_str(s: str, field: FiniteField) -> Poly:
     return Poly(field, out)
 
 
+# The largest characteristic and field order the text parser accepts.  The
+# characteristic is tested by trial division, and a field of order p^e is
+# built by walking the monic polynomials of degree e, which holds all p
+# elements of F_p at once.
+MAX_CHARACTERISTIC = 2 ** 16
+MAX_FIELD_ORDER = 2 ** 64
+
+
 def field_from_str(s: str) -> FiniteField:
     mm = re.match(r"^(\d+)(?:\^(\d+))?$", s.strip())
     if not mm:
         raise MalformedInput(f"bad field spec {s!r}")
-    p = int(mm.group(1))
-    e = int(mm.group(2)) if mm.group(2) else 1
-    if not _is_prime_int(p) or e < 1:
-        raise MalformedInput(f"bad field spec {s!r}")
+    with decoding(f"field spec {s!r}"):
+        p = int(mm.group(1))
+        e = int(mm.group(2)) if mm.group(2) else 1
+        if p > MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {p} exceeds {MAX_CHARACTERISTIC}")
+        if not _is_prime_int(p) or e < 1:
+            raise MalformedInput(f"bad field spec {s!r}")
+        # p >= 2, so an exponent of 65 or more exceeds 2^64 at once
+        if e >= MAX_FIELD_ORDER.bit_length() or p ** e > MAX_FIELD_ORDER:
+            raise ValueError(f"field order {p}^{e} exceeds "
+                             f"2^{MAX_FIELD_ORDER.bit_length() - 1}")
     return FiniteField.of_order(p, e)
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import (Inconclusive, MalformedInput, NotMaximalAtPrime,
-                     TowerNotSupported, UnsupportedRamifiedPrime, decoding)
+from .errors import (Inconclusive, InvariantError, MalformedInput,
+                     NotMaximalAtPrime, TowerNotSupported,
+                     UnsupportedRamifiedPrime, decoding)
 from .extension import (Extension, index_iX, order_at, predegree, splitting,
                         splitting_pattern)
 from .ffpoly import (FiniteField, Poly, Prime, enumerate_primes, poly_from_str,
@@ -309,7 +310,7 @@ def shrink_level(level: LevelMap, prime: Prime,
     s_use = s if s is not None else lvl.s
     index = count_matrix_group(level.r, prime.residue_size, 1)[0]
     if index >= prime.residue_size ** (level.r ** 2):
-        raise AssertionError("level index must be below |Mat_r(k(p))|")
+        raise InvariantError("level index must be below |Mat_r(k(p))|")
     shrunk = level.with_level(prime, LocalLevel("congruence", 1, s_use))
     return shrunk, index
 
@@ -395,7 +396,7 @@ def find_good_prime(datum: SubvarietyDatum, N: int, max_degree: int = 6,
         refined = datum.with_level(shrunk)
         cert = is_good_prime(refined, prime, precision)
         if not isinstance(cert, GoodPrimeCertificate):
-            raise AssertionError(
+            raise InvariantError(
                 "re-certification after shrinking must succeed")
         report = FindReport(scanned, counters, poly_to_str(prime.poly), d_of_x)
         return FindResult(True, cert, shrunk, index, report)
@@ -439,7 +440,7 @@ def transfer_good_prime(outer: SubvarietyDatum, inner_ext: Extension,
         factor = (kp.neg(rho_inner), 1)  # x - rho
         place = PlaceRef(prime, 1, 1, factor)
     if place.residue_size != prime.residue_size:
-        raise AssertionError("transferred place must keep the residue size")
+        raise InvariantError("transferred place must keep the residue size")
     return TransferResult(place, inner_datum, inner_cert)
 
 
@@ -490,7 +491,7 @@ def _tower_witness_root(outer_ext: Extension, inner_ext: Extension,
                 sigma = x
                 break
         if sigma is None:
-            raise AssertionError("subfield generator must have a root")
+            raise InvariantError("subfield generator must have a root")
         digits = outer_const._split(sigma)
         out = 0
         power = 1
@@ -561,5 +562,5 @@ def count_components(base: FiniteField, level: LevelMap) -> int:
         units *= qp ** depth - qp ** (depth - 1)
     q = base.size
     if units % (q - 1):
-        raise AssertionError("unit count must be divisible by q - 1")
+        raise InvariantError("unit count must be divisible by q - 1")
     return units // (q - 1)

@@ -27,7 +27,8 @@ import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import (BudgetExceeded, PrecisionExhausted, QuotientInsufficient)
+from .errors import (BudgetExceeded, InvariantError, PrecisionExhausted,
+                     QuotientInsufficient)
 from .ffpoly import Poly, Prime
 from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, LocalElement,
                          LocalMatrix)
@@ -213,7 +214,7 @@ def exhecke_element(cert, precision: int = DEFAULT_PRECISION) -> HeckeElement:
     d = standard_hecke_matrix(prime, r, precision)
     g = s @ d @ s.inverse()
     if projectively_bounded(g):
-        raise AssertionError("constructed element must be unbounded")
+        raise InvariantError("constructed element must be unbounded")
     return HeckeElement(prime, r, g, s, prime.residue_size ** (r - 1))
 
 

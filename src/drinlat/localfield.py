@@ -4,7 +4,8 @@ form over the valuation ring, lattices, and stabilizer-index machinery.
 A nonzero element is pi^val times a unit of A_p known modulo pi^prec; the
 unit is kept as its canonical residue mod p^prec in the packed-integer
 encoding of `_chainring`, so additions and products are packed-polynomial
-operations and inverses are Newton iterations.  The pi-adic digits are
+operations; the inverse of a constant unit is its inverse in F_q, and
+any other inverse a Newton iteration.  The pi-adic digits are
 read off the unit only for display (`digits`, `to_json`, `__repr__`).
 Any operation that cannot certify a valuation at working precision raises
 PrecisionExhausted instead of guessing.  The default precision is 12
@@ -21,8 +22,8 @@ import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from ._chainring import ChainRing, _kernel, smith_form_left
-from .errors import (BudgetExceeded, NotContained, NotSaturated,
-                     PrecisionExhausted, Singular)
+from .errors import (BudgetExceeded, InvariantError, NotContained,
+                     NotSaturated, PrecisionExhausted, Singular)
 from .ffpoly import (FiniteField, Poly, Prime, poly_to_str, residue_field)
 
 DEFAULT_PRECISION = 12
@@ -219,7 +220,7 @@ class LocalElement:
             unit = kr.mulmod(a.unit, b.unit, prec)
             exact = False
         if not kr.is_unit(unit):
-            raise AssertionError("leading digits cannot cancel")
+            raise InvariantError("leading digits cannot cancel")
         return _make(kr, "n", a.val + b.val, unit, prec, exact)
 
     def inv(self) -> "LocalElement":
@@ -502,7 +503,7 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
 
     # global min-valuation pivoting makes the exponents ascending already
     if any(exps[i] > exps[i + 1] for i in range(r - 1)):
-        raise AssertionError(f"elementary divisors not ascending: {exps}")
+        raise InvariantError(f"elementary divisors not ascending: {exps}")
     if not transforms:
         return tuple(exps), None, None
     return tuple(exps), LocalMatrix(prime, Li), LocalMatrix(prime, Ri)
@@ -749,7 +750,7 @@ def _unramified_factor(prime: Prime, m: int, avoid: Tuple) -> List[Poly]:
         rf = Poly(kp, tuple(tail) + (1,))
         if rf.is_irreducible():
             return f
-    raise AssertionError("no irreducible factor available")
+    raise InvariantError("no irreducible factor available")
 
 
 def _ypoly_shifted_power(F: FiniteField, shift: Poly, m: int) -> List[Poly]:
@@ -985,7 +986,7 @@ def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
         exps, u, u_inv = smith_form_left(
             ring, _lattice_columns_chain(lattice, ring))
         if exps != divisors:
-            raise AssertionError(
+            raise InvariantError(
                 f"Smith exponents {exps} mod p^{k} disagree with {divisors}")
     hom = _hom_kernel(order, ring, (divisors, u), (divisors, u_inv))
     h_size = prime.residue_size ** sum(hom[0])
@@ -999,7 +1000,7 @@ def _orbit_index(order: OrderStructure, k: int, units: int) -> int:
     """[GL_{r'}(R'/p^k) : stabilizer] from the number of units."""
     gl = order.gl_order(k)
     if not (units > 0 and gl % units == 0):
-        raise AssertionError("orbit-stabilizer must divide")
+        raise InvariantError("orbit-stabilizer must divide")
     return gl // units
 
 
@@ -1011,7 +1012,7 @@ def _stabilizer(lattice, order: OrderStructure, k: Optional[int],
     basis = _residue_image(order, ring, *hom)
     h_bar = kp.size ** len(basis)
     if h_size % h_bar != 0:
-        raise AssertionError("|H mod p| must divide |H|")
+        raise InvariantError("|H mod p| must divide |H|")
     units = h_size // h_bar * sum(1 for _ in _span_units(kp, order.r, basis))
     return _orbit_index(order, ring.k, units), divisors
 
@@ -1145,7 +1146,7 @@ def saturate_lattice(order: OrderStructure, lattice: Lattice,
                                        for row in block])
     out = Lattice(h.inverse() @ lattice.basis)
     if not saturation_holds(order, out):
-        raise AssertionError("normalized lattice must be saturated")
+        raise InvariantError("normalized lattice must be saturated")
     return out
 
 

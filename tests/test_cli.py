@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from xpoly_oracle import parse_x_polynomial as oracle_parse_x_polynomial
 
 import drinlat
-from drinlat import errors
+from drinlat import errors, ffpoly
 from drinlat.cli import COMMANDS, _parse_x_polynomial, build_parser, main
-from drinlat.ffpoly import FiniteField, prime_from_str
+from drinlat.ffpoly import FiniteField, field_from_str, prime_from_str
 
 
 def run_cli(args, capsys):
@@ -209,6 +209,18 @@ class TestExitCodes:
         error = json.loads(err)["error"]
         assert error == {"type": "AssertionError", "kind": "internal",
                          "message": "orbit-stabilizer must divide"}
+
+    def test_invariant_error_is_5(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise errors.InvariantError("orbit-stabilizer must divide")
+
+        monkeypatch.setattr("drinlat.cli.hecke_degree", broken)
+        code, out, err = run_cli(["hecke-degree", "--q", "2", "--r", "2",
+                                  "--prime", "t"], capsys)
+        assert code == 5 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "InvariantError", "kind": "internal",
+            "message": "orbit-stabilizer must divide"}
 
     def test_library_value_error_is_5(self, capsys, monkeypatch):
         # a ValueError from the library is a fault, not malformed input
@@ -515,3 +527,61 @@ class TestExponentBound:
     def test_large_exponent_below_the_bound_still_factors(self, capsys):
         data = run_json(["factor", "--q", "2", "--poly", "t^200000"], capsys)
         assert data["factors"] == [["t", 200000]]
+
+
+class TestFieldAndSieveBounds:
+    """An oversized field is malformed input (exit 4) before its
+    characteristic is tested for primality, and an oversized prime sieve
+    is over budget (exit 3) before it allocates."""
+
+    @pytest.mark.parametrize("argv,code,message,seconds", [
+        (["primes", "--q", "2^40", "--degree", "1"], 3,
+         "a sieve of 1099511627776^1 polynomials exceeds 1048576", 2.0),
+        (["primes", "--q", "2", "--degree", "40"], 3,
+         "a sieve of 2^40 polynomials exceeds 1048576", 1.0),
+        (["primes", "--q", "2305843009213693951", "--degree", "1"], 4,
+         "characteristic 2305843009213693951 exceeds 65536", 1.0),
+        (["primes", "--q", "2^100000", "--degree", "1"], 4,
+         "field order 2^100000 exceeds 2^64", 1.0),
+    ], ids=["order-2^40", "degree-40", "characteristic-2^61-1",
+            "order-2^100000"])
+    def test_oversized_input_is_refused_at_once(self, argv, code, message,
+                                                 seconds):
+        # building F_(2^40) itself takes about 0.6 s of the first case
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_MAIN, *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == ("budget" if code == 3 else "malformed")
+        assert message in error["message"]
+        assert float(proc.stdout) < seconds
+
+    def test_huge_characteristic_digits_are_malformed(self, capsys):
+        code, out, err = run_cli(["primes", "--q", "1" + "0" * 5000], capsys)
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"]["kind"] == "malformed"
+
+    def test_field_bounds_are_inclusive(self):
+        assert ffpoly.MAX_FIELD_ORDER == 2 ** 64
+        assert field_from_str("65521").size == 65521  # largest prime <= 2^16
+        assert field_from_str("3^40").size == 3 ** 40  # 3^40 < 2^64 < 3^41
+        with pytest.raises(errors.MalformedInput, match="exceeds 65536"):
+            field_from_str(str(ffpoly.MAX_CHARACTERISTIC + 1))
+        with pytest.raises(errors.MalformedInput, match="3\\^41 exceeds"):
+            field_from_str("3^41")
+
+    def test_sieve_bound_is_inclusive(self, monkeypatch):
+        # the uncached sieve, under a bound of 16 indices
+        monkeypatch.setattr(ffpoly, "MAX_SIEVE_SIZE", 16)
+        sieve = ffpoly._primes_of_degree_cached.__wrapped__
+        F2, F4 = FiniteField.of_order(2), FiniteField.of_order(2, 2)
+        assert len(sieve(F2, 4)) == 3 and len(sieve(F4, 2)) == 6
+        for field, d in ((F2, 5), (F4, 3), (FiniteField.of_order(17), 1)):
+            with pytest.raises(errors.BudgetExceeded, match="exceeds 16"):
+                sieve(field, d)
+
+    def test_largest_field_still_answers(self, capsys):
+        data = run_json(["components", "--base", "2^64"], capsys)
+        assert data["components"] == 1

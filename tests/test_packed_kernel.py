@@ -14,8 +14,11 @@ from drinlat.localfield import LocalElement
 
 from digit_oracle import DigitElement
 
+# q = 2, 3, 4, 5, 9, 8, 16, 27, 81; F_81 is above _KERNEL_TABLE_LIMIT, so
+# its kernel calls the field's methods per coefficient
 FIELDS = [FiniteField.of_order(p, e) for p, e in
-          ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))]  # q = 2, 3, 4, 5, 9
+          ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3), (2, 4), (3, 3),
+           (3, 4))]
 # per field: t, another degree-1 prime (t + 1), and the first of degree 2
 PRIMES = [pr for F in FIELDS for pr in
           (prime_from_str("t", F), prime_from_str("t+1", F),
@@ -190,6 +193,38 @@ def test_kernel_builds_residue_field_tables():
     kp._log = kp._exp = None
     kr = _Kernel(prime)
     assert kr.kp is kp and kp._log is not None and kp._exp is not None
+
+
+@pytest.mark.parametrize("k", (1, 2, 12, 30))
+@pytest.mark.parametrize("prime", PRIMES, ids=PRIME_IDS)
+def test_constant_units_invert_in_the_base_field(prime, k):
+    """Every c in F_q^x inverts to the constant c^-1 at every precision,
+    at primes of degree 1 and 2 (hypothesis seldom draws a constant unit
+    at k > 1)."""
+    F = prime.field
+    ring = ChainRing(prime, k)
+    M = prime.poly ** k
+    for c in range(1, F.size):
+        inv = ring.inv(ring.reduce(Poly(F, [c])))
+        assert inv == ring.reduce(Poly(F, [F.inv(c)]))
+        assert (ring.lift(inv) * Poly(F, [c])) % M == Poly.one(F)
+
+
+@pytest.mark.parametrize("prime", PRIMES, ids=PRIME_IDS)
+def test_constant_inverse_takes_no_products(prime, monkeypatch):
+    """A constant unit is inverted in F_q, without a Newton step."""
+    F = prime.field
+    ring = ChainRing(prime, 30)
+
+    def no_products(*args):
+        raise AssertionError("Newton step on a constant unit")
+
+    monkeypatch.setattr(ring.kernel, "mulmod", no_products)
+    assert ring.inv(1) == 1
+    assert ring.inv(F.size - 1) == F.inv(F.size - 1)
+    assert LocalElement.one(prime, 30).inv().unit == 1
+    with pytest.raises(ZeroDivisionError):
+        ring.inv(0)
 
 
 def _exact_unit(prime, rng):

@@ -1,7 +1,11 @@
 """Microbenchmark of the layer-0, truncated-element and stabilizer kernels.
 
 Times `LocalElement.mul` and `LocalElement.inv` on 50 seeded random
-units at p = t over F_2, F_3 and F_4, at precisions 12 and 30; a cold
+units at p = t over F_2, F_3 and F_4, at precisions 12 and 30;
+`LocalElement.inv` of the constant units of F_3 at p = t and of F_4 at
+its first prime of degree 2, and `hecke_degree` of the standard matrix
+diag(pi^-1, 1, ..., 1) at the three degree-1 primes of F_3 (r = 3) and
+the six degree-2 primes of F_4 (r = 2), at precisions 12 and 30; a cold
 `primes_of_degree(F_5, 6)` (ms per call, caches cleared); a cold residue
 field k(p) of 64, 81, 243 and 256 elements, built with its log/exp tables
 (ms per field); above the table limit, `FiniteField.mul` on 1000 seeded
@@ -102,6 +106,7 @@ def main() -> None:
             for op, run in (("mul", lambda: [a.mul(b) for a, b in pairs]),
                             ("inv", lambda: [a.inv() for a in units])):
                 out[f"{op}|q={F.size}|prec={prec}"] = _timing(run, UNITS, 1e6)
+    out.update(_constant_rows())
     out.update(_layer0_rows())
     out.update(_stabilizer_rows())
     out.update(_hom_rows())
@@ -119,6 +124,29 @@ def _timing(run, count: int, scale: float) -> dict:
         times.append((perf_counter() - t0) / count * scale)
     return {"median": round(statistics.median(times), 2),
             "min": round(min(times), 2)}
+
+
+def _constant_rows() -> dict:
+    """Inverses of the constant units c = 1, ..., q - 1 (the pivots of a
+    standard Hecke matrix are 1), and `hecke_degree` of the standard matrix
+    at every prime of the two `hecke-newton` block shapes."""
+    from drinlat.ffpoly import FiniteField, Poly, primes_of_degree
+    from drinlat.hecke import hecke_degree, standard_hecke_matrix
+    from drinlat.localfield import LocalElement
+
+    out = {}
+    for (p, e), d, r in (((3, 1), 1, 3), ((2, 2), 2, 2)):
+        F = FiniteField.of_order(p, e)
+        primes = primes_of_degree(F, d)
+        for prec in PRECISIONS:
+            units = [LocalElement.from_poly(primes[0], Poly(F, [c]), prec)
+                     for c in range(1, F.size)]
+            out[f"inv_const|q={F.size}|p={primes[0]}|prec={prec}"] = _timing(
+                lambda: [u.inv() for u in units], len(units), 1e6)
+            mats = [standard_hecke_matrix(prime, r, prec) for prime in primes]
+            out[f"hecke_degree|q={F.size}|d={d}|r={r}|prec={prec}"] = _timing(
+                lambda: [hecke_degree(g) for g in mats], len(mats), 1e6)
+    return out
 
 
 def _layer0_rows() -> dict:
