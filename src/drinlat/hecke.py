@@ -7,26 +7,34 @@ p^k.  It is read off the elementary divisors e_1 <= ... <= e_r of g as
 q_p^(sum over a < b of (e_b - e_a)), valid when the spread e_r - e_1 is
 at most k.  The characteristic polynomial sums the principal minors of
 each size, all computed in one Laplace programme that shares
-sub-determinants between minors (633 products at r = 6).  Their
-brute-force oracles live in `tests/hecke_oracle.py`: coset counting in
-the finite quotient K(p^k)/K(p^2k) ~ Mat_r(A/p^k)
-(`hecke_degree_enumerated`) and the expansion of each minor over all
-permutations (`char_poly_expanded`).  The boundedness predicate reads the
-Newton polygon of the characteristic polynomial: at least two segments
-certifies an unbounded cyclic image in PGL_r(F_p); the adopted converse
-is that a single slope means bounded (a power scales to an integral
-matrix with unit determinant, and unipotent parts have finite order in
-characteristic p).  The power/SNF-spread cross-check in the test suite
-exercises that converse independently.
+sub-determinants between minors (633 products at r = 6), written once
+with the arithmetic as a parameter.  Their brute-force oracles live in
+`tests/hecke_oracle.py`: coset counting in the finite quotient
+K(p^k)/K(p^2k) ~ Mat_r(A/p^k) (`hecke_degree_enumerated`) and the
+expansion of each minor over all permutations (`char_poly_expanded`).
+The boundedness predicate reads the Newton polygon of the characteristic
+polynomial: at least two segments certifies an unbounded cyclic image in
+PGL_r(F_p); the adopted converse is that a single slope means bounded (a
+power scales to an integral matrix with unit determinant, and unipotent
+parts have finite order in characteristic p).  The power/SNF-spread
+cross-check in the test suite exercises that converse independently.
+The sampled unboundedness check of a Hecke element computes each sample
+over A, in packed polynomials with exact products, and only the
+valuations of its coefficients leave the kernel; on a raw matrix it
+runs in `LocalMatrix` arithmetic, and so is the oracle of the packed
+samples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ._chainring import _kernel
 from .errors import (BudgetExceeded, InvariantError, PrecisionExhausted,
                      QuotientInsufficient)
 from .ffpoly import Poly, Prime
@@ -41,57 +49,95 @@ def char_poly(g: LocalMatrix) -> List[LocalElement]:
     """Coefficients [a_0, ..., a_{r-1}, 1] of det(lambda*I - g).
 
     a_{r-i} = (-1)^i e_i, where e_i is the sum of the principal i x i
-    minors.  All of them come out of one Laplace programme that shares
-    sub-determinants: D(P, T) = det g[P][T] for a row set P, which is a
-    prefix of the principal index sets it serves, and a column set T of
-    the same size inside P and the indices after max P.  Level k+1 expands
-    along the new last row m:
-
-        D(P + m, T) = sum over c in T of +-D(P, T - c) * g[m][c],
-
-    and e_i = sum over |P| = i of D(P, P).  Every product is a
-    sub-determinant times the next row's entry, the left-to-right row
-    order of the oracle `char_poly_expanded`, so truncation acts on the
-    same products; exact zeros are skipped as `mul` and `add` would.  A
-    dense r = 6 matrix takes 633 products where the expansion takes
-    7,830.
+    minors, all of them from the one Laplace programme `_minor_sums`,
+    here in `LocalElement` arithmetic.  Its products are the oracle
+    `char_poly_expanded`'s, in the same left-to-right row order, so
+    truncation acts on the same products.
     """
     prime = g.prime
     r = g.r
-    rows = g.rows
-    e = [LocalElement.zero(prime) for _ in range(r + 1)]
-    # level[P] maps each column set T to D(P, T), exact zeros left out;
-    # the row sets P come in lexicographic order
-    level = {(i,): {(c,): rows[i][c] for c in range(i, r)
-                    if rows[i][c].kind != "z"} for i in range(r)}
-    for k in range(1, r + 1):
-        for P, minors in level.items():
-            if P in minors:
-                e[k] = e[k].add(minors[P])
-        level = {P + (m,): _next_minors(minors, P + tuple(range(m, r)),
-                                        rows[m], k)
-                 for P, minors in level.items()
-                 for m in range(P[-1] + 1, r)}
+    e = _minor_sums(g.rows, LocalElement.zero(prime), _is_exact_zero,
+                    LocalElement.add, LocalElement.neg, LocalElement.mul)
     coeffs = [e[i] if i % 2 == 0 else e[i].neg() for i in range(r, 0, -1)]
     return coeffs + [LocalElement.one(prime, g.working_precision())]
 
 
-def _next_minors(minors, pool, row, k: int):
-    """D(P + m, T) for every (k+1)-subset T of pool, expanded along row
-    m (at position k) from the k x k minors D(P, .)."""
+def _is_exact_zero(x: LocalElement) -> bool:
+    return x.kind == "z"
+
+
+def _minor_sums(rows, zero, is_zero, add, neg, mul) -> list:
+    """[zero, e_1, ..., e_r]: e_i is the sum of the principal i x i
+    minors of the square matrix `rows`, in the arithmetic that `zero`,
+    `is_zero`, `add`, `neg` and `mul` give.
+
+    One Laplace programme shares sub-determinants between the minors:
+    D(P, T) = det rows[P][T] for a row set P, which is a prefix of the
+    principal index sets it serves, and a column set T of the same size
+    inside P and the indices after max P.  Level k+1 expands along the
+    new last row m:
+
+        D(P + m, T) = sum over c in T of +-D(P, T - c) * rows[m][c],
+
+    and e_i = sum over |P| = i of D(P, P).  Every product is a
+    sub-determinant times the next row's entry, and zeros are skipped.
+    A dense r = 6 matrix takes 633 products where the expansion over all
+    permutations takes 7,830.
+    """
+    r = len(rows)
+    # column sets are bit masks; a row keeps None where it has a zero
+    rows = [[None if is_zero(x) else x for x in row] for row in rows]
+    e = [zero] * (r + 1)
+    # level[P] maps each column set T to D(P, T), zeros left out; the row
+    # sets P come in lexicographic order
+    level = {(i,): {1 << c: rows[i][c] for c in range(i, r)
+                    if rows[i][c] is not None} for i in range(r)}
+    for k in range(1, r + 1):
+        for P, minors in level.items():
+            d = minors.get(sum(1 << i for i in P))
+            if d is not None:
+                e[k] = add(e[k], d)
+        level = {P + (m,): _next_minors(minors, _expansion(P, m, r),
+                                        rows[m], is_zero, add, neg, mul)
+                 for P, minors in level.items()
+                 for m in range(P[-1] + 1, r)}
+    return e
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(P: Tuple[int, ...], m: int, r: int):
+    """The expansion of D(P + m, .) along row m: for each column set T of
+    size |P| + 1 inside P and m, ..., r - 1, its mask and its terms (c,
+    mask of T - c, whether the sign is -), c ascending.  The plan depends
+    only on the indices, so it is made once per shape."""
+    k = len(P)
+    plan = []
+    for T in itertools.combinations(P + tuple(range(m, r)), k + 1):
+        mask = sum(1 << c for c in T)
+        plan.append((mask, tuple((c, mask ^ (1 << c), (k + j) % 2 == 1)
+                                 for j, c in enumerate(T))))
+    return tuple(plan)
+
+
+def _next_minors(minors, plan, row, is_zero, add, neg, mul):
+    """D(P + m, T) for every T of the plan, from row m and the minors
+    D(P, .)."""
     out = {}
-    for T in itertools.combinations(pool, k + 1):
+    for mask, terms in plan:
         acc = None
-        for j, c in enumerate(T):
-            sub = minors.get(T[:j] + T[j + 1:])
-            if sub is None or row[c].kind == "z":
+        for c, sub_mask, odd in terms:
+            x = row[c]
+            if x is None:
                 continue
-            term = sub.mul(row[c])
-            if (k + j) % 2:
-                term = term.neg()
-            acc = term if acc is None else acc.add(term)
-        if acc is not None and acc.kind != "z":
-            out[T] = acc
+            sub = minors.get(sub_mask)
+            if sub is None:
+                continue
+            term = mul(sub, x)
+            if odd:
+                term = neg(term)
+            acc = term if acc is None else add(acc, term)
+        if acc is not None and not is_zero(acc):
+            out[mask] = acc
     return out
 
 
@@ -293,29 +339,86 @@ def unboundedness_sample_check(g: Union[LocalMatrix, HeckeElement],
     without inverting anything.
 
     For a HeckeElement the diagonal model D = diag(pi^-1, 1, ..., 1) is
-    used (equivalent by normality of K(p) under GL_r(A_p)); a raw matrix
-    is checked as given, which exercises the failure path for bounded
-    inputs.
+    used (equivalent by normality of K(p) under GL_r(A_p)), and each
+    sample is computed over A in the packed kernel (`_packed_sample`):
+    only the valuations of the coefficients leave it.  A raw matrix is
+    checked as given, in `LocalMatrix` arithmetic, which accepts inexact
+    entries and exercises the failure path for bounded inputs; on
+    `standard_hecke_matrix(prime, r, precision)` it draws the same k_i
+    and is the packed path's oracle.
     """
-    if isinstance(g, HeckeElement):
-        prime, r = g.prime, g.r
-        core = standard_hecke_matrix(prime, r, precision)
-    else:
-        prime, r = g.prime, g.r
-        core = g
+    prime, r = g.prime, g.r
     outcomes = []
     for idx in range(samples):
         rng = random.Random((seed << 20) ^ (idx * 1000003 + 1))
-        k1 = _random_congruence_matrix(prime, r, rng, precision)
-        k2 = _random_congruence_matrix(prime, r, rng, precision)
-        b = k2 @ core @ k1
-        cp = char_poly(b)
+        if isinstance(g, HeckeElement):
+            cp = _packed_sample(prime, r, rng, precision)
+        else:
+            k1 = _random_congruence_matrix(prime, r, rng, precision)
+            k2 = _random_congruence_matrix(prime, r, rng, precision)
+            cp = char_poly(k2 @ g @ k1)
         np_ = newton_polygon(cp)
         v0 = cp[0].val if cp[0].kind == "n" else None
         vtop = cp[r - 1].val if cp[r - 1].kind == "n" else None
         passed = (v0 == -1 and vtop == -1 and np_.segment_count >= 2)
         outcomes.append(SampleOutcome(idx, v0, vtop, np_.segment_count, passed))
     return SampleReport(str(prime), r, samples, seed, outcomes)
+
+
+def _packed_sample(prime: Prime, r: int, rng,
+                   precision: int) -> List[LocalElement]:
+    """The characteristic polynomial of one sample b = k_2 D k_1, D =
+    diag(pi^-1, 1, ..., 1): its coefficients [a_0, ..., a_r] as exact
+    powers of pi, since the Newton polygon reads only their valuations.
+
+    The k_i are drawn as `_random_congruence_matrix` draws them, with the
+    same generator calls.  Their entries are polynomials, so B = k_2
+    diag(1, p, ..., p) k_1 = pi b is a matrix over A, formed with exact
+    packed products, and e_i(b) = pi^-i e_i(B) gives v(a_{r-i}) =
+    v(e_i(B)) - i.  The products run on the packed coefficients in t:
+    multiplication does not depend on the variable, and only the r sums
+    e_i(B) are translated to the kernel's variable for their valuation.
+    """
+    kr = _kernel(prime)
+    add, mul = kr.add, kr.mul
+    p_t = kr.pack(prime.poly.coeffs)
+    k1 = _packed_congruence_matrix(kr, r, rng, precision, p_t)
+    k2 = _packed_congruence_matrix(kr, r, rng, precision, p_t)
+    dk1 = [k1[0]] + [[mul(x, p_t) if x else 0 for x in row]
+                     for row in k1[1:]]
+    B = []
+    for row in k2:
+        out = []
+        for col in zip(*dk1):
+            acc = 0
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            out.append(acc)
+        B.append(out)
+    e = _minor_sums(B, 0, operator.not_, add, kr.neg, mul)
+    one = LocalElement.one(prime, precision)
+    cp = [one] * (r + 1)
+    for i in range(1, r + 1):
+        x = kr.translate(e[i], kr.shift) if kr.shift else e[i]
+        cp[r - i] = one.shift(kr.val(x) - i) if x else LocalElement.zero(prime)
+    return cp
+
+
+def _packed_congruence_matrix(kr, r: int, rng, precision: int,
+                              p_t: int) -> List[List[int]]:
+    """`_random_congruence_matrix` over A, packed in t: 1 + p*M."""
+    q = kr.q
+    n = kr.d * (precision - 1)
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            f = kr.pack([rng.randrange(q) for _ in range(n)])
+            x = kr.mul(f, p_t) if f else 0
+            row.append(kr.add(x, 1) if i == j else x)
+        rows.append(row)
+    return rows
 
 
 def _random_congruence_matrix(prime: Prime, r: int, rng,

@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from irreducible_oracle import is_irreducible_rabin
 
 from drinlat.errors import MalformedInput, ZeroPolynomial
 from drinlat import ffpoly
@@ -373,7 +374,7 @@ class TestEnumeratePrimes:
                                            (5, 2, 2)])
     def test_sieve_matches_irreducibility_filter(self, q, e, d_max):
         # the same primes in the same order as _monic_polys filtered by
-        # Rabin's test, q^d up to about 2.5k
+        # the irreducibility test, q^d up to about 2.5k
         field = FiniteField.of_order(q, e)
         for d in range(1, d_max + 1):
             want = [f for f in _monic_polys(field, d) if f.is_irreducible()]
@@ -402,6 +403,43 @@ class TestEnumeratePrimes:
         ps = enumerate_primes(F3, 2)
         keys = [p.sort_key() for p in ps]
         assert keys == sorted(keys)
+
+
+class TestIrreducibleAgainstRabin:
+    """The distinct-degree test against Rabin's test
+    (`tests/irreducible_oracle.py`)."""
+
+    @pytest.mark.parametrize("field,d_max", [(F2, 6), (F3, 6)])
+    def test_every_monic_polynomial(self, field, d_max):
+        for d in range(0, d_max + 1):
+            for f in _monic_polys(field, d):
+                assert f.is_irreducible() == is_irreducible_rabin(f), f
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F5])
+    def test_seeded_degrees_7_to_12(self, field):
+        rng = random.Random(f"rabin:{field.size}")
+        irreducible = 0
+        for d in range(7, 13):
+            for _ in range(12):
+                f = Poly(field, [rng.randrange(field.size) for _ in range(d)]
+                         + [rng.randrange(1, field.size)])
+                got = f.is_irreducible()
+                assert got == is_irreducible_rabin(f), f
+                irreducible += got
+        assert irreducible  # both answers occur
+
+    def test_irreducible_primes_and_their_products(self):
+        for field in (F2, F3, F4):
+            for d in (4, 5, 6):
+                for p in primes_of_degree(field, d)[:3]:
+                    assert p.poly.is_irreducible()
+                    assert not (p.poly * p.poly).is_irreducible()
+                    assert not (p.poly * Poly.t(field)).is_irreducible()
+
+    def test_zero_and_constants_are_not_irreducible(self):
+        assert not Poly.zero(F3).is_irreducible()
+        assert not Poly.const(F3, 2).is_irreducible()
+        assert P("2*t^2+2", F3).is_irreducible()  # 2 (t^2 + 1)
 
 
 class TestFactor:

@@ -6,7 +6,8 @@ from hecke_oracle import char_poly_expanded, hecke_degree_enumerated
 
 from drinlat import acceptance
 from drinlat.errors import PrecisionExhausted, QuotientInsufficient
-from drinlat.ffpoly import FiniteField, Poly, poly_from_str, prime_from_str
+from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
+                            primes_of_degree)
 from drinlat.hecke import (HeckeElement, _random_congruence_matrix,
                            char_poly, companion_matrix, hecke_degree,
                            newton_polygon, projectively_bounded,
@@ -460,3 +461,33 @@ class TestUnboundednessSamples:
         elem = HeckeElement(T3, 2, standard_hecke_matrix(T3, 2),
                             LocalMatrix.identity(T3, 2), 3)
         assert unboundedness_sample_check(elem, samples=20, seed=5).all_pass
+
+
+# the packed sampler of a HeckeElement against the raw-matrix branch on the
+# standard matrix, which draws the same k_i and computes in LocalMatrix
+# arithmetic: per field, t, t + 1 and the first prime of degree 2
+SAMPLER_FIELDS = [FiniteField.of_order(p, e)
+                  for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))]
+SAMPLER_PRIMES = [pr for F in SAMPLER_FIELDS
+                  for pr in (prime_from_str("t", F), prime_from_str("t+1", F),
+                             primes_of_degree(F, 2)[0])]
+SAMPLER_PRECISIONS = (2, 4, 12, 30)
+SAMPLER_CASES = [(prime, r, SAMPLER_PRECISIONS[(i + r) % 4])
+                 for i, prime in enumerate(SAMPLER_PRIMES)
+                 for r in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "prime,r,precision", SAMPLER_CASES,
+    ids=[f"q={pr.field.size}:{pr}:r={r}:prec={prec}"
+         for pr, r, prec in SAMPLER_CASES])
+def test_packed_sampler_matches_matrix_branch(prime, r, precision):
+    elem = HeckeElement(prime, r, standard_hecke_matrix(prime, r, precision),
+                        LocalMatrix.identity(prime, r, precision),
+                        prime.residue_size ** (r - 1))
+    raw = standard_hecke_matrix(prime, r, precision)
+    samples = 1 if r * precision * prime.degree > 60 else 3
+    for seed in (0, 11, 2012):
+        packed = unboundedness_sample_check(elem, samples, seed, precision)
+        oracle = unboundedness_sample_check(raw, samples, seed, precision)
+        assert packed == oracle

@@ -4,9 +4,9 @@ LocalElement against the digit-tuple oracle in `digit_oracle.py`."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from drinlat._chainring import ChainRing, _kernel
+from drinlat._chainring import ChainRing, _clmul, _kernel
 from drinlat.errors import DrinlatError
 from drinlat.ffpoly import (FiniteField, Poly, Prime, ord_at, prime_from_str,
                             primes_of_degree, residue_field)
@@ -225,6 +225,77 @@ def test_constant_inverse_takes_no_products(prime, monkeypatch):
     assert LocalElement.one(prime, 30).inv().unit == 1
     with pytest.raises(ZeroDivisionError):
         ring.inv(0)
+
+
+# degree-1 primes over odd prime fields, where a non-constant unit is
+# inverted as a power series on coefficient lists
+SERIES_PRIMES = [prime_from_str(text, FiniteField.of_order(q))
+                 for q in (3, 5, 7) for text in ("t", "t+1", "t+2")]
+
+
+@pytest.mark.parametrize("k", (1, 2, 12, 30))
+@pytest.mark.parametrize("prime", SERIES_PRIMES,
+                         ids=[f"q={pr.field.size}:{pr}" for pr in SERIES_PRIMES])
+def test_series_inverse_at_degree_one(prime, k, monkeypatch):
+    """50 seeded non-constant units: the inverse times the unit is 1 mod
+    p^k, it is canonical, and it takes no packed product."""
+    F = prime.field
+    ring = ChainRing(prime, k)
+    M = prime.poly ** k
+    rng = random.Random(f"series:{F.size}:{prime}:{k}")
+    units = []
+    while len(units) < 50:
+        f = _poly(F, [rng.randrange(F.size) for _ in range(k + 1)])
+        if f.degree >= 1 and not (f % prime.poly).is_zero():
+            units.append(f)
+
+    def no_products(*args):
+        raise AssertionError("Newton step on coefficient lists expected")
+
+    monkeypatch.setattr(ring.kernel, "mulmod", no_products)
+    for f in units:
+        inv = ring.lift(ring.inv(ring.reduce(f)))
+        assert inv == inv % M
+        assert (inv * f) % M == Poly.one(F)
+
+
+def _clmul_bit_loop(a: int, b: int) -> int:
+    """Oracle for `_clmul`: shift-xor, one bit of b at a time."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+OPERANDS = st.integers(0, (1 << 300) - 1) | st.integers(0, 1 << 20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(OPERANDS, OPERANDS)
+@example(0, 0)
+@example(1, 1)
+@example(0, (1 << 300) - 1)
+@example(1, (1 << 300) - 1)
+def test_clmul_against_bit_loop(a, b):
+    want = _clmul_bit_loop(a, b)
+    assert _clmul(a, b) == want
+    assert _clmul(b, a) == want
+
+
+def test_clmul_on_both_sides_of_the_window_threshold():
+    """Every bit length from 0 to 40 against every other, so that both
+    the bit loop (at most 6 bits) and the window run, in both argument
+    orders."""
+    rng = random.Random("clmul")
+    lengths = range(0, 41)
+    for m in lengths:
+        for n in lengths:
+            a = rng.getrandbits(m) | (1 << m >> 1)
+            b = rng.getrandbits(n) | (1 << n >> 1)
+            assert _clmul(a, b) == _clmul(b, a) == _clmul_bit_loop(a, b)
 
 
 def _exact_unit(prime, rng):

@@ -1,7 +1,7 @@
 """Microbenchmark of the layer-0, truncated-element and stabilizer kernels.
 
 Times `LocalElement.mul` and `LocalElement.inv` on 50 seeded random
-units at p = t over F_2, F_3 and F_4, at precisions 12 and 30;
+units at p = t over F_2, F_3, F_4 and F_5, at precisions 12 and 30;
 `LocalElement.inv` of the constant units of F_3 at p = t and of F_4 at
 its first prime of degree 2, and `hecke_degree` of the standard matrix
 diag(pi^-1, 1, ..., 1) at the three degree-1 primes of F_3 (r = 3) and
@@ -34,7 +34,13 @@ index, at the least depth k >= 1 with p^k inside both, and
 lattices, each called 5 times per repeat (at the default budget, so
 budget and precision refusals are timed too, as the library raises them);
 `LocalMatrix.inverse` per call on 10 seeded invertible r x r matrices
-(r = 2, 3, 4) at p = t over F_2, F_3 and F_4, at precisions 12 and 30;
+(r = 2, 3, 4) at p = t over F_2, F_3, F_4 and F_5, at precisions 12 and
+30; `unboundedness_sample_check` per sample of a HeckeElement at p = t
+over F_2 (r = 2-6, precisions 12 and 30) and at t^2+1 over F_3 (r = 2),
+and `char_poly` of seeded dense inexact r = 6 matrices at p = t over F_2,
+precision 12; the carry-less product `_clmul` on 200 seeded pairs of
+6, 12, 24 and 72 bits; `Poly.is_irreducible` on the first 20 irreducible
+polynomials of degree 4 and 8 over F_2 and F_3;
 cold good-prime scans (prime-list and residue-field caches cleared
 first): `find_good_prime` on the README datum `perfbench/data/X.json`
 (x^2 = t^3 - t over F_3, a twist at t, N = 3) at max degree 4 and 6, and `places-scan`'s `exhaust-2`
@@ -42,9 +48,11 @@ first): `find_good_prime` on the README datum `perfbench/data/X.json`
 first split degree-4 prime of x^2 = t over F_5, caches cleared; and the
 CLI layer, each in a fresh interpreter: `import drinlat.cli`, and
 `main(["thresholds", ...])` after that import, 15 of each, the two kinds
-of process interleaved (ms).  Prints one JSON object: per row the median
-and the minimum of 7 repeats, in microseconds per call (ms for the prime
-list, the field builds, the split counts, the scans and the CLI rows).  On a shared host the median of one run moves by
+of process interleaved (ms); and, last, since it empties the field cache,
+a cold `FiniteField.of_order(2, 32)` and `(13, 17)` (3 repeats, ms).
+Prints one JSON object: per row the median and the minimum of 7 repeats,
+in microseconds per call (ms for the prime list, the field builds, the
+split counts, the scans and the CLI rows).  On a shared host the median of one run moves by
 up to 1.7x between runs; the minimum is the steadier
 figure.  Run it against any checkout to compare two versions of the
 library:
@@ -64,10 +72,15 @@ import subprocess
 import sys
 from time import perf_counter
 
-FIELDS = ((2, 1), (3, 1), (2, 2))
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1))
 PRECISIONS = (12, 30)
 UNITS = 50
 REPEATS = 7
+COLD_FIELD_REPEATS = 3
+# per-sample rows of the sampled unboundedness check: (q, prime, ranks)
+SAMPLE_ROWS = ((2, "t", (2, 3, 4, 5, 6)), (3, "t^2+1", (2,)))
+SAMPLES = 4
+CLMUL_BITS = (6, 12, 24, 72)
 STABILIZER_SAMPLE = 40
 STABILIZER_ROUNDS = 5
 INVERSE_RANKS = (2, 3, 4)
@@ -113,12 +126,16 @@ def main() -> None:
     out.update(_inverse_rows())
     out.update(_goodprime_rows())
     out.update(_cli_rows(args.src))
+    out.update(_hecke_sample_rows())
+    out.update(_clmul_rows())
+    out.update(_irreducible_rows())
+    out.update(_cold_field_rows())
     print(json.dumps(out))
 
 
-def _timing(run, count: int, scale: float) -> dict:
+def _timing(run, count: int, scale: float, repeats: int = REPEATS) -> dict:
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = perf_counter()
         run()
         times.append((perf_counter() - t0) / count * scale)
@@ -326,6 +343,85 @@ def _inverse_rows() -> dict:
                     mats.append(m)
                 out[f"inverse|q={F.size}|r={r}|prec={prec}"] = _timing(
                     lambda: [m.inverse() for m in mats], len(mats), 1e6)
+    return out
+
+
+def _hecke_sample_rows() -> dict:
+    """Unboundedness samples of a HeckeElement, per sample, and char_poly
+    of dense inexact matrices, per call."""
+    from drinlat.ffpoly import FiniteField, Poly, prime_from_str
+    from drinlat.hecke import (HeckeElement, char_poly, standard_hecke_matrix,
+                               unboundedness_sample_check)
+    from drinlat.localfield import LocalElement, LocalMatrix
+
+    out = {}
+    for q, text, ranks in SAMPLE_ROWS:
+        prime = prime_from_str(text, FiniteField.of_order(q))
+        for prec in PRECISIONS:
+            for r in ranks:
+                elem = HeckeElement(prime, r,
+                                    standard_hecke_matrix(prime, r, prec),
+                                    LocalMatrix.identity(prime, r, prec),
+                                    prime.residue_size ** (r - 1))
+                out[f"unboundedness_sample|q={q}|p={text}|r={r}|prec={prec}"] \
+                    = _timing(lambda: unboundedness_sample_check(
+                        elem, SAMPLES, 0, prec), SAMPLES, 1e6)
+    F = FiniteField.of_order(2)
+    prime = prime_from_str("t", F)
+    rng = random.Random("char_poly:inexact")
+
+    def entry():
+        # a unit of 12 digits times pi^-1, pi^0 or pi^1
+        digits = [Poly(F, [1])] + [Poly(F, [rng.randrange(2)])
+                                   for _ in range(11)]
+        return LocalElement(prime, "n", rng.randrange(-1, 2), tuple(digits))
+
+    mats = [LocalMatrix(prime, [[entry() for _ in range(6)] for _ in range(6)])
+            for _ in range(5)]
+    out["char_poly|q=2|p=t|r=6|prec=12|inexact"] = _timing(
+        lambda: [char_poly(m) for m in mats], len(mats), 1e6)
+    return out
+
+
+def _clmul_rows() -> dict:
+    from drinlat._chainring import _clmul
+
+    out = {}
+    for bits in CLMUL_BITS:
+        rng = random.Random(f"clmul:{bits}")
+        pairs = [(rng.getrandbits(bits) | 1 << (bits - 1),
+                  rng.getrandbits(bits) | 1 << (bits - 1)) for _ in range(200)]
+        out[f"clmul|bits={bits}"] = _timing(
+            lambda: [_clmul(a, b) for a, b in pairs], len(pairs), 1e6)
+    return out
+
+
+def _irreducible_rows() -> dict:
+    """The irreducibility test where it cannot stop early."""
+    from drinlat.ffpoly import FiniteField, primes_of_degree
+
+    out = {}
+    for q in (2, 3):
+        for d in (4, 8):
+            polys = [p.poly for p in primes_of_degree(FiniteField.of_order(q),
+                                                      d)[:20]]
+            out[f"is_irreducible|q={q}|d={d}|irreducible"] = _timing(
+                lambda: [f.is_irreducible() for f in polys], len(polys), 1e6)
+    return out
+
+
+def _cold_field_rows() -> dict:
+    """Cold field builds (ms).  They empty the field cache, so they run
+    after every other row."""
+    from drinlat import ffpoly
+
+    out = {}
+    for p, e in ((2, 32), (13, 17)):
+        def cold():
+            ffpoly._field_of_order.cache_clear()
+            ffpoly.FiniteField.of_order(p, e)
+        out[f"field_of_order_ms|{p}^{e}"] = _timing(cold, 1, 1e3,
+                                                     COLD_FIELD_REPEATS)
     return out
 
 
