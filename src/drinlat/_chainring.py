@@ -27,14 +27,16 @@ encoding.
 returns the canonical Poly.  `smith_form_left`, the Smith form of a basis
 over A/p^k with its row transform and inverse, is the one elimination on
 submodules of (A/p^k)^n: `localfield` reads lattice spans, multiplier
-rings, hom-modules and their sizes off it.
+rings, hom-modules and their sizes off it.  `smith_exponents` is its
+exponents-only form, with the same pivots and no inverse: `localfield`
+reads the elementary divisors of an exact matrix off it.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError
 from .ffpoly import Poly, Prime, residue_field
@@ -203,21 +205,31 @@ class _Kernel:
         return out
 
     def _divmod_poly(self, a: int, m: int) -> Tuple[int, int]:
-        """(a // m, a % m) for a monic packed m."""
+        """(a // m, a % m) for a monic packed m, by long division with the
+        nonzero low coefficients of -m inlined (m is p or a power)."""
         M = self.unpack(m)
         dm = len(M) - 1
         A = self.unpack(a)
         if len(A) <= dm:
             return 0, a
-        negM = self._lneg(M[:dm])
+        negM = [(j, y) for j, y in enumerate(self._lneg(M[:dm])) if y]
         Q = [0] * (len(A) - dm)
+        p, at, mt, q = self._char, self._at, self._mt, self.q
+        add, mul = self.field.add, self.field.mul
         for i in reversed(range(len(Q))):
             c = A[i + dm]
             if not c:
                 continue
             Q[i] = c
-            A[i:i + dm] = self._ladd(A[i:i + dm],
-                                     self._lmul([c], negM, dm))
+            if p is not None:
+                for j, y in negM:
+                    A[i + j] = (A[i + j] + c * y) % p
+            elif mt is not None:
+                for j, y in negM:
+                    A[i + j] = at[A[i + j] * q + mt[c * q + y]]
+            else:
+                for j, y in negM:
+                    A[i + j] = add(A[i + j], mul(c, y))
         return self.pack(Q), self.pack(A[:dm])
 
     def _series_inv(self, R: List[int], n: int) -> List[int]:
@@ -318,9 +330,12 @@ class _Kernel:
                 self._barrett_powers(k)
 
     def mod(self, a: int, k: int) -> int:
-        """Canonical residue of a mod p^k."""
+        """Canonical residue of a mod p^k.  A polynomial of degree below
+        deg(p^k) is its own residue, and is not divided."""
         if self.linear:
             return a & ((1 << (self.w * k)) - 1)
+        if a.bit_length() <= self.w * self.d * k:
+            return a
         return self._divmod_pow(a, k)[1]
 
     def divmod_p(self, a: int, j: int) -> Tuple[int, int]:
@@ -346,6 +361,8 @@ class _Kernel:
         """p-adic valuation of a nonzero a."""
         if self.linear:
             return ((a & -a).bit_length() - 1) // self.w
+        if a.bit_length() <= self.w * self.d:
+            return 0  # degree below deg(p): a residue, so a unit
         v = 0
         while True:
             quot, rem = self._divmod_poly(a, self.p)
@@ -560,6 +577,7 @@ class ChainRing:
         return self.kernel.sub(a, b)
 
     def mul(self, a: int, b: int) -> int:
+        """a * b mod p^k; a product below depth k is not divided."""
         return self.kernel.mulmod(a, b, self.k)
 
     def neg(self, a: int) -> int:
@@ -577,6 +595,8 @@ class ChainRing:
 
     def unit_part(self, a: int, v: int) -> int:
         """u with a = u * pi^v, given val(a) >= v."""
+        if not v:
+            return a
         quot, rem = self.kernel.divmod_p(a, v)
         if rem:
             raise InvariantError("inexact chain-ring division")
@@ -592,6 +612,87 @@ class ChainRing:
 
 Vec = Tuple[int, ...]
 Matrix = List[List[int]]
+
+
+def _place_pivot(ring: ChainRing, A: Matrix, t: int
+                 ) -> Tuple[Optional[int], int]:
+    """Move the pivot of step t to A[t][t] and return its former row and
+    its valuation; (None, k) when the trailing submatrix A[t:, t:] is zero
+    mod p^k.  The pivot is the first entry of least valuation there, in
+    row-major order."""
+    best, e = None, ring.k
+    val = ring.val
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, len(row)):
+            if row[j]:
+                v = val(row[j])
+                if v < e:
+                    best, e = (i, j), v
+                    if not v:
+                        break
+        if not e:
+            break
+    if best is None:
+        return None, e
+    i0, j0 = best
+    if i0 != t:
+        A[i0], A[t] = A[t], A[i0]
+    if j0 != t:
+        for row in A[t:]:
+            row[j0], row[t] = row[t], row[j0]
+    return i0, e
+
+
+def _pad_ascending(exps: List[int], r: int, k: int) -> None:
+    """Give the rows without a pivot exponent k, and check that minimum-
+    valuation pivoting left the exponents ascending."""
+    exps.extend([k] * (r - len(exps)))
+    if any(exps[i] > exps[i + 1] for i in range(r - 1)):
+        raise InvariantError(f"Smith exponents not ascending: {exps}")
+
+
+def smith_exponents(ring: ChainRing, rows: Sequence[Sequence[int]]
+                    ) -> Tuple[int, ...]:
+    """The Smith exponents of the r x L matrix with the given rows over
+    A/p^k: the first component of `smith_form_left` of its columns, with
+    the same pivots, from row operations that invert nothing.
+
+    With the pivot pi^e u of step t (u a unit), row i becomes
+    u * row i - (x / pi^e) * row t, where x is its entry in the pivot
+    column: a product with the unit u, not with u^-1, which is invertible
+    all the same and clears x exactly.  No transform is built, so there is
+    no U U^-1 check.  Only the columns right of the pivot are updated; the
+    pivot row and column are never read again.  Entries stay canonical
+    representatives, of degree below deg(p^k), since `ChainRing.mul`
+    divides a product by p^k only when it reaches that depth.
+    """
+    k = ring.k
+    A = [list(row) for row in rows]
+    r, L = len(A), len(A[0])
+    mul, sub = ring.mul, ring.sub
+    exps: List[int] = []
+    for t in range(min(r, L)):
+        i0, e = _place_pivot(ring, A, t)
+        if i0 is None:
+            break
+        prow = A[t][t + 1:]
+        u = ring.unit_part(A[t][t], e)
+        for i in range(t + 1, r):
+            row = A[i]
+            x = row[t]
+            if not x:
+                continue
+            c = ring.unit_part(x, e)
+            if u == 1:
+                row[t + 1:] = [sub(a, mul(c, b)) if b else a
+                               for a, b in zip(row[t + 1:], prow)]
+            else:
+                row[t + 1:] = [sub(mul(u, a), mul(c, b))
+                               for a, b in zip(row[t + 1:], prow)]
+        exps.append(e)
+    _pad_ascending(exps, r, k)
+    return tuple(exps)
 
 
 def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
@@ -616,29 +717,13 @@ def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
     U_inv = [row[:] for row in U]
     exps: List[int] = []
     for t in range(min(r, L)):
-        best, e = None, k
-        for i in range(t, r):
-            row = A[i]
-            for j in range(t, L):
-                if row[j]:
-                    v = ring.val(row[j])
-                    if v < e:
-                        best, e = (i, j), v
-                        if not v:
-                            break
-            if best is not None and not e:
-                break
-        if best is None:
+        i0, e = _place_pivot(ring, A, t)
+        if i0 is None:
             break
-        i0, j0 = best
         if i0 != t:
-            A[i0], A[t] = A[t], A[i0]
             U_inv[i0], U_inv[t] = U_inv[t], U_inv[i0]
             for row in U:
                 row[i0], row[t] = row[t], row[i0]
-        if j0 != t:
-            for row in A[t:]:
-                row[j0], row[t] = row[t], row[j0]
         prow, irow = A[t], U_inv[t]
         u_inv = ring.inv(ring.unit_part(prow[t], e))
         for i in range(t + 1, r):
@@ -655,9 +740,7 @@ def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
                 if row[i]:
                     row[t] = ring.add(row[t], ring.mul(c, row[i]))
         exps.append(e)
-    exps.extend([k] * (r - len(exps)))
-    if any(exps[i] > exps[i + 1] for i in range(r - 1)):
-        raise InvariantError(f"Smith exponents not ascending: {exps}")
+    _pad_ascending(exps, r, k)
     for i in range(r):
         for j in range(r):
             acc = 0

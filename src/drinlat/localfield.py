@@ -5,7 +5,9 @@ A nonzero element is pi^val times a unit of A_p known modulo pi^prec; the
 unit is kept as its canonical residue mod p^prec in the packed-integer
 encoding of `_chainring`, so additions and products are packed-polynomial
 operations; the inverse of a constant unit is its inverse in F_q, and
-any other inverse a Newton iteration.  The pi-adic digits are
+any other inverse a Newton iteration.  The elementary divisors of a
+matrix of exact entries come from the packed elimination of `_chainring`
+(`smith_exponents`), which inverts nothing.  The pi-adic digits are
 read off the unit only for display (`digits`, `to_json`, `__repr__`).
 Any operation that cannot certify a valuation at working precision raises
 PrecisionExhausted instead of guessing.  The default precision is 12
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
-from ._chainring import ChainRing, _kernel, smith_form_left
+from ._chainring import ChainRing, _kernel, smith_exponents, smith_form_left
 from .errors import (BudgetExceeded, InvariantError, NotContained,
                      NotSaturated, PrecisionExhausted, Singular)
 from .ffpoly import (FiniteField, Poly, Prime, poly_to_str, residue_field)
@@ -379,7 +381,14 @@ class LocalMatrix:
         return all(e.is_integral() for row in self.rows for e in row)
 
     def elementary_divisors(self) -> Tuple[int, ...]:
-        return _snf_full(self, transforms=False)[0]
+        """Ascending exponents of the Smith form.  An exact matrix takes
+        them from the packed elimination (`_exact_divisors`); any other
+        matrix, and any exact one that elimination cannot certify, from
+        `_snf_full`."""
+        exps = _exact_divisors(self)
+        if exps is None:
+            exps = _snf_full(self, transforms=False)[0]
+        return exps
 
     def det_valuation(self) -> int:
         return sum(self.elementary_divisors())
@@ -410,6 +419,36 @@ def _elem_add_colmult(mat: List[List[LocalElement]], dst: int, src: int,
                       c: LocalElement) -> None:
     for row in mat:
         row[dst] = row[dst].add(c.mul(row[src]))
+
+
+def _exact_divisors(M: LocalMatrix) -> Optional[Tuple[int, ...]]:
+    """The elementary divisors of an all-exact M from `smith_exponents`,
+    or None where `_snf_full` must decide.
+
+    With e_1 the least entry valuation and P the working precision,
+    pi^-e_1 M has entries in A, packed into A/p^P.  Its Smith exponents
+    there are min(s_i, P) for the true exponents s_i of pi^-e_1 M, so they
+    are certified when all are below P, and e_1 + s_i is the answer.
+    `_snf_full` keeps every entry known mod pi^(e_1 + P), so in exactly
+    that case it certifies the same exponents; an exponent that reaches P
+    (a singular M among them) is left to it, and so are its refusals.
+    """
+    if not all(e.exact for row in M.rows for e in row):
+        return None
+    vals = [e.val for row in M.rows for e in row if e.kind == "n"]
+    if not vals:
+        return None
+    e1 = min(vals)
+    prec = M.working_precision()
+    ring = ChainRing(M.prime, prec)
+    kr = ring.kernel
+    rows = [[kr.mod(kr.shl(e.unit, e.val - e1), prec)
+             if e.kind == "n" and e.val - e1 < prec else 0 for e in row]
+            for row in M.rows]
+    exps = smith_exponents(ring, rows)
+    if exps[-1] >= prec:
+        return None
+    return tuple(e1 + s for s in exps)
 
 
 def _snf_full(M: LocalMatrix, transforms: bool = True):

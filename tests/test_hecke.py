@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hecke_oracle import char_poly_expanded, hecke_degree_enumerated
 
-from drinlat import acceptance
+from drinlat import _chainring, acceptance
 from drinlat.errors import PrecisionExhausted, QuotientInsufficient
 from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
                             primes_of_degree)
@@ -461,6 +461,50 @@ class TestUnboundednessSamples:
         elem = HeckeElement(T3, 2, standard_hecke_matrix(T3, 2),
                             LocalMatrix.identity(T3, 2), 3)
         assert unboundedness_sample_check(elem, samples=20, seed=5).all_pass
+
+    @pytest.mark.parametrize("prime", [
+        prime_from_str("t^2+1", F3),
+        primes_of_degree(FiniteField.of_order(2, 2), 2)[0]], ids=str)
+    def test_degrees_of_exact_conjugates_without_inverting(self, prime,
+                                                           monkeypatch):
+        # the elementary divisors of an exact matrix come from the packed
+        # elimination, which multiplies by pivot units and inverts none
+        rng = random.Random(f"conjugates:{prime}")
+        cases = [(r, prec, _exact_conjugate(prime, r, prec, rng))
+                 for r in (2, 3) for prec in (12, 30) for _ in range(3)]
+
+        def refuse(*args):
+            raise AssertionError("Hecke degree inverted a unit")
+
+        monkeypatch.setattr(LocalElement, "inv", refuse)
+        monkeypatch.setattr(_chainring._Kernel, "inv", refuse)
+        for r, prec, g in cases:
+            assert g.elementary_divisors() == (-1,) + (0,) * (r - 1)
+            assert (hecke_degree(g, budget=prime.residue_size ** (r * r))
+                    == prime.residue_size ** (r - 1))
+
+
+def _exact_conjugate(prime, r, prec, rng):
+    """k_1 diag(pi^-1, 1, ..., 1) k_2 with k_1, k_2 in GL_r(A): products of
+    a unit lower and a unit upper triangular matrix with entries of degree
+    <= 2 in t, each conjugated by a random permutation."""
+    F = prime.field
+
+    def unimodular():
+        def tri(lower):
+            return [[Poly.one(F) if i == j else
+                     Poly(F, [rng.randrange(F.size) for _ in range(3)])
+                     if (i > j) == lower else Poly.zero(F)
+                     for j in range(r)] for i in range(r)]
+        perm = list(range(r))
+        rng.shuffle(perm)
+        lo, up = (LocalMatrix.from_polys(prime, tri(s), prec)
+                  for s in (True, False))
+        m = lo @ up
+        return LocalMatrix(prime, [[m.entry(perm[i], perm[j])
+                                    for j in range(r)] for i in range(r)])
+
+    return unimodular() @ standard_hecke_matrix(prime, r, prec) @ unimodular()
 
 
 # the packed sampler of a HeckeElement against the raw-matrix branch on the

@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+import time
 
 import pytest
 from howell_oracle import (_chain_matvec, _hom_module, enumerate_module,
@@ -283,6 +284,130 @@ class TestExponentsOnlySNF:
             assert outcomes[0] == outcomes[1]
             seen.add(outcomes[0] if isinstance(outcomes[0], type) else tuple)
         assert seen == {tuple, Singular, PrecisionExhausted}
+
+    # all-exact matrices take the packed elimination (`_exact_divisors`)
+    # and fall back to `_snf_full` where it cannot certify
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+    def test_exact_matrices_match_full_snf(self, p, e):
+        F = FiniteField.of_order(p, e)
+        seen = set()
+        for prime in (prime_from_str("t", F), prime_from_str("t+1", F),
+                      primes_of_degree(F, 2)[0]):
+            rng = random.Random(f"exact-snf:{F.size}:{prime}")
+            for r in range(1, 7):
+                for prec in (1, 2, 3, 12, 30):
+                    for _ in range(4 if r <= 4 else 1):
+                        m = _random_exact(prime, r, prec, rng)
+                        fast = localfield._exact_divisors(m)
+                        want = _outcome(
+                            lambda: localfield._snf_full(m, False)[0])
+                        if fast is not None:
+                            assert fast == want
+                        assert _outcome(m.elementary_divisors) == want
+                        seen.add("packed" if fast is not None
+                                 else _refusal(want) or "fallback")
+        assert seen == {"packed", "fallback", Singular, PrecisionExhausted}
+
+    def test_exponent_at_the_window_falls_back(self):
+        # diag(1, t^2) at precision 2: exponent 2 reaches the window, so the
+        # packed elimination cannot certify it and `_snf_full` answers
+        m = LocalMatrix.diagonal(T2, [elem(T2, "1", 2), elem(T2, "t^2", 2)])
+        assert localfield._exact_divisors(m) is None
+        assert m.elementary_divisors() == (0, 2)
+
+    @pytest.mark.parametrize("rows", [[["1", "1"], ["1", "1"]],
+                                      [["1+t", "t"], ["1+t", "t"]]])
+    @pytest.mark.parametrize("prec", [2, 12, 30])
+    def test_exactly_singular_keeps_its_refusal(self, rows, prec):
+        # `_snf_full` clears with a truncated pivot inverse, so the exact
+        # cancellation comes back as O(pi^m): PrecisionExhausted, not
+        # Singular (a refusal kept as it is)
+        m = LocalMatrix(T2, [[elem(T2, s, prec) for s in row] for row in rows])
+        assert localfield._exact_divisors(m) is None
+        with pytest.raises(PrecisionExhausted, match="no certifiable pivot"):
+            m.elementary_divisors()
+
+    def test_dense_exact_r10_no_slower(self):
+        # a D b with dense exact a, b of degree <= 3: entries stay below
+        # deg(p^P), so the packed elimination at precision 30 costs no more
+        # than the one in LocalElement operations
+        F = P3.field
+        rng = random.Random("dense-r10")
+        a, b = (LocalMatrix(P3, [[LocalElement.from_poly(
+            P3, random_poly(F, 3, rng), 30) for _ in range(10)]
+            for _ in range(10)]) for _ in range(2))
+        d = LocalMatrix.diagonal(P3, [pi_pow(P3, e, 30) for e in
+                                      (0, 0, 0, 0, 0, 0, 1, 1, 2, 3)])
+        m = a @ d @ b
+        packed = localfield._exact_divisors(m)
+        assert packed == localfield._snf_full(m, False)[0]
+        assert packed == (0, 0, 0, 0, 0, 0, 1, 1, 2, 3)
+
+        def best(f):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                f()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+        assert (best(m.elementary_divisors)
+                <= best(lambda: localfield._snf_full(m, False)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_doubling_precision_keeps_answers(self, data):
+        # precision P -> 2P never changes an answer; it can only turn a
+        # PrecisionExhausted into an answer
+        prime = data.draw(st.sampled_from([T2, T3, P3, prime_from_str(
+            "t^2+t+1", F2), prime_from_str("t+1", FiniteField.of_order(5))]))
+        r = data.draw(st.integers(1, 4))
+        prec = data.draw(st.integers(1, 8))
+        q = prime.field.size
+        specs = [[data.draw(st.one_of(st.none(), st.tuples(
+            st.lists(st.integers(0, q - 1), min_size=1, max_size=5),
+            st.integers(-2, 3)))) for _ in range(r)] for _ in range(r)]
+
+        def at(p):
+            m = LocalMatrix(prime, [[
+                LocalElement.zero(prime) if s is None or not any(s[0])
+                else LocalElement.from_poly(
+                    prime, Poly(prime.field, s[0]), p).shift(s[1])
+                for s in row] for row in specs])
+            return _outcome(m.elementary_divisors)
+
+        low, high = at(prec), at(2 * prec)
+        if _refusal(low) is PrecisionExhausted:
+            assert _refusal(high) in (PrecisionExhausted, None)
+        elif _refusal(low):
+            assert _refusal(high) is _refusal(low)
+        else:
+            assert high == low
+
+
+def _refusal(outcome):
+    """The refusal type of an `_outcome`, None for an answer."""
+    return outcome[0] if isinstance(outcome[0], type) else None
+
+
+def _random_exact(prime, r, prec, rng):
+    """An r x r matrix of exact entries pi^v f, f of degree <= 2 deg(p)
+    and v in -2..3, a quarter of them zero, with a repeated row one time
+    in five."""
+    F = prime.field
+    rows = []
+    for _ in range(r):
+        row = []
+        for _ in range(r):
+            f = random_poly(F, 2 * prime.degree, rng)
+            if rng.random() < 0.25 or f.is_zero():
+                row.append(LocalElement.zero(prime))
+            else:
+                row.append(LocalElement.from_poly(prime, f, prec)
+                           .shift(rng.randrange(-2, 4)))
+        rows.append(row)
+    if r > 1 and rng.random() < 0.2:
+        rows[-1] = list(rows[0])
+    return LocalMatrix(prime, rows)
 
 
 def _random_invertible(prime, r, rng, val_range=(0, 2), prec=12):

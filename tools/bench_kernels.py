@@ -35,10 +35,16 @@ lattices, each called 5 times per repeat (at the default budget, so
 budget and precision refusals are timed too, as the library raises them);
 `LocalMatrix.inverse` per call on 10 seeded invertible r x r matrices
 (r = 2, 3, 4) at p = t over F_2, F_3, F_4 and F_5, at precisions 12 and
-30; `unboundedness_sample_check` per sample of a HeckeElement at p = t
-over F_2 (r = 2-6, precisions 12 and 30) and at t^2+1 over F_3 (r = 2),
-and `char_poly` of seeded dense inexact r = 6 matrices at p = t over F_2,
-precision 12; the carry-less product `_clmul` on 200 seeded pairs of
+30; `LocalMatrix.elementary_divisors` per call on 10 seeded exact
+conjugates k_1 diag(pi^-1, 1, ..., 1) k_2, k_i in GL_r(A) with entries of
+degree <= 2 (rows `conj`: F_3 and F_4, the first prime of degree 1 and
+of degree 2, r = 2 and 3, precisions 12 and 30; exact matrices take the
+packed elimination), and on 10 seeded 3 x 3 matrices of ratios f/g at
+p = t over F_3, precision 12 (row `ratio`: inexact entries, which take
+`_snf_full`); `unboundedness_sample_check` per sample of a HeckeElement
+at p = t over F_2 (r = 2-6, precisions 12 and 30) and at t^2+1 over F_3
+(r = 2), and `char_poly` of seeded dense inexact r = 6 matrices at p = t
+over F_2, precision 12; the carry-less product `_clmul` on 200 seeded pairs of
 6, 12, 24 and 72 bits; `Poly.is_irreducible` on the first 20 irreducible
 polynomials of degree 4 and 8 over F_2 and F_3;
 cold good-prime scans (prime-list and residue-field caches cleared
@@ -124,6 +130,7 @@ def main() -> None:
     out.update(_stabilizer_rows())
     out.update(_hom_rows())
     out.update(_inverse_rows())
+    out.update(_divisor_rows())
     out.update(_goodprime_rows())
     out.update(_cli_rows(args.src))
     out.update(_hecke_sample_rows())
@@ -343,6 +350,62 @@ def _inverse_rows() -> dict:
                     mats.append(m)
                 out[f"inverse|q={F.size}|r={r}|prec={prec}"] = _timing(
                     lambda: [m.inverse() for m in mats], len(mats), 1e6)
+    return out
+
+
+def _divisor_rows() -> dict:
+    """Elementary divisors of exact Hecke conjugates and of a matrix of
+    ratios."""
+    from drinlat.errors import PrecisionExhausted, Singular
+    from drinlat.ffpoly import FiniteField, Poly, primes_of_degree
+    from drinlat.hecke import standard_hecke_matrix
+    from drinlat.localfield import LocalElement, LocalMatrix
+
+    def unimodular(prime, r, prec, rng):
+        # a unit lower times a unit upper triangular matrix over A
+        F = prime.field
+        tri = [[[Poly.one(F) if i == j else
+                 Poly(F, [rng.randrange(F.size) for _ in range(3)])
+                 if (i > j) == lower else Poly.zero(F)
+                 for j in range(r)] for i in range(r)]
+               for lower in (True, False)]
+        lo, up = (LocalMatrix.from_polys(prime, m, prec) for m in tri)
+        return lo @ up
+
+    out = {}
+    for p, e in ((3, 1), (2, 2)):
+        F = FiniteField.of_order(p, e)
+        for d in (1, 2):
+            prime = primes_of_degree(F, d)[0]
+            for r in (2, 3):
+                for prec in PRECISIONS:
+                    rng = random.Random(f"divisors:{F.size}:{d}:{r}:{prec}")
+                    core = standard_hecke_matrix(prime, r, prec)
+                    mats = [unimodular(prime, r, prec, rng) @ core
+                            @ unimodular(prime, r, prec, rng)
+                            for _ in range(INVERSE_SAMPLE)]
+                    out[f"elementary_divisors|conj|q={F.size}|d={d}|r={r}"
+                        f"|prec={prec}"] = _timing(
+                        lambda: [m.elementary_divisors() for m in mats],
+                        len(mats), 1e6)
+    F = FiniteField.of_order(3)
+    prime = primes_of_degree(F, 1)[0]
+    rng = random.Random("divisors:ratio")
+
+    def ratio():
+        num = Poly(F, [rng.randrange(3) for _ in range(3)])
+        return LocalElement.from_ratio(prime, num, Poly(F, [1, 1, 2]), 12)
+
+    mats = []
+    while len(mats) < INVERSE_SAMPLE:
+        m = LocalMatrix(prime, [[ratio() for _ in range(3)] for _ in range(3)])
+        try:
+            m.elementary_divisors()
+        except (Singular, PrecisionExhausted):
+            continue
+        mats.append(m)
+    out["elementary_divisors|ratio|q=3|d=1|r=3|prec=12"] = _timing(
+        lambda: [m.elementary_divisors() for m in mats], len(mats), 1e6)
     return out
 
 
