@@ -29,7 +29,7 @@ from .hecke import (HeckeElement, companion_matrix, exhecke_element,
                     hecke_degree, projectively_bounded,
                     standard_hecke_matrix, unboundedness_sample_check)
 from .localfield import (LocalElement, LocalMatrix, OrderStructure,
-                         _residue_echelon, count_matrix_group,
+                         _residue_rank, count_matrix_group,
                          gitter_bound_check, hermite_sublattices,
                          saturation_holds)
 
@@ -87,7 +87,7 @@ def count_matrix_group_exhaustive(prime: Prime, r: int, k: int) -> Tuple[int, in
     for entries in itertools.product(elems, repeat=r * r):
         total += 1
         red = [entries[i * r:(i + 1) * r] for i in range(r)]
-        if len(_residue_echelon(kp, red, r)) == r:
+        if _residue_rank(kp, red, r) == r:
             invertible += 1
     return invertible, total
 

@@ -647,6 +647,7 @@ class OrderStructure:
             raise ValueError("minimal polynomial must be monic")
         self._y_powers = {}  # k -> y_power_blocks over A/p^k
         self._y_residues = None  # y_power_blocks over k(p)
+        self._y_masks = None  # y_power_residues as row masks over F_2
 
     @staticmethod
     def from_min_poly(prime: Prime, r_prime: int, coeffs: Sequence[Poly],
@@ -777,6 +778,14 @@ class OrderStructure:
                 for mat in self.y_power_blocks(ring))
         return self._y_residues
 
+    def y_power_masks(self) -> Tuple[Tuple[int, ...], ...]:
+        """rho(y)^j mod p over k(p) = F_2, each row packed into one int
+        (`_pack_bits`); computed once."""
+        if self._y_masks is None:
+            self._y_masks = tuple(tuple(_pack_bits(row) for row in mat)
+                                  for mat in self.y_power_residues())
+        return self._y_masks
+
 
 def _unramified_factor(prime: Prime, m: int, avoid: Tuple) -> List[Poly]:
     """Lift of the first monic irreducible of degree m over k(p) not in
@@ -853,15 +862,35 @@ def _lattice_columns_chain(lattice, ring: ChainRing) -> List[Tuple[int, ...]]:
 def saturation_holds(order: OrderStructure, lattice) -> bool:
     """Nakayama test of R'.Lambda = R'^(r'): the y-power translates of the
     basis columns must span k(p)^r; the columns are reduced mod p once
-    and translated in k(p)."""
-    prime = order.prime
-    ring = ChainRing(prime, 1)
-    kp = residue_field(prime)
+    and tested by `_saturated`."""
+    ring = ChainRing(order.prime, 1)
+    return _saturated(order, [[ring.to_residue(x) for x in col]
+                              for col in _lattice_columns_chain(lattice, ring)])
+
+
+def _saturated(order: OrderStructure, cols) -> bool:
+    """Whether the y-power translates of the columns over k(p) span
+    k(p)^r.  rho(y)^j acts block by block on k(p)^r = (k(p)^m)^(r').  Over
+    F_2 a block of a column and a row of rho(y)^j are bit masks, and a
+    translated coordinate is the parity of their meet."""
+    kp = residue_field(order.prime)
     m, r = order.m, order.r
     vectors = []
-    for col in _lattice_columns_chain(lattice, ring):
-        res = [ring.to_residue(x) for x in col]
-        # rho(y)^j acts block by block on k(p)^r = (k(p)^m)^(r')
+    if kp.size == 2:
+        full = (1 << m) - 1
+        masks = order.y_power_masks()
+        for col in cols:
+            bits = _pack_bits(col)
+            blocks = [(bits >> b) & full for b in range(0, r, m)]
+            for pw in masks:
+                vec, j = 0, 0
+                for blk in blocks:
+                    for prow in pw:
+                        vec |= ((prow & blk).bit_count() & 1) << j
+                        j += 1
+                vectors.append(vec)
+        return _bit_rank(vectors, r) == r
+    for res in cols:
         for pw in order.y_power_residues():
             vec = []
             for b in range(0, r, m):
@@ -873,13 +902,16 @@ def saturation_holds(order: OrderStructure, lattice) -> bool:
                             acc = kp.add(acc, kp.mul(a, x))
                     vec.append(acc)
             vectors.append(vec)
-    return len(_residue_echelon(kp, vectors, r)) == r
+    return _residue_rank(kp, vectors, r) == r
 
 
-def _residue_echelon(field: FiniteField, vectors, width: int) -> List[List[int]]:
-    """Row echelon basis of the k(p)-span of the vectors, by forward
-    elimination; its length is the rank, so a square matrix is invertible
-    iff the basis has as many rows as the matrix."""
+def _residue_rank(field: FiniteField, vectors, width: int) -> int:
+    """Rank over k(p) of the vectors of length width, so a square matrix
+    is invertible iff its rank is its size.  Over F_2 each vector is
+    packed into one int (`_pack_bits`) and ranked as an xor basis
+    (`_bit_rank`); over any other k(p) by forward elimination."""
+    if field.size == 2:
+        return _bit_rank([_pack_bits(v) for v in vectors], width)
     rows = [list(v) for v in vectors]
     rank = 0
     for col in range(width):
@@ -897,7 +929,29 @@ def _residue_echelon(field: FiniteField, vectors, width: int) -> List[List[int]]
                 rows[i] = [field.sub(a, field.mul(f, b))
                            for a, b in zip(rows[i], top)]
         rank += 1
-    return rows[:rank]
+    return rank
+
+
+def _pack_bits(vec) -> int:
+    """A vector over F_2 as one int, bit j for coordinate j."""
+    return sum(1 << j for j, x in enumerate(vec) if x)
+
+
+def _bit_rank(rows, width: int) -> int:
+    """Rank over F_2 of packed rows of width bits: each row is reduced by
+    the kept rows, keyed by their leading bit, and kept if nonzero."""
+    basis = {}
+    for v in rows:
+        while v:
+            top = v.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                if len(basis) == width:
+                    return width
+                break
+            v ^= b
+    return len(basis)
 
 
 def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
@@ -963,8 +1017,21 @@ def _residue_image(order: OrderStructure, ring: ChainRing, exps, gens):
 def _span_units(kp: FiniteField, r: int, mats):
     """The coefficients c over k(p) of every invertible matrix
     sum c_i mats[i] in the k(p)-span of the r x r matrices mats, one per
-    coefficient vector, found by a rank check (`_residue_echelon`)."""
-    for coeffs in itertools.product(list(kp.elements()), repeat=len(mats)):
+    coefficient vector in `itertools.product` order, found by a rank
+    check (`_residue_rank`).  Over F_2 each matrix is packed into row ints
+    once, and the matrix of c is the xor of the selected ones."""
+    coefficients = itertools.product(list(kp.elements()), repeat=len(mats))
+    if kp.size == 2:
+        packed = [[_pack_bits(row) for row in b] for b in mats]
+        for coeffs in coefficients:
+            rows = [0] * r
+            for c, b in zip(coeffs, packed):
+                if c:
+                    rows = [x ^ y for x, y in zip(rows, b)]
+            if _bit_rank(rows, r) == r:
+                yield coeffs
+        return
+    for coeffs in coefficients:
         mat = [[0] * r for _ in range(r)]
         for c, b in zip(coeffs, mats):
             if c == 0:
@@ -973,26 +1040,31 @@ def _span_units(kp: FiniteField, r: int, mats):
                 for j, v in enumerate(brow):
                     if v:
                         row[j] = kp.add(row[j], kp.mul(c, v))
-        if len(_residue_echelon(kp, mat, r)) == r:
+        if _residue_rank(kp, mat, r) == r:
             yield coeffs
 
 
 def _divisors_and_transforms(lattice, prime: Prime):
-    """(elementary divisors, (depth, U, U^-1) or None) of an integral basis.
+    """(elementary divisors, (depth, U, U^-1) or None, residue columns or
+    None) of an integral basis.
 
-    Polynomial columns are reduced mod p^DEFAULT_PRECISION and run through
-    the packed Smith elimination, which yields the divisors and U with its
-    inverse at once.  Where it cannot certify a pivot (an exponent reaches
-    the depth), and for a Lattice, whose divisors are cached, the divisors
-    come from `Lattice.elementary_divisors`, so its refusals stand."""
-    if not isinstance(lattice, Lattice):
-        ring = ChainRing(prime, DEFAULT_PRECISION)
-        exps, u, u_inv = smith_form_left(
-            ring, _lattice_columns_chain(lattice, ring))
-        if exps[-1] < ring.k:
-            return exps, (ring.k, u, u_inv)
-        lattice = Lattice.from_poly_basis(prime, lattice)
-    return lattice.elementary_divisors, None
+    Polynomial columns are reduced mod p^DEFAULT_PRECISION once.  The
+    packed Smith elimination yields the divisors and U with its inverse
+    at once, and the same packed columns give the basis columns mod p
+    for the saturation test.  Where it cannot certify a pivot (an
+    exponent reaches the depth), and for a Lattice, whose divisors are
+    cached, the divisors come from `Lattice.elementary_divisors`, so its
+    refusals stand; a Lattice has no residue columns here."""
+    if isinstance(lattice, Lattice):
+        return lattice.elementary_divisors, None, None
+    ring = ChainRing(prime, DEFAULT_PRECISION)
+    cols = _lattice_columns_chain(lattice, ring)
+    residues = [[ring.to_residue(x) for x in col] for col in cols]
+    exps, u, u_inv = smith_form_left(ring, cols)
+    if exps[-1] < ring.k:
+        return exps, (ring.k, u, u_inv), residues
+    divisors = Lattice.from_poly_basis(prime, lattice).elementary_divisors
+    return divisors, None, residues
 
 
 def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
@@ -1005,7 +1077,7 @@ def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
     Lambda = U diag(pi^e) A^r: x is in H iff v((U^-1 X U)_ab) >= e_a - e_b
     (`_hom_kernel`), which also gives |H|."""
     prime = order.prime
-    divisors, snf = _divisors_and_transforms(lattice, prime)
+    divisors, snf, residues = _divisors_and_transforms(lattice, prime)
     if min(divisors) < 0:
         raise NotContained("lattice must be integral (scale it first)")
     e_max = max(divisors)
@@ -1013,7 +1085,8 @@ def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
         k = max(1, e_max)
     if k < e_max:
         raise ValueError(f"depth {k} too small: p^{e_max} needed to contain the lattice")
-    if not saturation_holds(order, lattice):
+    if not (saturation_holds(order, lattice) if residues is None
+            else _saturated(order, residues)):
         raise NotSaturated("R'-span of the lattice is not the full module")
     ring = ChainRing(prime, k)
     if snf is not None and snf[0] >= k:

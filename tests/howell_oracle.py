@@ -17,8 +17,8 @@ from typing import Iterator, List, Sequence, Tuple
 from drinlat._chainring import ChainRing
 from drinlat.errors import BudgetExceeded
 from drinlat.ffpoly import residue_field
-from drinlat.localfield import (OrderStructure, _lattice_columns_chain,
-                                _residue_echelon)
+from drinlat.localfield import OrderStructure, _lattice_columns_chain
+from residue_oracle import _residue_echelon
 
 Vec = Tuple[int, ...]
 

@@ -16,7 +16,8 @@ from drinlat.errors import BudgetExceeded
 from drinlat.ffpoly import residue_field
 from drinlat.localfield import (DEFAULT_BUDGET, OrderStructure,
                                 _multiplier_ring, _orbit_index,
-                                _residue_echelon, _x_block_matrix)
+                                _x_block_matrix)
+from residue_oracle import _residue_echelon
 
 
 def _kernel_elements(ring: ChainRing, exps, gens, budget: int):

@@ -9,7 +9,7 @@ from howell_oracle import (_chain_matvec, _hom_module, enumerate_module,
                            howell_form, kernel_rows, module_contains,
                            module_size, saturation_holds_chain, vec_scale)
 from hypothesis import given, settings, strategies as st
-from residue_oracle import _det_residue
+from residue_oracle import _det_residue, _residue_echelon, span_units_walk
 from stabilizer_oracle import _kernel_elements, stabilizer_index_enumerated
 
 from drinlat import localfield
@@ -562,7 +562,9 @@ class TestResidueEchelon:
                 src = rng.sample(range(n), 2)
                 c = rng.choice(elems)
                 mat[src[0]] = [kp.mul(c, x) for x in mat[src[1]]]
-            full = len(localfield._residue_echelon(kp, mat, n)) == n
+            rank = len(_residue_echelon(kp, mat, n))
+            assert localfield._residue_rank(kp, mat, n) == rank, mat
+            full = rank == n
             assert full == (_det_residue(kp, mat) != 0), mat
             seen[full] += 1
         assert seen[True] and seen[False], seen
@@ -583,8 +585,30 @@ class TestResidueEchelon:
                 for c, vec in zip(coeffs, vecs):
                     v = [kp.add(a, kp.mul(c, b)) for a, b in zip(v, vec)]
                 span.add(tuple(v))
-            basis = localfield._residue_echelon(kp, vecs, width)
+            basis = _residue_echelon(kp, vecs, width)
             assert kp.size ** len(basis) == len(span), vecs
+
+    @pytest.mark.parametrize("field,prime", RESIDUE_PRIMES,
+                             ids=[f"q={F.size},{p}" for F, p in RESIDUE_PRIMES])
+    def test_rank_matches_echelon_oracle(self, field, prime):
+        # over k(p) = F_2 the rank is taken on bit rows, elsewhere on lists
+        kp = residue_field(prime_from_str(prime, field))
+        elems = list(kp.elements())
+        rng = random.Random(f"rank:{kp.size}:{prime}")
+        ranks = set()
+        for width in range(1, 10):
+            for _ in range(25):
+                n = rng.randint(0, width + 3)  # more rows than width too
+                vecs = [[rng.choice(elems) if rng.random() < 0.6 else 0
+                         for _ in range(width)] for _ in range(n)]
+                if vecs and rng.random() < 0.4:
+                    vecs.append([0] * width)
+                    vecs.append(list(rng.choice(vecs)))
+                    rng.shuffle(vecs)
+                want = len(_residue_echelon(kp, vecs, width))
+                assert localfield._residue_rank(kp, vecs, width) == want, vecs
+                ranks.add((width, want == min(width, len(vecs))))
+        assert {(w, full) for w in (1, 9) for full in (True, False)} <= ranks
 
 
 class TestHowell:
@@ -721,6 +745,19 @@ class TestStabilizerIndex:
                 [Poly.zero(F2), poly_from_str("t", F2)]]
         with pytest.raises(NotSaturated):
             stabilizer_index(cols, S, k=1)
+        # the gates run in order: integrality, depth, saturation, budget
+        t = poly_from_str("t", F2)
+        deep = [[t, Poly.zero(F2)], [Poly.zero(F2), t * t]]
+        outside = Lattice(LocalMatrix.diagonal(T2, [pi_pow(T2, -1)] * 2))
+        for f in (stabilizer_index, gitter_bound_check):
+            for budget in (1, DEFAULT_BUDGET):
+                with pytest.raises(NotSaturated, match=(
+                        r"^R'-span of the lattice is not the full module$")):
+                    f(cols, S, None, budget)
+                with pytest.raises(ValueError, match="depth 1 too small"):
+                    f(deep, S, 1, budget)
+                with pytest.raises(NotContained):
+                    f(outside, S, None, budget)
 
     def test_gitter_bound_cases(self):
         S = OrderStructure.unramified(T2, 1, 2)
@@ -766,6 +803,23 @@ class TestStabilizerAgainstEnumeration:
                 assert gitter_bound_check(cols, order, k) == bound, (cols, k)
                 cases += 1
         assert cases
+
+    @pytest.mark.parametrize("name,order", _gitter_structures(),
+                             ids=[name for name, _ in _gitter_structures()])
+    def test_span_units_match_list_walker(self, name, order):
+        # every H-bar basis of the census grid (exponent <= 3), plus bases
+        # over F_3, where both sides walk entry lists
+        cases = [(cols, order) for cols, _ in _saturated_sublattices(order, 3)]
+        cases += [(cols, other) for other in _rank_two_orders(T3)[:1]
+                  for cols, _ in _saturated_sublattices(other, 1)]
+        for cols, o in cases:
+            ring, hom, _, _ = localfield._multiplier_ring(
+                cols, o, None, DEFAULT_BUDGET)
+            basis = localfield._residue_image(o, ring, *hom)
+            kp = residue_field(o.prime)
+            got = list(localfield._span_units(kp, o.r, basis))
+            assert got == list(span_units_walk(kp, o.r, basis)), cols
+            assert got
 
     def test_same_budget_refusal(self):
         S = OrderStructure.unramified(T2, 1, 2)
@@ -902,6 +956,13 @@ OTHER_PRIMES = [(prime_from_str("t^2+t+1", F2), 2),
                 (primes_of_degree(F4, 1)[-1], 2), (primes_of_degree(F4, 2)[0], 1)]
 
 
+def _saturated_from_packed(order, cols):
+    """The saturation test as `stabilizer_index` runs it: on the residues
+    read off the columns packed for its Smith form."""
+    residues = localfield._divisors_and_transforms(cols, order.prime)[2]
+    return localfield._saturated(order, residues)
+
+
 class TestSaturationOverResidueField:
     """saturation_holds in k(p) arithmetic against the depth-1 chain-ring
     construction it replaced."""
@@ -913,6 +974,7 @@ class TestSaturationOverResidueField:
         for _, cols in hermite_sublattices(order.prime, order.r, 4):
             want = saturation_holds_chain(order, cols)
             assert saturation_holds(order, cols) == want, cols
+            assert _saturated_from_packed(order, cols) == want, cols
             seen[want] += 1
         assert seen[True] and seen[False], seen
 
@@ -923,9 +985,11 @@ class TestSaturationOverResidueField:
         for order in _rank_two_orders(prime):
             for _, cols in hermite_sublattices(prime, order.r, max_exp):
                 lat = Lattice.from_poly_basis(prime, cols)
+                want = saturation_holds_chain(order, cols)
+                assert _saturated_from_packed(order, cols) == want, cols
                 for arg in (cols, lat):
                     assert saturation_holds(order, arg) == \
-                        saturation_holds_chain(order, arg), cols
+                        saturation_holds_chain(order, arg) == want, cols
 
 
 class TestMultiplierRingFromSmithForm:

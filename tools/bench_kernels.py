@@ -33,6 +33,13 @@ index, at the least depth k >= 1 with p^k inside both, and
 `saturate_lattice` per call on a seeded sample of up to 40 unsaturated
 lattices, each called 5 times per repeat (at the default budget, so
 budget and precision refusals are timed too, as the library raises them);
+on the census grid of `perfbench`'s `lattice-census` (criterion 2's orders,
+Hermite sublattices of exponent <= 3), per order, `saturation_holds` per
+call on every lattice, and per call the unit walk `_span_units` over the
+basis of H mod p of every saturated lattice, at the depth
+`stabilizer_index` uses; the rank over k(p) of 200 seeded 3 x 3 matrices
+over F_2 (bit rows) and F_3 (entry lists) at p = t, per matrix, by
+`_residue_rank` (a checkout without it ranks by `_residue_echelon`);
 `LocalMatrix.inverse` per call on 10 seeded invertible r x r matrices
 (r = 2, 3, 4) at p = t over F_2, F_3, F_4 and F_5, at precisions 12 and
 30; `LocalMatrix.elementary_divisors` per call on 10 seeded exact
@@ -129,6 +136,7 @@ def main() -> None:
     out.update(_layer0_rows())
     out.update(_stabilizer_rows())
     out.update(_hom_rows())
+    out.update(_census_rows())
     out.update(_inverse_rows())
     out.update(_divisor_rows())
     out.update(_goodprime_rows())
@@ -321,6 +329,46 @@ def _hom_rows() -> dict:
             lambda: [refused(saturate_lattice, order, lat)
                      for _ in range(STABILIZER_ROUNDS) for lat in sample],
             STABILIZER_ROUNDS * len(sample), 1e6)
+    return out
+
+
+def _census_rows() -> dict:
+    """The k(p) layer of the census: saturation tests, unit walks and
+    ranks."""
+    from drinlat import localfield
+    from drinlat.acceptance import _gitter_structures
+    from drinlat.ffpoly import FiniteField, prime_from_str, residue_field
+    from drinlat.localfield import (DEFAULT_BUDGET, _multiplier_ring,
+                                    _residue_image, _span_units,
+                                    hermite_sublattices, saturation_holds)
+
+    out = {}
+    for name, order in _gitter_structures():
+        grid = [cols for _, cols in hermite_sublattices(order.prime, order.r, 3)]
+        out[f"saturation_holds|{name}"] = _timing(
+            lambda: [saturation_holds(order, cols) for cols in grid],
+            len(grid), 1e6)
+        kp = residue_field(order.prime)
+        bases = []
+        for cols in grid:
+            if saturation_holds(order, cols):
+                ring, hom, _, _ = _multiplier_ring(cols, order, None,
+                                                   DEFAULT_BUDGET)
+                bases.append(_residue_image(order, ring, *hom))
+        out[f"span_units|{name}"] = _timing(
+            lambda: [sum(1 for _ in _span_units(kp, order.r, basis))
+                     for basis in bases], len(bases), 1e6)
+    rank = getattr(localfield, "_residue_rank", None)
+    if rank is None:
+        def rank(field, vectors, width):
+            return len(localfield._residue_echelon(field, vectors, width))
+    for q in (2, 3):
+        kp = residue_field(prime_from_str("t", FiniteField.of_order(q)))
+        rng = random.Random(f"rank:{q}")
+        mats = [[[rng.randrange(q) for _ in range(3)] for _ in range(3)]
+                for _ in range(200)]
+        out[f"residue_rank|q={q}|r=3"] = _timing(
+            lambda: [rank(kp, mat, 3) for mat in mats], len(mats), 1e6)
     return out
 
 
