@@ -20,9 +20,9 @@ parts have finite order in characteristic p).  The power/SNF-spread
 cross-check in the test suite exercises that converse independently.
 The sampled unboundedness check of a Hecke element computes each sample
 over A, in packed polynomials with exact products, and only the
-valuations of its coefficients leave the kernel; on a raw matrix it
-runs in `LocalMatrix` arithmetic, and so is the oracle of the packed
-samples.
+valuations of its coefficients leave the kernel.  Its oracle,
+`tests/hecke_oracle.py`'s `unboundedness_sample_matrix`, draws the same
+samples and computes them in `LocalMatrix` arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 from ._chainring import _kernel
 from .errors import (BudgetExceeded, InvariantError, PrecisionExhausted,
                      QuotientInsufficient)
-from .ffpoly import Poly, Prime
+from .ffpoly import Prime
 from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, LocalElement,
                          LocalMatrix)
 
@@ -328,8 +328,8 @@ class SampleReport(NamedTuple):
         return self.passes == self.samples
 
 
-def unboundedness_sample_check(g: Union[LocalMatrix, HeckeElement],
-                               samples: int = 100, seed: int = 0,
+def unboundedness_sample_check(elem: HeckeElement, samples: int = 100,
+                               seed: int = 0,
                                precision: int = DEFAULT_PRECISION) -> SampleReport:
     """Sample k_1, k_2 in the depth-1 congruence group and certify that
     the characteristic polynomial of k_2 D k_1 has v(a_0) = -1,
@@ -338,25 +338,22 @@ def unboundedness_sample_check(g: Union[LocalMatrix, HeckeElement],
     finite group, so k_2 D k_1 has the distribution of k_2^-1 D k_1^-1
     without inverting anything.
 
-    For a HeckeElement the diagonal model D = diag(pi^-1, 1, ..., 1) is
-    used (equivalent by normality of K(p) under GL_r(A_p)), and each
-    sample is computed over A in the packed kernel (`_packed_sample`):
-    only the valuations of the coefficients leave it.  A raw matrix is
-    checked as given, in `LocalMatrix` arithmetic, which accepts inexact
-    entries and exercises the failure path for bounded inputs; on
-    `standard_hecke_matrix(prime, r, precision)` it draws the same k_i
-    and is the packed path's oracle.
+    D is the diagonal model diag(pi^-1, 1, ..., 1) of the element
+    (equivalent by normality of K(p) under GL_r(A_p)), and each sample is
+    computed over A in the packed kernel (`_packed_sample`): only the
+    valuations of the coefficients leave it.  Anything but a HeckeElement
+    is refused with TypeError, and fewer than one sample with ValueError,
+    before any draw.
     """
-    prime, r = g.prime, g.r
+    if not isinstance(elem, HeckeElement):
+        raise TypeError(f"expected a HeckeElement, got "
+                        f"{type(elem).__name__}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    prime, r = elem.prime, elem.r
     outcomes = []
     for idx in range(samples):
-        rng = random.Random((seed << 20) ^ (idx * 1000003 + 1))
-        if isinstance(g, HeckeElement):
-            cp = _packed_sample(prime, r, rng, precision)
-        else:
-            k1 = _random_congruence_matrix(prime, r, rng, precision)
-            k2 = _random_congruence_matrix(prime, r, rng, precision)
-            cp = char_poly(k2 @ g @ k1)
+        cp = _packed_sample(prime, r, _sample_rng(seed, idx), precision)
         np_ = newton_polygon(cp)
         v0 = cp[0].val if cp[0].kind == "n" else None
         vtop = cp[r - 1].val if cp[r - 1].kind == "n" else None
@@ -365,19 +362,24 @@ def unboundedness_sample_check(g: Union[LocalMatrix, HeckeElement],
     return SampleReport(str(prime), r, samples, seed, outcomes)
 
 
+def _sample_rng(seed: int, idx: int) -> random.Random:
+    """The generator of sample idx of a check seeded with seed."""
+    return random.Random((seed << 20) ^ (idx * 1000003 + 1))
+
+
 def _packed_sample(prime: Prime, r: int, rng,
                    precision: int) -> List[LocalElement]:
     """The characteristic polynomial of one sample b = k_2 D k_1, D =
     diag(pi^-1, 1, ..., 1): its coefficients [a_0, ..., a_r] as exact
     powers of pi, since the Newton polygon reads only their valuations.
 
-    The k_i are drawn as `_random_congruence_matrix` draws them, with the
-    same generator calls.  Their entries are polynomials, so B = k_2
-    diag(1, p, ..., p) k_1 = pi b is a matrix over A, formed with exact
-    packed products, and e_i(b) = pi^-i e_i(B) gives v(a_{r-i}) =
-    v(e_i(B)) - i.  The products run on the packed coefficients in t:
-    multiplication does not depend on the variable, and only the r sums
-    e_i(B) are translated to the kernel's variable for their valuation.
+    The k_i come from `_packed_congruence_matrix`.  Their entries are
+    polynomials, so B = k_2 diag(1, p, ..., p) k_1 = pi b is a matrix over
+    A, formed with exact packed products, and e_i(b) = pi^-i e_i(B) gives
+    v(a_{r-i}) = v(e_i(B)) - i.  The products run on the packed
+    coefficients in t: multiplication does not depend on the variable,
+    and only the r sums e_i(B) are translated to the kernel's variable for
+    their valuation.
     """
     kr = _kernel(prime)
     add, mul = kr.add, kr.mul
@@ -407,7 +409,10 @@ def _packed_sample(prime: Prime, r: int, rng,
 
 def _packed_congruence_matrix(kr, r: int, rng, precision: int,
                               p_t: int) -> List[List[int]]:
-    """`_random_congruence_matrix` over A, packed in t: 1 + p*M."""
+    """A uniform element 1 + p*M of K(p) mod p^precision, over A and
+    packed in t.  Each entry of M takes d(precision - 1) coefficients,
+    constant term first, from `rng.randrange(q)`, row by row; the oracle
+    in `tests/hecke_oracle.py` draws the same entries as `LocalElement`s."""
     q = kr.q
     n = kr.d * (precision - 1)
     rows = []
@@ -419,26 +424,6 @@ def _packed_congruence_matrix(kr, r: int, rng, precision: int,
             row.append(kr.add(x, 1) if i == j else x)
         rows.append(row)
     return rows
-
-
-def _random_congruence_matrix(prime: Prime, r: int, rng,
-                              precision: int) -> LocalMatrix:
-    """Uniform element of K(p) mod p^precision: 1 + p*M with M integral."""
-    depth = precision - 1
-    d = prime.degree
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            coeffs = [rng.randrange(prime.field.size) for _ in range(d * depth)]
-            f = Poly(prime.field, coeffs)
-            entry = (LocalElement.zero(prime) if f.is_zero()
-                     else LocalElement.from_poly(prime, f, precision).shift(1))
-            if i == j:
-                entry = entry.add(LocalElement.one(prime, precision))
-            row.append(entry)
-        rows.append(row)
-    return LocalMatrix(prime, rows)
 
 
 def companion_matrix(prime: Prime, coeffs: Sequence[LocalElement]) -> LocalMatrix:

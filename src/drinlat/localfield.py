@@ -637,8 +637,7 @@ class OrderStructure:
         if min_poly is not None:
             self.min_poly = list(min_poly)
         else:
-            self.factor_polys = tuple(tuple(fp) for fp in factor_polys)
-            self.min_poly = _ypoly_product(prime.field, self.factor_polys)
+            self.min_poly = _ypoly_product(prime.field, factor_polys)
         if len(self.min_poly) != self.m + 1:
             raise ValueError(f"minimal polynomial of degree "
                              f"{len(self.min_poly) - 1} for factors of total "

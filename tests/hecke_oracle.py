@@ -6,6 +6,12 @@ principal minor expanded over all permutations, and
 conjugates back into it.  They were `drinlat.hecke` functions until the
 library read both answers in closed form; `tests/test_hecke.py` compares
 `char_poly` and `hecke_degree` with them.
+
+`unboundedness_sample_matrix` is the sampled unboundedness check of a raw
+matrix in `LocalMatrix` arithmetic.  On the standard matrix it draws the
+k_i of `unboundedness_sample_check`, which computes over A in the packed
+kernel and accepts only a `HeckeElement`; on any other matrix, such as a
+bounded companion matrix, it exercises the failure path.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import itertools
 from typing import List, Sequence
 
 from drinlat._chainring import ChainRing
-from drinlat.hecke import _divisors_within
+from drinlat.ffpoly import Poly, Prime
+from drinlat.hecke import (SampleOutcome, SampleReport, _divisors_within,
+                           _sample_rng, char_poly, newton_polygon)
 from drinlat.localfield import DEFAULT_PRECISION, LocalElement, LocalMatrix
 
 
@@ -93,3 +101,51 @@ def hecke_degree_enumerated(g: LocalMatrix, depth: int) -> int:
         if ok:
             count += 1
     return prime.residue_size ** (depth * r * r) // count
+
+
+def unboundedness_sample_matrix(g: LocalMatrix, samples: int = 100,
+                                seed: int = 0,
+                                precision: int = DEFAULT_PRECISION
+                                ) -> SampleReport:
+    """Oracle for `unboundedness_sample_check`: the same verdicts on
+    char_poly(k_2 g k_1), with the k_i of each sample drawn by
+    `random_congruence_matrix` from the sampler's generator."""
+    r = g.r
+    outcomes = []
+    for idx in range(samples):
+        cp = sample_char_poly(g, _sample_rng(seed, idx), precision)
+        segments = newton_polygon(cp).segment_count
+        v0 = cp[0].val if cp[0].kind == "n" else None
+        vtop = cp[r - 1].val if cp[r - 1].kind == "n" else None
+        passed = v0 == -1 and vtop == -1 and segments >= 2
+        outcomes.append(SampleOutcome(idx, v0, vtop, segments, passed))
+    return SampleReport(str(g.prime), r, samples, seed, outcomes)
+
+
+def sample_char_poly(g: LocalMatrix, rng,
+                     precision: int) -> List[LocalElement]:
+    """char_poly(k_2 g k_1) for k_1, then k_2, drawn from rng."""
+    k1 = random_congruence_matrix(g.prime, g.r, rng, precision)
+    k2 = random_congruence_matrix(g.prime, g.r, rng, precision)
+    return char_poly(k2 @ g @ k1)
+
+
+def random_congruence_matrix(prime: Prime, r: int, rng,
+                             precision: int) -> LocalMatrix:
+    """Uniform element of K(p) mod p^precision: 1 + p*M with M integral,
+    its entries drawn as `_packed_congruence_matrix` draws them."""
+    depth = precision - 1
+    d = prime.degree
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            coeffs = [rng.randrange(prime.field.size) for _ in range(d * depth)]
+            f = Poly(prime.field, coeffs)
+            entry = (LocalElement.zero(prime) if f.is_zero()
+                     else LocalElement.from_poly(prime, f, precision).shift(1))
+            if i == j:
+                entry = entry.add(LocalElement.one(prime, precision))
+            row.append(entry)
+        rows.append(row)
+    return LocalMatrix(prime, rows)

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hecke_oracle import char_poly_expanded, hecke_degree_enumerated
+from hecke_oracle import (char_poly_expanded, hecke_degree_enumerated,
+                          random_congruence_matrix, sample_char_poly,
+                          unboundedness_sample_matrix)
 
-from drinlat import _chainring, acceptance
+from drinlat import _chainring, acceptance, hecke
 from drinlat.errors import PrecisionExhausted, QuotientInsufficient
 from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
                             primes_of_degree)
-from drinlat.hecke import (HeckeElement, _random_congruence_matrix,
+from drinlat.hecke import (HeckeElement, _packed_sample, _sample_rng,
                            char_poly, companion_matrix, hecke_degree,
                            newton_polygon, projectively_bounded,
                            standard_hecke_matrix, unboundedness_sample_check)
@@ -143,8 +145,8 @@ class TestCharPolyAgainstExpansion:
             for r in ranks:
                 core = standard_hecke_matrix(prime, r, prec)
                 for _ in range(1 if r >= 5 else 3):
-                    k1 = _random_congruence_matrix(prime, r, rng, prec)
-                    k2 = _random_congruence_matrix(prime, r, rng, prec)
+                    k1 = random_congruence_matrix(prime, r, rng, prec)
+                    k2 = random_congruence_matrix(prime, r, rng, prec)
                     g = k2.inverse() @ core @ k1.inverse()
                     assert _same_elements(char_poly(g), char_poly_expanded(g))
 
@@ -432,10 +434,41 @@ class TestUnboundednessSamples:
         assert report.all_pass
 
     def test_adversarial_companion_reported(self):
+        # the bounded companion matrix fails every sample of the oracle;
+        # the library sampler accepts only a HeckeElement
         g = companion_matrix(T2, [pi_pow(T2, 1).neg(), LocalElement.zero(T2)])
-        report = unboundedness_sample_check(g, samples=5, seed=0)
+        report = unboundedness_sample_matrix(g, samples=5, seed=0)
         assert report.passes == 0
         assert all(o.segments == 1 for o in report.outcomes)
+
+    def test_matrix_refused_before_any_draw(self, monkeypatch):
+        # a LocalMatrix has .prime and .r, so without the guard it would be
+        # sampled as the diagonal model
+        def refuse(*args):
+            raise AssertionError("sampled a matrix")
+
+        monkeypatch.setattr(hecke, "_packed_sample", refuse)
+        with pytest.raises(TypeError):
+            unboundedness_sample_check(LocalMatrix.identity(T2, 2))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_refused(self, samples):
+        # no sample certifies nothing: all_pass would be vacuously true
+        elem = HeckeElement(T2, 2, standard_hecke_matrix(T2, 2),
+                            LocalMatrix.identity(T2, 2), 2)
+        with pytest.raises(ValueError):
+            unboundedness_sample_check(elem, samples=samples)
+
+    @pytest.mark.parametrize("prime,r", [(T2, 2), (T2, 3), (T3, 2), (T4, 3)],
+                             ids=["q=2:r=2", "q=2:r=3", "q=3:r=2", "q=4:r=3"])
+    def test_report_matches_oracle(self, prime, r):
+        elem = HeckeElement(prime, r, standard_hecke_matrix(prime, r),
+                            LocalMatrix.identity(prime, r),
+                            prime.residue_size ** (r - 1))
+        for seed in (0, 7):
+            assert unboundedness_sample_check(elem, 5, seed) == \
+                unboundedness_sample_matrix(standard_hecke_matrix(prime, r),
+                                            5, seed)
 
     def test_seed_changes_but_verdict_stable(self):
         elem = HeckeElement(T2, 2, standard_hecke_matrix(T2, 2),
@@ -507,9 +540,9 @@ def _exact_conjugate(prime, r, prec, rng):
     return unimodular() @ standard_hecke_matrix(prime, r, prec) @ unimodular()
 
 
-# the packed sampler of a HeckeElement against the raw-matrix branch on the
-# standard matrix, which draws the same k_i and computes in LocalMatrix
-# arithmetic: per field, t, t + 1 and the first prime of degree 2
+# the packed sampler of a HeckeElement against the oracle's raw-matrix
+# sampler on the standard matrix, which draws the same k_i and computes in
+# LocalMatrix arithmetic: per field, t, t + 1 and the first prime of degree 2
 SAMPLER_FIELDS = [FiniteField.of_order(p, e)
                   for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))]
 SAMPLER_PRIMES = [pr for F in SAMPLER_FIELDS
@@ -526,12 +559,19 @@ SAMPLER_CASES = [(prime, r, SAMPLER_PRECISIONS[(i + r) % 4])
     ids=[f"q={pr.field.size}:{pr}:r={r}:prec={prec}"
          for pr, r, prec in SAMPLER_CASES])
 def test_packed_sampler_matches_matrix_branch(prime, r, precision):
-    elem = HeckeElement(prime, r, standard_hecke_matrix(prime, r, precision),
-                        LocalMatrix.identity(prime, r, precision),
-                        prime.residue_size ** (r - 1))
+    # every coefficient, not only the verdict: v(a_0) = v(a_{r-1}) = -1 and
+    # two segments hold for every sample, so a report compares nothing of
+    # the middle coefficients
     raw = standard_hecke_matrix(prime, r, precision)
     samples = 1 if r * precision * prime.degree > 60 else 3
     for seed in (0, 11, 2012):
-        packed = unboundedness_sample_check(elem, samples, seed, precision)
-        oracle = unboundedness_sample_check(raw, samples, seed, precision)
-        assert packed == oracle
+        for idx in range(samples):
+            packed = _packed_sample(prime, r, _sample_rng(seed, idx),
+                                    precision)
+            oracle = sample_char_poly(raw, _sample_rng(seed, idx), precision)
+            assert _kinds_and_vals(packed) == _kinds_and_vals(oracle), \
+                (seed, idx)
+
+
+def _kinds_and_vals(coeffs):
+    return [(x.kind, None if x.kind == "z" else x.val) for x in coeffs]
