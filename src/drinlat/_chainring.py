@@ -11,15 +11,15 @@ the valuation the count of trailing zero coefficients and the pi-adic
 digits are the coefficients; `from_poly` and `to_poly` translate.  At
 primes of higher degree the kernel divides by p^k: over F_2 by shift-xor,
 over odd prime fields Barrett-style, over extension fields by long
-division.  The arithmetic is chosen once per prime from the base field.
-Over F_2 a polynomial is a bit vector (add is XOR, mul is shift-xor,
-4 bits at a time above 6 bits); over any other base field the kernel
-unpacks coefficient lists: an odd prime field multiplies them by
-Kronecker substitution (one big-int product), an extension field by
-schoolbook with the field's tables.  No Poly object is built.  A unit is
-inverted by Newton iteration from its residue, except a constant of F_q,
-whose inverse is the constant c^-1 at every precision; at a degree-1
-prime over an odd prime field the iteration runs on coefficient lists.
+division.  Over F_2 a polynomial is a bit vector (add is XOR, mul is
+shift-xor, 4 bits at a time above 6 bits); over any other base field the
+kernel unpacks coefficient lists and calls the `_*_coeffs` functions of
+`ffpoly`, the one sum, product and division per base field; only the
+Barrett division and series inverse over odd prime fields compute on
+their own.  No Poly object is built.  A unit is inverted by Newton
+iteration from its residue, except a constant of F_q, whose inverse is
+the constant c^-1 at every precision; at a degree-1 prime over an odd
+prime field the iteration runs on coefficient lists.
 `localfield` keeps the unit parts of its truncated elements in the same
 encoding.
 
@@ -39,11 +39,8 @@ import operator
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError
-from .ffpoly import Poly, Prime, residue_field
-
-# Extension base fields up to this size get kernel-local add/mul tables;
-# larger ones call the field's methods per coefficient.
-_KERNEL_TABLE_LIMIT = 64
+from .ffpoly import (Poly, Prime, _add_coeffs, _divmod_coeffs, _mul_coeffs,
+                     _neg_coeffs, _reducer, _scale_coeffs, residue_field)
 
 
 class _Kernel:
@@ -71,7 +68,8 @@ class _Kernel:
         # k(p) encodes a residue by its coefficients in base q; that is the
         # packed int itself when q = 2^w or the residue is a constant
         self._direct_residue = q == 1 << self.w or self.d == 1
-        self._setup_coefficients(F)
+        self._char = F.p if F.base is None else None
+        F._fill_coefficient_tables()
         self.p = self.from_poly(prime.poly)
         self._pows = [1, self.p]
         # Barrett division at p^j rests on the Kronecker products of an odd
@@ -83,15 +81,6 @@ class _Kernel:
         # prime costs what the others do
         self.kp.inv(1)
         self._two = self.pack([F.add(1, 1)])  # 1 + 1, zero in characteristic 2
-
-    def _setup_coefficients(self, F) -> None:
-        q = self.q
-        self._char = F.p if F.base is None else None
-        self._mt = self._at = self._nt = None
-        if self._char is None and q <= _KERNEL_TABLE_LIMIT:
-            self._mt = [F.mul(x, y) for x in range(q) for y in range(q)]
-            self._at = [F.add(x, y) for x in range(q) for y in range(q)]
-            self._nt = [F.neg(x) for x in range(q)]
 
     # -- codecs --------------------------------------------------------------
 
@@ -117,120 +106,20 @@ class _Kernel:
 
     def translate(self, a: int, c: int) -> int:
         """f(x + c) for the packed f(x), by Horner's rule."""
+        F = self.field
         out: List[int] = []
-        p = self._char
         for b in reversed(self.unpack(a)):
             # out <- out * (x + c) + b
-            if not out:
-                out = [b]
-            elif p is not None:
-                out = ([(b + c * out[0]) % p]
-                       + [(y + c * z) % p for y, z in zip(out, out[1:])]
-                       + [out[-1]])
-            elif self._mt is not None:
-                at, q = self._at, self.q
-                row = self._mt[c * q:(c + 1) * q]
-                out = ([at[b * q + row[out[0]]]]
-                       + [at[y * q + row[z]] for y, z in zip(out, out[1:])]
-                       + [out[-1]])
-            else:
-                add, mul = self.field.add, self.field.mul
-                out = ([add(b, mul(c, out[0]))]
-                       + [add(y, mul(c, z)) for y, z in zip(out, out[1:])]
-                       + [out[-1]])
+            out = _add_coeffs(F, [b] + out, _scale_coeffs(F, c, out))
         return self.pack(out)
 
-    # -- coefficient lists -----------------------------------------------------
-
-    def _ladd(self, A: List[int], B: List[int]) -> List[int]:
-        if len(A) < len(B):
-            A, B = B, A
-        out = list(A)
-        p = self._char
-        if p is not None:
-            for i, y in enumerate(B):
-                out[i] = (out[i] + y) % p
-        elif self._at is not None:
-            at, q = self._at, self.q
-            for i, y in enumerate(B):
-                out[i] = at[out[i] * q + y]
-        else:
-            add = self.field.add
-            for i, y in enumerate(B):
-                out[i] = add(out[i], y)
-        return out
-
-    def _lneg(self, A: List[int]) -> List[int]:
-        p = self._char
-        if p is not None:
-            return [(-x) % p for x in A]
-        if self._nt is not None:
-            nt = self._nt
-            return [nt[x] for x in A]
-        return [self.field.neg(x) for x in A]
-
-    def _lmul(self, A: List[int], B: List[int], n: int) -> List[int]:
-        """Product coefficients below degree n."""
-        n = min(n, len(A) + len(B) - 1)
-        if n <= 0 or not A or not B:
-            return []
-        p = self._char
-        if p is not None:
-            # Kronecker substitution: one big-int product, with slots wide
-            # enough that no coefficient of the integer product carries
-            W = (min(len(A), len(B), n) * (p - 1) ** 2).bit_length()
-            a = b = 0
-            for c in reversed(A[:n]):
-                a = (a << W) | c
-            for c in reversed(B[:n]):
-                b = (b << W) | c
-            prod, m = a * b, (1 << W) - 1
-            return [((prod >> s) & m) % p for s in range(0, W * n, W)]
-        out = [0] * n
-        if self._mt is not None:
-            mt, at, q = self._mt, self._at, self.q
-            for i, x in enumerate(A[:n]):
-                if x:
-                    row = mt[x * q:(x + 1) * q]
-                    for j, y in enumerate(B[:n - i], i):
-                        if y:
-                            out[j] = at[out[j] * q + row[y]]
-            return out
-        add, mul = self.field.add, self.field.mul
-        for i, x in enumerate(A[:n]):
-            if x:
-                for j, y in enumerate(B[:n - i], i):
-                    if y:
-                        out[j] = add(out[j], mul(x, y))
-        return out
-
     def _divmod_poly(self, a: int, m: int) -> Tuple[int, int]:
-        """(a // m, a % m) for a monic packed m, by long division with the
-        nonzero low coefficients of -m inlined (m is p or a power)."""
-        M = self.unpack(m)
-        dm = len(M) - 1
-        A = self.unpack(a)
-        if len(A) <= dm:
+        """(a // m, a % m) by long division, for m = p or a power of p."""
+        M, A = self.unpack(m), self.unpack(a)
+        if len(A) < len(M):
             return 0, a
-        negM = [(j, y) for j, y in enumerate(self._lneg(M[:dm])) if y]
-        Q = [0] * (len(A) - dm)
-        p, at, mt, q = self._char, self._at, self._mt, self.q
-        add, mul = self.field.add, self.field.mul
-        for i in reversed(range(len(Q))):
-            c = A[i + dm]
-            if not c:
-                continue
-            Q[i] = c
-            if p is not None:
-                for j, y in negM:
-                    A[i + j] = (A[i + j] + c * y) % p
-            elif mt is not None:
-                for j, y in negM:
-                    A[i + j] = at[A[i + j] * q + mt[c * q + y]]
-            else:
-                for j, y in negM:
-                    A[i + j] = add(A[i + j], mul(c, y))
-        return self.pack(Q), self.pack(A[:dm])
+        Q, R = _divmod_coeffs(self.field, A, _reducer(self.field, M))
+        return self.pack(Q), self.pack(R)
 
     def _series_inv(self, R: List[int], n: int) -> List[int]:
         """R^-1 mod x^n over an odd prime field, R[0] = 1: Newton's
@@ -239,9 +128,9 @@ class _Kernel:
         X, c = [1], 1
         while c < n:
             c = min(2 * c, n)
-            T = [(-e) % p for e in self._lmul(R, X, c)]
+            T = [(-e) % p for e in _mul_coeffs(self.field, R, X, c)]
             T[0] = (T[0] + 2) % p
-            X = self._lmul(X, T, c)
+            X = _mul_coeffs(self.field, X, T, c)
         return X
 
     def _barrett_powers(self, j: int) -> Tuple[List[int], List[int]]:
@@ -255,7 +144,7 @@ class _Kernel:
             s = self._series_inv(self.unpack(self.p)[::-1], n)
             power = [1]
             for i in range(1, j + 1):
-                power = self._lmul(power, s, n)
+                power = _mul_coeffs(self.field, power, s, n)
                 if i >= len(tabs):
                     tabs.append((self.unpack(self.pow_p(i)), power[:self.d * i]))
             self._barrett_tabs = tabs
@@ -284,30 +173,35 @@ class _Kernel:
             s = max(len(A) - 2 * n, 0)
             X = A[s:]
             l = len(X) - n
-            q = self._lmul(X[:n - 1:-1], inv, l)[::-1]
+            q = _mul_coeffs(self.field, X[:n - 1:-1], inv, l)[::-1]
             Q[s:s + l] = q
-            A = A[:s] + [(x - y) % p for x, y in zip(X, self._lmul(q, M, n))]
+            A = A[:s] + [(x - y) % p for x, y in
+                         zip(X, _mul_coeffs(self.field, q, M, n))]
         return self.pack(Q), self.pack(A)
 
     # -- ring operations ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self.pack(self._ladd(self.unpack(a), self.unpack(b)))
+        return self.pack(_add_coeffs(self.field, self.unpack(a),
+                                     self.unpack(b)))
 
     def neg(self, a: int) -> int:
-        return self.pack(self._lneg(self.unpack(a)))
+        return self.pack(_neg_coeffs(self.field, self.unpack(a)))
 
     def sub(self, a: int, b: int) -> int:
-        return self.pack(self._ladd(self.unpack(a), self._lneg(self.unpack(b))))
+        F = self.field
+        return self.pack(_add_coeffs(F, self.unpack(a),
+                                     _neg_coeffs(F, self.unpack(b))))
 
     def mul(self, a: int, b: int) -> int:
         A, B = self.unpack(a), self.unpack(b)
-        return self.pack(self._lmul(A, B, len(A) + len(B)))
+        return self.pack(_mul_coeffs(self.field, A, B, len(A) + len(B)))
 
     def mulmod(self, a: int, b: int, k: int) -> int:
         """a * b mod p^k."""
         if self.linear:
-            return self.pack(self._lmul(self.unpack(a), self.unpack(b), k))
+            return self.pack(_mul_coeffs(self.field, self.unpack(a),
+                                         self.unpack(b), k))
         return self.mod(self.mul(a, b), k)
 
     def pow_p(self, j: int) -> int:
@@ -395,11 +289,10 @@ class _Kernel:
         x = self.from_residue(self.kp.inv(r))
         if a <= self.cmask:
             return x
-        p = self._char
-        if self.linear and p is not None and p > 2:
-            A = self.unpack(a)[:k]
-            R = [y * x % p for y in A]
-            return self.pack([y * x % p for y in self._series_inv(R, k)])
+        F = self.field
+        if self.linear and self._char is not None and F.p > 2:
+            R = _scale_coeffs(F, x, self.unpack(a)[:k])
+            return self.pack(_scale_coeffs(F, x, self._series_inv(R, k)))
         c = 1
         while c < k:
             c = min(2 * c, k)

@@ -241,7 +241,7 @@ def _kummer_split_count(ext: Extension, i: int) -> int:
     a0 = a.monic()
     deg_a0 = a0.degree
     e = (q - 1) // n
-    zeta = F.pow(F._primitive_element(F.mul), e)
+    zeta = F._element_of_order(n)
     log = {}
     z = 1
     for k in range(n):

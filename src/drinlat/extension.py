@@ -28,6 +28,7 @@ form or refused.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -457,8 +458,11 @@ def _kummer_factors(kp, b: int, n: int, m: int) -> List[Poly]:
 
 @lru_cache(maxsize=None)
 def _roots_of_unity(F: FiniteField, k: int) -> Tuple[int, ...]:
-    """The k-th roots of unity of F, for k dividing |F| - 1."""
-    return tuple(w for w in range(1, F.size) if F.pow(w, k) == 1)
+    """The k-th roots of unity of F, for k dividing |F| - 1, ascending: the
+    powers of one element of order k (`FiniteField._element_of_order`)."""
+    w = F._element_of_order(k)
+    powers = itertools.accumulate([w] * (k - 1), F._untabled_mul(), initial=1)
+    return tuple(sorted(powers))
 
 
 def _reduced_defining_poly(ext: Extension, prime: Prime, kp) -> Poly:

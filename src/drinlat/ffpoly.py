@@ -11,6 +11,12 @@ tables of about 3q entries; larger ones multiply the digit lists of
 their elements (`FiniteField._mul_raw`) and invert them by the extended
 Euclidean algorithm against the modulus, without building Polys.
 
+Sums, negations, scalar multiples, products and divisions of coefficient
+lists live in the `_*_coeffs` functions, which `Poly`, `FiniteField` and
+the packed kernel of `_chainring` share.  Each tells apart a prime field
+(ints, Kronecker products), an extension field with the q x q tables that
+a packed kernel over it fills, and any other field (its own methods).
+
 The primes of one degree come from a sieve that marks every monic
 multiple of the smaller primes in a byte array indexed by coefficient
 vectors.  `power_residue_symbol` computes (a/b)_n by Euclid's algorithm
@@ -44,6 +50,10 @@ from .errors import (BudgetExceeded, InvariantError, MalformedInput,
 # each product on digit lists (FiniteField._mul_raw) and each inverse by
 # extended Euclid (FiniteField._inv_raw).
 _TABLE_LIMIT = 256
+
+# Extension fields up to this size get q x q tables for their coefficient
+# lists when a packed kernel over them is built (_fill_coefficient_tables).
+_KERNEL_TABLE_LIMIT = 64
 
 
 def _is_prime_int(n: int) -> bool:
@@ -91,10 +101,11 @@ class FiniteField:
             self.size = base.size ** modulus.degree
             self.e = base.e * modulus.degree
             self._weights = [base.size ** i for i in range(modulus.degree)]
-            self._reducer = _reducer(modulus.coeffs)
+            self._reducer = _reducer(base, modulus.coeffs)
         self._log: Optional[list] = None
         self._exp: Optional[list] = None
         self._nonres: dict = {}
+        self._at = self._mt = self._nt = None  # see _fill_coefficient_tables
 
     # -- construction ---------------------------------------------------
 
@@ -126,8 +137,8 @@ class FiniteField:
 
     def from_base_poly(self, f: "Poly") -> int:
         """Reduce a base-field polynomial mod the modulus and encode."""
-        return self._join(_rem_coeffs(list(f.coeffs), self._reducer,
-                                      self.base))
+        return self._join(_divmod_coeffs(self.base, list(f.coeffs),
+                                         self._reducer)[1])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -170,27 +181,20 @@ class FiniteField:
         return self._mul_raw(a, b)
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Schoolbook product of the digit lists, reduced by the monic
-        modulus.  Over a prime base the coefficients accumulate as plain
-        integers and ``_rem_coeffs`` takes one ``% p`` per coefficient;
-        over an extension base they go through the base's products."""
-        x = self._split(a)
-        y = self._split(b)
-        base = self.base
-        prod = [0] * (len(x) + len(y) - 1)
-        if base.base is None:
-            for i, xi in enumerate(x):
-                if xi:
-                    for j, yj in enumerate(y, i):
-                        prod[j] += xi * yj
-        else:
-            add, mul = base.add, base.mul
-            for i, xi in enumerate(x):
-                if xi:
-                    for j, yj in enumerate(y, i):
-                        if yj:
-                            prod[j] = add(prod[j], mul(xi, yj))
-        return self._join(_rem_coeffs(prod, self._reducer, base))
+        """The product of the digit lists, reduced by the monic modulus."""
+        x, y = self._split(a), self._split(b)
+        prod = _mul_coeffs(self.base, x, y, len(x) + len(y) - 1)
+        return self._join(_divmod_coeffs(self.base, prod, self._reducer)[1])
+
+    def _fill_coefficient_tables(self) -> None:
+        """Sum, product and negation tables for the coefficient lists of an
+        extension field of at most `_KERNEL_TABLE_LIMIT` elements, filled by
+        the first packed kernel over it (never a k(p): primes are over F_q)."""
+        r = range(self.size)
+        if self.base and self.size <= _KERNEL_TABLE_LIMIT and not self._mt:
+            self._at = tuple(self.add(x, y) for x in r for y in r)
+            self._mt = tuple(self.mul(x, y) for x in r for y in r)
+            self._nt = tuple(self.neg(x) for x in r)
 
     def _build_tables(self) -> list:
         """Fill the log/exp tables from a walk over the powers of the
@@ -200,7 +204,7 @@ class FiniteField:
         q = self.size
         n = q - 1
         mul = self._mul_raw
-        g = self._primitive_element(mul)
+        g = self._element_of_order(n)
         exp = [1] * n
         log = [0] * q
         x = 1
@@ -262,6 +266,8 @@ class FiniteField:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
+        if self.base is None:
+            return pow(a, n, self.p)
         if a == 0:
             return 1 if n == 0 else 0
         if n >= self.size:
@@ -301,8 +307,7 @@ class FiniteField:
         """c * a for c in the base field, digit by digit."""
         if self.base is None:
             return self.mul(c, a)
-        mul = self.base.mul
-        return self._join([mul(c, x) for x in self._split(a)])
+        return self._join(_scale_coeffs(self.base, c, self._split(a)))
 
     def trace(self, a: int) -> int:
         """The absolute trace of a, an element of F_p (`_trace_coeffs`)."""
@@ -453,17 +458,17 @@ class FiniteField:
         Euler's criterion z^((size - 1)/r) = 1."""
         return _pow_by(self._untabled_mul(), z, (self.size - 1) // r) == 1
 
-    def _primitive_element(self, mul) -> int:
-        """The smallest g >= 2 that generates the multiplicative group (1
-        in a field of two elements), with products taken by ``mul``."""
-        n = self.size - 1
-        if n == 1:
-            return 1
-        factors = [f for f, _ in _int_factor(n)]
-        for g in range(2, self.size):
-            if all(_pow_by(mul, g, n // f) != 1 for f in factors):
-                return g
-        raise InvariantError(f"{self!r}: no generator found")
+    def _element_of_order(self, k: int) -> int:
+        """An element of exact order k | size - 1: z^((size - 1)/k) for the
+        first z = 1, 2, ... whose power has order k, by `_untabled_mul`, so
+        no table is filled (`_build_tables` takes its generator here)."""
+        mul = self._untabled_mul()
+        primes = [r for r, _ in _int_factor(k)]
+        for z in range(1, self.size):
+            w = _pow_by(mul, z, (self.size - 1) // k)
+            if all(_pow_by(mul, w, k // r) != 1 for r in primes):
+                return w
+        raise InvariantError(f"{self!r}: no element of order {k}")
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -483,39 +488,137 @@ def _field_of_order(p: int, e: int) -> FiniteField:
     raise InvariantError("no irreducible modulus found")
 
 
-def _reducer(m) -> tuple:
-    """(deg m, the nonzero (j, m_j) below the leading term) of a monic m,
-    as `_rem_coeffs` takes it."""
+def _reducer(F: FiniteField, m) -> tuple:
+    """(deg m, the nonzero (j, -m_j) below the leading term) of a monic m
+    over F, as `_divmod_coeffs` takes it."""
     k = len(m) - 1
-    return k, tuple((j, c) for j, c in enumerate(m[:k]) if c)
+    return k, [(j, c) for j, c in enumerate(_neg_coeffs(F, m[:k])) if c]
 
 
-def _rem_coeffs(x: list, reducer: tuple, F: FiniteField) -> list:
-    """x mod m on coefficient lists over F, for the monic m that
-    ``reducer = _reducer(m)`` describes; x is overwritten and the remainder
-    is padded with zeros to deg m coefficients.  Over a prime field the
-    entries of x may be any integers: each is reduced once, by one
-    ``% p``."""
-    k, low = reducer
+def _add_coeffs(F: FiniteField, A, B) -> list:
+    """A + B, as long as the longer of the two."""
+    if len(A) < len(B):
+        A, B = B, A
+    out = list(A)
     if F.base is None:
         p = F.p
-        for i in range(len(x) - 1, k - 1, -1):
-            c = x[i] % p
+        for i, y in enumerate(B):
+            out[i] = (out[i] + y) % p
+    elif F._at is not None:
+        at, q = F._at, F.size
+        for i, y in enumerate(B):
+            out[i] = at[out[i] * q + y]
+    else:
+        add = F.add
+        for i, y in enumerate(B):
+            out[i] = add(out[i], y)
+    return out
+
+
+def _neg_coeffs(F: FiniteField, A) -> list:
+    if F.base is None:
+        p = F.p
+        return [-x % p for x in A]
+    if F._nt is not None:
+        nt = F._nt
+        return [nt[x] for x in A]
+    return list(map(F.neg, A))
+
+
+def _scale_coeffs(F: FiniteField, c: int, A) -> list:
+    """c * A for c in F."""
+    if F.base is None:
+        p = F.p
+        return [c * x % p for x in A]
+    if F._mt is not None:
+        row = F._mt[c * F.size:(c + 1) * F.size]
+        return [row[x] for x in A]
+    mul = F.mul
+    return [mul(c, x) for x in A]
+
+
+def _mul_coeffs(F: FiniteField, A, B, n: int) -> list:
+    """The coefficients of A * B below degree n."""
+    n = min(n, len(A) + len(B) - 1)
+    if n <= 0 or not A or not B:
+        return []
+    if F.base is None:
+        p = F.p
+        if len(A) < 4 or len(B) < 4:  # short: schoolbook beats packing
+            out = [0] * (len(A) + len(B) - 1)
+            for i, x in enumerate(A):
+                if x:
+                    for j, y in enumerate(B, i):
+                        out[j] = (out[j] + x * y) % p
+            del out[n:]
+            return out
+        # Kronecker substitution: one big-int product, with slots wide
+        # enough that no coefficient of the integer product carries
+        W = (min(len(A), len(B), n) * (p - 1) ** 2).bit_length()
+        if W <= 8:  # byte slots, packed and unpacked by int.from_bytes
+            prod = (int.from_bytes(bytes(A[:n]), "little")
+                    * int.from_bytes(bytes(B[:n]), "little"))
+            return [c % p for c in prod.to_bytes(2 * n, "little")[:n]]
+        a = b = 0
+        for c in reversed(A[:n]):
+            a = (a << W) | c
+        for c in reversed(B[:n]):
+            b = (b << W) | c
+        prod, m = a * b, (1 << W) - 1
+        return [((prod >> s) & m) % p for s in range(0, W * n, W)]
+    out = [0] * n
+    if F._mt is not None:
+        mt, at, q = F._mt, F._at, F.size
+        for i, x in enumerate(A[:n]):
+            if x:
+                row = mt[x * q:(x + 1) * q]
+                for j, y in enumerate(B[:n - i], i):
+                    if y:
+                        out[j] = at[out[j] * q + row[y]]
+        return out
+    add, mul = F.add, F.mul
+    for i, x in enumerate(A[:n]):
+        if x:
+            for j, y in enumerate(B[:n - i], i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _divmod_coeffs(F: FiniteField, x: list, reducer: tuple) -> tuple:
+    """(x div m, x mod m) over F for the monic m of ``reducer = _reducer(F,
+    m)``, by long division; x is overwritten and the remainder padded with
+    zeros to deg m coefficients."""
+    k, low = reducer
+    top = range(len(x) - 1, k - 1, -1)
+    if F.base is None:
+        p = F.p
+        for i in top:
+            c = x[i] = x[i] % p
             if c:
                 off = i - k
-                for j, mj in low:
-                    x[off + j] -= c * mj
-        out = [c % p for c in x[:k]]
-    else:
-        sub, mul = F.sub, F.mul
-        for i in range(len(x) - 1, k - 1, -1):
+                for j, y in low:
+                    x[off + j] += c * y
+        rem = [c % p for c in x[:k]]
+    elif F._mt is not None:
+        mt, at, q = F._mt, F._at, F.size
+        for i in top:
             c = x[i]
             if c:
                 off = i - k
-                for j, mj in low:
-                    x[off + j] = sub(x[off + j], mul(c, mj))
-        out = x[:k]
-    return out + [0] * (k - len(out))
+                for j, y in low:
+                    x[off + j] = at[x[off + j] * q + mt[c * q + y]]
+        rem = x[:k]
+    else:
+        add, mul = F.add, F.mul
+        for i in top:
+            c = x[i]
+            if c:
+                off = i - k
+                for j, y in low:
+                    x[off + j] = add(x[off + j], mul(c, y))
+        rem = x[:k]
+    return x[k:], rem + [0] * (k - len(rem))
 
 
 def _frobenius_coeffs(x: list, reducer: tuple, F: FiniteField) -> list:
@@ -525,10 +628,8 @@ def _frobenius_coeffs(x: list, reducer: tuple, F: FiniteField) -> list:
     extension F) and reduced once."""
     p = F.p
     out = [0] * (p * (len(x) - 1) + 1) if x else []
-    for i, c in enumerate(x):
-        if c:
-            out[p * i] = c if F.base is None else F.pow(c, p)
-    return _rem_coeffs(out, reducer, F)
+    out[::p] = x if F.base is None else [F.pow(c, p) for c in x]
+    return _divmod_coeffs(F, out, reducer)[1]
 
 
 def _trace_coeffs(x: list, reducer: tuple, F: FiniteField, e: int) -> int:
@@ -539,20 +640,21 @@ def _trace_coeffs(x: list, reducer: tuple, F: FiniteField, e: int) -> int:
     acc = list(x)
     for _ in range(e - 1):
         x = _frobenius_coeffs(x, reducer, F)
-        acc = [F.add(u, v) for u, v in zip(acc, x)]
+        acc = _add_coeffs(F, acc, x)
     if any(acc[1:]) or acc[0] >= F.p:
         raise InvariantError(f"trace {acc} is not in F_{F.p}")
     return acc[0]
 
 
 def _pow_by(mul, a: int, n: int) -> int:
-    """a^n for n >= 0 by square-and-multiply with the product ``mul``."""
-    result = 1
-    while n > 0:
-        if n & 1:
+    """a^n for n >= 0 by square-and-multiply with ``mul``, top bit first."""
+    if not n:
+        return 1
+    result = a
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
             result = mul(result, a)
-        a = mul(a, a)
-        n >>= 1
     return result
 
 
@@ -648,39 +750,26 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        if not other.coeffs:
+            return self
+        return Poly(self.field, _add_coeffs(self.field, self.coeffs,
+                                            other.coeffs))
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly(self.field, _neg_coeffs(self.field, self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        F = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
+            return Poly.zero(self.field)
+        return Poly(self.field,
+                    _mul_coeffs(self.field, a, b, len(a) + len(b) - 1))
 
     def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly(F, [F.mul(c, x) for x in self.coeffs])
+        return Poly(self.field, _scale_coeffs(self.field, c, self.coeffs))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t^k."""
@@ -689,22 +778,17 @@ class Poly:
         return Poly(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other: "Poly"):
-        F = self.field
-        if other.is_zero():
+        """Long division by other made monic, then the quotient scaled."""
+        F, m = self.field, other.coeffs
+        if not m:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = F.inv(other.coeffs[-1])
-        if len(rem) <= d:
+        if len(self.coeffs) < len(m):
             return Poly.zero(F), self
-        quot = [0] * (len(rem) - d)
-        for i in reversed(range(len(quot))):
-            c = F.mul(rem[i + d], lead_inv)
-            if c == 0:
-                continue
-            quot[i] = c
-            for j, y in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(c, y))
+        c = 1 if m[-1] == 1 else F.inv(m[-1])
+        quot, rem = _divmod_coeffs(F, list(self.coeffs), _reducer(
+            F, m if c == 1 else _scale_coeffs(F, c, m)))
+        if c != 1:
+            quot = _scale_coeffs(F, c, quot)
         return Poly(F, quot), Poly(F, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -745,22 +829,12 @@ class Poly:
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "Poly":
-        F = self.field
-        out = []
-        for k in range(1, len(self.coeffs)):
-            c = self.coeffs[k]
-            kc = 0
-            for _ in range(k % F.p):
-                kc = F.add(kc, c)
-            out.append(kc)
+        """sum k c_k t^(k-1): each c_k with k = r mod p scaled by r < p."""
+        F, c, p = self.field, self.coeffs, self.field.p
+        out = [0] * max(len(c) - 1, 0)
+        for r in range(1, min(p, len(c))):
+            out[r - 1::p] = _scale_coeffs(F, r, c[r::p])
         return Poly(F, out)
-
-    def eval(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     # -- factorization helpers ---------------------------------------------
 
@@ -1294,30 +1368,19 @@ def _residue_exponent(F: FiniteField, b: Poly, n: int) -> int:
 def _residue_symbol(x: list, y: tuple, F: FiniteField, e: int) -> int:
     """(x/y)_n on coefficient lists, e = (q-1)/n, for a monic y of degree
     >= 1; 0 when x and y are not coprime.  x is overwritten."""
-    if F.base is None:
-        p = F.p
-
-        def mul(u, v):
-            return u * v % p
-
-        def power(u, k):
-            return pow(u, k, p)
-    else:
-        mul, power = F.mul, F.pow
     symbol = 1
     while True:
         k = len(y) - 1
-        x = _rem_coeffs(x, _reducer(y), F)
+        x = _divmod_coeffs(F, x, _reducer(F, y))[1]
         while x and x[-1] == 0:
             x.pop()
         if not x:
             return 0
         lead = x[-1]
         if lead != 1:
-            symbol = mul(symbol, power(lead, e * k))
+            symbol = F.mul(symbol, F.pow(lead, e * k))
             if len(x) > 1:
-                inv = F.inv(lead)
-                x = [mul(inv, c) for c in x]
+                x = _scale_coeffs(F, F.inv(lead), x)
         if len(x) == 1:
             return symbol
         if e * (len(x) - 1) * k % 2:
@@ -1330,9 +1393,9 @@ def absolute_trace(a: Poly, prime: Prime) -> int:
     F_q[t] on coefficient lists (`_trace_coeffs`), so no residue field is
     built."""
     F = a.field
-    reducer = _reducer(prime.poly.coeffs)
-    return _trace_coeffs(_rem_coeffs(list(a.coeffs), reducer, F), reducer, F,
-                         prime.degree * F.e)
+    reducer = _reducer(F, prime.poly.coeffs)
+    return _trace_coeffs(_divmod_coeffs(F, list(a.coeffs), reducer)[1],
+                         reducer, F, prime.degree * F.e)
 
 
 def ord_at(prime: Prime, f: Poly) -> int:

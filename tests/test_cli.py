@@ -558,6 +558,20 @@ class TestFieldAndSieveBounds:
         assert message in error["message"]
         assert float(proc.stdout) < seconds
 
+    def test_kummer_splitting_over_a_large_field_answers_at_once(self):
+        # the roots of unity came from a walk over all of F_q: 5.4 s
+        # over F_(2^16), and over F_(2^20) it was stopped after 10 s
+        ext = '{"kind":"kummer","n":3,"a":"t","base":"2^20"}'
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_MAIN, "splitting", "--ext", ext,
+             "--prime", "t+1"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        payload, seconds = proc.stdout.splitlines()
+        assert json.loads(payload)["places"] == [{"e": 1, "f": 1}] * 3
+        assert float(seconds) < 1.0
+
     def test_huge_characteristic_digits_are_malformed(self, capsys):
         code, out, err = run_cli(["primes", "--q", "1" + "0" * 5000], capsys)
         assert code == 4 and out == ""

@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from drinlat.errors import (MalformedInput, MultipleInfinitePlaces,
                             ReducibleDefiningPolynomial,
                             UnsupportedRamifiedPrime, UnsupportedShape)
-from drinlat.ffpoly import (FiniteField, Poly, enumerate_primes, field_from_str,
-                            poly_from_str, prime_from_str, primes_of_degree)
+from drinlat.ffpoly import (FiniteField, Poly, _int_factor, enumerate_primes,
+                            field_from_str, poly_from_str, prime_from_str,
+                            primes_of_degree)
 from drinlat.extension import (Extension, constant_splitting_law, class_number,
                                count_places, make_extension, order_at,
                                predegree, splitting, zeta_numerator)
@@ -382,6 +383,36 @@ def _places_by_factoring(ext, prime):
     return tuple(sorted((PlaceFactor(1, f.degree, tuple(f.coeffs))
                          for f, _ in pairs),
                         key=lambda pl: (pl.e, pl.f, pl.factor)))
+
+
+def _roots_of_unity_walk(F, k):
+    """Oracle: the w of F with w^k = 1, by a walk over all of F."""
+    return tuple(w for w in range(1, F.size) if F.pow(w, k) == 1)
+
+
+class TestRootsOfUnity:
+    """The k-th roots of unity are the powers of one element of order k,
+    found without walking F or filling its tables."""
+
+    @pytest.mark.parametrize("q", (4, 5, 7, 8, 9, 13, 16, 25))
+    def test_roots_match_the_walk(self, q):
+        from drinlat import extension
+        (p, e), = _int_factor(q)
+        F = FiniteField.of_order(p, e)
+        for k in (k for k in range(1, q) if (q - 1) % k == 0):
+            w = F._element_of_order(k)
+            assert F.pow(w, k) == 1
+            assert all(F.pow(w, k // r) != 1 for r, _ in _int_factor(k))
+            got = extension._roots_of_unity.__wrapped__(F, k)
+            assert got == _roots_of_unity_walk(F, k), (q, k)
+
+    def test_no_table_is_filled(self):
+        from drinlat import extension
+        F16 = FiniteField.of_order(2, 4)
+        fresh = FiniteField(2, base=F2, modulus=F16.modulus)
+        assert extension._roots_of_unity.__wrapped__(fresh, 5) == (
+            _roots_of_unity_walk(F16, 5))
+        assert fresh._log is None and fresh._mt is None
 
 
 class TestSplittingGuards:

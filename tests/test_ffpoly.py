@@ -1,7 +1,9 @@
 import random
 import time
 
+import coeff_oracle
 import pytest
+from hypothesis import given, settings, strategies as st
 from irreducible_oracle import is_irreducible_rabin
 
 from drinlat.errors import MalformedInput, ZeroPolynomial
@@ -62,7 +64,7 @@ class TestFiniteField:
 
     def test_primitive_element_generates(self):
         for field in (F2, F4, F5, F9):
-            g = field._primitive_element(field.mul)
+            g = field._element_of_order(field.size - 1)
             seen = set()
             x = 1
             for _ in range(field.size - 1):
@@ -259,6 +261,93 @@ class TestRawProduct:
                 f = random_poly(F, 3 * k.modulus.degree, rng)
                 r = f % k.modulus
                 assert k.lift(k.reduce(f)) == r
+
+
+COEFF_FIELDS = coeff_oracle.coefficient_fields()
+
+
+@st.composite
+def coeff_case(draw):
+    """(F, A, B, c, n): two coefficient lists of length 0-40, a scalar and
+    a cut of the product, over one of the coefficient fields."""
+    F = draw(st.sampled_from(COEFF_FIELDS))
+    elems = st.lists(st.integers(0, F.size - 1), max_size=40)
+    return (F, draw(elems), draw(elems), draw(st.integers(0, F.size - 1)),
+            draw(st.integers(0, 80)))
+
+
+class TestCoefficientArithmetic:
+    """The coefficient-list functions of ffpoly, on every kind of base
+    field, against the per-term loops of `coeff_oracle`."""
+
+    def test_fields_cover_every_kind(self):
+        tabled = [F for F in COEFF_FIELDS if F._mt is not None]
+        assert [F.size for F in tabled] == [4, 9]
+        assert sorted(F.size for F in COEFF_FIELDS if F.base is None) == [
+            2, 3, 5, 7]
+        assert all(F._mt is None for F in COEFF_FIELDS
+                   if isinstance(F, ffpoly.ResidueField))
+
+    @given(coeff_case())
+    @settings(max_examples=300, deadline=None)
+    def test_sum_negation_and_scale(self, case):
+        F, A, B, c, _ = case
+        assert ffpoly._add_coeffs(F, A, B) == coeff_oracle.add_coeffs(F, A, B)
+        assert ffpoly._neg_coeffs(F, A) == [F.neg(x) for x in A]
+        assert ffpoly._scale_coeffs(F, c, A) == [F.mul(c, x) for x in A]
+
+    @given(coeff_case())
+    @settings(max_examples=300, deadline=None)
+    def test_product_cut_to_n_terms(self, case):
+        F, A, B, _, n = case
+        want = coeff_oracle.mul_coeffs(F, A, B)
+        assert ffpoly._mul_coeffs(F, A, B, n) == want[:n]
+        assert (Poly(F, A) * Poly(F, B)).coeffs == Poly(F, want).coeffs
+
+    @pytest.mark.parametrize("field", COEFF_FIELDS, ids=_field_id)
+    def test_product_with_the_largest_coefficient_sums(self, field):
+        # all coefficients q - 1: over a prime field every coefficient of
+        # the integer product takes its largest value, which the slots of
+        # the Kronecker product must hold without a carry
+        for la in (1, 3, 4, 5, 8, 17, 40):
+            for lb in (la, 40):
+                A, B = [field.size - 1] * la, [field.size - 1] * lb
+                want = coeff_oracle.mul_coeffs(field, A, B)
+                for n in (1, la, la + lb - 1):
+                    assert ffpoly._mul_coeffs(field, A, B, n) == want[:n]
+
+    @given(coeff_case())
+    @settings(max_examples=300, deadline=None)
+    def test_division_by_a_monic_divisor(self, case):
+        F, A, B, _, _ = case
+        M = B[:8] + [1]
+        quot, rem = ffpoly._divmod_coeffs(F, list(A), ffpoly._reducer(F, M))
+        want_q, want_r = coeff_oracle.divmod_coeffs(F, A, M)
+        assert len(rem) == len(M) - 1
+        assert Poly(F, quot) == Poly(F, want_q)
+        assert Poly(F, rem) == Poly(F, want_r)
+
+    @given(coeff_case())
+    @settings(max_examples=300, deadline=None)
+    def test_poly_divmod_by_any_divisor(self, case):
+        F, A, B, c, _ = case
+        divisor = Poly(F, B + [c or 1])  # not monic unless c is 0 or 1
+        quot, rem = divmod(Poly(F, A), divisor)
+        want_q, want_r = coeff_oracle.divmod_coeffs(F, A, divisor.coeffs)
+        assert quot == Poly(F, want_q) and rem == Poly(F, want_r)
+
+    @pytest.mark.parametrize("field", COEFF_FIELDS, ids=_field_id)
+    def test_derivative_scales_by_the_exponent(self, field):
+        rng = random.Random(field.size)
+        for _ in range(50):
+            f = random_poly(field, rng.randrange(0, 30), rng)
+            want = []
+            for k, c in enumerate(f.coeffs[1:], 1):
+                kc = 0
+                for _ in range(k % field.p):
+                    kc = field.add(kc, c)
+                want.append(kc)
+            assert f.derivative() == Poly(field, want)
 
 
 class TestPolyArithmetic:
@@ -532,7 +621,7 @@ class TestResidueField:
         k = residue_field(pr)
         assert k.size == 2
         f = P("t^3+t+1", F2)
-        assert k.reduce(f) == f.eval(0)
+        assert k.reduce(f) == f[0]  # f mod t is f(0), the constant term
 
     def test_degree2_prime_over_f2(self):
         pr = prime_from_str("t^2+t+1", F2)

@@ -3,6 +3,7 @@ LocalElement against the digit-tuple oracle in `digit_oracle.py`."""
 
 import random
 
+import coeff_oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,8 +15,9 @@ from drinlat.localfield import LocalElement
 
 from digit_oracle import DigitElement
 
-# q = 2, 3, 4, 5, 9, 8, 16, 27, 81; F_81 is above _KERNEL_TABLE_LIMIT, so
-# its kernel calls the field's methods per coefficient
+# q = 2, 3, 4, 5, 9, 8, 16, 27, 81; F_81 is above ffpoly's
+# _KERNEL_TABLE_LIMIT, so it gets no q x q tables and the coefficient-list
+# arithmetic calls its methods per coefficient
 FIELDS = [FiniteField.of_order(p, e) for p, e in
           ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3), (2, 4), (3, 3),
            (3, 4))]
@@ -162,6 +164,59 @@ class TestKernelAgainstPoly:
                     counters[i] = 0
                     i += 1
             assert got == want
+
+
+def _first_quadratic(F):
+    """The first irreducible t^2 + t + c over F."""
+    return next(Prime(f, check=False) for f in
+                (Poly(F, (c, 1, 1)) for c in range(F.size))
+                if f.is_irreducible())
+
+
+# p = t and a prime of degree 2 over each field of every kind that the
+# coefficient-list functions of ffpoly tell apart
+COEFF_PRIMES = [pr for F in coeff_oracle.coefficient_fields()
+                for pr in (Prime(Poly(F, (0, 1)), check=False),
+                           _first_quadratic(F))]
+
+
+@st.composite
+def packed_case(draw):
+    """(prime, A, B, k, j): two coefficient lists of length 0-40, a depth
+    for `mulmod` and an exponent for `divmod_p`."""
+    prime = draw(st.sampled_from(COEFF_PRIMES))
+    elems = st.lists(st.integers(0, prime.field.size - 1), max_size=40)
+    return (prime, draw(elems), draw(elems), draw(st.integers(1, 12)),
+            draw(st.integers(0, 6)))
+
+
+@SETTINGS
+@given(packed_case())
+def test_packed_operations_match_coefficient_oracle(case):
+    """The kernel's packed add, sub, mul, mulmod and divmod_p against the
+    per-term loops of `coeff_oracle`."""
+    prime, A, B, k, j = case
+    F, kr = prime.field, _kernel(prime)
+    a, b = kr.pack(A), kr.pack(B)
+    prod = coeff_oracle.mul_coeffs(F, A, B)
+    assert kr.add(a, b) == kr.pack(coeff_oracle.add_coeffs(F, A, B))
+    assert kr.sub(a, b) == kr.pack(
+        coeff_oracle.add_coeffs(F, A, [F.neg(y) for y in B]))
+    assert kr.mul(a, b) == kr.pack(prod)
+
+    def power(e):
+        out = [1]
+        for _ in range(e):
+            out = coeff_oracle.mul_coeffs(F, out, prime.poly.coeffs)
+        return out
+    if kr.linear:  # p = t, packed as it is: p^k is a shift by k
+        assert kr.mulmod(a, b, k) == kr.pack(prod[:k])
+        want = A[j:], A[:j]
+    else:
+        assert kr.mulmod(a, b, k) == kr.pack(
+            coeff_oracle.divmod_coeffs(F, prod, power(k))[1])
+        want = coeff_oracle.divmod_coeffs(F, A, power(j))
+    assert kr.divmod_p(a, j) == (kr.pack(want[0]), kr.pack(want[1]))
 
 
 def test_equal_primes_share_one_kernel(monkeypatch):

@@ -2,6 +2,9 @@
 
 Times `LocalElement.mul` and `LocalElement.inv` on 50 seeded random
 units at p = t over F_2, F_3, F_4 and F_5, at precisions 12 and 30;
+`Poly.__mul__` and `divmod` on 50 seeded pairs of polynomials of 3, 8
+and 26 coefficients (divisors of half as many, at least 2, leading
+coefficient arbitrary) over F_2, F_3, F_5 and F_9;
 `LocalElement.inv` of the constant units of F_3 at p = t and of F_4 at
 its first prime of degree 2, and `hecke_degree` of the standard matrix
 diag(pi^-1, 1, ..., 1) at the three degree-1 primes of F_3 (r = 3) and
@@ -99,6 +102,10 @@ STABILIZER_ROUNDS = 5
 INVERSE_RANKS = (2, 3, 4)
 INVERSE_SAMPLE = 10
 SPLIT_SAMPLE = 20
+# (p, e) of the fields and the lengths of the Poly arithmetic rows
+POLY_FIELDS = ((2, 1), (3, 1), (5, 1), (3, 2))
+POLY_LENGTHS = (3, 8, 26)
+POLY_PAIRS = 50
 # (extension, prime degree) of the cold split-prime `splitting` rows
 SPLIT_ROWS = (
     ({"kind": "kummer", "n": 2, "a": "t^3+t", "base": "5"}, 4),
@@ -132,6 +139,7 @@ def main() -> None:
             for op, run in (("mul", lambda: [a.mul(b) for a, b in pairs]),
                             ("inv", lambda: [a.inv() for a in units])):
                 out[f"{op}|q={F.size}|prec={prec}"] = _timing(run, UNITS, 1e6)
+    out.update(_poly_rows())
     out.update(_constant_rows())
     out.update(_layer0_rows())
     out.update(_stabilizer_rows())
@@ -156,6 +164,29 @@ def _timing(run, count: int, scale: float, repeats: int = REPEATS) -> dict:
         times.append((perf_counter() - t0) / count * scale)
     return {"median": round(statistics.median(times), 2),
             "min": round(min(times), 2)}
+
+
+def _poly_rows() -> dict:
+    """Products and divisions of dense polynomials over F_q."""
+    from drinlat.ffpoly import FiniteField, Poly
+
+    out = {}
+    for p, e in POLY_FIELDS:
+        F = FiniteField.of_order(p, e)
+        for n in POLY_LENGTHS:
+            rng = random.Random(f"poly:{F.size}:{n}")
+
+            def poly(length):
+                return Poly(F, [rng.randrange(F.size)
+                                for _ in range(length - 1)]
+                            + [rng.randrange(1, F.size)])
+            pairs = [(poly(n), poly(n)) for _ in range(POLY_PAIRS)]
+            divs = [(f, poly(max(2, n // 2))) for f, _ in pairs]
+            out[f"poly_mul|q={F.size}|n={n}"] = _timing(
+                lambda: [f * g for f, g in pairs], len(pairs), 1e6)
+            out[f"poly_divmod|q={F.size}|n={n}"] = _timing(
+                lambda: [divmod(f, g) for f, g in divs], len(divs), 1e6)
+    return out
 
 
 def _constant_rows() -> dict:
