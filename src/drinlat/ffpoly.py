@@ -15,7 +15,8 @@ Sums, negations, scalar multiples, products and divisions of coefficient
 lists live in the `_*_coeffs` functions, which `Poly`, `FiniteField` and
 the packed kernel of `_chainring` share.  Each tells apart a prime field
 (ints, Kronecker products), an extension field with the q x q tables that
-a packed kernel over it fills, and any other field (its own methods).
+a packed kernel over it fills (2q^2 + q entries, beside the log/exp
+tables), and any other field (its own methods).
 
 The primes of one degree come from a sieve that marks every monic
 multiple of the smaller primes in a byte array indexed by coefficient
@@ -545,20 +546,15 @@ def _mul_coeffs(F: FiniteField, A, B, n: int) -> list:
     if F.base is None:
         p = F.p
         if len(A) < 4 or len(B) < 4:  # short: schoolbook beats packing
-            out = [0] * (len(A) + len(B) - 1)
-            for i, x in enumerate(A):
+            out = [0] * n
+            for i, x in enumerate(A[:n]):
                 if x:
-                    for j, y in enumerate(B, i):
+                    for j, y in enumerate(B[:n - i], i):
                         out[j] = (out[j] + x * y) % p
-            del out[n:]
             return out
         # Kronecker substitution: one big-int product, with slots wide
         # enough that no coefficient of the integer product carries
         W = (min(len(A), len(B), n) * (p - 1) ** 2).bit_length()
-        if W <= 8:  # byte slots, packed and unpacked by int.from_bytes
-            prod = (int.from_bytes(bytes(A[:n]), "little")
-                    * int.from_bytes(bytes(B[:n]), "little"))
-            return [c % p for c in prod.to_bytes(2 * n, "little")[:n]]
         a = b = 0
         for c in reversed(A[:n]):
             a = (a << W) | c

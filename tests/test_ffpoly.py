@@ -9,9 +9,10 @@ from irreducible_oracle import is_irreducible_rabin
 from drinlat.errors import MalformedInput, ZeroPolynomial
 from drinlat import ffpoly
 from drinlat.ffpoly import (
-    _TABLE_LIMIT, FiniteField, Poly, Prime, _monic_polys, count_irreducibles,
-    enumerate_primes, field_from_str, poly_factor, poly_from_str, poly_to_str,
-    power_residue_symbol, prime_from_str, primes_of_degree, residue_field,
+    _KERNEL_TABLE_LIMIT, _TABLE_LIMIT, FiniteField, Poly, Prime, _monic_polys,
+    count_irreducibles, enumerate_primes, field_from_str, poly_factor,
+    poly_from_str, poly_to_str, power_residue_symbol, prime_from_str,
+    primes_of_degree, residue_field,
 )
 
 F2 = FiniteField.of_order(2)
@@ -152,10 +153,19 @@ class TestFieldTables:
 
     @pytest.mark.parametrize("field", _table_fields(), ids=_field_id)
     def test_tables_hold_fewer_than_3q_entries(self, field):
-        field.inv(1)  # builds the tables
+        field.inv(1)  # builds the log/exp tables
+        # the q x q coefficient tables are counted apart: a packed kernel
+        # over the field fills them, only up to their own size limit
+        coefficient_tables = ("_at", "_mt", "_nt")
         entries = sum(len(v) for k, v in vars(field).items()
-                      if isinstance(v, list) and k != "_weights")
+                      if isinstance(v, list)
+                      and k not in ("_weights", *coefficient_tables))
         assert 0 < entries < 3 * field.size
+        held = [getattr(field, k) for k in coefficient_tables]
+        if held != [None, None, None]:
+            q = field.size
+            assert q <= _KERNEL_TABLE_LIMIT
+            assert sum(map(len, held)) == 2 * q * q + q
 
     def test_walk_refuses_a_reducible_modulus(self):
         # t^2 + 1 = (t + 1)^2 over F_2: the "field" has zero divisors, so
