@@ -489,11 +489,14 @@ def _field_of_order(p: int, e: int) -> FiniteField:
     raise InvariantError("no irreducible modulus found")
 
 
-def _reducer(F: FiniteField, m) -> tuple:
-    """(deg m, the nonzero (j, -m_j) below the leading term) of a monic m
-    over F, as `_divmod_coeffs` takes it."""
+def _reducer(F: FiniteField, m, c: int = 1) -> tuple:
+    """(deg m, the nonzero (j, -c m_j) below the leading term), as
+    `_divmod_coeffs` takes it, of the monic c m over F: c is 1 for a monic
+    m, else the inverse of its leading coefficient."""
     k = len(m) - 1
-    return k, [(j, c) for j, c in enumerate(_neg_coeffs(F, m[:k])) if c]
+    low = (_neg_coeffs(F, m[:k]) if c == 1
+           else _scale_coeffs(F, F.neg(c), m[:k]))
+    return k, [(j, y) for j, y in enumerate(low) if y]
 
 
 def _add_coeffs(F: FiniteField, A, B) -> list:
@@ -781,8 +784,7 @@ class Poly:
         if len(self.coeffs) < len(m):
             return Poly.zero(F), self
         c = 1 if m[-1] == 1 else F.inv(m[-1])
-        quot, rem = _divmod_coeffs(F, list(self.coeffs), _reducer(
-            F, m if c == 1 else _scale_coeffs(F, c, m)))
+        quot, rem = _divmod_coeffs(F, list(self.coeffs), _reducer(F, m, c))
         if c != 1:
             quot = _scale_coeffs(F, c, quot)
         return Poly(F, quot), Poly(F, rem)

@@ -8,10 +8,13 @@ q_p^(sum over a < b of (e_b - e_a)), valid when the spread e_r - e_1 is
 at most k.  The characteristic polynomial sums the principal minors of
 each size, all computed in one Laplace programme that shares
 sub-determinants between minors (633 products at r = 6), written once
-with the arithmetic as a parameter.  Their brute-force oracles live in
+with the arithmetic as a parameter: `char_poly` runs it on the entries'
+field tuples with `localfield`'s add, mul and neg rules, and the sampled
+check on packed polynomials.  Their brute-force oracles live in
 `tests/hecke_oracle.py`: coset counting in the finite quotient
-K(p^k)/K(p^2k) ~ Mat_r(A/p^k) (`hecke_degree_enumerated`) and the
-expansion of each minor over all permutations (`char_poly_expanded`).
+K(p^k)/K(p^2k) ~ Mat_r(A/p^k) (`hecke_degree_enumerated`), the
+expansion of each minor over all permutations (`char_poly_expanded`) and
+the programme in `LocalElement` arithmetic (`char_poly_elements`).
 The boundedness predicate reads the Newton polygon of the characteristic
 polynomial: at least two segments certifies an unbounded cyclic image in
 PGL_r(F_p); the adopted converse is that a single slope means bounded (a
@@ -20,9 +23,12 @@ parts have finite order in characteristic p).  The power/SNF-spread
 cross-check in the test suite exercises that converse independently.
 The sampled unboundedness check of a Hecke element computes each sample
 over A, in packed polynomials with exact products, and only the
-valuations of its coefficients leave the kernel.  Its oracle,
-`tests/hecke_oracle.py`'s `unboundedness_sample_matrix`, draws the same
-samples and computes them in `LocalMatrix` arithmetic.
+valuations of its coefficients leave the kernel.  Over fields of fewer
+than 2^8 elements its coefficients are read off whole words of the
+generator, in one batch per sample; they are the ones that one
+`randrange(q)` per coefficient gives.  Its oracle,
+`tests/hecke_oracle.py`'s `unboundedness_sample_matrix`, draws them with
+`randrange` and computes the samples in `LocalMatrix` arithmetic.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from ._chainring import _kernel
 from .errors import (BudgetExceeded, InvariantError, PrecisionExhausted,
                      QuotientInsufficient)
 from .ffpoly import Prime
-from .localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION, LocalElement,
-                         LocalMatrix)
+from .localfield import (_ZERO_FIELDS, DEFAULT_BUDGET, DEFAULT_PRECISION,
+                         LocalElement, LocalMatrix, _add_fields, _element,
+                         _is_zero_fields, _mul_fields, _neg_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -49,21 +56,24 @@ def char_poly(g: LocalMatrix) -> List[LocalElement]:
     """Coefficients [a_0, ..., a_{r-1}, 1] of det(lambda*I - g).
 
     a_{r-i} = (-1)^i e_i, where e_i is the sum of the principal i x i
-    minors, all of them from the one Laplace programme `_minor_sums`,
-    here in `LocalElement` arithmetic.  Its products are the oracle
-    `char_poly_expanded`'s, in the same left-to-right row order, so
-    truncation acts on the same products.
+    minors, all of them from the one Laplace programme `_minor_sums`.  It
+    runs on the entries' field tuples (kind, val, unit, prec, exact) with
+    `localfield`'s add, mul and neg rules, so that no step builds an
+    element, and only the r coefficients are wrapped.  Its products are
+    the oracle `char_poly_expanded`'s, in the same left-to-right row
+    order, so truncation acts on the same products; the same programme in
+    `LocalElement` arithmetic is the oracle `char_poly_elements`.
     """
     prime = g.prime
-    r = g.r
-    e = _minor_sums(g.rows, LocalElement.zero(prime), _is_exact_zero,
-                    LocalElement.add, LocalElement.neg, LocalElement.mul)
-    coeffs = [e[i] if i % 2 == 0 else e[i].neg() for i in range(r, 0, -1)]
+    kr = _kernel(prime)
+    e = _minor_sums([[x._fields for x in row] for row in g.rows],
+                    _ZERO_FIELDS, _is_zero_fields,
+                    functools.partial(_add_fields, kr),
+                    functools.partial(_neg_fields, kr),
+                    functools.partial(_mul_fields, kr))
+    coeffs = [_element(kr, e[i] if i % 2 == 0 else _neg_fields(kr, e[i]))
+              for i in range(g.r, 0, -1)]
     return coeffs + [LocalElement.one(prime, g.working_precision())]
-
-
-def _is_exact_zero(x: LocalElement) -> bool:
-    return x.kind == "z"
 
 
 def _minor_sums(rows, zero, is_zero, add, neg, mul) -> list:
@@ -373,7 +383,10 @@ def _packed_sample(prime: Prime, r: int, rng,
     diag(pi^-1, 1, ..., 1): its coefficients [a_0, ..., a_r] as exact
     powers of pi, since the Newton polygon reads only their valuations.
 
-    The k_i come from `_packed_congruence_matrix`.  Their entries are
+    The coefficients of k_1, then k_2, are drawn in one batch
+    (`_draw_below`), which may leave rng past the last value it returns:
+    the generator is made for this one sample and dropped after it.  The
+    k_i come from `_packed_congruence_matrix`.  Their entries are
     polynomials, so B = k_2 diag(1, p, ..., p) k_1 = pi b is a matrix over
     A, formed with exact packed products, and e_i(b) = pi^-i e_i(B) gives
     v(a_{r-i}) = v(e_i(B)) - i.  The products run on the packed
@@ -384,8 +397,10 @@ def _packed_sample(prime: Prime, r: int, rng,
     kr = _kernel(prime)
     add, mul = kr.add, kr.mul
     p_t = kr.pack(prime.poly.coeffs)
-    k1 = _packed_congruence_matrix(kr, r, rng, precision, p_t)
-    k2 = _packed_congruence_matrix(kr, r, rng, precision, p_t)
+    n = kr.d * (precision - 1)
+    coeffs = _draw_below(rng, kr.q, 2 * r * r * n)
+    k1 = _packed_congruence_matrix(kr, r, coeffs[:r * r * n], n, p_t)
+    k2 = _packed_congruence_matrix(kr, r, coeffs[r * r * n:], n, p_t)
     dk1 = [k1[0]] + [[mul(x, p_t) if x else 0 for x in row]
                      for row in k1[1:]]
     B = []
@@ -407,23 +422,63 @@ def _packed_sample(prime: Prime, r: int, rng,
     return cp
 
 
-def _packed_congruence_matrix(kr, r: int, rng, precision: int,
+def _packed_congruence_matrix(kr, r: int, coeffs: Sequence[int], n: int,
                               p_t: int) -> List[List[int]]:
-    """A uniform element 1 + p*M of K(p) mod p^precision, over A and
-    packed in t.  Each entry of M takes d(precision - 1) coefficients,
-    constant term first, from `rng.randrange(q)`, row by row; the oracle
-    in `tests/hecke_oracle.py` draws the same entries as `LocalElement`s."""
-    q = kr.q
-    n = kr.d * (precision - 1)
+    """The element 1 + p*M of K(p) mod p^precision, over A and packed in t,
+    whose r^2 entries of M take the r^2 n coefficients `coeffs` in runs
+    of n = d(precision - 1), row by row, each run constant term first;
+    uniform coefficients give a uniform element.  The oracle in
+    `tests/hecke_oracle.py` draws the same entries as `LocalElement`s."""
+    if len(coeffs) != r * r * n:
+        raise InvariantError("congruence matrix needs r^2 n coefficients")
     rows = []
     for i in range(r):
         row = []
         for j in range(r):
-            f = kr.pack([rng.randrange(q) for _ in range(n)])
+            start = (i * r + j) * n
+            f = kr.pack(coeffs[start:start + n])
             x = kr.mul(f, p_t) if f else 0
             row.append(kr.add(x, 1) if i == j else x)
         rows.append(row)
     return rows
+
+
+def _draw_below(rng, q: int, n: int) -> List[int]:
+    """[rng.randrange(q) for _ in range(n)], read off whole 32-bit words.
+
+    For q < 2^32, each try of randrange(q) takes the next 32-bit output of
+    the generator, keeps its top k = q.bit_length() bits and rejects a
+    value >= q.  rng.getrandbits(32 m) returns the next m outputs, the
+    first in the lowest bits, so the same values come off its words in
+    the same order, a batch at a time.  For q < 2^8 the k bits are the
+    top bits of a word's last byte, and one `bytes.translate` maps and
+    rejects them all.  The words of the last batch after the n-th value
+    are drawn and dropped, so rng ends further along than n calls of
+    randrange would leave it: draw everything a generator must give in
+    one call.  Larger q, whose samples no caller draws in bulk, keep
+    randrange."""
+    if q >> 8:
+        return [rng.randrange(q) for _ in range(n)]
+    k = q.bit_length()
+    out: List[int] = []
+    while len(out) < n:
+        # the expected number of words, and an eighth more, so that a
+        # second batch is rare
+        need = n - len(out)
+        m = (need << k) // q * 9 // 8 + 8
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        out += words[3::4].translate(*_top_bits_tables(q))
+    del out[n:]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _top_bits_tables(q: int) -> Tuple[bytes, bytes]:
+    """For q < 2^8, the `bytes.translate` tables that map a byte to its top
+    q.bit_length() bits and delete the bytes whose top bits are >= q."""
+    s = 8 - q.bit_length()
+    return (bytes(b >> s for b in range(256)),
+            bytes(b for b in range(256) if b >> s >= q))
 
 
 def companion_matrix(prime: Prime, coeffs: Sequence[LocalElement]) -> LocalMatrix:

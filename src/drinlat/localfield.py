@@ -4,7 +4,9 @@ form over the valuation ring, lattices, and stabilizer-index machinery.
 A nonzero element is pi^val times a unit of A_p known modulo pi^prec; the
 unit is kept as its canonical residue mod p^prec in the packed-integer
 encoding of `_chainring`, so additions and products are packed-polynomial
-operations; the inverse of a constant unit is its inverse in F_q, and
+operations, whose window and truncation rules are written once, on the
+plain field tuples (kind, val, unit, prec, exact) that `hecke.char_poly`
+computes on too; the inverse of a constant unit is its inverse in F_q, and
 any other inverse a Newton iteration.  The elementary divisors of a
 matrix of exact entries come from the packed elimination of `_chainring`
 (`smith_exponents`), which inverts nothing.  The pi-adic digits are
@@ -49,10 +51,13 @@ class LocalElement:
     recognized instead of degrading to an uncertified O(pi^m).
 
     The constructor takes the digits of the stored window (residue-field
-    representatives, lowest first); ``digits`` reads them back.
+    representatives, lowest first); ``digits`` reads them back.  The
+    element also keeps its fields as one tuple (kind, val, unit, prec,
+    exact), which the add, mul and neg rules below take and return.
     """
 
-    __slots__ = ("prime", "kind", "val", "unit", "prec", "exact", "_kr")
+    __slots__ = ("prime", "kind", "val", "unit", "prec", "exact", "_kr",
+                 "_fields")
 
     def __init__(self, prime: Prime, kind: str, val: int,
                  digits: Tuple[Poly, ...], exact: bool = False):
@@ -66,16 +71,17 @@ class LocalElement:
         self.unit = kr.mod(kr.from_digits([kr.from_poly(d) for d in digits]),
                            self.prec) if kind == "n" else 0
         self.exact = exact if kind == "n" else (kind == "z")
+        self._fields = (kind, val, self.unit, self.prec, self.exact)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(prime: Prime) -> "LocalElement":
-        return _zero(_kernel(prime))
+        return _element(_kernel(prime), _ZERO_FIELDS)
 
     @staticmethod
     def unknown(prime: Prime, bound: int) -> "LocalElement":
-        return _unknown(_kernel(prime), bound)
+        return _element(_kernel(prime), ("u", bound, 0, 0, False))
 
     @staticmethod
     def from_poly(prime: Prime, f: Poly, precision: int = DEFAULT_PRECISION) -> "LocalElement":
@@ -83,12 +89,13 @@ class LocalElement:
         kr.reserve(precision)
         a = kr.from_poly(f)
         if not a:
-            return _zero(kr)
+            return _element(kr, _ZERO_FIELDS)
         val = kr.val(a)
         unit = kr.shr(a, val)
         if kr.ndigits(unit) <= precision:
-            return _make(kr, "n", val, unit, precision, True)
-        return _make(kr, "n", val, kr.mod(unit, precision), precision, False)
+            return _element(kr, ("n", val, unit, precision, True))
+        return _element(kr, ("n", val, kr.mod(unit, precision), precision,
+                             False))
 
     @staticmethod
     def from_ratio(prime: Prime, num: Poly, den: Poly,
@@ -132,14 +139,6 @@ class LocalElement:
             return self.val
         return None
 
-    def certified_val(self) -> int:
-        if self.kind == "n":
-            return self.val
-        if self.kind == "z":
-            raise Singular("exact zero has valuation +infinity")
-        raise PrecisionExhausted(
-            f"valuation uncertified beyond O(pi^{self.val})")
-
     def is_integral(self) -> bool:
         """Certified val >= 0 (refuses rather than guessing)."""
         if self.kind == "z":
@@ -150,80 +149,27 @@ class LocalElement:
             return False
         raise PrecisionExhausted("cannot certify integrality")
 
-    def has_val_at_least(self, c: int) -> bool:
-        if self.kind == "z":
-            return True
-        if self.val >= c:
-            return True
-        if self.kind == "n":
-            return False
-        raise PrecisionExhausted(f"cannot certify valuation >= {c}")
-
     # -- arithmetic ----------------------------------------------------------
 
+    # the rules return an operand's own tuple when the result is that
+    # operand, which is then returned as it is
+
     def neg(self) -> "LocalElement":
-        if self.kind != "n":
-            return self
-        return _make(self._kr, "n", self.val, self._kr.neg(self.unit),
-                     self.prec, self.exact)
+        a = self._fields
+        t = _neg_fields(self._kr, a)
+        return self if t is a else _element(self._kr, t)
 
     def add(self, other: "LocalElement") -> "LocalElement":
-        a, b = self, other
-        if a.kind == "z":
-            return b
-        if b.kind == "z":
-            return a
-        kr = a._kr
-        if a.kind == "n" and b.kind == "n" and a.exact and b.exact:
-            # exact sum: the window runs to the longer stored window
-            lo = min(a.val, b.val)
-            hi = max(a.val + a.prec, b.val + b.prec)
-            s = kr.add(kr.shl(a.unit, a.val - lo), kr.shl(b.unit, b.val - lo))
-            if not s:
-                return _zero(kr)
-            v = kr.val(s)
-            return _make(kr, "n", lo + v, kr.shr(s, v), hi - lo - v, True)
-        hi = min(a.abs_prec, b.abs_prec)
-        if a.kind == "u" or b.kind == "u":
-            n = b if a.kind == "u" else a
-            if n.kind == "u" or n.val >= hi:
-                return _unknown(kr, hi)
-            return _make(kr, "n", n.val, kr.mod(n.unit, hi - n.val),
-                         hi - n.val, False)
-        lo = min(a.val, b.val)
-        if hi <= lo:
-            return _unknown(kr, hi)
-        width = hi - lo
-        s = kr.add(kr.mod(kr.shl(a.unit, a.val - lo), width),
-                   kr.mod(kr.shl(b.unit, b.val - lo), width))
-        if not s:
-            return _unknown(kr, hi)
-        v = kr.val(s)
-        return _make(kr, "n", lo + v, kr.shr(s, v), width - v, False)
+        a, b = self._fields, other._fields
+        t = _add_fields(self._kr, a, b)
+        return self if t is a else other if t is b else _element(self._kr, t)
 
     def sub(self, other: "LocalElement") -> "LocalElement":
         return self.add(other.neg())
 
     def mul(self, other: "LocalElement") -> "LocalElement":
-        a, b = self, other
-        kr = a._kr
-        if a.kind == "z" or b.kind == "z":
-            return _zero(kr)
-        if a.kind == "u" or b.kind == "u":
-            return _unknown(kr, a.val + b.val)
-        if a.exact and b.exact:
-            # the window is the longest of both windows and the product
-            unit = kr.mul(a.unit, b.unit)
-            prec = max(a.prec, b.prec, kr.ndigits(unit))
-            exact = True
-        else:
-            # the shorter stored window, even when that operand is exact
-            prec = min(a.prec, b.prec)
-            unit = kr.mulmod(a.unit, b.unit, prec)
-            exact = False
-        if not kr.is_unit(unit):
-            raise InvariantError("leading digits cannot cancel")
-        return _make(kr, "n", a.val + b.val, unit, prec, exact)
+        return _element(self._kr, _mul_fields(self._kr, self._fields,
+                                              other._fields))
 
     def inv(self) -> "LocalElement":
         if self.kind == "z":
@@ -231,8 +177,8 @@ class LocalElement:
         if self.kind == "u":
             raise PrecisionExhausted("inverse of uncertified element")
         kr = self._kr
-        return _make(kr, "n", -self.val, kr.inv(self.unit, self.prec),
-                     self.prec, False)
+        return _element(kr, ("n", -self.val, kr.inv(self.unit, self.prec),
+                             self.prec, False))
 
     def div(self, other: "LocalElement") -> "LocalElement":
         return self.mul(other.inv())
@@ -240,8 +186,8 @@ class LocalElement:
     def shift(self, k: int) -> "LocalElement":
         if self.kind == "z":
             return self
-        return _make(self._kr, self.kind, self.val + k, self.unit, self.prec,
-                     self.exact)
+        return _element(self._kr, (self.kind, self.val + k, self.unit,
+                                   self.prec, self.exact))
 
     def residue(self, k: int) -> int:
         """Packed canonical representative of the class mod p^k (requires
@@ -258,10 +204,6 @@ class LocalElement:
             raise PrecisionExhausted(f"known only mod p^{self.abs_prec} < p^{k}")
         kr = self._kr
         return kr.mod(kr.shl(self.unit, self.val), k)
-
-    def residue_poly(self, k: int) -> Poly:
-        """Canonical representative of the class mod p^k, as a Poly."""
-        return self._kr.to_poly(self.residue(k))
 
     def __eq__(self, other):
         return (isinstance(other, LocalElement) and self._kr is other._kr
@@ -296,26 +238,91 @@ class LocalElement:
 _new = object.__new__
 
 
-def _make(kr, kind: str, val: int, unit: int, prec: int,
-          exact: bool) -> LocalElement:
-    """A LocalElement from its packed fields (no digit conversion)."""
+def _element(kr, fields: tuple) -> LocalElement:
+    """A LocalElement from its field tuple (kind, val, unit, prec, exact),
+    which it keeps (no digit conversion)."""
     e = _new(LocalElement)
     e.prime = kr.prime
     e._kr = kr
-    e.kind = kind
-    e.val = val
-    e.unit = unit
-    e.prec = prec
-    e.exact = exact
+    e.kind, e.val, e.unit, e.prec, e.exact = fields
+    e._fields = fields
     return e
 
 
-def _zero(kr) -> LocalElement:
-    return _make(kr, "z", 0, 0, 0, True)
+# ---------------------------------------------------------------------------
+# The add, mul and neg rules, on field tuples
+#
+# They take and return an element's fields (kind, val, unit, prec, exact)
+# as a plain tuple, so that a programme of many operations, such as
+# `hecke.char_poly`, builds no object per step; `LocalElement.add`, `mul`
+# and `neg` wrap them.  A 'u' element keeps prec 0, so val + prec is the
+# absolute precision of both 'n' and 'u'.
+
+_ZERO_FIELDS = ("z", 0, 0, 0, True)
 
 
-def _unknown(kr, bound: int) -> LocalElement:
-    return _make(kr, "u", bound, 0, 0, False)
+def _is_zero_fields(a: tuple) -> bool:
+    return a[0] == "z"
+
+
+def _neg_fields(kr, a: tuple) -> tuple:
+    if a[0] != "n":
+        return a
+    return ("n", a[1], kr.neg(a[2]), a[3], a[4])
+
+
+def _add_fields(kr, a: tuple, b: tuple) -> tuple:
+    ka, va, ua, pa, ea = a
+    kb, vb, ub, pb, eb = b
+    if ka == "z":
+        return b
+    if kb == "z":
+        return a
+    lo = va if va < vb else vb
+    ha, hb = va + pa, vb + pb
+    if ea and eb:
+        # exact sum: the window runs to the longer stored window
+        hi = ha if ha > hb else hb
+        s = kr.add(kr.shl(ua, va - lo), kr.shl(ub, vb - lo))
+        if not s:
+            return _ZERO_FIELDS
+        v = kr.val(s)
+        return ("n", lo + v, kr.shr(s, v), hi - lo - v, True)
+    hi = ha if ha < hb else hb
+    if ka == "u" or kb == "u":
+        kn, vn, un = (kb, vb, ub) if ka == "u" else (ka, va, ua)
+        if kn == "u" or vn >= hi:
+            return ("u", hi, 0, 0, False)
+        return ("n", vn, kr.mod(un, hi - vn), hi - vn, False)
+    if hi <= lo:
+        return ("u", hi, 0, 0, False)
+    width = hi - lo
+    s = kr.add(kr.mod(kr.shl(ua, va - lo), width),
+               kr.mod(kr.shl(ub, vb - lo), width))
+    if not s:
+        return ("u", hi, 0, 0, False)
+    v = kr.val(s)
+    return ("n", lo + v, kr.shr(s, v), width - v, False)
+
+
+def _mul_fields(kr, a: tuple, b: tuple) -> tuple:
+    ka, va, ua, pa, ea = a
+    kb, vb, ub, pb, eb = b
+    if ka == "z" or kb == "z":
+        return _ZERO_FIELDS
+    if ka == "u" or kb == "u":
+        return ("u", va + vb, 0, 0, False)
+    if ea and eb:
+        # the window is the longest of both windows and the product
+        unit = kr.mul(ua, ub)
+        prec = max(pa, pb, kr.ndigits(unit))
+    else:
+        # the shorter stored window, even when that operand is exact
+        prec = pa if pa < pb else pb
+        unit = kr.mulmod(ua, ub, prec)
+    if not kr.is_unit(unit):
+        raise InvariantError("leading digits cannot cancel")
+    return ("n", va + vb, unit, prec, ea and eb)
 
 
 # ---------------------------------------------------------------------------

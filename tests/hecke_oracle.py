@@ -5,7 +5,9 @@ principal minor expanded over all permutations, and
 `hecke_degree_enumerated` counts the cosets of K(p^depth) that g
 conjugates back into it.  They were `drinlat.hecke` functions until the
 library read both answers in closed form; `tests/test_hecke.py` compares
-`char_poly` and `hecke_degree` with them.
+`char_poly` and `hecke_degree` with them.  `char_poly_elements` is
+`char_poly`'s Laplace programme in `LocalElement` arithmetic, as the
+library ran it before it moved to field tuples.
 
 `unboundedness_sample_matrix` is the sampled unboundedness check of a raw
 matrix in `LocalMatrix` arithmetic.  On the standard matrix it draws the
@@ -19,10 +21,13 @@ from __future__ import annotations
 import itertools
 from typing import List, Sequence
 
+from element_queries import has_val_at_least
+
 from drinlat._chainring import ChainRing
 from drinlat.ffpoly import Poly, Prime
 from drinlat.hecke import (SampleOutcome, SampleReport, _divisors_within,
-                           _sample_rng, char_poly, newton_polygon)
+                           _minor_sums, _sample_rng, char_poly,
+                           newton_polygon)
 from drinlat.localfield import DEFAULT_PRECISION, LocalElement, LocalMatrix
 
 
@@ -42,6 +47,16 @@ def char_poly_expanded(g: LocalMatrix) -> List[LocalElement]:
         sign = -sign
     one = LocalElement.one(prime, g.working_precision())
     return coeffs + [one]
+
+
+def char_poly_elements(g: LocalMatrix) -> List[LocalElement]:
+    """Oracle for `char_poly`: the same programme `_minor_sums`, with an
+    element built at every step."""
+    prime = g.prime
+    e = _minor_sums(g.rows, LocalElement.zero(prime), lambda x: x.kind == "z",
+                    LocalElement.add, LocalElement.neg, LocalElement.mul)
+    coeffs = [e[i] if i % 2 == 0 else e[i].neg() for i in range(g.r, 0, -1)]
+    return coeffs + [LocalElement.one(prime, g.working_precision())]
 
 
 def _minor_det(g: LocalMatrix, subset: Sequence[int]) -> LocalElement:
@@ -93,7 +108,7 @@ def hecke_degree_enumerated(g: LocalMatrix, depth: int) -> int:
         for i in range(r):
             for j in range(r):
                 e = w.entry(i, j).sub(ident.rows[i][j])
-                if not e.has_val_at_least(depth):
+                if not has_val_at_least(e, depth):
                     ok = False
                     break
             if not ok:

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hecke_oracle import (char_poly_expanded, hecke_degree_enumerated,
-                          random_congruence_matrix, sample_char_poly,
-                          unboundedness_sample_matrix)
+from element_queries import certified_val
+from hecke_oracle import (char_poly_elements, char_poly_expanded,
+                          hecke_degree_enumerated, random_congruence_matrix,
+                          sample_char_poly, unboundedness_sample_matrix)
+from hypothesis import given, settings, strategies as st
 
-from drinlat import _chainring, acceptance, hecke
+from drinlat import _chainring, acceptance, hecke, localfield
 from drinlat.errors import PrecisionExhausted, QuotientInsufficient
 from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
                             primes_of_degree)
@@ -33,22 +35,22 @@ class TestCharPoly:
         g = standard_hecke_matrix(T2, 2)
         cp = char_poly(g)
         # lambda^2 - (pi^-1 + 1) lambda + pi^-1
-        assert cp[0].certified_val() == -1
-        assert cp[1].certified_val() == -1
-        assert cp[2].certified_val() == 0
+        assert certified_val(cp[0]) == -1
+        assert certified_val(cp[1]) == -1
+        assert certified_val(cp[2]) == 0
 
     def test_identity_r2(self):
         g = LocalMatrix.identity(T2, 2)
         cp = char_poly(g)
         # char 2: lambda^2 - 2 lambda + 1 = lambda^2 + 1
-        assert cp[0].certified_val() == 0
+        assert certified_val(cp[0]) == 0
         assert cp[1].kind == "z"
-        assert cp[2].certified_val() == 0
+        assert certified_val(cp[2]) == 0
 
     def test_companion_of_lambda2_minus_pi(self):
         g = companion_matrix(T2, [pi_pow(T2, 1).neg(), LocalElement.zero(T2)])
         cp = char_poly(g)
-        assert cp[0].certified_val() == 1  # a_0 = -pi
+        assert certified_val(cp[0]) == 1  # a_0 = -pi
         assert cp[1].kind == "z"
 
     def test_trace_and_det_against_direct(self):
@@ -118,19 +120,21 @@ class TestCharPolyAgainstExpansion:
 
     def test_product_count(self, monkeypatch):
         # dense r = 6 matrix of inexact units: 633 products, where the
-        # expansion takes 7,830
+        # expansion takes 7,830; both count the tuple rule, which
+        # char_poly calls directly and LocalElement.mul wraps
         rng = random.Random(0)
         g = LocalMatrix(T2, [[LocalElement(T2, "n", 0, tuple(
             Poly(F2, [1 if k == 0 else rng.randrange(2)]) for k in range(6)))
             for _ in range(6)] for _ in range(6)])
         calls = []
-        orig = LocalElement.mul
+        orig = localfield._mul_fields
 
-        def counting_mul(a, b):
+        def counting_mul(kr, a, b):
             calls.append(1)
-            return orig(a, b)
+            return orig(kr, a, b)
 
-        monkeypatch.setattr(LocalElement, "mul", counting_mul)
+        monkeypatch.setattr(hecke, "_mul_fields", counting_mul)
+        monkeypatch.setattr(localfield, "_mul_fields", counting_mul)
         char_poly(g)
         fast = len(calls)
         calls.clear()
@@ -200,6 +204,77 @@ class TestCharPolyAgainstExpansion:
                         assert _consistent(x, y) is None, (i, x, y)
                         kinds.add(x.kind)
         assert kinds == {"n", "u", "z"}
+
+
+# per field q = 2, 3, 4, 5: t, t + 1 and the first prime of degree 2
+TUPLE_PRIMES = [pr for F in (FiniteField.of_order(p, e)
+                             for p, e in ((2, 1), (3, 1), (2, 2), (5, 1)))
+                for pr in (prime_from_str("t", F), prime_from_str("t+1", F),
+                           primes_of_degree(F, 2)[0])]
+TUPLE_PRIME_IDS = [f"q={pr.field.size}:{pr}" for pr in TUPLE_PRIMES]
+
+
+@st.composite
+def doubled_matrix(draw):
+    """(prime, rows at precision P, the same rows with every inexact entry's
+    digits extended to 2P): exact zeros and inexact entries of valuation
+    -1 to 2, the first P digits shared."""
+    prime = draw(st.sampled_from(TUPLE_PRIMES))
+    r = draw(st.integers(1, 4))
+    P = draw(st.integers(1, 8))
+    F = prime.field
+    digit = st.lists(st.integers(0, F.size - 1), min_size=prime.degree,
+                     max_size=prime.degree).map(lambda c: Poly(F, c))
+    low, high = [], []
+    for _ in range(r):
+        row_low, row_high = [], []
+        for _ in range(r):
+            if draw(st.integers(0, 6)) == 0:
+                row_low.append(LocalElement.zero(prime))
+                row_high.append(LocalElement.zero(prime))
+                continue
+            val = draw(st.integers(-1, 2))
+            digits = draw(st.lists(digit, min_size=2 * P, max_size=2 * P))
+            if digits[0].is_zero():
+                digits[0] = Poly.one(F)
+            row_low.append(LocalElement(prime, "n", val, tuple(digits[:P])))
+            row_high.append(LocalElement(prime, "n", val, tuple(digits)))
+        low.append(row_low)
+        high.append(row_high)
+    return prime, low, high
+
+
+class TestCharPolyOnFieldTuples:
+    """`char_poly` runs `_minor_sums` on field tuples; the same programme
+    in `LocalElement` arithmetic is the oracle `char_poly_elements`."""
+
+    @pytest.mark.parametrize("prime", TUPLE_PRIMES, ids=TUPLE_PRIME_IDS)
+    def test_matches_element_programme(self, prime):
+        rng = random.Random(f"fields:{prime.field.size}:{prime}")
+        entries = set()
+        for r in range(1, 6):
+            for _ in range(10 if r < 5 else 2):
+                g = LocalMatrix(prime, [[_mixed_element(prime, rng)
+                                         for _ in range(r)]
+                                        for _ in range(r)])
+                entries.update((x.kind, x.exact) for row in g.rows
+                               for x in row)
+                assert _same_elements(char_poly(g), char_poly_elements(g))
+        # exact zeros, O(pi^k), exact and inexact nonzero entries
+        assert entries == {("z", True), ("u", False), ("n", True),
+                           ("n", False)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(doubled_matrix())
+    def test_doubling_precision_keeps_certified_coefficients(self, case):
+        # a coefficient certified at precision P is certified at 2P, with
+        # the same valuation and the same digits below its precision
+        prime, low, high = case
+        at_p = char_poly(LocalMatrix(prime, low))
+        at_2p = char_poly(LocalMatrix(prime, high))
+        for i, (x, y) in enumerate(zip(at_p, at_2p)):
+            assert _consistent(x, y) is None, (i, x, y)
+            assert x.kind != "n" or y.kind == "n", (i, x, y)
 
 
 class TestNewtonPolygon:
@@ -575,3 +650,21 @@ def test_packed_sampler_matches_matrix_branch(prime, r, precision):
 
 def _kinds_and_vals(coeffs):
     return [(x.kind, None if x.kind == "z" else x.val) for x in coeffs]
+
+
+# q = 255 and below are read off the words' top bytes; 256 and above keep
+# randrange, which takes several words per try from 2^32 on
+DRAW_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 17, 25, 27, 81, 243, 255, 256, 257,
+              2 ** 32, 2 ** 40 + 15)
+
+
+@pytest.mark.parametrize("q", DRAW_SIZES)
+def test_batched_draws_match_randrange(q):
+    # the sampler's batch must give what one randrange(q) per coefficient
+    # gives, so that every sample, and the oracle that draws with
+    # randrange, is unchanged
+    for seed in range(4):
+        for n in (0, 1, 9, 250, 2000):
+            want = random.Random(seed)
+            assert hecke._draw_below(random.Random(seed), q, n) == \
+                [want.randrange(q) for _ in range(n)], (seed, n)

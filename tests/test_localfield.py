@@ -5,6 +5,7 @@ import random
 import time
 
 import pytest
+from element_queries import certified_val, residue_poly
 from howell_oracle import (_chain_matvec, _hom_module, enumerate_module,
                            howell_form, kernel_rows, module_contains,
                            module_size, saturation_holds_chain, vec_scale)
@@ -16,8 +17,9 @@ from drinlat import localfield
 from drinlat._chainring import ChainRing, smith_form_left
 from drinlat.acceptance import (_gitter_structures,
                                 count_matrix_group_exhaustive)
-from drinlat.errors import (BudgetExceeded, DrinlatError, NotContained,
-                            NotSaturated, PrecisionExhausted, Singular)
+from drinlat.errors import (BudgetExceeded, DrinlatError, InvariantError,
+                            NotContained, NotSaturated, PrecisionExhausted,
+                            Singular)
 from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
                             primes_of_degree, residue_field)
 from drinlat.localfield import (
@@ -59,7 +61,7 @@ def lattice_index(sub, sup):
 class TestLocalElement:
     def test_from_poly_valuation(self):
         x = elem(T2, "t^3+t^4")
-        assert x.certified_val() == 3
+        assert certified_val(x) == 3
 
     def test_mul_adds_valuations(self):
         rng = random.Random(0)
@@ -70,7 +72,7 @@ class TestLocalElement:
                 continue
             a = LocalElement.from_poly(T3, f)
             b = LocalElement.from_poly(T3, g)
-            assert a.mul(b).certified_val() == a.certified_val() + b.certified_val()
+            assert certified_val(a.mul(b)) == certified_val(a) + certified_val(b)
 
     def test_product_precision_is_min(self):
         # truncated operand: the expansion of 1+t^6 does not fit in 5 digits
@@ -84,8 +86,8 @@ class TestLocalElement:
         b = LocalElement.from_poly(T2, poly_from_str("1+t+t^2", F2), 9)
         prod = a.mul(b)
         assert prod.exact
-        assert prod.residue_poly(4) == (poly_from_str("1+t", F2) *
-                                        poly_from_str("1+t+t^2", F2)) % \
+        assert residue_poly(prod, 4) == (poly_from_str("1+t", F2) *
+                                         poly_from_str("1+t+t^2", F2)) % \
             poly_from_str("t^4", F2)
 
     def test_exact_cancellation_gives_true_zero(self):
@@ -96,21 +98,21 @@ class TestLocalElement:
         for s in ("1+t", "2+t+t^2", "1+2*t^3"):
             x = elem(T3, s)
             one = x.mul(x.inv())
-            assert one.certified_val() == 0
+            assert certified_val(one) == 0
             assert one.digits[0].is_one()
             assert all(d.is_zero() for d in one.digits[1:])
 
     def test_inverse_at_degree2_prime(self):
         x = elem(P3, "t")  # unit at t^2+1
         prod = x.mul(x.inv())
-        assert prod.certified_val() == 0 and prod.digits[0].is_one()
+        assert certified_val(prod) == 0 and prod.digits[0].is_one()
 
     def test_apparent_zero_is_unknown(self):
         x = elem(T2, "1+t").inv()  # inexact: infinite expansion truncated
         z = x.sub(x)
         assert z.kind == "u"
         with pytest.raises(PrecisionExhausted):
-            z.certified_val()
+            certified_val(z)
 
     def test_unknown_is_integral_when_bound_nonneg(self):
         x = elem(T2, "1+t").inv()
@@ -120,11 +122,22 @@ class TestLocalElement:
     def test_ratio(self):
         x = LocalElement.from_ratio(T2, poly_from_str("1", F2),
                                     poly_from_str("t", F2))
-        assert x.certified_val() == -1
+        assert certified_val(x) == -1
+
+    @pytest.mark.parametrize("prime", [T2, P3], ids=str)
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_product_of_a_non_unit_is_refused(self, prime, exact):
+        # a unit field that is divisible by p breaks the element's
+        # invariant; the product rule raises, also under python -O
+        kr = localfield._kernel(prime)
+        broken = localfield._element(kr, ("n", 0, kr.p, 3, exact))
+        one = LocalElement.one(prime, 3)
+        with pytest.raises(InvariantError, match="leading digits"):
+            broken.mul(one)
 
     def test_residue_poly(self):
         x = elem(T3, "1+t+2*t^2")
-        assert x.residue_poly(2) == poly_from_str("1+t", F3)
+        assert residue_poly(x, 2) == poly_from_str("1+t", F3)
 
 
 class TestSmithNormalForm:
@@ -203,7 +216,7 @@ class TestSmithNormalForm:
                 for j in range(3):
                     e = prod.entry(i, j)
                     if i == j:
-                        assert e.certified_val() == 0
+                        assert certified_val(e) == 0
                         assert e.digits[0].is_one()
                         assert all(d.is_zero() for d in e.digits[1:])
                     else:

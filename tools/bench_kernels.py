@@ -54,8 +54,9 @@ p = t over F_3, precision 12 (row `ratio`: inexact entries, which take
 `_snf_full`); `unboundedness_sample_check` per sample of a HeckeElement
 at p = t over F_2 (r = 2-6, precisions 12 and 30) and at t^2+1 over F_3
 (r = 2), and `char_poly` of seeded dense inexact r = 6 matrices at p = t
-over F_2, precision 12; the carry-less product `_clmul` on 200 seeded pairs of
-6, 12, 24 and 72 bits; `Poly.is_irreducible` on the first 20 irreducible
+over F_2, precisions 12 and 30, and at t^2+1 over F_3, precision 12; the
+carry-less product `_clmul` on 200 seeded pairs of 6, 12, 24 and 72
+bits; `Poly.is_irreducible` on the first 20 irreducible
 polynomials of degree 4 and 8 over F_2 and F_3;
 cold good-prime scans (prime-list and residue-field caches cleared
 first): `find_good_prime` on the README datum `perfbench/data/X.json`
@@ -96,6 +97,8 @@ COLD_FIELD_REPEATS = 3
 # per-sample rows of the sampled unboundedness check: (q, prime, ranks)
 SAMPLE_ROWS = ((2, "t", (2, 3, 4, 5, 6)), (3, "t^2+1", (2,)))
 SAMPLES = 4
+# char_poly rows of dense inexact r = 6 matrices: (q, prime, precision)
+CHARPOLY_ROWS = ((2, "t", 12), (2, "t", 30), (3, "t^2+1", 12))
 CLMUL_BITS = (6, 12, 24, 72)
 STABILIZER_SAMPLE = 40
 STABILIZER_ROUNDS = 5
@@ -508,20 +511,27 @@ def _hecke_sample_rows() -> dict:
                 out[f"unboundedness_sample|q={q}|p={text}|r={r}|prec={prec}"] \
                     = _timing(lambda: unboundedness_sample_check(
                         elem, SAMPLES, 0, prec), SAMPLES, 1e6)
-    F = FiniteField.of_order(2)
-    prime = prime_from_str("t", F)
+    # one generator for all rows, the first row's matrices drawn first, so
+    # that row keeps the matrices it had before the other rows were added
     rng = random.Random("char_poly:inexact")
+    for q, text, prec in CHARPOLY_ROWS:
+        F = FiniteField.of_order(q)
+        prime = prime_from_str(text, F)
 
-    def entry():
-        # a unit of 12 digits times pi^-1, pi^0 or pi^1
-        digits = [Poly(F, [1])] + [Poly(F, [rng.randrange(2)])
-                                   for _ in range(11)]
-        return LocalElement(prime, "n", rng.randrange(-1, 2), tuple(digits))
+        def digit():
+            return Poly(F, [rng.randrange(q) for _ in range(prime.degree)])
 
-    mats = [LocalMatrix(prime, [[entry() for _ in range(6)] for _ in range(6)])
-            for _ in range(5)]
-    out["char_poly|q=2|p=t|r=6|prec=12|inexact"] = _timing(
-        lambda: [char_poly(m) for m in mats], len(mats), 1e6)
+        def entry():
+            # a unit of prec digits, leading digit 1, times pi^-1, pi^0 or
+            # pi^1
+            digits = [Poly(F, [1])] + [digit() for _ in range(prec - 1)]
+            return LocalElement(prime, "n", rng.randrange(-1, 2),
+                                tuple(digits))
+
+        mats = [LocalMatrix(prime, [[entry() for _ in range(6)]
+                                    for _ in range(6)]) for _ in range(5)]
+        out[f"char_poly|q={q}|p={text}|r=6|prec={prec}|inexact"] = _timing(
+            lambda: [char_poly(m) for m in mats], len(mats), 1e6)
     return out
 
 
