@@ -27,9 +27,11 @@ encoding.
 returns the canonical Poly.  `smith_form_left`, the Smith form of a basis
 over A/p^k with its row transform and inverse, is the one elimination on
 submodules of (A/p^k)^n: `localfield` reads lattice spans, multiplier
-rings, hom-modules and their sizes off it.  `smith_exponents` is its
+rings, hom-modules and their sizes off it, and builds the transforms of a
+multiplier ring at its own depth k.  `smith_exponents` is its
 exponents-only form, with the same pivots and no inverse: `localfield`
-reads the elementary divisors of an exact matrix off it.
+reads the elementary divisors of an exact matrix, and of a lattice basis
+at the working precision, off it.
 """
 
 from __future__ import annotations
@@ -605,6 +607,7 @@ def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
     """
     k = ring.k
     r, L = len(cols[0]), len(cols)
+    add, sub, mul = ring.add, ring.sub, ring.mul
     A = [[cols[j][i] for j in range(L)] for i in range(r)]
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     U_inv = [row[:] for row in U]
@@ -623,23 +626,29 @@ def smith_form_left(ring: ChainRing, cols: Sequence[Vec]
             x = A[i][t]
             if not x:
                 continue
-            # row i -= c * row t clears A[i][t]; U gets the inverse operation
-            c = ring.mul(ring.unit_part(x, e), u_inv)
-            A[i] = [ring.sub(a, ring.mul(c, b)) if b else a
-                    for a, b in zip(A[i], prow)]
-            U_inv[i] = [ring.sub(a, ring.mul(c, b)) if b else a
-                        for a, b in zip(U_inv[i], irow)]
+            # row i -= c * row t clears A[i][t]; U gets the inverse
+            # operation.  A multiplier c = 1 is subtracted without a product
+            c = ring.unit_part(x, e)
+            if u_inv != 1:
+                c = u_inv if c == 1 else mul(c, u_inv)
+            A[i] = [sub(a, b if c == 1 else c if b == 1 else mul(c, b))
+                    if b else a for a, b in zip(A[i], prow)]
+            U_inv[i] = [sub(a, b if c == 1 else c if b == 1 else mul(c, b))
+                        if b else a for a, b in zip(U_inv[i], irow)]
             for row in U:
-                if row[i]:
-                    row[t] = ring.add(row[t], ring.mul(c, row[i]))
+                y = row[i]
+                if y:
+                    row[t] = add(row[t], y if c == 1 else c if y == 1
+                                 else mul(c, y))
         exps.append(e)
     _pad_ascending(exps, r, k)
+    inv_cols = list(zip(*U_inv))
     for i in range(r):
         for j in range(r):
             acc = 0
-            for a, b in zip(U[i], (row[j] for row in U_inv)):
+            for a, b in zip(U[i], inv_cols[j]):
                 if a and b:
-                    acc = ring.add(acc, ring.mul(a, b))
+                    acc = add(acc, b if a == 1 else a if b == 1 else mul(a, b))
             if acc != (i == j):
                 raise InvariantError("Smith row transform is not invertible")
     return tuple(exps), U, U_inv

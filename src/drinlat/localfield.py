@@ -845,9 +845,10 @@ def _chain_matmul(ring: ChainRing, a, b):
             x = a[i][l]
             if not x:
                 continue
-            for j in range(m):
-                if b[l][j]:
-                    out[i][j] = ring.add(out[i][j], ring.mul(x, b[l][j]))
+            for j, y in enumerate(b[l]):
+                if y:
+                    out[i][j] = ring.add(out[i][j], y if x == 1 else x if y == 1
+                                         else ring.mul(x, y))
     return out
 
 
@@ -986,9 +987,10 @@ def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
     kr = ring.kernel
     ypow = order.y_power_blocks(ring)
     # x = y^j in block (a, b) maps block b through rho(y)^j into block a, so
-    # X U_src is rho(y)^j times the rows of U_src in block b, put in block a
-    xu = [[_chain_matmul(ring, pw, u_src[b * m:(b + 1) * m]) for pw in ypow]
-          for b in range(rp)]
+    # X U_src is rho(y)^j times the rows of U_src in block b, put in block
+    # a; rho(y)^0 = I leaves the rows as they are
+    xu = [[blk] + [_chain_matmul(ring, pw, blk) for pw in ypow[1:]]
+          for blk in (u_src[b * m:(b + 1) * m] for b in range(rp))]
     images = []
     for a in range(rp):
         left = [row[a * m:(a + 1) * m] for row in u_dst_inv]
@@ -998,8 +1000,10 @@ def _hom_kernel(order: OrderStructure, ring: ChainRing, src, dst):
                 for i, col, s in spots:
                     acc = 0
                     for x, wrow in zip(left[i], w):
-                        if x and wrow[col]:
-                            acc = ring.add(acc, ring.mul(x, wrow[col]))
+                        y = wrow[col]
+                        if x and y:
+                            acc = ring.add(acc, y if x == 1 else x if y == 1
+                                           else ring.mul(x, y))
                     img.append(kr.mod(kr.shl(acc, s), k) if acc else 0)
                 images.append(img)
     # images[s] is the row of C^T for coordinate s; its columns are C's rows
@@ -1050,27 +1054,21 @@ def _span_units(kp: FiniteField, r: int, mats):
             yield coeffs
 
 
-def _divisors_and_transforms(lattice, prime: Prime):
-    """(elementary divisors, (depth, U, U^-1) or None, residue columns or
-    None) of an integral basis.
-
-    Polynomial columns are reduced mod p^DEFAULT_PRECISION once.  The
-    packed Smith elimination yields the divisors and U with its inverse
-    at once, and the same packed columns give the basis columns mod p
-    for the saturation test.  Where it cannot certify a pivot (an
-    exponent reaches the depth), and for a Lattice, whose divisors are
-    cached, the divisors come from `Lattice.elementary_divisors`, so its
-    refusals stand; a Lattice has no residue columns here."""
+def _divisors_and_columns(lattice, prime: Prime):
+    """(elementary divisors, basis columns mod p^DEFAULT_PRECISION or None)
+    of an integral basis.  `smith_exponents` certifies the divisors on the
+    packed columns, inverting nothing.  Where it cannot (an exponent
+    reaches the depth), and for a Lattice, whose divisors are cached and
+    which has no packed columns here, they come from
+    `Lattice.elementary_divisors`, so its refusals stand."""
     if isinstance(lattice, Lattice):
-        return lattice.elementary_divisors, None, None
+        return lattice.elementary_divisors, None
     ring = ChainRing(prime, DEFAULT_PRECISION)
     cols = _lattice_columns_chain(lattice, ring)
-    residues = [[ring.to_residue(x) for x in col] for col in cols]
-    exps, u, u_inv = smith_form_left(ring, cols)
+    exps = smith_exponents(ring, list(zip(*cols)))
     if exps[-1] < ring.k:
-        return exps, (ring.k, u, u_inv), residues
-    divisors = Lattice.from_poly_basis(prime, lattice).elementary_divisors
-    return divisors, None, residues
+        return exps, cols
+    return Lattice.from_poly_basis(prime, lattice).elementary_divisors, cols
 
 
 def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
@@ -1079,11 +1077,14 @@ def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
     multiplier ring H = {x : x.Lambda subset Lambda} mod p^k, after the
     integrality, depth, saturation and budget checks.
 
-    H is the kernel of a constraint system read off one Smith form
-    Lambda = U diag(pi^e) A^r: x is in H iff v((U^-1 X U)_ab) >= e_a - e_b
-    (`_hom_kernel`), which also gives |H|."""
+    The divisors, and the residues the saturation test reads, come from
+    the columns packed by `_divisors_and_columns`.  H is the kernel of a
+    constraint system read off the Smith form Lambda = U diag(pi^e) A^r
+    that `smith_form_left` builds at depth k, on those columns reduced mod
+    p^k: x is in H iff v((U^-1 X U)_ab) >= e_a - e_b (`_hom_kernel`),
+    which also gives |H|."""
     prime = order.prime
-    divisors, snf, residues = _divisors_and_transforms(lattice, prime)
+    divisors, cols = _divisors_and_columns(lattice, prime)
     if min(divisors) < 0:
         raise NotContained("lattice must be integral (scale it first)")
     e_max = max(divisors)
@@ -1091,21 +1092,19 @@ def _multiplier_ring(lattice, order: OrderStructure, k: Optional[int],
         k = max(1, e_max)
     if k < e_max:
         raise ValueError(f"depth {k} too small: p^{e_max} needed to contain the lattice")
-    if not (saturation_holds(order, lattice) if residues is None
-            else _saturated(order, residues)):
-        raise NotSaturated("R'-span of the lattice is not the full module")
     ring = ChainRing(prime, k)
-    if snf is not None and snf[0] >= k:
-        # the transforms at a greater depth, reduced
-        kr = ring.kernel
-        u, u_inv = ([[kr.mod(x, k) for x in row] for row in mat]
-                    for mat in snf[1:])
+    kr = ring.kernel
+    if not (saturation_holds(order, lattice) if cols is None else _saturated(
+            order, [[kr.residue(x) for x in col] for col in cols])):
+        raise NotSaturated("R'-span of the lattice is not the full module")
+    if cols is None or k > DEFAULT_PRECISION:
+        cols = _lattice_columns_chain(lattice, ring)
     else:
-        exps, u, u_inv = smith_form_left(
-            ring, _lattice_columns_chain(lattice, ring))
-        if exps != divisors:
-            raise InvariantError(
-                f"Smith exponents {exps} mod p^{k} disagree with {divisors}")
+        cols = [tuple(kr.mod(x, k) for x in col) for col in cols]
+    exps, u, u_inv = smith_form_left(ring, cols)
+    if exps != divisors:
+        raise InvariantError(
+            f"Smith exponents {exps} mod p^{k} disagree with {divisors}")
     hom = _hom_kernel(order, ring, (divisors, u), (divisors, u_inv))
     h_size = prime.residue_size ** sum(hom[0])
     if h_size > budget:
@@ -1142,13 +1141,14 @@ def stabilizer_index(lattice, order: OrderStructure, k: Optional[int] = None,
     multiplier ring H = {x : x.Lambda subset Lambda} mod p^k.
 
     H is the kernel of a small linear system over A/p^k read off one
-    packed Smith form Lambda = U diag(pi^e) A^r, which also gives the
-    elementary divisors (`_multiplier_ring`).  x in H is a unit iff x mod
-    p is invertible, so the units are counted on the image H-bar of H mod
-    p, a k(p)-space whose basis the same Smith form gives
-    (`_residue_image`): |H^x| = |H| / |H-bar| times the number of
-    invertible elements of H-bar.  Only H-bar is enumerated; the gate
-    |H| <= budget is kept.
+    packed Smith form Lambda = U diag(pi^e) A^r (`_multiplier_ring`): the
+    elementary divisors e come from `smith_exponents` at the working
+    precision, U and U^-1 from `smith_form_left` at depth k.  x in H is a
+    unit iff x mod p is invertible, so the units are counted on the image
+    H-bar of H mod p, a k(p)-space whose basis the Smith form of H's
+    constraints gives (`_residue_image`): |H^x| = |H| / |H-bar| times the
+    number of invertible elements of H-bar.  Only H-bar is enumerated; the
+    gate |H| <= budget is kept.
     """
     return _stabilizer(lattice, order, k, budget)[0]
 
@@ -1285,11 +1285,12 @@ def _x_block_matrix(order: OrderStructure, ring, ypow, x_coords):
                     continue
                 blk = ypow[j]
                 for i in range(m):
-                    for l in range(m):
-                        if blk[i][l]:
-                            mat[a * m + i][b * m + l] = ring.add(
-                                mat[a * m + i][b * m + l],
-                                ring.mul(c, blk[i][l]))
+                    row = mat[a * m + i]
+                    for l, y in enumerate(blk[i]):
+                        if y:
+                            row[b * m + l] = ring.add(
+                                row[b * m + l],
+                                y if c == 1 else c if y == 1 else ring.mul(c, y))
     return mat
 
 

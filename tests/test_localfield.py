@@ -971,9 +971,11 @@ OTHER_PRIMES = [(prime_from_str("t^2+t+1", F2), 2),
 
 def _saturated_from_packed(order, cols):
     """The saturation test as `stabilizer_index` runs it: on the residues
-    read off the columns packed for its Smith form."""
-    residues = localfield._divisors_and_transforms(cols, order.prime)[2]
-    return localfield._saturated(order, residues)
+    read off the columns packed for its elementary divisors."""
+    packed = localfield._divisors_and_columns(cols, order.prime)[1]
+    kr = localfield._kernel(order.prime)
+    return localfield._saturated(
+        order, [[kr.residue(x) for x in col] for col in packed])
 
 
 class TestSaturationOverResidueField:
@@ -1126,6 +1128,53 @@ class TestMultiplierRingFromSmithForm:
         assert gitter_bound_check(cols, S)
 
 
+TRANSFORM_PRIMES = [prime_from_str(f, F) for F in (F2, F3, F4)
+                    for f in ("t", "t+1")] + [
+    prime_from_str("t^2+t+1", F2), P3, primes_of_degree(F4, 2)[0]]
+
+
+class TestMultiplierRingTransforms:
+    """U and U^-1 of `_multiplier_ring`, built by `smith_form_left` at
+    depth k from the depth-DEFAULT_PRECISION columns reduced mod p^k, are
+    those of the columns reduced mod p^k directly."""
+
+    @pytest.mark.parametrize("prime", TRANSFORM_PRIMES,
+                             ids=[f"q={p.field.size},{p.poly}"
+                                  for p in TRANSFORM_PRIMES])
+    def test_masked_columns_match_depth_k(self, prime, monkeypatch):
+        calls = []
+
+        def spy(ring, cols):
+            out = smith_form_left(ring, cols)
+            calls.append((ring.k, [tuple(c) for c in cols], out))
+            return out
+        monkeypatch.setattr(localfield, "smith_form_left", spy)
+        max_exp = 2 if prime.degree == 1 else 1
+        cases = 0
+        for order in _rank_two_orders(prime):
+            for _, cols in hermite_sublattices(prime, 2, max_exp):
+                if not saturation_holds(order, cols):
+                    continue
+                lat = Lattice.from_poly_basis(prime, cols)
+                e_max = max(lat.elementary_divisors)
+                for k in (None, e_max + 1, DEFAULT_PRECISION + 2):
+                    for arg in (cols, lat):
+                        calls.clear()
+                        try:
+                            localfield._multiplier_ring(arg, order, k,
+                                                        DEFAULT_BUDGET)
+                        except BudgetExceeded:
+                            pass
+                        depth, got, transforms = calls[0]
+                        assert depth == (k or max(1, e_max))
+                        ring = ChainRing(prime, depth)
+                        want = localfield._lattice_columns_chain(cols, ring)
+                        assert got == want, (cols, k)
+                        assert transforms == smith_form_left(ring, want)
+                        cases += 1
+        assert cases
+
+
 def _random_chain_matrix(ring, rows, width, rng):
     elems = list(ring.elements())
     return [tuple(rng.choice(elems) for _ in range(rows)) for _ in range(width)]
@@ -1180,6 +1229,64 @@ class TestSmithFormLeft:
     def test_chain_ring_depth_refused(self):
         with pytest.raises(ValueError, match="k >= 1"):
             ChainRing(T2, 0)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_multiplier_one_against_howell(self, q):
+        # over F_3 and F_5 sub differs from add; rows cleared by a
+        # multiplier c = 1 are subtracted without a product, the U U^-1
+        # check skips factors 1, and no product by 1 is made at all
+        F = FiniteField.of_order(q)
+        rng = random.Random(f"smith-one:{q}")
+        unit_steps = 0
+        for prime in (prime_from_str("t", F), prime_from_str("t+1", F)):
+            for k in (1, 2, 3):
+                ring = ChainRing(prime, k)
+                elems = list(ring.elements())
+                for _ in range(30):
+                    r, L = rng.choice([(2, 2), (3, 3), (3, 2), (2, 3)])
+                    rows = [[rng.choice(elems) for _ in range(L)]
+                            for _ in range(r)]
+                    if rng.random() < 0.7:  # a pivot 1 over units u, u + p
+                        j = rng.randrange(L)
+                        rows[0][j] = 1
+                        for row in rows[1:]:
+                            row[j] = rng.choice([1, ring.add(1, ring.pi_pow(1))])
+                    cols = [tuple(col) for col in zip(*rows)]
+                    unit_steps += _first_step_multiplier_is_one(ring, rows)
+                    products = []
+
+                    def mul(a, b, _mul=ring.mul):
+                        products.append((a, b))
+                        return _mul(a, b)
+                    with pytest.MonkeyPatch.context() as m:
+                        m.setattr(ring, "mul", mul)
+                        exps, U, U_inv = smith_form_left(ring, cols)
+                    assert all(1 not in pair for pair in products)
+                    span = [tuple(ring.mul(ring.pi_pow(e), U[i][j]) if e < k
+                                  else 0 for i in range(r))
+                            for j, e in enumerate(exps)]
+                    assert howell_form(ring, span) == howell_form(ring, cols)
+                    ident = localfield._chain_matmul(ring, U, U_inv)
+                    assert ident == localfield._chain_identity(ring, r)
+                    with pytest.MonkeyPatch.context() as m:
+                        m.setattr(ring, "add", lambda a, b: a)
+                        with pytest.raises(InvariantError, match="invertible"):
+                            smith_form_left(ring, cols)
+        assert unit_steps > 20, unit_steps
+
+
+def _first_step_multiplier_is_one(ring, rows):
+    """Whether the first pivot step of `smith_form_left` on the matrix with
+    these rows clears some row with the multiplier c = 1, i.e. whether an
+    entry under the pivot pi^e u has the unit part u."""
+    entries = [(ring.val(x), i, j) for i, row in enumerate(rows)
+               for j, x in enumerate(row) if x]
+    if not entries:
+        return False
+    e, i0, j0 = min(entries)  # least valuation, ties row-major
+    u = ring.unit_part(rows[i0][j0], e)
+    return any(ring.unit_part(row[j0], e) == u
+               for i, row in enumerate(rows) if i != i0 and row[j0])
 
 
 def _orbit_equal_full_search(order, k, cols_a, cols_b):

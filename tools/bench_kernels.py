@@ -40,8 +40,13 @@ on the census grid of `perfbench`'s `lattice-census` (criterion 2's orders,
 Hermite sublattices of exponent <= 3), per order, `saturation_holds` per
 call on every lattice, and per call the unit walk `_span_units` over the
 basis of H mod p of every saturated lattice, at the depth
-`stabilizer_index` uses; the rank over k(p) of 200 seeded 3 x 3 matrices
-over F_2 (bit rows) and F_3 (entry lists) at p = t, per matrix, by
+`stabilizer_index` uses; on the saturated lattices of the same grid, per
+call, `smith_exponents` of the basis packed at the working precision (12)
+and `smith_form_left` of the basis at the depth k = max(1, e_max) that
+`stabilizer_index` uses, and, per order of criterion 2, `_multiplier_ring`
+per call on the seeded sample of the `stabilizer_index` rows; the rank
+over k(p) of 200 seeded 3 x 3 matrices over F_2 (bit rows) and F_3
+(entry lists) at p = t, per matrix, by
 `_residue_rank` (a checkout without it ranks by `_residue_echelon`);
 `LocalMatrix.inverse` per call on 10 seeded invertible r x r matrices
 (r = 2, 3, 4) at p = t over F_2, F_3, F_4 and F_5, at precisions 12 and
@@ -148,6 +153,7 @@ def main() -> None:
     out.update(_stabilizer_rows())
     out.update(_hom_rows())
     out.update(_census_rows())
+    out.update(_smith_rows())
     out.update(_inverse_rows())
     out.update(_divisor_rows())
     out.update(_goodprime_rows())
@@ -403,6 +409,49 @@ def _census_rows() -> dict:
                 for _ in range(200)]
         out[f"residue_rank|q={q}|r=3"] = _timing(
             lambda: [rank(kp, mat, 3) for mat in mats], len(mats), 1e6)
+    return out
+
+
+def _smith_rows() -> dict:
+    """The pieces of `_multiplier_ring`: the divisors' elimination at the
+    working precision and the transforms' at depth k, on the saturated
+    lattices of the census grid, and the whole function per order of
+    criterion 2."""
+    from drinlat._chainring import ChainRing, smith_exponents, smith_form_left
+    from drinlat.acceptance import _gitter_structures
+    from drinlat.localfield import (DEFAULT_BUDGET, DEFAULT_PRECISION,
+                                    Lattice, _lattice_columns_chain,
+                                    _multiplier_ring, hermite_sublattices,
+                                    saturation_holds)
+
+    out = {}
+    packed, reduced = [], []
+    for _, order in _gitter_structures():
+        for _, cols in hermite_sublattices(order.prime, order.r, 3):
+            if not saturation_holds(order, cols):
+                continue
+            k = max(1, *Lattice.from_poly_basis(order.prime,
+                                                cols).elementary_divisors)
+            deep = ChainRing(order.prime, DEFAULT_PRECISION)
+            packed.append((deep, list(zip(*_lattice_columns_chain(cols, deep)))))
+            ring = ChainRing(order.prime, k)
+            reduced.append((ring, _lattice_columns_chain(cols, ring)))
+    out[f"smith_exponents|census|depth={DEFAULT_PRECISION}"] = _timing(
+        lambda: [smith_exponents(ring, rows) for ring, rows in packed],
+        len(packed), 1e6)
+    out["smith_form_left|census|depth=k"] = _timing(
+        lambda: [smith_form_left(ring, cols) for ring, cols in reduced],
+        len(reduced), 1e6)
+    for name, order in _gitter_structures():
+        lattices = [cols for _, cols in
+                    hermite_sublattices(order.prime, order.r, 4)
+                    if saturation_holds(order, cols)]
+        rng = random.Random(f"stabilizer:{name}")  # the same sample
+        sample = rng.sample(lattices, min(STABILIZER_SAMPLE, len(lattices)))
+        out[f"multiplier_ring|{name}"] = _timing(
+            lambda: [_multiplier_ring(cols, order, None, DEFAULT_BUDGET)
+                     for _ in range(STABILIZER_ROUNDS) for cols in sample],
+            STABILIZER_ROUNDS * len(sample), 1e6)
     return out
 
 
