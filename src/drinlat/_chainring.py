@@ -475,9 +475,6 @@ class ChainRing:
         """a * b mod p^k; a product below depth k is not divided."""
         return self.kernel.mulmod(a, b, self.k)
 
-    def neg(self, a: int) -> int:
-        return self.kernel.neg(a)
-
     def val(self, a: int) -> int:
         """p-adic valuation of the class, capped at k (val(0) = k)."""
         return self.kernel.val(a) if a else self.k

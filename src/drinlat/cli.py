@@ -358,7 +358,7 @@ COMMANDS = {
         ("--ext", {"required": True}),)),
     "predegree": ("class number times index", (
         ("--ext", {"required": True}),
-        ("--i", {"type": int, "required": True}))),
+        ("--i", {"type": positive, "required": True}))),
     "hecke-degree": ("degree of the correspondence", (
         ("--q", {"required": True}),
         ("--r", {"type": positive, "required": True}),

@@ -603,9 +603,6 @@ class ZetaData(NamedTuple):
     coefficients: List[int]          # a_0..a_{2g} of the numerator P(u)
     h: int                           # class number of A'
 
-    def numerator(self, u: Fraction) -> Fraction:
-        return sum(Fraction(c) * u ** i for i, c in enumerate(self.coefficients))
-
 
 def count_places(ext: Extension, degree: int,
                  budget: int = PLACE_BUDGET) -> int:

@@ -261,9 +261,6 @@ class FiniteField:
         c = B.inv(r1[0])
         return self._join([mul(c, x) for x in s1])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -732,9 +729,6 @@ class Poly:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.coeffs == ((other,) if other else ())
@@ -769,12 +763,6 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         return Poly(self.field, _scale_coeffs(self.field, c, self.coeffs))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other: "Poly"):
         """Long division by other made monic, then the quotient scaled."""

@@ -209,10 +209,6 @@ class PlaceRef(NamedTuple):
     factor: Optional[tuple]  # coefficients over k(p), linear for f = 1
 
     @property
-    def local_degree(self) -> int:
-        return self.e * self.f
-
-    @property
     def residue_size(self) -> int:
         return self.prime.field.size ** (self.prime.degree * self.f)
 
@@ -231,11 +227,6 @@ class GoodPrimeCertificate(NamedTuple):
     witness: PlaceRef
     stability_witness: LocalMatrix
     datum: "SubvarietyDatum"
-
-    @property
-    def lattice(self) -> Lattice:
-        """The aligned lattice s * A_p^r of condition (a)."""
-        return Lattice(self.s_matrix)
 
     def recheck(self) -> bool:
         """Re-run conditions (a)-(c) from the stored data."""
@@ -258,10 +249,6 @@ class GoodPrimeRefusal(NamedTuple):
     prime: Prime
     tag: str          # 'a' | 'b' | 'c'
     detail: str
-
-    def to_json(self) -> dict:
-        return {"schema": 1, "prime": poly_to_str(self.prime.poly),
-                "refused": self.tag, "detail": self.detail}
 
 
 def is_good_prime(datum: SubvarietyDatum, prime: Prime,
@@ -354,6 +341,8 @@ def find_good_prime(datum: SubvarietyDatum, N: int, max_degree: int = 6,
     its refusals).  Only the accepted prime is factored and conjugated,
     by `is_good_prime`, for its certificate.
     """
+    if N < 0:
+        raise MalformedInput("N must be >= 0")
     ext = datum.extension
     idx = i_of_x if i_of_x is not None else index_iX(datum, budget)
     if idx < 1:

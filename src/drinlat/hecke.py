@@ -165,12 +165,6 @@ class NewtonPolygon(NamedTuple):
     def segment_count(self) -> int:
         return len(self.segments)
 
-    def root_valuations(self) -> List[Fraction]:
-        out: List[Fraction] = []
-        for slope, length in self.segments:
-            out.extend([-slope] * length)
-        return out
-
     def hull_height(self, x: Fraction) -> Fraction:
         for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
             if x1 <= x <= x2:

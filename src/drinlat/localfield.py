@@ -80,10 +80,6 @@ class LocalElement:
         return _element(_kernel(prime), _ZERO_FIELDS)
 
     @staticmethod
-    def unknown(prime: Prime, bound: int) -> "LocalElement":
-        return _element(_kernel(prime), ("u", bound, 0, 0, False))
-
-    @staticmethod
     def from_poly(prime: Prime, f: Poly, precision: int = DEFAULT_PRECISION) -> "LocalElement":
         kr = _kernel(prime)
         kr.reserve(precision)
@@ -180,9 +176,6 @@ class LocalElement:
         return _element(kr, ("n", -self.val, kr.inv(self.unit, self.prec),
                              self.prec, False))
 
-    def div(self, other: "LocalElement") -> "LocalElement":
-        return self.mul(other.inv())
-
     def shift(self, k: int) -> "LocalElement":
         if self.kind == "z":
             return self
@@ -204,14 +197,6 @@ class LocalElement:
             raise PrecisionExhausted(f"known only mod p^{self.abs_prec} < p^{k}")
         kr = self._kr
         return kr.mod(kr.shl(self.unit, self.val), k)
-
-    def __eq__(self, other):
-        return (isinstance(other, LocalElement) and self._kr is other._kr
-                and self.kind == other.kind and self.val == other.val
-                and self.unit == other.unit and self.prec == other.prec)
-
-    def __hash__(self):
-        return hash((self.prime, self.kind, self.val, self.unit, self.prec))
 
     def __repr__(self):
         if self.kind == "z":
@@ -377,9 +362,6 @@ class LocalMatrix:
             out.append(row)
         return LocalMatrix(self.prime, out)
 
-    def entry(self, i: int, j: int) -> LocalElement:
-        return self.rows[i][j]
-
     def scale(self, c: LocalElement) -> "LocalMatrix":
         return LocalMatrix(self.prime,
                            [[e.mul(c) for e in row] for row in self.rows])
@@ -396,9 +378,6 @@ class LocalMatrix:
         if exps is None:
             exps = _snf_full(self, transforms=False)[0]
         return exps
-
-    def det_valuation(self) -> int:
-        return sum(self.elementary_divisors())
 
     def working_precision(self) -> int:
         """Fewest stored digits of a nonzero certified entry
@@ -571,10 +550,6 @@ class Lattice:
         self._divisors: Optional[Tuple[int, ...]] = None
 
     @staticmethod
-    def standard(prime: Prime, r: int, precision: int = DEFAULT_PRECISION) -> "Lattice":
-        return Lattice(LocalMatrix.identity(prime, r, precision))
-
-    @staticmethod
     def from_poly_basis(prime: Prime, cols: Sequence[Sequence[Poly]],
                         precision: int = DEFAULT_PRECISION) -> "Lattice":
         """Columns given as A-polynomial vectors."""
@@ -589,17 +564,6 @@ class Lattice:
         if self._divisors is None:
             self._divisors = self.basis.elementary_divisors()
         return self._divisors
-
-    def __eq__(self, other):
-        if not isinstance(other, Lattice) or self.prime != other.prime:
-            return False
-        change = self.basis.inverse() @ other.basis
-        if not change.is_integral():
-            return False
-        return change.det_valuation() == 0
-
-    def __hash__(self):  # pragma: no cover - lattices are not dict keys
-        raise TypeError("Lattice is unhashable; equality is semantic")
 
     def __repr__(self):
         return f"Lattice(divisors={self.elementary_divisors})"

@@ -107,7 +107,7 @@ def hecke_degree_enumerated(g: LocalMatrix, depth: int) -> int:
         ok = True
         for i in range(r):
             for j in range(r):
-                e = w.entry(i, j).sub(ident.rows[i][j])
+                e = w.rows[i][j].sub(ident.rows[i][j])
                 if not has_val_at_least(e, depth):
                     ok = False
                     break

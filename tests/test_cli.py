@@ -302,6 +302,13 @@ MALFORMED_INPUTS = {
                           json.dumps([{"prime": "t", "depth": "deep"}])],
     "level-not-a-list": ["shrink-level", "--q", "2", "--r", "2",
                          "--prime", "t", "--level", "7"],
+    "predegree-index-zero": ["predegree", "--ext", json.dumps(EXT),
+                             "--i", "0"],
+    "predegree-index-negative": ["predegree", "--ext", json.dumps(EXT),
+                                 "--i", "-2"],
+    "good-prime-negative-N": ["good-prime", "--datum",
+                              json.dumps({"extension": EXT, "r": 2}),
+                              "--N", "-1", "--i-of-x", "25"],
 }
 
 

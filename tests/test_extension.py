@@ -78,6 +78,10 @@ class TestConstructors:
             again = make_extension(e.to_json())
             assert again.to_json() == e.to_json()
 
+    def test_repr(self):
+        assert repr(kummer_elliptic()) == \
+            "Extension({'kind': 'kummer', 'base': '3', 'n': 2, 'a': 't^3+2*t'})"
+
 
 class TestSplitting:
     def test_elliptic_at_t_ramified(self):
@@ -610,6 +614,20 @@ class TestIndexIX:
                                                    prime.poly]])
         datum = SubvarietyDatum(ext, 2, {p1: twist(p1), p2: twist(p2)})
         assert index_iX(datum) == 9
+
+    @pytest.mark.parametrize("exponents, index", [
+        ((0, 0), 1), ((-1, 0), 8), ((0, 1), 8), ((1, 2), 8), ((-2, -1), 8)])
+    def test_homothety_invariance(self, exponents, index):
+        # diag(pi^a, pi^b) and diag(pi^(a+c), pi^(b+c)) give one index; a
+        # negative exponent takes saturate_lattice's scaling branch
+        from drinlat.goodprime import SubvarietyDatum
+        from drinlat.extension import index_iX
+        from drinlat.localfield import LocalElement, LocalMatrix
+        prime = prime_from_str("t^2+1", F3)
+        g = LocalMatrix.diagonal(
+            prime, [LocalElement.pi_power(prime, e) for e in exponents])
+        datum = SubvarietyDatum(kummer_elliptic(), 2, {prime: g})
+        assert index_iX(datum) == index
 
 
 class TestOrderAt:

@@ -625,13 +625,21 @@ class TestFactor:
             assert ffpoly._trial_division(f) == want, poly_to_str(f)
 
 
+class TestRepr:
+    def test_field_poly_and_prime(self):
+        assert (repr(F3), str(F3), repr(F9), str(F9)) == \
+            ("GF(3)", "3", "GF(3^2)", "3^2")
+        assert repr(P("t^3+2*t", F3)) == "Poly('t^3+2*t' over 3)"
+        assert repr(prime_from_str("t^2+1", F3)) == "Prime(t^2+1 over 3)"
+
+
 class TestResidueField:
     def test_prime_t_over_f2(self):
         pr = prime_from_str("t", F2)
         k = residue_field(pr)
         assert k.size == 2
         f = P("t^3+t+1", F2)
-        assert k.reduce(f) == f[0]  # f mod t is f(0), the constant term
+        assert k.reduce(f) == f.coeffs[0]  # f mod t is f(0), the constant term
 
     def test_degree2_prime_over_f2(self):
         pr = prime_from_str("t^2+t+1", F2)

@@ -4,7 +4,8 @@ from element_queries import certified_val
 from goodprime_oracle import find_good_prime_full
 
 from drinlat.acceptance import count_components_enumerated
-from drinlat.errors import Inconclusive, NotMaximalAtPrime
+from drinlat.errors import (Inconclusive, MalformedInput, NotMaximalAtPrime,
+                            TowerNotSupported)
 from drinlat.extension import Extension, splitting
 from drinlat.ffpoly import FiniteField, Poly, enumerate_primes, poly_from_str, \
     prime_from_str
@@ -32,6 +33,21 @@ def congruence_level(prime, r, depth=1):
     return LevelMap(r, {prime: LocalLevel("congruence", depth)})
 
 
+def diagonal_twist(prime, exponents):
+    return LocalMatrix.diagonal(
+        prime, [LocalElement.pi_power(prime, e) for e in exponents])
+
+
+def kummer_tower():
+    """x^4 = t over F_5 and its certificate at t+4 (t = 1 there, so the
+    4th roots exist), above x^2 = t."""
+    F5 = FiniteField.of_order(5)
+    prime = prime_from_str("t+4", F5)
+    outer = SubvarietyDatum(Extension.kummer(F5, 4, poly_from_str("t", F5)),
+                            4, {}, congruence_level(prime, 4))
+    return outer, is_good_prime(outer, prime)
+
+
 class TestIsGoodPrime:
     def test_maximal_level_refused_with_tag_a(self):
         datum = elliptic_datum()
@@ -52,7 +68,7 @@ class TestIsGoodPrime:
         datum = elliptic_datum(congruence_level(prime, 2))
         cert = is_good_prime(datum, prime)
         assert isinstance(cert, GoodPrimeCertificate)
-        assert cert.witness.local_degree == 1
+        assert cert.witness.e * cert.witness.f == 1
         assert cert.stability_witness.is_integral()
         assert cert.recheck()
 
@@ -124,6 +140,13 @@ class TestFindGoodPrime:
         assert res.shrink_index == 5760 == (81 - 1) * (81 - 9)
         assert res.shrink_index < 9 ** 4
         assert res.certificate.recheck()
+
+    def test_negative_N_refused(self):
+        # |k(p)|^N < D(X) is condition (iv); N < 0 would make it a fraction
+        with pytest.raises(MalformedInput, match="N must be >= 0"):
+            find_good_prime(elliptic_datum(), N=-1, max_degree=3, i_of_x=25)
+        assert find_good_prime(elliptic_datum(), N=0, max_degree=3,
+                               i_of_x=25).found
 
     def test_counters_sum_to_scanned(self):
         datum = elliptic_datum()
@@ -301,18 +324,74 @@ class TestTransfer:
 
     def test_kummer_tower(self):
         # x^4 = a contains x^2 = a as the subfield generated by the square
-        F5 = FiniteField.of_order(5)
-        a = poly_from_str("t", F5)
-        outer_ext = Extension.kummer(F5, 4, a)
-        inner_ext = Extension.kummer(F5, 2, a)
-        prime = prime_from_str("t+4", F5)  # a = 1 at t = 1: 4th roots exist
-        sp = splitting(outer_ext, prime)
-        assert sp.degree_one_place() is not None
-        outer = SubvarietyDatum(outer_ext, 4, {}, congruence_level(prime, 4))
-        cert = is_good_prime(outer, prime)
+        outer, cert = kummer_tower()
+        F5, prime = outer.extension.base, cert.prime
+        assert splitting(outer.extension, prime).degree_one_place() is not None
         assert isinstance(cert, GoodPrimeCertificate)
+        inner_ext = Extension.kummer(F5, 2, poly_from_str("t", F5))
         res = transfer_good_prime(outer, inner_ext, cert)
         assert res.place.residue_size == prime.residue_size
+
+
+class TestTransferRefusals:
+    """The towers `transfer_good_prime` has no rule for are refused with
+    `TowerNotSupported`, never answered."""
+
+    def test_twisted_outer_prime(self):
+        prime = prime_from_str("t^2+1", F3)
+        datum = elliptic_datum(congruence_level(prime, 2))
+        cert = is_good_prime(datum, prime)
+        twisted = SubvarietyDatum(datum.extension, 2,
+                                  {prime: diagonal_twist(prime, (0, 1))},
+                                  datum.level)
+        with pytest.raises(TowerNotSupported, match="standard twists"):
+            transfer_good_prime(twisted, Extension.constant(F3, 1), cert)
+
+    def test_kind_mismatch(self):
+        prime = prime_from_str("t^2+1", F3)
+        datum = elliptic_datum(congruence_level(prime, 2))
+        cert = is_good_prime(datum, prime)
+        with pytest.raises(TowerNotSupported,
+                           match="constant is not a constructible subfield"):
+            transfer_good_prime(datum, Extension.constant(F3, 2), cert)
+
+    def test_inner_degree_must_divide_outer(self):
+        prime = prime_from_str("t^4+t+1", F2)
+        outer = SubvarietyDatum(Extension.constant(F2, 4), 4, {},
+                                congruence_level(prime, 4))
+        cert = is_good_prime(outer, prime)
+        assert isinstance(cert, GoodPrimeCertificate)
+        with pytest.raises(TowerNotSupported, match="does not divide"):
+            transfer_good_prime(outer, Extension.constant(F2, 3), cert)
+
+    def test_kummer_radicand_mismatch(self):
+        outer, cert = kummer_tower()
+        F5 = outer.extension.base
+        inner = Extension.kummer(F5, 2, poly_from_str("t+1", F5))
+        with pytest.raises(TowerNotSupported, match="share the radicand"):
+            transfer_good_prime(outer, inner, cert)
+
+    def test_witness_not_linear(self):
+        # a certificate whose witness carries no linear factor over k(p)
+        outer, cert = kummer_tower()
+        F5 = outer.extension.base
+        bare = cert._replace(witness=cert.witness._replace(factor=None))
+        inner = Extension.kummer(F5, 2, poly_from_str("t", F5))
+        assert transfer_good_prime(outer, inner, cert).place.f == 1
+        with pytest.raises(TowerNotSupported, match="split linear place"):
+            transfer_good_prime(outer, inner, bare)
+
+    def test_no_rule_for_artin_schreier(self):
+        prime = prime_from_str("t", F2)
+        outer = SubvarietyDatum(
+            Extension.artin_schreier(F2, poly_from_str("t^3", F2)), 2, {},
+            congruence_level(prime, 2))
+        cert = is_good_prime(outer, prime)
+        assert isinstance(cert, GoodPrimeCertificate)
+        inner = Extension.artin_schreier(F2, poly_from_str("t^3+1", F2))
+        with pytest.raises(TowerNotSupported,
+                           match="no tower rule for kind artin_schreier"):
+            transfer_good_prime(outer, inner, cert)
 
 
 class TestSameSubvariety:
@@ -356,6 +435,25 @@ class TestSameSubvariety:
         x2 = SubvarietyDatum(ext, 2, {prime: g}, None)
         with pytest.raises(Inconclusive):
             same_subvariety(x1, x2, depth=1)
+
+    def test_negative_divisor_shifts_both_twists(self):
+        # diag(pi^-1, 1) and the same lattice on another basis: both are
+        # scaled by pi before the orbits are compared
+        prime = prime_from_str("t^2+1", F3)
+        ext = Extension.kummer(F3, 2, poly_from_str("t^3+2*t", F3))
+        g = diagonal_twist(prime, (-1, 0))
+        u = LocalMatrix.from_polys(prime, [[poly_from_str("1", F3),
+                                            poly_from_str("t", F3)],
+                                           [poly_from_str("0", F3),
+                                            poly_from_str("1", F3)]])
+        x1 = SubvarietyDatum(ext, 2, {prime: g}, None)
+        x2 = SubvarietyDatum(ext, 2, {prime: g @ u}, None)
+        assert same_subvariety(x1, x2, depth=2)
+        with pytest.raises(Inconclusive):
+            same_subvariety(x1, x2, depth=1)
+        x3 = SubvarietyDatum(ext, 2, {prime: diagonal_twist(prime, (0, 1))},
+                             None)
+        assert not same_subvariety(x1, x3, depth=2)
 
 
 class TestCountComponents:
@@ -408,7 +506,7 @@ class TestJsonRoundtrip:
         prime = prime_from_str("t", F2)
         m = local_matrix_from_json(prime, [["1", {"num": "1", "den": "t"}],
                                            ["0", "t+1"]])
-        assert certified_val(m.entry(0, 1)) == -1
+        assert certified_val(m.rows[0][1]) == -1
         blob = local_matrix_to_json(m)
         again = local_matrix_from_json(prime, blob)
         assert local_matrix_to_json(again) == blob

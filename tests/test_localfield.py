@@ -162,8 +162,9 @@ class TestSmithNormalForm:
             m = _random_invertible(T2, 3, rng, val_range=(0, 2))
             exps, u_inv, v_inv = localfield._snf_full(m)
             assert u_inv.is_integral() and v_inv.is_integral()
-            assert u_inv.det_valuation() == 0 and v_inv.det_valuation() == 0
-            assert sum(exps) == m.det_valuation()
+            assert sum(u_inv.elementary_divisors()) == 0
+            assert sum(v_inv.elementary_divisors()) == 0
+            assert sum(exps) == sum(m.elementary_divisors())
 
     def test_exponents_invariant_under_unit_multiplication(self):
         rng = random.Random(2)
@@ -204,7 +205,7 @@ class TestSmithNormalForm:
             prod = u_inv @ m @ v_inv
             for i in range(3):
                 for j in range(3):
-                    diff = prod.entry(i, j).sub(d.entry(i, j))
+                    diff = prod.rows[i][j].sub(d.rows[i][j])
                     assert diff.kind != "n", (i, j, diff)
 
     def test_inverse_roundtrip(self):
@@ -214,7 +215,7 @@ class TestSmithNormalForm:
             prod = m @ m.inverse()
             for i in range(3):
                 for j in range(3):
-                    e = prod.entry(i, j)
+                    e = prod.rows[i][j]
                     if i == j:
                         assert certified_val(e) == 0
                         assert e.digits[0].is_one()
@@ -455,7 +456,7 @@ def _random_unit_matrix(prime, r, rng, prec=12):
                   for _ in range(r)] for _ in range(r)]
         m = LocalMatrix.from_polys(prime, polys, prec)
         try:
-            if m.det_valuation() == 0:
+            if sum(m.elementary_divisors()) == 0:
                 return m
         except (Singular, PrecisionExhausted):
             continue
@@ -464,18 +465,18 @@ def _random_unit_matrix(prime, r, rng, prec=12):
 class TestLattice:
     def test_index_p_times_standard(self):
         lam = Lattice(LocalMatrix.diagonal(T2, [pi_pow(T2, 1), pi_pow(T2, 1)]))
-        assert lattice_index(lam, Lattice.standard(T2, 2)) == 4
+        assert lattice_index(lam, Lattice(LocalMatrix.identity(T2, 2))) == 4
 
     def test_index_single_divisor(self):
         lam = Lattice(LocalMatrix.diagonal(T3, [pi_pow(T3, 1), pi_pow(T3, 0)]))
-        assert lattice_index(lam, Lattice.standard(T3, 2)) == 3
+        assert lattice_index(lam, Lattice(LocalMatrix.identity(T3, 2))) == 3
 
     def test_index_matches_coset_enumeration(self):
         # exponents (1, 2) over F_2: 8 cosets, counted exhaustively in (A/p^3)^2
         cols = [[poly_from_str("t", F2), Poly.zero(F2)],
                 [Poly.zero(F2), poly_from_str("t^2", F2)]]
         lam = Lattice.from_poly_basis(T2, cols)
-        idx = lattice_index(lam, Lattice.standard(T2, 2))
+        idx = lattice_index(lam, Lattice(LocalMatrix.identity(T2, 2)))
         assert idx == 8
         ring = ChainRing(T2, 3)
         rows = howell_form(ring, [tuple(ring.reduce(c) for c in col)
@@ -487,7 +488,7 @@ class TestLattice:
     def test_not_contained(self):
         lam = Lattice(LocalMatrix.diagonal(T2, [pi_pow(T2, -1), pi_pow(T2, 0)]))
         with pytest.raises(NotContained):
-            lattice_index(lam, Lattice.standard(T2, 2))
+            lattice_index(lam, Lattice(LocalMatrix.identity(T2, 2)))
 
     def test_multiplicative_in_towers(self):
         rng = random.Random(4)
@@ -498,7 +499,7 @@ class TestLattice:
                 T2, [pi_pow(T2, a[0] + b[0]), pi_pow(T2, a[1] + b[1])]))
             mid = Lattice(LocalMatrix.diagonal(
                 T2, [pi_pow(T2, b[0]), pi_pow(T2, b[1])]))
-            top = Lattice.standard(T2, 2)
+            top = Lattice(LocalMatrix.identity(T2, 2))
             assert (lattice_index(inner, top) ==
                     lattice_index(inner, mid) * lattice_index(mid, top))
 
@@ -506,7 +507,10 @@ class TestLattice:
         rng = random.Random(5)
         for _ in range(20):
             m = _random_unit_matrix(T2, 2, rng)
-            assert Lattice(m) == Lattice.standard(T2, 2)
+            # m A_p^2 = A_p^2: the change of basis m^-1 is in GL_2(A_p)
+            change = m.inverse()
+            assert change.is_integral()
+            assert change.elementary_divisors() == (0, 0)
 
     def test_divisors_not_complete_invariant_for_equality(self):
         a = Lattice(LocalMatrix.diagonal(T2, [pi_pow(T2, 1), pi_pow(T2, 0)]))
@@ -514,7 +518,17 @@ class TestLattice:
                 [Poly.zero(F2), poly_from_str("t", F2)]]
         b = Lattice.from_poly_basis(T2, cols)
         assert a.elementary_divisors == b.elementary_divisors == (0, 1)
-        assert not (a == b)
+        # yet a != b: the change of basis a^-1 b = diag(pi^-1, pi) is not
+        # integral
+        change = a.basis.inverse() @ b.basis
+        assert not change.is_integral()
+        assert change.elementary_divisors() == (-1, 1)
+
+    def test_repr(self):
+        m = LocalMatrix.diagonal(T2, [pi_pow(T2, 1, 3), LocalElement.zero(T2)])
+        assert repr(m) == "LocalMatrix((((1)*pi^1 + O(pi^4), 0), (0, 0)))"
+        lam = Lattice(LocalMatrix.diagonal(T2, [pi_pow(T2, 1), pi_pow(T2, 0)]))
+        assert repr(lam) == "Lattice(divisors=(0, 1))"
 
 
 class TestCountMatrixGroup:
@@ -699,7 +713,7 @@ class TestOrderStructure:
 class TestStabilizerIndex:
     def test_standard_lattice_is_fixed(self):
         S = OrderStructure.unramified(T2, 1, 2)
-        assert stabilizer_index(Lattice.standard(T2, 2), S, k=1) == 1
+        assert stabilizer_index(Lattice(LocalMatrix.identity(T2, 2)), S, k=1) == 1
 
     def test_quadratic_unramified_example(self):
         # Lambda = A_p + p*R' inside R' (unramified quadratic, q = 2):
@@ -774,7 +788,7 @@ class TestStabilizerIndex:
 
     def test_gitter_bound_cases(self):
         S = OrderStructure.unramified(T2, 1, 2)
-        assert gitter_bound_check(Lattice.standard(T2, 2), S, k=1)
+        assert gitter_bound_check(Lattice(LocalMatrix.identity(T2, 2)), S, k=1)
         cols = [[Poly.one(F2), Poly.zero(F2)],
                 [Poly.zero(F2), poly_from_str("t", F2)]]
         assert gitter_bound_check(cols, S, k=2)
@@ -1059,11 +1073,11 @@ class TestMultiplierRingFromSmithForm:
         cases = [
             ([[one, low], [zero, pi_pow(T2, 2)]], (None, 2, 3)),
             ([[one, zero], [low, pi_pow(T2, 1)]], (None, 1, 2, 3)),
-            ([[one, LocalElement.unknown(T2, 1)], [zero, pi_pow(T2, 2)]],
+            ([[one, LocalElement(T2, "u", 1, ())], [zero, pi_pow(T2, 2)]],
              (None, 2)),
-            ([[one, LocalElement.unknown(T2, 4)], [zero, pi_pow(T2, 2)]],
+            ([[one, LocalElement(T2, "u", 4, ())], [zero, pi_pow(T2, 2)]],
              (None, 2, 5)),
-            ([[one, zero], [LocalElement.unknown(T2, 0), one]], (None,)),
+            ([[one, zero], [LocalElement(T2, "u", 0, ()), one]], (None,)),
             ([[pi_pow(T2, -1), zero], [zero, one]], (None, 1)),
             ([[one, zero], [zero, pi_pow(T2, 3)]], (None, 2, 3, 4)),
             ([[one, zero], [zero, pi_pow(T2, 3, prec=1)]], (None, 3, 4)),

@@ -13,6 +13,15 @@ the commands' own output is discarded.  `nonzero` names each command that
 exited non-zero and each workload item that raised: the README's
 good-prime scan finds no prime and exits 2, as its golden output does.
 
+The unreached set is held to `tools/reach_allow.json`, one entry per
+function that no traffic reaches but the library keeps: its file, its
+qualified name, its group (`paper-api`, `input-dependent`, `error-path`,
+`display` or `oracle-fallback`) and a tier-1 test that reaches it.
+`added` lists the unreached functions the file does not name, `removed`
+the named ones that are reached now or no longer defined.  The exit code
+is 0 when both are empty and 1 otherwise; `tests/test_reach_allow.py`
+checks the file itself, without the traffic.
+
 Standard library only.  It reads `CLI_CASES` from the source of
 `perfbench/run.py` without importing it, and writes no bytecode, so
 `perfbench/` is left as it is.  Run it from the repository root:
@@ -34,6 +43,7 @@ import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "drinlat")
+ALLOW = os.path.join(ROOT, "tools", "reach_allow.json")
 PART_NAMES = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 FUNCTION_FLAGS = inspect.CO_OPTIMIZED | inspect.CO_NEWLOCALS
 
@@ -130,8 +140,16 @@ def main() -> None:
     unreached = [{"file": os.path.relpath(path, ROOT), "line": line,
                   "function": defined[path, line, name]}
                  for path, line, name in sorted(set(defined) - entered)]
+    with open(ALLOW, encoding="utf-8") as fh:
+        allowed = {(e["file"], e["function"]) for e in json.load(fh)}
+    found = {(u["file"], u["function"]) for u in unreached}
+    added, removed = sorted(found - allowed), sorted(allowed - found)
     print(json.dumps({"seed": args.seed, "functions": len(defined),
-                      "nonzero": nonzero, "unreached": unreached}, indent=1))
+                      "nonzero": nonzero, "unreached": unreached,
+                      "added": [f"{f}:{q}" for f, q in added],
+                      "removed": [f"{f}:{q}" for f, q in removed]},
+                     indent=1))
+    sys.exit(1 if added or removed else 0)
 
 
 if __name__ == "__main__":
