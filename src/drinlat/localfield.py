@@ -396,17 +396,6 @@ class LocalMatrix:
         return f"LocalMatrix({self.rows!r})"
 
 
-def _elem_add_rowmult(mat: List[List[LocalElement]], dst: int, src: int,
-                      c: LocalElement) -> None:
-    mat[dst] = [a.add(c.mul(b)) for a, b in zip(mat[dst], mat[src])]
-
-
-def _elem_add_colmult(mat: List[List[LocalElement]], dst: int, src: int,
-                      c: LocalElement) -> None:
-    for row in mat:
-        row[dst] = row[dst].add(c.mul(row[src]))
-
-
 def _exact_divisors(M: LocalMatrix) -> Optional[Tuple[int, ...]]:
     """The elementary divisors of an all-exact M from `smith_exponents`,
     or None where `_snf_full` must decide.
@@ -446,6 +435,11 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
     determinant.  Pivot rule: minimum certified valuation, ties by
     row-major position.
 
+    The elimination runs on the entries' field tuples with the add, mul
+    and neg rules, and wraps only U_inv and V_inv as elements, on return;
+    `tests/snf_oracle.py` keeps the same steps on `LocalElement` objects
+    as its oracle.
+
     With transforms=False only the exponents are computed and the two
     matrices are returned as None.  The column eliminations are skipped
     too: once column k is cleared below the pivot they only change row k,
@@ -453,19 +447,16 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
     same as with transforms.
     """
     prime = M.prime
+    kr = _kernel(prime)
     r = M.r
     prec = M.working_precision()
-    A = [list(row) for row in M.rows]
+    A = [[x._fields for x in row] for row in M.rows]
+    rowed = [A]  # the row operations act on A and U_inv
     if transforms:
-        Li, Ri = ([list(row) for row in
-                   LocalMatrix.identity(prime, r, prec).rows]
-                  for _ in range(2))
-    zero = LocalElement.zero(prime)
+        Li, Ri = ([[("n", 0, 1, prec, True) if i == j else _ZERO_FIELDS
+                    for j in range(r)] for i in range(r)] for _ in range(2))
+        rowed.append(Li)
     exps: List[int] = []
-
-    def swap_cols(mat, i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
 
     for k in range(r):
         # certified minimum-valuation pivot in the trailing submatrix
@@ -474,13 +465,13 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
         uncert_bound = None
         for i in range(k, r):
             for j in range(k, r):
-                e = A[i][j]
-                if e.kind == "n":
-                    if best_val is None or e.val < best_val:
-                        best, best_val = (i, j), e.val
-                elif e.kind == "u":
-                    if uncert_bound is None or e.val < uncert_bound:
-                        uncert_bound = e.val
+                kind, val = A[i][j][:2]
+                if kind == "n":
+                    if best_val is None or val < best_val:
+                        best, best_val = (i, j), val
+                elif kind == "u":
+                    if uncert_bound is None or val < uncert_bound:
+                        uncert_bound = val
         if best is None:
             if uncert_bound is not None:
                 raise PrecisionExhausted("no certifiable pivot in submatrix")
@@ -489,49 +480,49 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
             raise PrecisionExhausted(
                 f"entry O(pi^{uncert_bound}) may undercut pivot pi^{best_val}")
         i0, j0 = best
-        if i0 != k:
-            A[i0], A[k] = A[k], A[i0]
-            if transforms:
-                Li[i0], Li[k] = Li[k], Li[i0]
+        for mat in rowed:
+            mat[i0], mat[k] = mat[k], mat[i0]
         if j0 != k:
-            swap_cols(A, j0, k)
-            if transforms:
-                swap_cols(Ri, j0, k)
+            for row in A + Ri if transforms else A:
+                row[j0], row[k] = row[k], row[j0]
         e = best_val
-        pivot = A[k][k]
-        unit_inv = pivot.shift(-e).inv()  # inverse of the valuation-0 unit part
+        # inverse of the valuation-0 unit part, in the pivot's own window
+        unit, pivot_prec = A[k][k][2:4]
+        unit_inv = ("n", 0, kr.inv(unit, pivot_prec), pivot_prec, False)
         # scale row k so the pivot is exactly pi^e
-        A[k] = [x.mul(unit_inv) for x in A[k]]
-        A[k][k] = LocalElement.pi_power(prime, e, prec)
-        if transforms:
-            Li[k] = [x.mul(unit_inv) for x in Li[k]]
+        for mat in rowed:
+            mat[k] = [_mul_fields(kr, x, unit_inv) for x in mat[k]]
+        A[k][k] = ("n", e, 1, prec, True)
         for i in range(k + 1, r):
             x = A[i][k]
-            if x.kind == "z":
+            if x[0] == "z":
                 continue
-            c = x.shift(-e).neg()  # -x/pi^e, integral since val(x) >= e
-            _elem_add_rowmult(A, i, k, c)
-            A[i][k] = zero
-            if transforms:
-                _elem_add_rowmult(Li, i, k, c)
+            # -x/pi^e, integral since val(x) >= e
+            c = _neg_fields(kr, (x[0], x[1] - e) + x[2:])
+            for mat in rowed:
+                mat[i] = [_add_fields(kr, a, _mul_fields(kr, c, b))
+                          for a, b in zip(mat[i], mat[k])]
+            A[i][k] = _ZERO_FIELDS
         exps.append(e)
         if not transforms:
             continue
         for j in range(k + 1, r):
             x = A[k][j]
-            if x.kind == "z":
+            if x[0] == "z":
                 continue
-            c = x.shift(-e).neg()
-            _elem_add_colmult(A, j, k, c)
-            A[k][j] = zero
-            _elem_add_colmult(Ri, j, k, c)
+            c = _neg_fields(kr, (x[0], x[1] - e) + x[2:])
+            for row in A + Ri:
+                row[j] = _add_fields(kr, row[j], _mul_fields(kr, c, row[k]))
+            A[k][j] = _ZERO_FIELDS
 
     # global min-valuation pivoting makes the exponents ascending already
     if any(exps[i] > exps[i + 1] for i in range(r - 1)):
         raise InvariantError(f"elementary divisors not ascending: {exps}")
     if not transforms:
         return tuple(exps), None, None
-    return tuple(exps), LocalMatrix(prime, Li), LocalMatrix(prime, Ri)
+    u_inv, v_inv = (LocalMatrix(prime, [[_element(kr, t) for t in row]
+                                        for row in mat]) for mat in (Li, Ri))
+    return tuple(exps), u_inv, v_inv
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from howell_oracle import (_chain_matvec, _hom_module, enumerate_module,
                            module_size, saturation_holds_chain, vec_scale)
 from hypothesis import given, settings, strategies as st
 from residue_oracle import _det_residue, _residue_echelon, span_units_walk
+import snf_oracle
 from stabilizer_oracle import _kernel_elements, stabilizer_index_enumerated
 
 from drinlat import localfield
@@ -460,6 +461,71 @@ def _random_unit_matrix(prime, r, rng, prec=12):
                 return m
         except (Singular, PrecisionExhausted):
             continue
+
+
+def _grid_entry(prime, prec, rng):
+    """An exact pi^v f (v in -2..3), a ratio f/g, an O(pi^m), an exact
+    zero or a nonzero constant, f and g of degree <= 2 deg(p)."""
+    F = prime.field
+    kind = rng.choice("eeerrouzzc")
+    if kind == "u":
+        return LocalElement(prime, "u", rng.randrange(-1, 4), ())
+    if kind == "c":
+        return LocalElement.from_integer(prime, rng.randrange(1, F.size), prec)
+    f = random_poly(F, 2 * prime.degree, rng)
+    if kind == "z" or f.is_zero():
+        return LocalElement.zero(prime)
+    if kind == "r":
+        g = random_poly(F, 2 * prime.degree, rng)
+        return LocalElement.from_ratio(
+            prime, f, Poly.one(F) if g.is_zero() else g, prec)
+    return LocalElement.from_poly(prime, f, prec).shift(rng.randrange(-2, 4))
+
+
+def _snf_outcomes(snf, m):
+    """`_snf_full` in both modes, `elementary_divisors()` and `inverse()`,
+    with `snf` as the library's elimination: exponents and every entry's
+    (to_json(), exact), or the refusal's type and message."""
+    def fields(mat):
+        return mat and [[(e.to_json(), e.exact) for e in row]
+                        for row in mat.rows]
+
+    def full(transforms):
+        exps, u_inv, v_inv = snf(m, transforms)
+        return exps, fields(u_inv), fields(v_inv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localfield, "_snf_full", snf)
+        return [_outcome(full, True), _outcome(full, False),
+                _outcome(m.elementary_divisors),
+                _outcome(lambda: fields(m.inverse()))]
+
+
+class TestSnfAgainstObjectOracle:
+    """`_snf_full` eliminates on field tuples; `tests/snf_oracle.py` keeps
+    the same steps on `LocalElement` objects.  Seeded grid: p = t, t+1
+    and the first degree-2 prime, r = 1-4, P = 1, 2, 3 and 12, twelve
+    matrices each, a repeated row one time in five."""
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+    def test_matches_oracle_on_grid(self, p, e):
+        F = FiniteField.of_order(p, e)
+        seen = set()
+        for prime in (prime_from_str("t", F), prime_from_str("t+1", F),
+                      primes_of_degree(F, 2)[0]):
+            rng = random.Random(f"snf-oracle:{F.size}:{prime}")
+            for r in range(1, 5):
+                for prec in (1, 2, 3, 12):
+                    for _ in range(12):
+                        rows = [[_grid_entry(prime, prec, rng)
+                                 for _ in range(r)] for _ in range(r)]
+                        if r > 1 and rng.random() < 0.2:
+                            rows[-1] = list(rows[0])
+                        m = LocalMatrix(prime, rows)
+                        got = _snf_outcomes(localfield._snf_full, m)
+                        want = _snf_outcomes(snf_oracle._snf_full, m)
+                        assert got == want, m
+                        seen.add(_refusal(got[1]) or "answer")
+        assert seen == {"answer", Singular, PrecisionExhausted}
 
 
 class TestLattice:
