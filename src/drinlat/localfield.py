@@ -472,13 +472,20 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
                 elif kind == "u":
                     if uncert_bound is None or val < uncert_bound:
                         uncert_bound = val
-        if best is None:
-            if uncert_bound is not None:
-                raise PrecisionExhausted("no certifiable pivot in submatrix")
+        exhausted = uncert_bound is not None and (best is None
+                                                  or uncert_bound < best_val)
+        if exhausted:
+            # 'z' arises only from exact zeros, so a row or a column of them
+            # in the trailing submatrix proves the matrix singular
+            lines = [row[k:] for row in A[k:]]
+            if not any(all(x[0] == "z" for x in line)
+                       for line in lines + list(zip(*lines))):
+                raise PrecisionExhausted(
+                    "no certifiable pivot in submatrix" if best is None else
+                    f"entry O(pi^{uncert_bound}) may undercut pivot "
+                    f"pi^{best_val}")
+        if best is None or exhausted:
             raise Singular("matrix is singular: zero trailing submatrix")
-        if uncert_bound is not None and uncert_bound < best_val:
-            raise PrecisionExhausted(
-                f"entry O(pi^{uncert_bound}) may undercut pivot pi^{best_val}")
         i0, j0 = best
         for mat in rowed:
             mat[i0], mat[k] = mat[k], mat[i0]

@@ -342,6 +342,24 @@ class TestExponentsOnlySNF:
         with pytest.raises(PrecisionExhausted, match="no certifiable pivot"):
             m.elementary_divisors()
 
+    # the two draws on which the doubling property below failed: a zero
+    # column (and row) proves them singular at every precision, where the
+    # low-precision elimination used to refuse PrecisionExhausted at P = 1
+    @pytest.mark.parametrize("prime,rows", [
+        (T2, [["0", "t^2", "0", "0"], ["0", "1", "0", "t^3"],
+              ["0", ("1", -2), "0", "t"], ["0", "0", "0", "0"]]),
+        (T3, [["0", "0", "0", "0"], ["0", "2t", "1", "2+t"],
+              ["0", "0", "t", "t"], ["0", ("2t^2", -1), "2", "0"]])],
+        ids=["F2", "F3"])
+    @pytest.mark.parametrize("prec", [1, 2, 4, 8])
+    def test_zero_line_refuses_singular(self, prime, rows, prec):
+        m = LocalMatrix(prime, [[
+            elem(prime, s, prec) if isinstance(s, str)
+            else elem(prime, s[0], prec).shift(s[1]) for s in row]
+            for row in rows])
+        for f in (m.elementary_divisors, m.inverse):
+            assert _outcome(f) == ZERO_LINE_REFUSAL
+
     def test_dense_exact_r10_no_slower(self):
         # a D b with dense exact a, b of degree <= 3: entries stay below
         # deg(p^P), so the packed elimination at precision 30 costs no more
@@ -523,9 +541,40 @@ class TestSnfAgainstObjectOracle:
                         m = LocalMatrix(prime, rows)
                         got = _snf_outcomes(localfield._snf_full, m)
                         want = _snf_outcomes(snf_oracle._snf_full, m)
-                        assert got == want, m
+                        if got != want:
+                            # a line of exact zeros in the trailing
+                            # submatrix: Singular where the oracle ran
+                            # out of precision
+                            assert all(_refusal(w) is PrecisionExhausted
+                                       for w in want), m
+                            assert got == [ZERO_LINE_REFUSAL] * 4, m
+                            assert _structurally_singular(rows), m
+                            seen.add("zero line")
+                        else:
+                            # a zero line of M stays one in every
+                            # trailing submatrix
+                            assert not (_has_zero_line(rows) and _refusal(
+                                want[1]) is PrecisionExhausted), m
                         seen.add(_refusal(got[1]) or "answer")
-        assert seen == {"answer", Singular, PrecisionExhausted}
+        assert seen == {"answer", Singular, PrecisionExhausted, "zero line"}
+
+
+ZERO_LINE_REFUSAL = (Singular, "matrix is singular: zero trailing submatrix")
+
+
+def _has_zero_line(rows):
+    """Whether the matrix has a row or a column of exact zeros."""
+    return any(all(e.kind == "z" for e in line)
+               for line in list(rows) + list(zip(*rows)))
+
+
+def _structurally_singular(rows):
+    """Whether every term of the determinant's permutation expansion has an
+    exact zero factor, so that the matrix is singular whatever its other
+    entries are."""
+    r = len(rows)
+    return all(any(rows[i][s[i]].kind == "z" for i in range(r))
+               for s in itertools.permutations(range(r)))
 
 
 class TestLattice:
