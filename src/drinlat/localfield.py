@@ -666,7 +666,7 @@ class OrderStructure:
                 used_linear.append(c)
                 shift = kp.lift(c)
                 # (y - c)^m - p, Eisenstein at p after the shift
-                coeffs = _ypoly_shifted_power(F, shift, mi)
+                coeffs = _ypoly_product(F, [[-shift, Poly.one(F)]] * mi)
                 coeffs[0] = coeffs[0] - prime.poly
                 polys.append(coeffs)
                 facts.append((mi, 1))
@@ -767,18 +767,6 @@ def _unramified_factor(prime: Prime, m: int, avoid: Tuple) -> List[Poly]:
         if rf.is_irreducible():
             return f
     raise InvariantError("no irreducible factor available")
-
-
-def _ypoly_shifted_power(F: FiniteField, shift: Poly, m: int) -> List[Poly]:
-    """Coefficients of (y - shift)^m as A-polynomials."""
-    coeffs = [Poly.one(F)]
-    for _ in range(m):
-        new = [Poly.zero(F) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * shift
-        coeffs = new
-    return coeffs
 
 
 def _ypoly_product(F: FiniteField, factor_polys) -> List[Poly]:
