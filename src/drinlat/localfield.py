@@ -9,7 +9,10 @@ plain field tuples (kind, val, unit, prec, exact) that `hecke.char_poly`
 computes on too; the inverse of a constant unit is its inverse in F_q, and
 any other inverse a Newton iteration.  The elementary divisors of a
 matrix of exact entries come from the packed elimination of `_chainring`
-(`smith_exponents`), which inverts nothing.  The pi-adic digits are
+(`smith_exponents`), which inverts nothing; any other Smith form, and the
+transforms of `inverse`, from `_snf_full`, which eliminates on the field
+tuples with the add, mul and neg rules (its form on `LocalElement`
+objects is the oracle in `tests/snf_oracle.py`).  The pi-adic digits are
 read off the unit only for display (`digits`, `to_json`, `__repr__`).
 Any operation that cannot certify a valuation at working precision raises
 PrecisionExhausted instead of guessing.  The default precision is 12
@@ -427,18 +430,14 @@ def _exact_divisors(M: LocalMatrix) -> Optional[Tuple[int, ...]]:
 
 
 def _snf_full(M: LocalMatrix, transforms: bool = True):
-    """Smith normal form with the inverse transforms.
+    """Smith normal form with the inverse transforms, on the entries' field
+    tuples; only U_inv and V_inv become elements, on return.
 
     Returns (exps, U_inv, V_inv) with U_inv M V_inv = diag(pi^exps) up to
     M's working precision, at which the transforms and the pivots reset
     to pi^e are built, U_inv and V_inv integral with valuation-0
     determinant.  Pivot rule: minimum certified valuation, ties by
     row-major position.
-
-    The elimination runs on the entries' field tuples with the add, mul
-    and neg rules, and wraps only U_inv and V_inv as elements, on return;
-    `tests/snf_oracle.py` keeps the same steps on `LocalElement` objects
-    as its oracle.
 
     With transforms=False only the exponents are computed and the two
     matrices are returned as None.  The column eliminations are skipped
@@ -451,11 +450,11 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
     r = M.r
     prec = M.working_precision()
     A = [[x._fields for x in row] for row in M.rows]
-    rowed = [A]  # the row operations act on A and U_inv
+    row_mats = [A]  # the row operations act on A and U_inv
     if transforms:
         Li, Ri = ([[("n", 0, 1, prec, True) if i == j else _ZERO_FIELDS
                     for j in range(r)] for i in range(r)] for _ in range(2))
-        rowed.append(Li)
+        row_mats.append(Li)
     exps: List[int] = []
 
     for k in range(r):
@@ -487,7 +486,7 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
         if best is None or exhausted:
             raise Singular("matrix is singular: zero trailing submatrix")
         i0, j0 = best
-        for mat in rowed:
+        for mat in row_mats:
             mat[i0], mat[k] = mat[k], mat[i0]
         if j0 != k:
             for row in A + Ri if transforms else A:
@@ -497,7 +496,7 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
         unit, pivot_prec = A[k][k][2:4]
         unit_inv = ("n", 0, kr.inv(unit, pivot_prec), pivot_prec, False)
         # scale row k so the pivot is exactly pi^e
-        for mat in rowed:
+        for mat in row_mats:
             mat[k] = [_mul_fields(kr, x, unit_inv) for x in mat[k]]
         A[k][k] = ("n", e, 1, prec, True)
         for i in range(k + 1, r):
@@ -506,7 +505,7 @@ def _snf_full(M: LocalMatrix, transforms: bool = True):
                 continue
             # -x/pi^e, integral since val(x) >= e
             c = _neg_fields(kr, (x[0], x[1] - e) + x[2:])
-            for mat in rowed:
+            for mat in row_mats:
                 mat[i] = [_add_fields(kr, a, _mul_fields(kr, c, b))
                           for a, b in zip(mat[i], mat[k])]
             A[i][k] = _ZERO_FIELDS
