@@ -539,7 +539,7 @@ class TestExponentBound:
 class TestFieldAndSieveBounds:
     """An oversized field is malformed input (exit 4) before its
     characteristic is tested for primality, and an oversized prime sieve
-    is over budget (exit 3) before it allocates."""
+    or place count is over budget (exit 3) before it allocates."""
 
     @pytest.mark.parametrize("argv,code,message,seconds", [
         (["primes", "--q", "2^40", "--degree", "1"], 3,
@@ -550,8 +550,12 @@ class TestFieldAndSieveBounds:
          "characteristic 2305843009213693951 exceeds 65536", 1.0),
         (["primes", "--q", "2^100000", "--degree", "1"], 4,
          "field order 2^100000 exceeds 2^64", 1.0),
+        # 2^20 degree-1 primes are over the place budget of 10^6
+        (["class-number", "--ext",
+          '{"kind":"kummer","n":3,"a":"t^2+t+1","base":"2^20"}'], 3,
+         "enumerating primes of degree up to 1 exceeds the budget", 1.0),
     ], ids=["order-2^40", "degree-40", "characteristic-2^61-1",
-            "order-2^100000"])
+            "order-2^100000", "class-number-2^20"])
     def test_oversized_input_is_refused_at_once(self, argv, code, message,
                                                  seconds):
         # building F_(2^40) itself takes about 0.6 s of the first case

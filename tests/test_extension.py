@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from drinlat.errors import (MalformedInput, MultipleInfinitePlaces,
+from drinlat.errors import (BudgetExceeded, MalformedInput,
+                            MultipleInfinitePlaces,
                             ReducibleDefiningPolynomial,
                             UnsupportedRamifiedPrime, UnsupportedShape)
 from drinlat.ffpoly import (FiniteField, Poly, _int_factor, enumerate_primes,
@@ -527,6 +528,15 @@ class TestZeta:
 class TestCountPlaces:
     def test_elliptic_b1(self):
         assert count_places(kummer_elliptic(), 1) == 4
+
+    def test_place_budget_refuses_before_enumerating(self):
+        # genus 1 over F_(2^20): the 2^20 degree-1 primes exceed 10^6
+        F = field_from_str("2^20")
+        ext = Extension.kummer(F, 3, poly_from_str("t^2+t+1", F))
+        assert ext.genus == 1
+        with pytest.raises(BudgetExceeded, match="enumerating primes of "
+                           "degree up to 1 exceeds the budget"):
+            class_number(ext)
 
     def test_constant_extension_inert_places(self):
         e = Extension.constant(F2, 2)

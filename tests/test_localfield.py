@@ -21,8 +21,8 @@ from drinlat.acceptance import (_gitter_structures,
 from drinlat.errors import (BudgetExceeded, DrinlatError, InvariantError,
                             NotContained, NotSaturated, PrecisionExhausted,
                             Singular)
-from drinlat.ffpoly import (FiniteField, Poly, poly_from_str, prime_from_str,
-                            primes_of_degree, residue_field)
+from drinlat.ffpoly import (FiniteField, Poly, field_from_str, poly_from_str,
+                            prime_from_str, primes_of_degree, residue_field)
 from drinlat.localfield import (
     DEFAULT_BUDGET, DEFAULT_PRECISION, Lattice, LocalElement, LocalMatrix,
     OrderStructure, count_matrix_group,
@@ -823,6 +823,33 @@ class TestOrderStructure:
                                              ring.mul(cred, power[i][j]))
                 power = _chain_matmul(ring, comp, power)
             assert all(x == ring.zero for row in acc for x in row)
+
+    @pytest.mark.parametrize("q,d", [(q, d) for q in ("2", "3", "2^2", "5")
+                                     for d in (1, 2)],
+                             ids=lambda v: f"F{v}" if isinstance(v, str)
+                             else f"d{v}")
+    def test_constructor_shapes(self, q, d):
+        # unramified: the first monic irreducible of degree m over k(p), in
+        # the order of its coefficient tuples, lifted to A; totally
+        # ramified: y^m - p
+        F = field_from_str(q)
+        prime = primes_of_degree(F, d)[0]
+        kp = residue_field(prime)
+        zero, one = Poly.zero(F), Poly.one(F)
+        for m in (2, 3):
+            tail = next(c for c in itertools.product(kp.elements(), repeat=m)
+                        if Poly(kp, c + (1,)).is_irreducible())
+            lift = [kp.lift(c) for c in tail] + [one]
+            eisenstein = [-prime.poly] + [zero] * (m - 1) + [one]
+            for r_prime in (1, 2):
+                for build, min_poly, factors in (
+                        (OrderStructure.unramified, lift, ((1, m),)),
+                        (OrderStructure.totally_ramified, eisenstein,
+                         ((m, 1),))):
+                    S = build(prime, r_prime, m)
+                    assert S.min_poly == min_poly, (build, m, r_prime)
+                    assert S.factors == factors
+                    assert (S.m, S.r) == (m, r_prime * m)
 
 
 class TestStabilizerIndex:
