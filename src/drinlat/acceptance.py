@@ -350,7 +350,7 @@ def criterion_8(config: dict) -> Dict[str, object]:
     shrink_ok = (res.shrink_index == count_matrix_group(2, 9, 1)[0]
                  and res.shrink_index < 9 ** 4)
     elem = exhecke_element(res.certificate) if res.found else None
-    degree_ok = bool(elem) and hecke_degree(elem, budget=budget) == 9
+    degree_ok = bool(elem) and hecke_degree(elem.matrix, budget=budget) == 9
     sample_rep = unboundedness_sample_check(elem, samples=100, seed=seed) \
         if elem else None
     samples_ok = bool(sample_rep) and sample_rep.all_pass

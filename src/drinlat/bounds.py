@@ -329,11 +329,10 @@ class CebotarevReport(NamedTuple):
                 "bound": self.bound, "holds": self.holds}
 
 
-def cebotarev_check(ext: Extension, i: int,
-                    budget: int = SPLIT_SCAN_BUDGET) -> CebotarevReport:
+def cebotarev_check(ext: Extension, i: int) -> CebotarevReport:
     params = cebotarev_params_for(ext, i)
     params.check_applicable()
-    count = count_split_primes(ext, i, budget)
+    count = count_split_primes(ext, i)
     holds = cebotarev_deviation_below_bound(params, count)
     return CebotarevReport(count, cebotarev_main_term(params),
                            cebotarev_bound(params), holds)

@@ -364,25 +364,16 @@ def _bareiss_det(base: FiniteField, mat: List[List[Poly]]) -> Poly:
 # Splitting
 
 def splitting(ext: Extension, prime: Prime) -> SplittingType:
-    """Factorization type of the prime in F'/F.  At an unramified prime
-    the places are the monic irreducible factors of the defining
-    polynomial over k(p), built from the pattern that `splitting_pattern`
-    already knows wherever it knows one (`_unramified_factors`);
-    `poly_factor` factors the rest."""
-    if prime.field is not ext.base:
-        raise MalformedInput("prime and extension base fields differ")
-    if not ext.separable:
-        # purely inseparable pure form: a unique place, e = m, f = 1
-        return SplittingType(prime, (PlaceFactor(ext.m, 1),), False)
-    if prime in ext.ram_support:
-        closed = ext.ram_support[prime]
-        if closed is None:
-            raise UnsupportedRamifiedPrime(
-                f"no closed form for the ramified prime {prime}")
-        places = tuple(PlaceFactor(e, f) for e, f in closed)
-        return SplittingType(prime, places, False)
+    """Factorization type of the prime in F'/F.  It starts from the
+    pattern that `_known_pattern` reads without factoring; at an
+    unramified prime the places are the monic irreducible factors of the
+    defining polynomial over k(p) (`_unramified_factors`)."""
+    pattern = _known_pattern(ext, prime)
+    if not ext.separable or prime in ext.ram_support:
+        return SplittingType(prime, tuple(PlaceFactor(e, f)
+                                          for e, f in pattern), False)
     places = sorted(PlaceFactor(1, f.degree, tuple(f.coeffs))
-                    for f in _unramified_factors(ext, prime))
+                    for f in _unramified_factors(ext, prime, pattern))
     total = sum(pl.e * pl.f for pl in places)
     if total != ext.m:
         raise InvariantError(
@@ -390,13 +381,16 @@ def splitting(ext: Extension, prime: Prime) -> SplittingType:
     return SplittingType(prime, tuple(places), True)
 
 
-def _unramified_factors(ext: Extension, prime: Prime) -> List[Poly]:
+def _unramified_factors(ext: Extension, prime: Prime,
+                        pattern: Optional[Tuple[Tuple[int, int], ...]]
+                        ) -> List[Poly]:
     """The monic irreducible factors of the reduced defining polynomial
-    over k(p) at an unramified prime.
+    over k(p) at an unramified prime, given its pattern where
+    `_known_pattern` knows one.
 
     - An inert prime keeps the reduced polynomial, unfactored.
-    - A constant extension splits its modulus at the known degree
-      n / gcd(n, deg p) by equal-degree splitting alone.
+    - A constant extension splits its modulus at the known degree by
+      equal-degree splitting alone.
     - A Kummer prime with n | q - 1 and pattern n/m factors of degree m
       takes one (n/m)-th root c of b (`FiniteField.nth_root`): x^n - b
       is the product of x^m - omega c over the (n/m)-th roots of unity
@@ -408,24 +402,20 @@ def _unramified_factors(ext: Extension, prime: Prime) -> List[Poly]:
     """
     kp = residue_field(prime)
     reduced = _reduced_defining_poly(ext, prime, kp)
+    if pattern is not None and len(pattern) == 1:
+        return [reduced]  # inert: monic and irreducible over k(p)
     if ext.kind == "constant":
-        count, f = constant_splitting_law(ext.m, prime.degree)
-        return [reduced] if count == 1 else _equal_degree_split(reduced, f)
-    if ext.kind in ("kummer", "artin_schreier"):
-        pattern = splitting_pattern(ext, prime)
-        if len(pattern) == 1:
-            return [reduced]  # inert: monic and irreducible over k(p)
-        if ext.kind == "artin_schreier":
-            c = kp.neg(reduced.coeffs[0])
-            y = kp.artin_schreier_root(c)
-            if kp.sub(kp.frobenius(y), y) != c:
-                raise InvariantError(
-                    f"y^p - y != c for the root formula at {prime}")
-            return [Poly(kp, (kp.neg(kp.add(y, j)), 1)) for j in range(kp.p)]
-        n = ext.params["n"]
-        if (ext.base.size - 1) % n == 0:
-            return _kummer_factors(kp, kp.neg(reduced.coeffs[0]), n,
-                                   pattern[0][1])
+        return _equal_degree_split(reduced, pattern[0][1])
+    if ext.kind == "artin_schreier":
+        c = kp.neg(reduced.coeffs[0])
+        y = kp.artin_schreier_root(c)
+        if kp.sub(kp.frobenius(y), y) != c:
+            raise InvariantError(
+                f"y^p - y != c for the root formula at {prime}")
+        return [Poly(kp, (kp.neg(kp.add(y, j)), 1)) for j in range(kp.p)]
+    if ext.kind == "kummer" and (ext.base.size - 1) % ext.params["n"] == 0:
+        return _kummer_factors(kp, kp.neg(reduced.coeffs[0]),
+                               ext.params["n"], pattern[0][1])
     factors = []
     for f, mult in poly_factor(reduced):
         if mult != 1:
@@ -478,11 +468,25 @@ def splitting_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ..
     """The multiset of (e, f) above a prime, without factor polynomials.
 
     Uses exact residue tests instead of full factorization, so scans over
-    many primes stay cheap: the constant-extension law, the power residue
-    symbol or the root-count ladder for Kummer extensions (see
-    `_kummer_pattern`), the absolute trace for Artin-Schreier ones.  The
-    result agrees with splitting(...) everywhere both are defined.
+    many primes stay cheap (`_known_pattern`).  Only an unramified prime
+    of a generic extension is factored, once, by `splitting`.  The result
+    agrees with splitting(...) everywhere both are defined.
     """
+    pattern = _known_pattern(ext, prime)
+    if pattern is None:
+        pattern = tuple(sorted((pl.e, pl.f)
+                               for pl in splitting(ext, prime).places))
+    return pattern
+
+
+def _known_pattern(ext: Extension, prime: Prime
+                   ) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """The pattern wherever it is known without factoring: the closed
+    forms at ramified primes and of inseparable extensions, the
+    constant-extension law, the power residue symbol or the root-count
+    ladder for Kummer extensions (see `_kummer_pattern`), the absolute
+    trace for Artin-Schreier ones.  None at an unramified prime of a
+    generic extension."""
     if prime.field is not ext.base:
         raise MalformedInput("prime and extension base fields differ")
     if not ext.separable:
@@ -500,8 +504,7 @@ def splitting_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ..
         return _kummer_pattern(ext, prime)
     if ext.kind == "artin_schreier":
         return _artin_schreier_pattern(ext, prime)
-    sp = splitting(ext, prime)
-    return tuple(sorted((pl.e, pl.f) for pl in sp.places))
+    return None
 
 
 def _kummer_pattern(ext: Extension, prime: Prime) -> Tuple[Tuple[int, int], ...]:
@@ -604,8 +607,7 @@ class ZetaData(NamedTuple):
     h: int                           # class number of A'
 
 
-def count_places(ext: Extension, degree: int,
-                 budget: int = PLACE_BUDGET) -> int:
+def count_places(ext: Extension, degree: int) -> int:
     """Number of places of F' of degree `degree` over its own constant
     field F_{q'}, including the infinite place."""
     n_const = ext.const_degree
@@ -613,7 +615,7 @@ def count_places(ext: Extension, degree: int,
     if degree == ext.infinite_place_degree:
         total += 1  # the unique infinite place
     scan = degree * n_const
-    if ext.base.size ** scan > budget:
+    if ext.base.size ** scan > PLACE_BUDGET:
         raise BudgetExceeded(
             f"enumerating primes of degree up to {scan} exceeds the budget")
     for d in range(1, scan + 1):
@@ -624,7 +626,7 @@ def count_places(ext: Extension, degree: int,
     return total
 
 
-def zeta_numerator(ext: Extension, budget: int = PLACE_BUDGET) -> ZetaData:
+def zeta_numerator(ext: Extension) -> ZetaData:
     """Numerator P(u) of the zeta function of F', via the place counts
     b_1..b_g, the exponential-series expansion, and the functional
     equation a_{2g-i} = q'^(g-i) a_i; the class number is h = P(1) times
@@ -633,7 +635,7 @@ def zeta_numerator(ext: Extension, budget: int = PLACE_BUDGET) -> ZetaData:
     qp = ext.q_prime
     if g == 0:
         return ZetaData(qp, 0, [], [], [1], 1)
-    b = [count_places(ext, d, budget) for d in range(1, g + 1)]
+    b = [count_places(ext, d) for d in range(1, g + 1)]
     n_counts = []
     for i in range(1, g + 1):
         total = 0
@@ -680,15 +682,15 @@ def zeta_numerator(ext: Extension, budget: int = PLACE_BUDGET) -> ZetaData:
     return ZetaData(qp, g, b, n_counts, coeffs, h_order)
 
 
-def class_number(ext: Extension, budget: int = PLACE_BUDGET) -> int:
-    return zeta_numerator(ext, budget).h
+def class_number(ext: Extension) -> int:
+    return zeta_numerator(ext).h
 
 
-def predegree(ext: Extension, index: int, budget: int = PLACE_BUDGET) -> int:
+def predegree(ext: Extension, index: int) -> int:
     """D = |Cl(F')| * i for a datum of index i >= 1."""
     if index < 1:
         raise MalformedInput("index must be >= 1")
-    return class_number(ext, budget) * index
+    return class_number(ext) * index
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +712,7 @@ def order_at(ext: Extension, prime: Prime, r_prime: int) -> OrderStructure:
             raise UnsupportedRamifiedPrime(
                 "mixed ramified factors are outside the supported shapes")
     return OrderStructure.from_min_poly(prime, r_prime, list(ext.x_coeffs),
-                                        factors, kind=f"ext-{ext.kind}")
+                                        factors)
 
 
 def index_iX(datum, budget: int = DEFAULT_BUDGET) -> int:

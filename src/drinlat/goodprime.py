@@ -280,7 +280,7 @@ def _stability_witness(datum: SubvarietyDatum, prime: Prime, s: LocalMatrix,
     """Condition (c): s^-1 (g^-1 C_y g) s = (gs)^-1 C_y (gs) integral, C_y
     the block companion matrix of the extension generator."""
     order = order_at(datum.extension, prime, datum.r_prime)
-    c_y = order.companion_block_local(precision)
+    c_y = LocalMatrix.from_polys(prime, order.companion_block(), precision)
     gs = datum.twist_at(prime, precision) @ s
     conj = gs.inverse() @ c_y @ gs
     return conj.is_integral(), conj
@@ -404,8 +404,7 @@ class TransferResult(NamedTuple):
 
 
 def transfer_good_prime(outer: SubvarietyDatum, inner_ext: Extension,
-                        cert: GoodPrimeCertificate,
-                        precision: int = DEFAULT_PRECISION) -> TransferResult:
+                        cert: GoodPrimeCertificate) -> TransferResult:
     """Push a good prime down to an intermediate reflex field F'' in a
     constructible tower F <= F'' <= F'; the residue field is preserved
     and the inner conditions are re-certified.
@@ -418,7 +417,7 @@ def transfer_good_prime(outer: SubvarietyDatum, inner_ext: Extension,
     rho_inner = _tower_witness_root(outer_ext, inner_ext, cert)
     inner_datum = SubvarietyDatum(inner_ext, outer.r, dict(outer.twists),
                                   outer.level)
-    inner_cert = is_good_prime(inner_datum, prime, precision)
+    inner_cert = is_good_prime(inner_datum, prime)
     if not isinstance(inner_cert, GoodPrimeCertificate):
         raise TowerNotSupported(
             f"inner datum refused at {prime}: {inner_cert.tag}")
@@ -495,9 +494,8 @@ def _tower_witness_root(outer_ext: Extension, inner_ext: Extension,
 # Orbit equality of data
 
 
-def same_subvariety(x1: SubvarietyDatum, x2: SubvarietyDatum, depth: int,
-                    budget: int = DEFAULT_BUDGET,
-                    precision: int = DEFAULT_PRECISION) -> bool:
+def same_subvariety(x1: SubvarietyDatum, x2: SubvarietyDatum,
+                    depth: int) -> bool:
     """Whether the data describe the same subvariety: at every support
     prime the twist lattices must lie in one GL_{r'}(A'_p)-orbit, decided
     exhaustively mod p^depth.
@@ -513,18 +511,17 @@ def same_subvariety(x1: SubvarietyDatum, x2: SubvarietyDatum, depth: int,
     pending = False
     for prime in support:
         order = order_at(x1.extension, prime, x1.r_prime)
-        a = Lattice(x1.twist_at(prime, precision))
-        b = Lattice(x2.twist_at(prime, precision))
+        a = Lattice(x1.twist_at(prime))
+        b = Lattice(x2.twist_at(prime))
         shift = -min(0, min(a.elementary_divisors), min(b.elementary_divisors))
         if shift:
-            pi_s = LocalElement.pi_power(prime, shift, precision)
+            pi_s = LocalElement.pi_power(prime, shift)
             a = Lattice(a.basis.scale(pi_s))
             b = Lattice(b.basis.scale(pi_s))
         if sum(a.elementary_divisors) != sum(b.elementary_divisors):
             return False
         e_max = max(max(a.elementary_divisors), max(b.elementary_divisors))
-        if not module_orbit_equal(order, min(depth, max(1, e_max + 1)), a, b,
-                                  budget):
+        if not module_orbit_equal(order, min(depth, max(1, e_max + 1)), a, b):
             return False
         if depth < e_max + 1:
             pending = True

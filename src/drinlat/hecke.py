@@ -38,7 +38,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ._chainring import _kernel
 from .errors import (BudgetExceeded, InvariantError, PrecisionExhausted,
@@ -250,7 +250,7 @@ class HeckeElement(NamedTuple):
     degree: int
 
 
-def exhecke_element(cert, precision: int = DEFAULT_PRECISION) -> HeckeElement:
+def exhecke_element(cert) -> HeckeElement:
     """Build the Hecke element attached to a good-prime certificate.
 
     The element is s diag(pi^-1, 1, ..., 1) s^-1 for the lattice-aligning
@@ -261,14 +261,14 @@ def exhecke_element(cert, precision: int = DEFAULT_PRECISION) -> HeckeElement:
     prime = cert.prime
     r = cert.r
     s = cert.s_matrix
-    d = standard_hecke_matrix(prime, r, precision)
+    d = standard_hecke_matrix(prime, r)
     g = s @ d @ s.inverse()
     if projectively_bounded(g):
         raise InvariantError("constructed element must be unbounded")
     return HeckeElement(prime, r, g, s, prime.residue_size ** (r - 1))
 
 
-def hecke_degree(g: Union[LocalMatrix, HeckeElement], depth: int = 1,
+def hecke_degree(g: LocalMatrix, depth: int = 1,
                  budget: int = DEFAULT_BUDGET) -> int:
     """[K : K cap g^-1 K g] at level K = K(p^depth), in closed form.
 
@@ -283,8 +283,6 @@ def hecke_degree(g: Union[LocalMatrix, HeckeElement], depth: int = 1,
     cosets, the number the coset-counting oracle walks, is refused with
     BudgetExceeded.
     """
-    if isinstance(g, HeckeElement):
-        g = g.matrix
     exps = _divisors_within(g, depth)
     qres = g.prime.residue_size
     total = qres ** (depth * g.r * g.r)

@@ -547,13 +547,10 @@ class Lattice:
         self._divisors: Optional[Tuple[int, ...]] = None
 
     @staticmethod
-    def from_poly_basis(prime: Prime, cols: Sequence[Sequence[Poly]],
-                        precision: int = DEFAULT_PRECISION) -> "Lattice":
+    def from_poly_basis(prime: Prime,
+                        cols: Sequence[Sequence[Poly]]) -> "Lattice":
         """Columns given as A-polynomial vectors."""
-        r = len(cols)
-        rows = [[LocalElement.from_poly(prime, cols[j][i], precision)
-                 for j in range(r)] for i in range(r)]
-        return Lattice(LocalMatrix(prime, rows))
+        return Lattice(LocalMatrix.from_polys(prime, zip(*cols)))
 
     @property
     def elementary_divisors(self) -> Tuple[int, ...]:
@@ -594,14 +591,13 @@ class OrderStructure:
 
     def __init__(self, prime: Prime, r_prime: int,
                  factor_polys: Optional[Sequence[Sequence[Poly]]],
-                 factors: Sequence[Tuple[int, int]], kind: str,
+                 factors: Sequence[Tuple[int, int]],
                  min_poly: Optional[Sequence[Poly]] = None):
         self.prime = prime
         self.r_prime = r_prime
         self.factors = tuple(factors)
         self.m = sum(e * f for e, f in self.factors)
         self.r = r_prime * self.m
-        self.kind = kind
         if min_poly is not None:
             self.min_poly = list(min_poly)
         else:
@@ -618,35 +614,33 @@ class OrderStructure:
 
     @staticmethod
     def from_min_poly(prime: Prime, r_prime: int, coeffs: Sequence[Poly],
-                      factors: Sequence[Tuple[int, int]],
-                      kind: str = "extension") -> "OrderStructure":
+                      factors: Sequence[Tuple[int, int]]) -> "OrderStructure":
         """Order presented by a caller-supplied generator minimal polynomial
         (e.g. the defining polynomial of a global extension localized at p);
         the factor shape list feeds the group-order formula only."""
-        return OrderStructure(prime, r_prime, None, factors, kind,
-                              min_poly=coeffs)
+        return OrderStructure(prime, r_prime, None, factors, min_poly=coeffs)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def trivial(prime: Prime, r_prime: int) -> "OrderStructure":
         one = Poly.one(prime.field)
-        return OrderStructure(prime, r_prime, [[-one, one]], [(1, 1)], "trivial")
+        return OrderStructure(prime, r_prime, [[-one, one]], [(1, 1)])
 
     @staticmethod
     def unramified(prime: Prime, r_prime: int, m: int) -> "OrderStructure":
+        """A_p[y] for the first monic irreducible lift of degree m."""
         if m == 1:
             return OrderStructure.trivial(prime, r_prime)
-        fp = _unramified_factor(prime, m, avoid=())
-        return OrderStructure(prime, r_prime, [fp], [(1, m)], "unramified")
+        return OrderStructure.product(prime, r_prime, [("unramified", m)])
 
     @staticmethod
     def totally_ramified(prime: Prime, r_prime: int, m: int) -> "OrderStructure":
+        """A_p[y] with y^m = p: `product` shifts its first ramified part
+        by the residue 0."""
         if m == 1:
             return OrderStructure.trivial(prime, r_prime)
-        F = prime.field
-        coeffs = [-prime.poly] + [Poly.zero(F)] * (m - 1) + [Poly.one(F)]
-        return OrderStructure(prime, r_prime, [coeffs], [(m, 1)], "ramified")
+        return OrderStructure.product(prime, r_prime, [("ramified", m)])
 
     @staticmethod
     def product(prime: Prime, r_prime: int,
@@ -680,7 +674,7 @@ class OrderStructure:
                     used_unram.append(tuple(fp))
                     polys.append(fp)
                     facts.append((1, mi))
-        return OrderStructure(prime, r_prime, polys, facts, "product")
+        return OrderStructure(prime, r_prime, polys, facts)
 
     # -- derived data -------------------------------------------------------
 
@@ -709,9 +703,6 @@ class OrderStructure:
                 for j in range(m):
                     mat[b * m + i][b * m + j] = comp[i][j]
         return mat
-
-    def companion_block_local(self, precision: int = DEFAULT_PRECISION) -> LocalMatrix:
-        return LocalMatrix.from_polys(self.prime, self.companion_block(), precision)
 
     def gl_order(self, k: int) -> int:
         """|GL_{r'}(R'/p^k R')| by the closed form, factor by factor."""

@@ -1635,7 +1635,7 @@ def _saturate_stacked(order, lattice, budget=DEFAULT_BUDGET):
     if saturation_holds(order, lattice):
         return lattice
     # the spanning columns, translated in LocalElement arithmetic
-    blockm = order.companion_block_local()
+    blockm = LocalMatrix.from_polys(prime, order.companion_block())
     cols, spans = [], lattice.basis
     for _ in range(order.m):
         cols.extend([spans.rows[i][j] for i in range(r)] for j in range(r))
