@@ -23,15 +23,13 @@ constant quadratic extension of F_9 at degree 4, residue-field cache
 cleared; the split-prime counts of criterion 7's 14 (extension, i) cases,
 once by `count_split_primes` and once by the sieve
 `count_split_primes_enumerated` (ms for all 14, prime-list and
-residue-field caches cleared first; a checkout without the sieve
-function reports only the first row); on either side of the rule that
+residue-field caches cleared first); on either side of the rule that
 sends a Kummer count to the sieve when deg a > i, the closed form
 `_kummer_split_count` against the sieve for x^4 = a over F_5 at i = 5,
-deg a = 5 and 7 (ms per count, same caches cleared; skipped where the
-closed form is missing); `stabilizer_index` per call on a
-seeded sample of up to 40 saturated lattices of criterion 2's grid
-(exponent <= 4) per order, each called 5 times per repeat; on the same grid, per order, `module_orbit_equal`
-per call on a seeded sample of up to 40 pairs of distinct lattices of equal
+deg a = 5 and 7 (ms per count, same caches cleared); `stabilizer_index`
+per call on a seeded sample of up to 40 saturated lattices of criterion
+2's grid (exponent <= 4) per order, each called 5 times per repeat; on
+the same grid, per order, `module_orbit_equal` per call on a seeded sample of up to 40 pairs of distinct lattices of equal
 index, at the least depth k >= 1 with p^k inside both, and
 `saturate_lattice` per call on a seeded sample of up to 40 unsaturated
 lattices, each called 5 times per repeat (at the default budget, so
@@ -47,7 +45,7 @@ and `smith_form_left` of the basis at the depth k = max(1, e_max) that
 per call on the seeded sample of the `stabilizer_index` rows; the rank
 over k(p) of 200 seeded 3 x 3 matrices over F_2 (bit rows) and F_3
 (entry lists) at p = t, per matrix, by
-`_residue_rank` (a checkout without it ranks by `_residue_echelon`);
+`_residue_rank`;
 `LocalMatrix.inverse` per call on 10 seeded invertible r x r matrices
 (r = 2, 3, 4) at p = t over F_2, F_3, F_4 and F_5, at precisions 12 and
 30; `LocalMatrix.elementary_divisors` per call on 10 seeded exact
@@ -288,11 +286,9 @@ def _layer0_rows() -> dict:
                  {"kind": "kummer", "n": 2, "a": "t", "base": "5"}):
         ext = make_extension(spec)
         cases += [(ext, i) for i in range(1, 7) if i % ext.const_degree == 0]
-    for name in ("count_split_primes", "count_split_primes_enumerated"):
-        count = getattr(bounds, name, None)
-        if count is None:
-            continue
-
+    for name, count in (("count_split_primes", bounds.count_split_primes),
+                        ("count_split_primes_enumerated",
+                         bounds.count_split_primes_enumerated)):
         def cold_counts():
             ffpoly._primes_of_degree_cached.cache_clear()
             residue_field.cache_clear()
@@ -301,18 +297,16 @@ def _layer0_rows() -> dict:
         out[f"{name}_ms|criterion7|{len(cases)} cases"] = _timing(
             cold_counts, 1, 1e3)
 
-    kummer_count = getattr(bounds, "_kummer_split_count", None)
-    if kummer_count is not None:
-        for a in (poly_from_str("t^5+t+2", F5), poly_from_str("t^7+t+2", F5)):
-            ext = Extension.kummer(F5, 4, a)
-            for name, count in (("closed", kummer_count),
-                                ("sieve", bounds.count_split_primes_enumerated)):
-                def cold_count():
-                    ffpoly._primes_of_degree_cached.cache_clear()
-                    residue_field.cache_clear()
-                    count(ext, 5)
-                out[f"split_count_{name}_ms|kummer|q=5|n=4|deg a={a.degree}"
-                    f"|i=5"] = _timing(cold_count, 1, 1e3)
+    for a in (poly_from_str("t^5+t+2", F5), poly_from_str("t^7+t+2", F5)):
+        ext = Extension.kummer(F5, 4, a)
+        for name, count in (("closed", bounds._kummer_split_count),
+                            ("sieve", bounds.count_split_primes_enumerated)):
+            def cold_count():
+                ffpoly._primes_of_degree_cached.cache_clear()
+                residue_field.cache_clear()
+                count(ext, 5)
+            out[f"split_count_{name}_ms|kummer|q=5|n=4|deg a={a.degree}"
+                f"|i=5"] = _timing(cold_count, 1, 1e3)
     return out
 
 
@@ -398,10 +392,7 @@ def _census_rows() -> dict:
         out[f"span_units|{name}"] = _timing(
             lambda: [sum(1 for _ in _span_units(kp, order.r, basis))
                      for basis in bases], len(bases), 1e6)
-    rank = getattr(localfield, "_residue_rank", None)
-    if rank is None:
-        def rank(field, vectors, width):
-            return len(localfield._residue_echelon(field, vectors, width))
+    rank = localfield._residue_rank
     for q in (2, 3):
         kp = residue_field(prime_from_str("t", FiniteField.of_order(q)))
         rng = random.Random(f"rank:{q}")
