@@ -16,14 +16,14 @@ knows their degrees without factoring: the constant-extension law, the
 n-th power residue symbol for a Kummer extension with n | q - 1, and
 the absolute trace for an Artin-Schreier one, the last two computed in
 F_q[t].  `splitting` builds the factors from that pattern.  A split
-Kummer prime takes one root of the radicand (Tonelli-Shanks or
-Adleman-Manders-Miller) times the roots of unity of F_q; a split
-Artin-Schreier prime takes the trace-one solution of y^p - y = c; each
-root is checked before it is returned.  A constant extension splits its
-modulus by equal-degree splitting at the known degree.  `poly_factor`
-remains for the Kummer ladder (n not dividing q - 1) and generic
-extensions.  Ramified primes are handled by the constructor's closed
-form or refused.
+Kummer prime takes one root of the radicand (`FiniteField.nth_root`,
+one r-th root routine per prime factor r) times the roots of unity of
+F_q; a split Artin-Schreier prime takes the trace-one solution of
+y^p - y = c; each root is checked before it is returned.  A constant
+extension splits its modulus by equal-degree splitting at the known
+degree.  `poly_factor` remains for the Kummer ladder (n not dividing
+q - 1) and generic extensions.  Ramified primes are handled by the
+constructor's closed form or refused.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class Extension:
                 "inseparable defining polynomials are supported only in the "
                 "pure form x^(p^s) - a")
         a = -coeffs[0]
-        if _is_pth_power(base, a):
+        if _is_pth_power(a):
             raise ReducibleDefiningPolynomial("a is a p-th power in F")
         return Extension("generic", base, m, genus, qp, coeffs, {},
                          frozenset(), (m, 1), False, n_const, {"a": a})
@@ -290,10 +290,9 @@ def _is_prime_power(m: int, p: int) -> bool:
     return m == 1
 
 
-def _is_pth_power(base: FiniteField, a: Poly) -> bool:
-    if a.is_zero():
-        return True
-    return all(mult % base.p == 0 for _, mult in poly_factor(a))
+def _is_pth_power(a: Poly) -> bool:
+    """Whether a is a p-th power in F_q[t]: over the perfect F_q, a' = 0."""
+    return a.derivative().is_zero()
 
 
 def _discriminant_support(base: FiniteField, coeffs: Sequence[Poly]) -> frozenset:

@@ -24,10 +24,12 @@ vectors.  `power_residue_symbol` computes (a/b)_n by Euclid's algorithm
 and the reciprocity law, with no residue field, and `absolute_trace`
 takes the trace of a residue class by Frobenius steps in F_q[t].
 Equal-degree splitting takes a product of two linear factors apart by
-the quadratic formula (`FiniteField.sqrt`), so its cost does not depend
-on which roots they are.  The root formulas, n-th roots
-(`FiniteField.nth_root`: Tonelli-Shanks and Adleman-Manders-Miller) and
-roots of y^p - y = c (`FiniteField.artin_schreier_root`), multiply
+the quadratic formula, so its cost does not depend on which roots they
+are.  Its square root and every n-th root (`FiniteField.nth_root`, one
+call per prime factor r of n) come from one r-th root routine,
+`FiniteField._rth_root`: Tonelli-Shanks's loop, with the discrete
+logarithms of Adleman-Manders-Miller at odd r.  These roots and the
+roots of y^p - y = c (`FiniteField.artin_schreier_root`) multiply
 without filling tables, and the p-th power `FiniteField.frobenius` is a
 spread of digits and one reduction.
 
@@ -345,116 +347,87 @@ class FiniteField:
             y = self.add(y, mul(delta, prefix))
         return self.neg(y)
 
-    def sqrt(self, a: int) -> int:
-        """A square root of a square a, in odd characteristic.
-
-        Tonelli-Shanks with the smallest non-square of the field, found
-        once per field: with q - 1 = m 2^s (m odd) the cost is one power
-        a^((m-1)/2), which gives both a^((m+1)/2) and a^m, and at most s^2
-        squarings, whichever square a is.  Products go through
-        `_untabled_mul`, so a cold field builds no table."""
-        if self.p == 2:
-            raise MalformedInput("sqrt needs odd characteristic")
-        if a == 0:
-            return 0
-        mul = self._untabled_mul()
-        n = self.size - 1
-        s = (n & -n).bit_length() - 1
-        m = n >> s
-        w = _pow_by(mul, a, (m - 1) // 2)
-        x = mul(w, a)
-        t = mul(w, x)
-        c = None
-        while t != 1:
-            i, u = 0, t
-            while u != 1:
-                u = mul(u, u)
-                i += 1
-            if i == s:
-                raise MalformedInput(f"{a} is not a square in {self!r}")
-            if c is None:
-                c = _pow_by(mul, self._non_residue(2), m)
-            b = c
-            for _ in range(s - i - 1):
-                b = mul(b, b)
-            x = mul(x, b)
-            c = mul(b, b)
-            t = mul(t, c)
-            s = i
-        return x
-
     def nth_root(self, a: int, n: int) -> int:
         """An n-th root of a, for n dividing size - 1 and a an n-th power.
 
-        One prime r of n at a time: a square root by Tonelli-Shanks
-        (`sqrt`), an r-th root for odd r by Adleman-Manders-Miller (FOCS
-        1977).  An r-th root of a k-th power is a (k/r)-th power when k
-        divides size - 1, so the chain never leaves the residues.  The
-        root is checked (root^n = a) before it is returned; a non-residue
-        a fails that check and raises MalformedInput."""
+        One prime factor r of n at a time, by `_rth_root`.  An r-th root of
+        a k-th power is a (k/r)-th power when k divides size - 1, so the
+        chain never leaves the residues.  The root is checked (root^n = a)
+        before it is returned; a non-residue a fails that check and raises
+        MalformedInput."""
         if n < 1 or (self.size - 1) % n:
             raise MalformedInput(f"{n} does not divide {self.size} - 1")
         x = a
         if a:
             for r, mult in _int_factor(n):
                 for _ in range(mult):
-                    x = self.sqrt(x) if r == 2 else self._amm_root(x, r)
+                    x = self._rth_root(x, r)
         if _pow_by(self._untabled_mul(), x, n) != a:
             raise MalformedInput(f"{a} is not an {n}-th power in {self!r}")
         return x
 
-    def _amm_root(self, a: int, r: int) -> int:
-        """An r-th root of a nonzero r-th power a, r an odd prime dividing
-        size - 1 = r^s t with r prime to t (Adleman-Manders-Miller, in the
-        form of Cao, Sha & Fan, 2011).  a^alpha with r alpha = 1 mod t is
-        a root up to a unit b of r-power order; the loop removes b one
-        r-adic level at a time, by discrete logarithms in the order-r
-        subgroup <z>, z = rho^(r^(s-1) t) for an r-th non-residue rho."""
+    def _rth_root(self, a: int, r: int) -> int:
+        """An r-th root of a nonzero r-th power a, for a prime r dividing
+        size - 1 = r^s t with r prime to t.
+
+        One power w = a^(alpha - 1), r alpha = 1 mod t, gives x = w a and
+        b = x^(r-1) w = a^(r alpha - 1), so x^r = a b with b of order r^k;
+        k < s exactly when a is an r-th power.  Each step lowers k: d =
+        b^(r^(k-1)) is z^l in the order-r subgroup <z>, z = rho^((size -
+        1)/r) the Euler value of the non-residue rho (l by walking the
+        powers of z), and with y = c^(r^(s-k-1)), c = rho^t, the pair
+        x y^(r-l), b y^(r(r-l)) keeps x^r = a b.  At r = 2 (z = -1, l = 1)
+        this is Tonelli-Shanks step for step; at odd r it returns the root
+        of Adleman-Manders-Miller (FOCS 1977) from one power instead of
+        two.  Products go through `_untabled_mul`, so a cold field builds
+        no table."""
         mul = self._untabled_mul()
-        n = self.size - 1
-        s, t = 0, n
+        s, t = 0, self.size - 1
         while t % r == 0:
             s, t = s + 1, t // r
-        alpha = pow(r, -1, t)
-        rho = self._non_residue(r)
-        c = _pow_by(mul, rho, t)
-        z = _pow_by(mul, c, r ** (s - 1))
-        logs = {}
-        w = 1
-        for j in range(r):
-            logs[w] = j
-            w = mul(w, z)
-        b = _pow_by(mul, a, (r * alpha - 1) % n)
-        h = 1
-        for i in range(1, s):
-            d = _pow_by(mul, b, r ** (s - 1 - i))
-            if d not in logs:
+        w = _pow_by(mul, a, (pow(r, -1, t) - 1) % t)
+        x = mul(w, a)
+        b = mul(_pow_by(mul, x, r - 1), w)
+        c = None
+        while b != 1:
+            k, u = 0, b
+            while u != 1:
+                d, u = u, _pow_by(mul, u, r)
+                k += 1
+            if k == s:
                 raise MalformedInput(f"{a} is not an {r}-th power in {self!r}")
-            j = -logs[d] % r
-            if j:
-                cj = _pow_by(mul, c, j)
-                h = mul(h, cj)
-                b = mul(b, _pow_by(mul, cj, r))
+            if c is None:
+                c = _pow_by(mul, self._non_residue(r), t)
+                z = self._nonres[r][1]
+            c = _pow_by(mul, c, r ** (s - k - 1))
+            j, u = r - 1, z
+            while u != d:
+                j, u = j - 1, mul(u, z)
+            x = mul(x, _pow_by(mul, c, j))
             c = _pow_by(mul, c, r)
-        return mul(_pow_by(mul, a, alpha), h)
+            b = mul(b, _pow_by(mul, c, j))
+            s = k
+        return x
 
     def _non_residue(self, r: int) -> int:
-        """The smallest r-th power non-residue, for a prime r dividing
-        size - 1.  When r does not divide p - 1, or [F : F_p] is a
-        multiple of r, every element of F_p (the ints below p) is an r-th
-        power, so the search starts at p."""
-        z = self._nonres.get(r)
-        if z is None:
+        """The smallest r-th power non-residue rho, for a prime r dividing
+        size - 1; `_nonres` keeps it with its Euler value, the element
+        rho^((size - 1)/r) of order r.  When r does not divide p - 1, or
+        [F : F_p] is a multiple of r, every element of F_p (the ints below
+        p) is an r-th power, so the search starts at p."""
+        if r not in self._nonres:
             start = self.p if (self.p - 1) % r or self.e % r == 0 else 2
-            z = next(z for z in range(start, self.size)
-                     if not self._is_power(z, r))
-            self._nonres[r] = z
-        return z
+            for rho in range(start, self.size):
+                z = self._euler_value(rho, r)
+                if z != 1:
+                    self._nonres[r] = rho, z
+                    break
+        return self._nonres[r][0]
 
-    def _is_power(self, z: int, r: int) -> bool:
-        """Whether the nonzero z is an r-th power, r dividing size - 1:
-        Euler's criterion z^((size - 1)/r) = 1."""
-        return _pow_by(self._untabled_mul(), z, (self.size - 1) // r) == 1
+    def _euler_value(self, z: int, r: int) -> int:
+        """z^((size - 1)/r) for a nonzero z and r dividing size - 1, which
+        is 1 exactly when z is an r-th power (Euler's criterion)."""
+        return _pow_by(self._untabled_mul(), z, (self.size - 1) // r)
 
     def _element_of_order(self, k: int) -> int:
         """An element of exact order k | size - 1: z^((size - 1)/k) for the
@@ -643,9 +616,10 @@ def _trace_coeffs(x: list, reducer: tuple, F: FiniteField, e: int) -> int:
 
 
 def _pow_by(mul, a: int, n: int) -> int:
-    """a^n for n >= 0 by square-and-multiply with ``mul``, top bit first."""
-    if not n:
-        return 1
+    """a^n for n >= 0 by square-and-multiply with ``mul``, top bit first;
+    n < 3, the steps of `FiniteField._rth_root` at r = 2, directly."""
+    if n < 3:
+        return mul(a, a) if n == 2 else (a if n else 1)
     result = a
     for bit in bin(n)[3:]:
         result = mul(result, result)
@@ -915,13 +889,13 @@ class ResidueField(FiniteField):
         """Canonical representative of degree < deg p."""
         return self.to_poly(a)
 
-    def _is_power(self, z: int, r: int) -> bool:
-        """Euler's criterion, read off the power residue symbol (z/p)_r in
-        F_q[t] when r divides q - 1: Euclid's algorithm on polynomials of
+    def _euler_value(self, z: int, r: int) -> int:
+        """The power residue symbol (z/p)_r when r divides q - 1, an element
+        of F_q (the ints below q in k(p)): Euclid's algorithm in F_q[t] on
         degree < deg p instead of a power in k(p)."""
         if (self.base.size - 1) % r:
-            return super()._is_power(z, r)
-        return power_residue_symbol(self.to_poly(z), self.prime.poly, r) == 1
+            return super()._euler_value(z, r)
+        return power_residue_symbol(self.to_poly(z), self.prime.poly, r)
 
 
 @lru_cache(maxsize=None)
@@ -1177,7 +1151,8 @@ def _equal_degree_split(g: Poly, d: int) -> list:
     if d == 1 and g.degree == 2 and F.p != 2:
         c, b = g.coeffs[0], g.coeffs[1]
         two = F.add(1, 1)
-        root = F.sqrt(F.sub(F.mul(b, b), F.mul(F.add(two, two), c)))
+        disc = F.sub(F.mul(b, b), F.mul(F.add(two, two), c))
+        root = F._rth_root(disc, 2)
         half = F.inv(two)
         return sorted((Poly(F, (F.mul(F.add(b, sign), half), 1))
                        for sign in (root, F.neg(root))), key=_poly_sort_key)

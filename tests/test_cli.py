@@ -610,3 +610,50 @@ class TestFieldAndSieveBounds:
     def test_largest_field_still_answers(self, capsys):
         data = run_json(["components", "--base", "2^64"], capsys)
         assert data["components"] == 1
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _readme_cases() -> list:
+    """`CLI_CASES` of perfbench/run.py, a literal read off its source (as
+    tools/reach.py reads it), so the benchmark is not imported."""
+    import ast
+    path = REPO / "perfbench" / "run.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CLI_CASES"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no CLI_CASES in {path}")
+
+
+def _launch(*args):
+    """One fresh `perfbench/cli_launch.py` process, untraced and
+    uncalibrated, as the `cli-readme` workload starts it; -B keeps it from
+    writing bytecode under perfbench/."""
+    return subprocess.run(
+        [sys.executable, "-B", str(REPO / "perfbench" / "cli_launch.py"),
+         SRC, "-", "-", "--", *args],
+        cwd=REPO, capture_output=True, timeout=120)
+
+
+class TestReadmeGoldens:
+    """Every `cli-readme` command matches `perfbench/golden/cli-readme.json`
+    byte for byte: stdout, stderr and exit code."""
+
+    GOLDEN = json.loads((REPO / "perfbench" / "golden" / "cli-readme.json")
+                        .read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("name,args", [
+        pytest.param(name, args, id=name) for name, args in _readme_cases()])
+    def test_command_matches_its_golden(self, name, args):
+        proc = _launch(*args)
+        want = self.GOLDEN[name]
+        assert proc.stdout.decode() == want["stdout"]
+        assert proc.stderr.decode() == want["stderr"]
+        assert proc.returncode == want["returncode"]
+
+    def test_import_only_probe_is_silent(self):
+        proc = _launch()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")

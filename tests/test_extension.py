@@ -8,9 +8,10 @@ from drinlat.errors import (BudgetExceeded, MalformedInput,
                             MultipleInfinitePlaces,
                             ReducibleDefiningPolynomial,
                             UnsupportedRamifiedPrime, UnsupportedShape)
-from drinlat.ffpoly import (FiniteField, Poly, _int_factor, enumerate_primes,
-                            field_from_str, poly_from_str, prime_from_str,
-                            primes_of_degree)
+from drinlat import extension
+from drinlat.ffpoly import (FiniteField, Poly, _int_factor, _monic_polys,
+                            enumerate_primes, field_from_str, poly_factor,
+                            poly_from_str, prime_from_str, primes_of_degree)
 from drinlat.extension import (Extension, constant_splitting_law, class_number,
                                count_places, make_extension, order_at,
                                predegree, splitting, zeta_numerator)
@@ -62,6 +63,22 @@ class TestConstructors:
         with pytest.raises(ReducibleDefiningPolynomial):
             Extension.generic(F2, [-poly_from_str("t^2", F2), Poly.zero(F2),
                                    Poly.one(F2)], genus=0)
+
+    @pytest.mark.parametrize("p,e,max_degree", [(2, 1, 6), (3, 1, 6),
+                                                (2, 2, 6), (3, 2, 3)])
+    def test_pth_power_check_matches_the_multiplicities(self, p, e,
+                                                       max_degree):
+        # a' = 0 against the factoring rule it replaced: every multiplicity
+        # divisible by p.  The rule reads the monic part, which c * a
+        # shares, so each monic a is factored once and checked with every
+        # nonzero multiple; the zero polynomial counts as a p-th power
+        F = FiniteField.of_order(p, e)
+        assert extension._is_pth_power(Poly.zero(F))
+        for d in range(max_degree + 1):
+            for m in _monic_polys(F, d):
+                want = all(mult % p == 0 for _, mult in poly_factor(m))
+                for c in range(1, F.size):
+                    assert extension._is_pth_power(m.scale(c)) == want, m
 
     def test_generic_multiple_infinite_places_refused(self):
         with pytest.raises(MultipleInfinitePlaces):

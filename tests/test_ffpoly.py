@@ -3,6 +3,7 @@ import time
 
 import coeff_oracle
 import pytest
+import root_oracle
 from hypothesis import given, settings, strategies as st
 from irreducible_oracle import is_irreducible_rabin
 
@@ -764,12 +765,12 @@ class TestQuadraticSplit:
         for x in xs:
             a = F.mul(x, x)
             squares.add(a)
-            r = F.sqrt(a)
+            r = F.nth_root(a, 2)
             assert F.mul(r, r) == a, x
         if F.size <= 256:
             for a in set(range(F.size)) - squares:
                 with pytest.raises(MalformedInput):
-                    F.sqrt(a)
+                    F.nth_root(a, 2)
 
     @pytest.mark.parametrize("spec", SQRT_FIELDS, ids=str)
     def test_two_linear_factors_split_by_the_quadratic_formula(self, spec):
@@ -785,13 +786,12 @@ class TestQuadraticSplit:
 
     def test_sqrt_refuses_characteristic_2(self):
         with pytest.raises(MalformedInput):
-            F4.sqrt(1)
+            F4.nth_root(1, 2)
 
 
 # (field, n): prime fields and residue fields on both sides of
 # _TABLE_LIMIT; n runs over divisors of |F| - 1 with odd prime factors
-# (Adleman-Manders-Miller) and powers of 2 (Tonelli-Shanks), r^s
-# exactly dividing |F| - 1 for s = 1, 2 and 3
+# and powers of 2, r^s exactly dividing |F| - 1 for s = 1, 2 and 3
 ROOT_FIELDS = [((7, 1), None, (3, 6)), ((13, 1), None, (3, 4, 6, 12)),
                ((2, 2), None, (3,)), ((5, 1), 2, (3, 4, 6, 8, 12, 24)),
                ((2, 1), 8, (3, 5, 15, 17, 255)),
@@ -800,7 +800,51 @@ ROOT_FIELDS = [((7, 1), None, (3, 6)), ((13, 1), None, (3, 4, 6, 12)),
                ((3, 2), 2, (4, 5, 8, 16, 80)), ((5, 1), 4, (3, 4, 12, 13))]
 
 
+# every (field, n) of ROOT_FIELDS, and n = 2 on SQRT_FIELDS
+ROOT_GRID = ([(spec[:2], n) for spec in ROOT_FIELDS for n in spec[2]]
+             + [(spec, 2) for spec in SQRT_FIELDS])
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type is compared, whatever it is
+        return type(exc)
+    return None
+
+
+def _oracle_root(F, a, r):
+    return root_oracle.sqrt(F, a) if r == 2 else root_oracle.amm_root(F, a, r)
+
+
 class TestNthRoot:
+    @pytest.mark.parametrize("spec,n", ROOT_GRID, ids=str)
+    def test_matches_the_oracles(self, spec, n):
+        # the one r-th root routine against Tonelli-Shanks (r = 2) and
+        # Adleman-Manders-Miller (odd r), element for element, on every
+        # power, or 80 seeded ones above 256 elements, for n and for each
+        # prime r of n; the same refusal on up to 20 non-powers.  The old
+        # Adleman-Manders-Miller loop has no level to test when r^2 does
+        # not divide |F| - 1, so there only the root^n = a check of
+        # nth_root refuses; the routine refuses on its own everywhere.
+        F = _sqrt_field(spec)
+        rng = random.Random(f"oracle:{F.size}:{n}")
+        xs = range(1, F.size) if F.size <= 256 else \
+            [rng.randrange(1, F.size) for _ in range(80)]
+        primes = [r for r, _ in ffpoly._int_factor(n)]
+        for k in [n] + primes:
+            roots = F._rth_root if k in primes else F.nth_root
+            oracle = _oracle_root if k in primes else root_oracle.nth_root
+            for a in sorted({F.pow(x, k) for x in xs}):
+                assert roots(a, k) == oracle(F, a, k), (k, a)
+            non = [a for a in range(1, F.size)
+                   if F.pow(a, (F.size - 1) // k) != 1][:20]
+            assert non
+            for a in non:
+                assert _refusal(roots, a, k) is MalformedInput
+                assert _refusal(root_oracle.nth_root, F, a, k) \
+                    is MalformedInput
+
     @pytest.mark.parametrize("spec", ROOT_FIELDS, ids=str)
     def test_roots_of_powers(self, spec):
         F = _sqrt_field(spec[:2])

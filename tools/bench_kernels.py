@@ -14,6 +14,12 @@ field k(p) of 64, 81, 243 and 256 elements, built with its log/exp tables
 (ms per field); above the table limit, `FiniteField.mul` on 1000 seeded
 pairs in residue fields of 5^6 and 3^6 elements and `FiniteField.inv` on
 1000 seeded nonzero elements in residue fields of 5^4 and 3^6 elements;
+`nth_root(a, r)` per call on 40 seeded nonzero r-th powers at the first
+prime of each degree: r = 2 on a fresh `ResidueField` per call (its
+non-residue search included) at 3^4, 3^6, 5^4, 9^2 and 9^3 elements, the
+`places-scan` strata, and on the cached field r = 3 at 5^4 and 7^3, r = 5
+at 3^4 and 9^2 and r = 7 at 3^6 and 9^3 (rows `nth_root|fresh|...` and
+`nth_root|warm|...`);
 `splitting_pattern` and `splitting` per prime for the Kummer extension
 x^2 = t over F_5 on the 150 primes of degree 4, residue-field cache
 cleared; `splitting` per prime at the first 20 split primes (more than
@@ -112,6 +118,13 @@ SPLIT_SAMPLE = 20
 POLY_FIELDS = ((2, 1), (3, 1), (5, 1), (3, 2))
 POLY_LENGTHS = (3, 8, 26)
 POLY_PAIRS = 50
+# (p, e, d, r) of the `nth_root` rows at the first prime of degree d over
+# F_(p^e): r = 2 on the `places-scan` S| strata 3^4, 3^6, 5^4, 9^2 and
+# 9^3, on a fresh residue field per call; odd r on the cached field
+ROOT_ROWS = ((3, 1, 4, 2), (3, 1, 6, 2), (5, 1, 4, 2), (3, 2, 2, 2),
+             (3, 2, 3, 2), (5, 1, 4, 3), (7, 1, 3, 3), (3, 1, 4, 5),
+             (3, 2, 2, 5), (3, 1, 6, 7), (3, 2, 3, 7))
+ROOT_SAMPLE = 40
 # (extension, prime degree) of the cold split-prime `splitting` rows
 SPLIT_ROWS = (
     ({"kind": "kummer", "n": 2, "a": "t^3+t", "base": "5"}, 4),
@@ -148,6 +161,7 @@ def main() -> None:
     out.update(_poly_rows())
     out.update(_constant_rows())
     out.update(_layer0_rows())
+    out.update(_root_rows())
     out.update(_stabilizer_rows())
     out.update(_hom_rows())
     out.update(_census_rows())
@@ -307,6 +321,35 @@ def _layer0_rows() -> dict:
                 count(ext, 5)
             out[f"split_count_{name}_ms|kummer|q=5|n=4|deg a={a.degree}"
                 f"|i=5"] = _timing(cold_count, 1, 1e3)
+    return out
+
+
+def _root_rows() -> dict:
+    """`nth_root(a, r)` per call on seeded nonzero r-th powers (ROOT_ROWS):
+    at r = 2 each call builds its own `ResidueField`, so the non-residue
+    search is timed too, as `places-scan` meets it; at odd r the cached
+    field has its non-residue and tables already."""
+    from drinlat.ffpoly import (FiniteField, ResidueField, primes_of_degree,
+                                residue_field)
+
+    out = {}
+    for p, e, d, r in ROOT_ROWS:
+        prime = primes_of_degree(FiniteField.of_order(p, e), d)[0]
+        k = residue_field(prime)
+        rng = random.Random(f"root:{k.size}:{r}")
+        powers = [k.pow(rng.randrange(1, k.size), r)
+                  for _ in range(ROOT_SAMPLE)]
+        if r == 2:
+            def run():
+                return [ResidueField(prime).nth_root(a, 2) for a in powers]
+        else:
+            k.nth_root(powers[0], r)
+
+            def run():
+                return [k.nth_root(a, r) for a in powers]
+        kind = "fresh" if r == 2 else "warm"
+        out[f"nth_root|{kind}|q={p ** e}|d={d}|r={r}"] = _timing(
+            run, len(powers), 1e6)
     return out
 
 
