@@ -1,6 +1,6 @@
 """Finite extensions F'/F with one place over infinity: construction,
-prime splitting, place counting, zeta numerator, class number, and the
-predegree machinery.
+prime splitting, one place census for the zeta numerator and class
+number, and the predegree machinery.
 
 Four shapes are constructible.  Constant extensions adjoin constants,
 Kummer extensions adjoin x with x^n = a(t) (n prime to the
@@ -29,7 +29,6 @@ constructor's closed form or refused.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -606,76 +605,64 @@ class ZetaData(NamedTuple):
     h: int                           # class number of A'
 
 
-def count_places(ext: Extension, degree: int) -> int:
-    """Number of places of F' of degree `degree` over its own constant
-    field F_{q'}, including the infinite place."""
+def place_counts(ext: Extension, g: int) -> List[int]:
+    """b_1..b_g, the places of F' of degree 1..g over F_{q'}, infinity
+    included, from one pass over the primes of degree d <= g.n_const: a
+    place (e, f) above one has degree d.f / n_const.  The place budget is
+    checked first, and refused as a scan degree by degree would refuse: at
+    the first unsupported ramified prime of degree <= (D - 1).n_const in
+    scan order, else at the least D whose primes of degree D.n_const are
+    past it."""
     n_const = ext.const_degree
-    total = 0
-    if degree == ext.infinite_place_degree:
-        total += 1  # the unique infinite place
-    scan = degree * n_const
-    if ext.base.size ** scan > PLACE_BUDGET:
-        raise BudgetExceeded(
-            f"enumerating primes of degree up to {scan} exceeds the budget")
-    for d in range(1, scan + 1):
+    over = next((D for D in range(1, g + 1)
+                 if ext.base.size ** (D * n_const) > PLACE_BUDGET), None)
+    if over is not None:
+        unsupported = [pr for pr, closed in ext.ram_support.items()
+                       if closed is None and pr.degree <= (over - 1) * n_const]
+        if unsupported:
+            _known_pattern(ext, min(unsupported, key=Prime.sort_key))
+        raise BudgetExceeded(f"enumerating primes of degree up to "
+                             f"{over * n_const} exceeds the budget")
+    top = g * n_const
+    b = [int(D == ext.infinite_place_degree) for D in range(1, g + 1)]
+    for d in range(1, top + 1):
         for prime in primes_of_degree(ext.base, d):
             for e, f in splitting_pattern(ext, prime):
-                if d * f == degree * n_const:
-                    total += 1
-    return total
+                if (d * f) % n_const == 0 and d * f <= top:
+                    b[d * f // n_const - 1] += 1
+    return b
 
 
 def zeta_numerator(ext: Extension) -> ZetaData:
-    """Numerator P(u) of the zeta function of F', via the place counts
-    b_1..b_g, the exponential-series expansion, and the functional
-    equation a_{2g-i} = q'^(g-i) a_i; the class number is h = P(1) times
-    the degree of the infinite place (1 for all structured shapes)."""
+    """Numerator P(u) of the zeta function of F' from the place counts
+    b_1..b_g.  With N_i = sum_{d | i} d b_d and S_i = N_i - 1 - q'^i,
+    log P(u) = sum S_i u^i / i, so Newton's identity
+    k a_k = sum_{i <= k} S_i a_{k-i} gives a_1..a_g by exact division, and
+    the functional equation a_{2g-i} = q'^(g-i) a_i the rest.  The class
+    number is h = P(1) times the degree of the infinite place (1 for all
+    structured shapes)."""
     g = ext.genus
     qp = ext.q_prime
     if g == 0:
         return ZetaData(qp, 0, [], [], [1], 1)
-    b = [count_places(ext, d) for d in range(1, g + 1)]
-    n_counts = []
-    for i in range(1, g + 1):
-        total = 0
-        for d in range(1, i + 1):
-            if i % d == 0:
-                total += d * b[d - 1]
-        n_counts.append(total)
-    # Z(u) = exp(sum N_i u^i / i); P = Z * (1-u)(1-q'u) up to u^g
-    z = [Fraction(1)] + [Fraction(0)] * g
-    s = [Fraction(0)] + [Fraction(n_counts[i - 1], i) for i in range(1, g + 1)]
+    b = place_counts(ext, g)
+    n_counts = [sum(d * b[d - 1] for d in range(1, i + 1) if i % d == 0)
+                for i in range(1, g + 1)]
+    s = [n - 1 - qp ** i for i, n in enumerate(n_counts, 1)]
+    coeffs = [1] + [0] * (2 * g)
     for k in range(1, g + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += i * s[i] * z[k - i]
-        z[k] = acc / k
-    low = [Fraction(0)] * (g + 1)
-    for k in range(g + 1):
-        acc = z[k]
-        if k >= 1:
-            acc -= (qp + 1) * z[k - 1]
-        if k >= 2:
-            acc += qp * z[k - 2]
-        low[k] = acc
-    coeffs = [0] * (2 * g + 1)
-    for k in range(g + 1):
-        if low[k].denominator != 1:
+        a_k, rem = divmod(sum(s[i - 1] * coeffs[k - i]
+                              for i in range(1, k + 1)), k)
+        if rem:
             raise InvariantError(
-                f"zeta numerator coefficient a_{k} = {low[k]} is not an integer")
-        coeffs[k] = int(low[k])
+                f"zeta numerator coefficient a_{k} is not an integer")
+        coeffs[k] = a_k
     for i in range(g):
         coeffs[2 * g - i] = qp ** (g - i) * coeffs[i]
-    if coeffs[0] != 1:
-        raise InvariantError(f"zeta numerator has a_0 = {coeffs[0]}, not 1")
-    h = sum(coeffs)
-    # |Cl(A')| = P(1) * deg(infinity'), and the structured shapes all have
-    # an infinite place of degree 1
-    h_order = h * ext.infinite_place_degree
-    # the class-number lower bound in terms of genus must hold
-    lower = Fraction((qp - 1) * (qp ** (2 * g) - 2 * g * qp ** g + 1),
-                     2 * g * (qp ** (g + 1) - 1))
-    if h_order < 1 or Fraction(h_order) < lower:
+    h_order = sum(coeffs) * ext.infinite_place_degree
+    from .bounds import clg_lower_bound  # bounds imports this module
+    lower = clg_lower_bound(qp, g)
+    if h_order < 1 or h_order < lower:
         raise InvariantError(
             f"class number {h_order} is below 1 or the genus bound {lower}")
     return ZetaData(qp, g, b, n_counts, coeffs, h_order)

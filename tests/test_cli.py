@@ -536,6 +536,10 @@ class TestExponentBound:
         assert data["factors"] == [["t", 200000]]
 
 
+GENUS_9_OVER_F7 = ('{"kind": "artin_schreier", '
+                   '"a": "10*t^4+1*t^3+10*t^2+10*t+2", "base": "7"}')
+
+
 class TestFieldAndSieveBounds:
     """An oversized field is malformed input (exit 4) before its
     characteristic is tested for primality, and an oversized prime sieve
@@ -554,8 +558,15 @@ class TestFieldAndSieveBounds:
         (["class-number", "--ext",
           '{"kind":"kummer","n":3,"a":"t^2+t+1","base":"2^20"}'], 3,
          "enumerating primes of degree up to 1 exceeds the budget", 1.0),
+        # genus 9 over F_7: the degree-8 primes are over the budget, and
+        # counting degrees 1-7 before the refusal would take 17 s
+        (["class-number", "--ext", GENUS_9_OVER_F7], 3,
+         "enumerating primes of degree up to 8 exceeds the budget", 1.0),
+        (["predegree", "--i", "1", "--ext", GENUS_9_OVER_F7], 3,
+         "enumerating primes of degree up to 8 exceeds the budget", 1.0),
     ], ids=["order-2^40", "degree-40", "characteristic-2^61-1",
-            "order-2^100000", "class-number-2^20"])
+            "order-2^100000", "class-number-2^20", "class-number-genus-9",
+            "predegree-genus-9"])
     def test_oversized_input_is_refused_at_once(self, argv, code, message,
                                                  seconds):
         # building F_(2^40) itself takes about 0.6 s of the first case
@@ -568,6 +579,17 @@ class TestFieldAndSieveBounds:
         assert error["kind"] == ("budget" if code == 3 else "malformed")
         assert message in error["message"]
         assert float(proc.stdout) < seconds
+
+    def test_unsupported_ramified_prime_comes_before_the_budget(self, capsys):
+        # a = t^2 (t^7+t+1) over F_5, genus 10: the degree-9 primes are
+        # over the budget, but a scan degree by degree meets the mixed
+        # tame prime t first, so that refusal stands
+        ext = '{"kind": "kummer", "n": 4, "a": "t^9+t^3+t^2", "base": "5"}'
+        code, out, err = run_cli(["class-number", "--ext", ext], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "UnsupportedRamifiedPrime"
+        assert error["message"] == "no closed form for the ramified prime t"
 
     def test_kummer_splitting_over_a_large_field_answers_at_once(self):
         # the roots of unity came from a walk over all of F_q: 5.4 s

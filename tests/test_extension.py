@@ -13,7 +13,7 @@ from drinlat.ffpoly import (FiniteField, Poly, _int_factor, _monic_polys,
                             enumerate_primes, field_from_str, poly_factor,
                             poly_from_str, prime_from_str, primes_of_degree)
 from drinlat.extension import (Extension, constant_splitting_law, class_number,
-                               count_places, make_extension, order_at,
+                               make_extension, order_at, place_counts,
                                predegree, splitting, zeta_numerator)
 
 F2 = FiniteField.of_order(2)
@@ -522,7 +522,7 @@ class TestZeta:
         # genus 1: degree-0 divisor classes biject with degree-1 places
         for e in (kummer_elliptic(),
                   Extension.artin_schreier(F2, poly_from_str("t^3", F2))):
-            assert class_number(e) == count_places(e, 1)
+            assert class_number(e) == place_counts(e, 1)[0]
 
     def test_functional_equation(self):
         for e in (kummer_elliptic(),
@@ -541,10 +541,68 @@ class TestZeta:
             h = class_number(e)
             assert e.genus <= 8 + 2 * math.log(h, e.base.size)
 
+    def test_matches_the_oracle_on_a_seeded_grid(self):
+        """The one-pass census and the integer Newton recurrence against
+        the per-degree scans and the exponential series of
+        `zeta_oracle`: every ZetaData field, or the refusal's type and
+        message.  Kummer (n = 2-5) and Artin-Schreier curves over F_2 to
+        F_9 with deg a <= 6, genus <= 6 and q'^g <= 2000, about half of
+        the radicands of degree >= 3 of the shape u^2 v, so mixed tame
+        primes are refused; then curves whose place count is over the
+        budget, with and without an unsupported ramified prime below it."""
+        import zeta_oracle
+        rng = random.Random(32)
+        exts = []
+        for name in ("2", "3", "2^2", "5", "7", "3^2"):
+            F = field_from_str(name)
+
+            def monic(k):
+                return Poly(F, [rng.randrange(F.size) for _ in range(k)] + [1])
+            for n in (2, 3, 4, 5, None):
+                if n is not None and n % F.p == 0:
+                    continue
+                for d in range(1, 7):
+                    for _ in range(4):
+                        a = (monic(1) ** 2 * monic(d - 2)
+                             if d >= 3 and rng.random() < 0.5 else
+                             monic(d) * Poly.const(F, rng.randrange(1, F.size)))
+                        try:
+                            ext = (Extension.artin_schreier(F, a) if n is None
+                                   else Extension.kummer(F, n, a))
+                        except (UnsupportedShape, MalformedInput):
+                            continue
+                        if ext.genus <= 6 and ext.q_prime ** ext.genus <= 2000:
+                            exts.append(ext)
+        assert {e.genus for e in exts} == {0, 1, 2, 3, 4, 6}
+        exts += [make_extension(spec) for spec in (
+            # over F_101 the degree-3 primes are past the budget, and over
+            # F_1009 and F_(2^10) the degree-2 ones
+            {"kind": "kummer", "n": 2, "a": "t^7+t+1", "base": "101"},
+            {"kind": "kummer", "n": 4, "a": "t^5+t^2", "base": "101"},
+            {"kind": "kummer", "n": 4, "a": "t^5+2*t^3+t", "base": "1009"},
+            # (t^3+t+1)^2 t: the mixed tame prime has degree 3, past the
+            # degree-2 scan that comes before the refusal
+            {"kind": "kummer", "n": 4, "a": "t^7+2*t^5+2*t^4+t^3+2*t^2+t",
+             "base": "101"},
+            {"kind": "artin_schreier", "a": "t^5+t", "base": "2^10"})]
+
+        def outcome(zeta, ext):
+            try:
+                return "ZetaData", zeta(ext)
+            except (BudgetExceeded, UnsupportedRamifiedPrime) as exc:
+                return type(exc).__name__, str(exc)
+        kinds = set()
+        for ext in exts:
+            got = outcome(zeta_numerator, ext)
+            assert got == outcome(zeta_oracle.zeta_numerator, ext), ext
+            kinds.add(got[0])
+        assert kinds == {"ZetaData", "BudgetExceeded",
+                         "UnsupportedRamifiedPrime"}
+
 
 class TestCountPlaces:
     def test_elliptic_b1(self):
-        assert count_places(kummer_elliptic(), 1) == 4
+        assert place_counts(kummer_elliptic(), 1)[0] == 4
 
     def test_place_budget_refuses_before_enumerating(self):
         # genus 1 over F_(2^20): the 2^20 degree-1 primes exceed 10^6
@@ -558,7 +616,7 @@ class TestCountPlaces:
     def test_constant_extension_inert_places(self):
         e = Extension.constant(F2, 2)
         # degree-1 places of F_4(t): t-c for c in F_4 plus infinity = 5
-        assert count_places(e, 1) == 5
+        assert place_counts(e, 1)[0] == 5
 
 
 class TestPredegree:

@@ -71,7 +71,13 @@ cold good-prime scans (prime-list and residue-field caches cleared
 first): `find_good_prime` on the README datum `perfbench/data/X.json`
 (x^2 = t^3 - t over F_3, a twist at t, N = 3) at max degree 4 and 6, and `places-scan`'s `exhaust-2`
 (x^2 + x = t^3 over F_2, N = 10, max degree 6); `order_at` at the
-first split degree-4 prime of x^2 = t over F_5, caches cleared; and the
+first split degree-4 prime of x^2 = t over F_5, caches cleared;
+`zeta_numerator` per call, prime-list and residue-field caches cleared
+before each (rows `zeta|...`), on x^2 = a over F_3 for a = t^7+2t+1,
+t^9+t^2+2, t^11+t+2 and t^13+t+1 (genus 3, 4, 4 and 6), x^2 = a over
+F_5 for a = t^5+t+2 and t^7+t+2 (genus 2 and 3), x^3 = t^4+t+3 over
+F_7 (genus 3), y^2 + y = t^k + t over F_2 for k = 5, 7, 9, 11 and 13
+(genus 2-6) and y^3 - y = t^4+t+1 over F_3 (genus 3); and the
 CLI layer, each in a fresh interpreter: `import drinlat.cli`, and
 `main(["thresholds", ...])` after that import, 15 of each, the two kinds
 of process interleaved (ms); and, last, since it empties the field cache,
@@ -133,6 +139,16 @@ SPLIT_ROWS = (
     ({"kind": "artin_schreier", "a": "t^3", "base": "2"}, 6),
     ({"kind": "constant", "n": 2, "base": "3^2"}, 4),
 )
+# extensions of the cold `zeta_numerator` rows, genus 2-6
+ZETA_ROWS = tuple(
+    [{"kind": "kummer", "n": 2, "a": a, "base": "3"}
+     for a in ("t^7+2*t+1", "t^9+t^2+2", "t^11+t+2", "t^13+t+1")]
+    + [{"kind": "kummer", "n": 2, "a": a, "base": "5"}
+       for a in ("t^5+t+2", "t^7+t+2")]
+    + [{"kind": "kummer", "n": 3, "a": "t^4+t+3", "base": "7"}]
+    + [{"kind": "artin_schreier", "a": f"t^{k}+t", "base": "2"}
+       for k in (5, 7, 9, 11, 13)]
+    + [{"kind": "artin_schreier", "a": "t^4+t+1", "base": "3"}])
 
 
 def main() -> None:
@@ -169,6 +185,7 @@ def main() -> None:
     out.update(_inverse_rows())
     out.update(_divisor_rows())
     out.update(_goodprime_rows())
+    out.update(_zeta_rows())
     out.update(_cli_rows(args.src))
     out.update(_hecke_sample_rows())
     out.update(_clmul_rows())
@@ -695,6 +712,26 @@ def _goodprime_rows() -> dict:
                  if splitting_pattern(ext, prime) == ((1, 1), (1, 1)))
     out[f"order_at|kummer|q=5|n=2|a=t|split {split}"] = _timing(
         cold(lambda: order_at(ext, split, 1)), 1, 1e6)
+    return out
+
+
+def _zeta_rows() -> dict:
+    """`zeta_numerator` per call on the ZETA_ROWS extensions, each call
+    cold: the prime lists and residue fields it builds are timed too."""
+    from drinlat import ffpoly
+    from drinlat.extension import make_extension, zeta_numerator
+
+    out = {}
+    for spec in ZETA_ROWS:
+        ext = make_extension(spec)
+
+        def cold():
+            ffpoly._primes_of_degree_cached.cache_clear()
+            ffpoly.residue_field.cache_clear()
+            zeta_numerator(ext)
+        label = "|".join(f"{k}={v}" for k, v in spec.items() if k != "kind")
+        out[f"zeta|{spec['kind']}|{label}|g={ext.genus}"] = _timing(
+            cold, 1, 1e6)
     return out
 
 
